@@ -25,9 +25,8 @@ from .rate import (RateResult, classical_v, contour_e, frequency_profile,
                    log_det_d, lqg_rate, small_theta_expansion, tail_bound,
                    theta_threshold, upsilon, upsilon_from_grid,
                    worst_case_lqg_bound)
-from .spectral import (SpectralGrid, SpectralSample, TrigBundle,
-                       feasibility_margin, sample_grid, spectral_sample,
-                       transfer, trig_bundle)
+from .spectral import (SpectralGrid, SpectralSample, TrigBundle, sample_grid,
+                       spectral_sample, transfer, trig_bundle)
 from .twomode import two_mode_example
 
 __version__ = "0.1.0"
@@ -43,7 +42,7 @@ __all__ = [
     "realize", "from_state_space", "kernel_at",
     # spectral
     "SpectralSample", "SpectralGrid", "TrigBundle", "transfer",
-    "spectral_sample", "sample_grid", "trig_bundle", "feasibility_margin",
+    "spectral_sample", "sample_grid", "trig_bundle",
     # quadrature
     "QuadratureConfig",
     # rate

@@ -6,6 +6,7 @@ parameter, 4 numerical failure.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -21,9 +22,9 @@ from . import onemode as onemode_mod
 from . import rate as rate_mod
 from .errors import FeasibilityError, ModelError, NumericalError
 from .io import load_model, write_csv, write_summary
-from .model import StateSpace
+from .model import BJ2, StateSpace
 from .quadrature import QuadratureConfig
-from .spectral import sample_grid, spectral_sample
+from .spectral import sample_grid, spectral_sample, trig_bundle
 from .twomode import two_mode_example
 
 
@@ -62,15 +63,9 @@ def _get_model(model_path: str | None) -> StateSpace:
 
 def _config(ss: StateSpace, cutoff: float | None, step: float | None) -> QuadratureConfig:
     cfg = QuadratureConfig.for_system(ss)
-    overrides = {}
-    if cutoff is not None:
-        overrides["cutoff"] = cutoff
-    if step is not None:
-        overrides["step"] = step
-    if overrides:
-        cfg = QuadratureConfig(cutoff=overrides.get("cutoff", cfg.cutoff),
-                               step=overrides.get("step", cfg.step))
-    return cfg
+    overrides = {k: v for k, v in (("cutoff", cutoff), ("step", step))
+                 if v is not None}
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _out_dir(out: str) -> Path:
@@ -362,13 +357,11 @@ def onemode_check(seed, samples, out, threads):
     for lam in lams:
         sample = spectral_sample(ss, lam)
         a, b = onemode_mod.ab_functions(params.mu, params.nu, 1j * lam)
-        from .model import BJ2
         closed = a * np.eye(2) + b * BJ2
         dev_psi = max(dev_psi, float(np.max(np.abs(sample.psi - closed))))
         theta = 0.3 / (1.0 + abs(float(lam)))
         cos_c, sin_c = onemode_mod.onemode_trig(params.mu, params.nu,
                                                 1j * lam, theta)
-        from .spectral import trig_bundle
         tb = trig_bundle(sample, theta)
         sin_generic = theta * sample.psi @ tb.sinc_tp
         dev_trig = max(dev_trig,

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._funcs import apply_herm, hermitize, sinhc
+from ._funcs import hermitize
 from .errors import FeasibilityError
 from .model import StateSpace
-from .quadrature import QuadratureConfig, TAIL_ASYMPTOTE, weighted_sum
-from .spectral import SpectralSample, sample_grid
+from .quadrature import QuadratureConfig
+from .spectral import SpectralSample, sample_grid, trig_bundle
 
 __all__ = ["HomotopyTrace", "u_direct", "u_ode_step", "rate_by_homotopy",
            "rate_by_homotopy_from_grid", "d_second_derivative_check"]
@@ -50,15 +50,6 @@ class HomotopyTrace:
     per_freq_u: np.ndarray | None = None
 
 
-def _trig_parts(h: np.ndarray, theta: float):
-    """cos(theta Psi) and sin(theta Psi) stacks from H = i Psi."""
-    w, v = np.linalg.eigh(h)
-    x = theta * w
-    cos_m = apply_herm(np.cosh(x), v)
-    sin_m = -1j * apply_herm(np.sinh(x), v)   # sin(theta Psi) = -i sinh(theta H)
-    return cos_m, sin_m
-
-
 def u_direct(sample: SpectralSample, theta: float) -> np.ndarray:
     """Closed-form Hermitian Riccati solution at one (frequency, theta).
 
@@ -66,25 +57,51 @@ def u_direct(sample: SpectralSample, theta: float) -> np.ndarray:
     + Psi sin(theta Psi)) with D the log-det matrix; this is the
     commutator-weighted resolvent form with the Psi factor absorbed, so it
     stays regular when the commutator spectrum degenerates (U then reduces
-    to (I - theta Phi)^{-1} Phi).
+    to (I - theta Phi)^{-1} Phi).  sin(theta Psi) = theta Psi sinc(theta Psi).
     """
     phi, psi = sample.phi, sample.psi
-    w, v = np.linalg.eigh(sample.h)
-    x = theta * w
-    cos_m = apply_herm(np.cosh(x), v)
-    sin_m = -1j * apply_herm(np.sinh(x), v)
-    d_mat = cos_m - theta * phi @ apply_herm(np.asarray(sinhc(x)), v)
+    tb = trig_bundle(sample, theta)
+    sin_m = theta * psi @ tb.sinc_tp
+    d_mat = tb.cos_tp - theta * phi @ tb.sinc_tp
     cond = np.linalg.cond(d_mat)
     if not np.isfinite(cond) or cond > 1e14:
         raise FeasibilityError(
             f"log-det matrix singular at frequency {sample.lam:g}",
             theta=theta, lam=sample.lam)
-    u = np.linalg.solve(d_mat, phi @ cos_m + psi @ sin_m)
+    u = np.linalg.solve(d_mat, phi @ tb.cos_tp + psi @ sin_m)
     return hermitize(u)
 
 
 def _riccati_rhs(u: np.ndarray, psi_sq: np.ndarray) -> np.ndarray:
     return psi_sq + u @ u
+
+
+def _rk4_stack(u: np.ndarray, psi_sq: np.ndarray, h: float) -> np.ndarray:
+    k1 = _riccati_rhs(u, psi_sq)
+    k2 = _riccati_rhs(u + 0.5 * h * k1, psi_sq)
+    k3 = _riccati_rhs(u + 0.5 * h * k2, psi_sq)
+    k4 = _riccati_rhs(u + h * k3, psi_sq)
+    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _guarded_step(u: np.ndarray, norms: np.ndarray, psi_sq: np.ndarray,
+                  floor: np.ndarray | float, h: float, theta_next: float,
+                  lambdas: np.ndarray):
+    """One re-Hermitized RK4 step of stacked Riccati states.
+
+    Returns the new states and their norms.  Raises FeasibilityError,
+    naming the first frequency, where a state grows by more than
+    ``GROWTH_GUARD`` times its previous norm floored at ``floor``.
+    """
+    u = hermitize(_rk4_stack(u, psi_sq, h))
+    new_norms = np.linalg.norm(u, axis=(1, 2))
+    escaped = np.nonzero(new_norms > GROWTH_GUARD * np.maximum(norms, floor))[0]
+    if escaped.size:
+        i = int(escaped[0])
+        raise FeasibilityError(
+            f"Riccati state escaping at frequency {lambdas[i]:g}, "
+            f"theta {theta_next:g}", theta=theta_next, lam=float(lambdas[i]))
+    return u, new_norms
 
 
 def u_ode_step(sample: SpectralSample, u: np.ndarray, theta: float,
@@ -96,22 +113,11 @@ def u_ode_step(sample: SpectralSample, u: np.ndarray, theta: float,
     scale of the sample so that marches started from small states are not
     mistaken for escapes.
     """
-    psi_sq = sample.psi @ sample.psi
-    u_new = _rk4_stack(u[None], psi_sq[None], d_theta)[0]
-    floor = max(np.linalg.norm(u), np.linalg.norm(sample.psi), 1e-300)
-    if np.linalg.norm(u_new) > GROWTH_GUARD * floor:
-        raise FeasibilityError(
-            f"Riccati state escaping at frequency {sample.lam:g}, "
-            f"theta {theta + d_theta:g}", theta=theta + d_theta, lam=sample.lam)
-    return hermitize(u_new)
-
-
-def _rk4_stack(u: np.ndarray, psi_sq: np.ndarray, h: float) -> np.ndarray:
-    k1 = _riccati_rhs(u, psi_sq)
-    k2 = _riccati_rhs(u + 0.5 * h * k1, psi_sq)
-    k3 = _riccati_rhs(u + 0.5 * h * k2, psi_sq)
-    k4 = _riccati_rhs(u + h * k3, psi_sq)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    floor = max(np.linalg.norm(sample.psi), 1e-300)
+    u_new, _ = _guarded_step(u[None], np.array([np.linalg.norm(u)]),
+                             (sample.psi @ sample.psi)[None], floor, d_theta,
+                             theta + d_theta, np.array([sample.lam]))
+    return u_new[0]
 
 
 def rate_by_homotopy(ss: StateSpace, theta_max: float, d_theta: float,
@@ -137,18 +143,10 @@ def rate_by_homotopy_from_grid(grid, theta_max: float, d_theta: float,
     """Riccati march over precomputed spectral stacks."""
     if theta_max < 0 or d_theta <= 0:
         raise FeasibilityError("theta_max must be >= 0 and d_theta > 0")
-    weights = cfg.simpson_weights()
 
     def derivative(u_stack: np.ndarray) -> float:
         tr = np.real(np.trace(u_stack, axis1=1, axis2=2))
-        tail = 0.0
-        if cfg.tail_rule == TAIL_ASYMPTOTE:
-            # same refined tail as the log-det integral: leading asymptote
-            # plus the 1/lambda^4 residual read off at the cutoff node
-            lead = grid.tail_coeff / cfg.cutoff
-            resid = float(tr[-1]) - grid.tail_coeff / cfg.cutoff ** 2
-            tail = lead + resid * cfg.cutoff / 3.0
-        return (weighted_sum(weights, tr) + tail) / (2.0 * math.pi)
+        return cfg.half_line(tr, grid.tail_coeff)[0] / (2.0 * math.pi)
 
     n_steps = max(1, int(math.ceil(theta_max / d_theta - 1e-12)))
     if theta_max == 0.0:
@@ -166,17 +164,8 @@ def rate_by_homotopy_from_grid(grid, theta_max: float, d_theta: float,
     floor = np.maximum(np.linalg.norm(grid.psi, axis=(1, 2)), 1e-300)
     norms = np.linalg.norm(u, axis=(1, 2))
     for k in range(n_steps):
-        u = _rk4_stack(u, psi_sq, h)
-        u = hermitize(u)
-        new_norms = np.linalg.norm(u, axis=(1, 2))
-        escaped = np.nonzero(new_norms > GROWTH_GUARD * np.maximum(norms, floor))[0]
-        if escaped.size:
-            i = int(escaped[0])
-            raise FeasibilityError(
-                f"Riccati state escaping at frequency {grid.lambdas[i]:g}, "
-                f"theta {thetas[k + 1]:g}",
-                theta=float(thetas[k + 1]), lam=float(grid.lambdas[i]))
-        norms = new_norms
+        u, norms = _guarded_step(u, norms, psi_sq, floor, h,
+                                 float(thetas[k + 1]), grid.lambdas)
         derivs[k + 1] = derivative(u)
     rate = np.concatenate([[0.0], np.cumsum(0.5 * h * (derivs[1:] + derivs[:-1]))])
     return HomotopyTrace(theta_grid=thetas, rate_derivative=derivs, rate=rate,
@@ -190,12 +179,9 @@ def d_second_derivative_check(sample: SpectralSample, theta: float,
     D'' is a central finite difference of the log-det matrix in theta, so
     the residual is dominated by the O(d_theta^2) differencing error.
     """
-    w, v = np.linalg.eigh(sample.h)
-
     def d_mat(th: float) -> np.ndarray:
-        x = th * w
-        return apply_herm(np.cosh(x), v) \
-            - th * sample.phi @ apply_herm(np.asarray(sinhc(x)), v)
+        tb = trig_bundle(sample, th)
+        return tb.cos_tp - th * sample.phi @ tb.sinc_tp
 
     d0 = d_mat(theta)
     d_plus = d_mat(theta + d_theta)

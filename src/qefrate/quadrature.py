@@ -2,7 +2,7 @@
 
 All half-line integrals in the package run on a uniform mesh over
 [0, cutoff] with composite Simpson weights, doubled by the symmetry of the
-integrands, plus an analytic high-frequency tail when enabled.  Sums are
+integrands, plus one analytic high-frequency tail rule.  Sums are
 accumulated with exact compensated summation so results do not depend on
 reduction order.
 """
@@ -16,13 +16,10 @@ import numpy as np
 
 from .errors import ParameterError
 
-TAIL_ASYMPTOTE = "asymptote"
-TAIL_TRUNCATE = "truncate"
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Mesh and tolerance settings for the frequency-domain integrals.
+    """Mesh settings for the frequency-domain integrals.
 
     Attributes
     ----------
@@ -31,29 +28,19 @@ class QuadratureConfig:
     step:
         Requested mesh step; the actual step is rounded so that an even
         number of intervals lands exactly on the cutoff.
-    tail_rule:
-        ``"asymptote"`` adds the analytic 1/lambda^2 tail beyond the
-        cutoff, ``"truncate"`` drops it.
-    tol_imag:
-        Largest tolerated imaginary part in direct complex log-dets,
-        used as a cross-check on the Hermitian evaluation path.
     """
 
     cutoff: float = 100.0
     step: float = 0.005
-    tail_rule: str = TAIL_ASYMPTOTE
-    tol_imag: float = 1e-8
 
     def __post_init__(self):
         if self.cutoff <= 0 or self.step <= 0:
             raise ParameterError("cutoff and step must be positive")
         if self.step > self.cutoff / 8:
             raise ParameterError("step must be much smaller than cutoff")
-        if self.tail_rule not in (TAIL_ASYMPTOTE, TAIL_TRUNCATE):
-            raise ParameterError(f"unknown tail rule {self.tail_rule!r}")
 
     @classmethod
-    def for_system(cls, ss, step_scale: float = 0.005, **kwargs) -> "QuadratureConfig":
+    def for_system(cls, ss, step_scale: float = 0.005) -> "QuadratureConfig":
         """Defaults matched to the system's spectral content.
 
         The cutoff sits an order of magnitude beyond the fastest drift
@@ -63,7 +50,7 @@ class QuadratureConfig:
         rad = float(np.max(np.abs(np.linalg.eigvals(ss.a))))
         cutoff = max(100.0, 10.0 * rad)
         step = step_scale * (cutoff / 100.0)
-        return cls(cutoff=cutoff, step=step, **kwargs)
+        return cls(cutoff=cutoff, step=step)
 
     @property
     def n_intervals(self) -> int:
@@ -88,6 +75,20 @@ class QuadratureConfig:
         w = np.full(n + 1, h)
         w[0] = w[-1] = h / 2.0
         return w
+
+    def half_line(self, values: np.ndarray, lead: float) -> tuple[float, float]:
+        """Integral over [0, inf) of an integrand sampled on the mesh.
+
+        ``lead`` is the coefficient of the integrand's 1/lambda^2
+        asymptote.  Beyond the cutoff the rule integrates that asymptote
+        plus a 1/lambda^4 term whose coefficient is read off from the
+        residual at the cutoff node; the integrands here have only even
+        powers in their large-lambda expansions, so this removes the
+        leading truncation error.  Returns (integral, tail part).
+        """
+        c = self.cutoff
+        tail = lead / c + (float(values[-1]) - lead / c ** 2) * c / 3.0
+        return weighted_sum(self.simpson_weights(), values) + tail, tail
 
 
 def weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:

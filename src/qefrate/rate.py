@@ -16,8 +16,8 @@ is always computed through the two-factor Hermitian split
 whose factors have real spectra; the direct complex determinant is kept
 only as an assertion channel against branch-cut mistakes.  The integrand
 is even in frequency, so the integral runs over [0, cutoff] with Simpson
-weights, doubled, plus the analytic tail
-theta * Tr(Pi B B') / (2 pi cutoff) when the asymptote rule is active.
+weights, doubled, plus the analytic tail theta * Tr(Pi B B') / (2 pi cutoff)
+with its next-order refinement.
 
 The module also provides the classical entropy integral V(theta) obtained
 when the commutator spectrum is absent, the feasibility threshold
@@ -34,11 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ._funcs import apply_herm, hermitize, lncosh, sinhc, tanhc
+from ._funcs import apply_herm, hermitize, lncosh, tanhc
 from .errors import FeasibilityError, NumericalError
 from .model import StateSpace
-from .quadrature import (QuadratureConfig, TAIL_ASYMPTOTE, weighted_sum)
-from .spectral import SpectralGrid, SpectralSample, sample_grid, transfer
+from .quadrature import QuadratureConfig, weighted_sum
+from .spectral import (SpectralGrid, SpectralSample, sample_grid, transfer,
+                       trig_bundle)
 
 __all__ = [
     "RateResult", "log_det_d", "upsilon", "upsilon_from_grid", "classical_v",
@@ -64,25 +65,14 @@ class RateResult:
     converged: bool = True
 
 
-def _neg_log_det_stack(phi: np.ndarray, h: np.ndarray, theta: float,
-                       lambdas: np.ndarray):
-    """-ln det D_theta over stacked samples via the Hermitian split.
+def _neg_log_factor(eigs: np.ndarray, theta: float, lambdas: np.ndarray):
+    """-sum ln(1 - theta * eigs) per frequency, with the feasibility margin.
 
-    Returns (values, margin).  Raises FeasibilityError, naming the first
-    offending frequency, when the second factor loses positive
-    definiteness.
+    ``eigs`` holds ascending eigenvalues per frequency.  Returns (values,
+    margin), where margin is the largest theta * eigenvalue on the mesh.
+    Raises FeasibilityError, naming the first offending frequency, when a
+    factor loses positivity.
     """
-    if theta == 0.0:
-        z = np.zeros(phi.shape[0])
-        return z, 0.0
-    w, v = np.linalg.eigh(h)
-    x = theta * w
-    ln_cos = np.sum(np.asarray(lncosh(x)), axis=-1)
-    root = np.sqrt(np.asarray(tanhc(x)))
-    sym = apply_herm(root, v)
-    inner = hermitize(sym @ phi @ sym)
-    eigs = np.linalg.eigvalsh(inner)
-    margin = float(theta * np.max(eigs[:, -1]))
     factors = 1.0 - theta * eigs
     bad = np.nonzero(np.min(factors, axis=-1) <= 0.0)[0]
     if bad.size:
@@ -91,8 +81,27 @@ def _neg_log_det_stack(phi: np.ndarray, h: np.ndarray, theta: float,
             f"risk parameter {theta:g} infeasible at frequency "
             f"{lambdas[k]:g} (margin {theta * eigs[k, -1]:g} >= 1)",
             theta=theta, lam=float(lambdas[k]))
-    ln_second = np.sum(np.log(factors), axis=-1)
-    return -(ln_cos + ln_second), margin
+    return -np.sum(np.log(factors), axis=-1), float(theta * np.max(eigs[:, -1]))
+
+
+def _neg_log_det(grid: SpectralGrid, theta: float):
+    """-ln det D_theta over the mesh via the Hermitian split, with margin."""
+    if theta == 0.0:
+        return np.zeros(len(grid.lambdas)), 0.0
+    w, v = grid.h_eigh
+    x = theta * w
+    ln_cos = np.sum(np.asarray(lncosh(x)), axis=-1)
+    sym = apply_herm(np.sqrt(np.asarray(tanhc(x))), v)
+    eigs = np.linalg.eigvalsh(hermitize(sym @ grid.phi @ sym))
+    neg_second, margin = _neg_log_factor(eigs, theta, grid.lambdas)
+    return neg_second - ln_cos, margin
+
+
+def _classical_from_grid(grid: SpectralGrid, theta: float,
+                         cfg: QuadratureConfig) -> float:
+    """Entropy integral V(theta) over the mesh, with the analytic tail."""
+    vals, _ = _neg_log_factor(grid.phi_eigvals, theta, grid.lambdas)
+    return cfg.half_line(vals, theta * grid.tail_coeff)[0] / (2.0 * math.pi)
 
 
 def log_det_d(sample: SpectralSample, theta: float,
@@ -104,56 +113,19 @@ def log_det_d(sample: SpectralSample, theta: float,
     The value is even in both the frequency and the commutator sign, so
     mirrored samples are canonicalized first and evaluate identically.
     """
-    phi, h = sample.phi, sample.h
     if sample.lam < 0:
-        phi, h = np.conj(phi), -np.conj(h)
-    neg, _ = _neg_log_det_stack(phi[None], h[None], theta,
-                                np.array([abs(sample.lam)]))
-    value = -float(neg[0])
-    w, v = np.linalg.eigh(h)
-    x = theta * w
-    d_mat = apply_herm(np.cosh(x), v) \
-        - theta * phi @ apply_herm(np.asarray(sinhc(x)), v)
-    sign, _ = np.linalg.slogdet(d_mat)
+        sample = sample.mirrored()
+    one_node = SpectralGrid(lambdas=np.array([sample.lam]),
+                            f_val=sample.f_val[None], phi=sample.phi[None],
+                            psi=sample.psi[None], h=sample.h[None],
+                            tail_coeff=math.nan)
+    value = -float(_neg_log_det(one_node, theta)[0][0])
+    tb = trig_bundle(sample, theta)
+    sign, _ = np.linalg.slogdet(tb.cos_tp - theta * sample.phi @ tb.sinc_tp)
     if abs(np.angle(sign)) > tol_imag:
         raise NumericalError(
             f"complex log-det drifted off the real axis: Im = {np.angle(sign):g}")
     return value
-
-def _classical_stack(phi: np.ndarray, theta: float, lambdas: np.ndarray):
-    """-ln det(I - theta Phi) over stacked samples, with its margin."""
-    eigs = np.linalg.eigvalsh(phi)
-    margin = float(theta * np.max(eigs[:, -1]))
-    factors = 1.0 - theta * eigs
-    bad = np.nonzero(np.min(factors, axis=-1) <= 0.0)[0]
-    if bad.size:
-        k = int(bad[0])
-        raise FeasibilityError(
-            f"risk parameter {theta:g} exceeds the classical threshold at "
-            f"frequency {lambdas[k]:g}", theta=theta, lam=float(lambdas[k]))
-    return -np.sum(np.log(factors), axis=-1), margin
-
-
-def _integrate(values: np.ndarray, cfg: QuadratureConfig, theta: float,
-               tail_coeff: float):
-    """Fold half-line Simpson values and the analytic tail into a rate.
-
-    The tail integrates the 1/lambda^2 asymptote theta * Tr(Pi B B')
-    beyond the cutoff, plus a next-order 1/lambda^4 term whose coefficient
-    is read off from the residual of the computed integrand at the cutoff
-    node; the integrands here have only even powers in their large-lambda
-    expansions, so this removes the leading truncation error.
-    """
-    simp = weighted_sum(cfg.simpson_weights(), values)
-    trap = weighted_sum(cfg.trapezoid_weights(), values)
-    converged = abs(simp - trap) <= QUAD_AGREEMENT * max(abs(simp), 1e-300)
-    tail = 0.0
-    if cfg.tail_rule == TAIL_ASYMPTOTE:
-        lead = theta * tail_coeff / cfg.cutoff
-        resid = float(values[-1]) - theta * tail_coeff / cfg.cutoff ** 2
-        tail = (lead + resid * cfg.cutoff / 3.0) / (2.0 * math.pi)
-    rate = simp / (2.0 * math.pi) + tail
-    return rate, tail, converged
 
 
 def upsilon_from_grid(grid: SpectralGrid, theta: float,
@@ -162,19 +134,24 @@ def upsilon_from_grid(grid: SpectralGrid, theta: float,
 
     Feasibility is certified on the same mesh the integral uses; the
     classical entropy value is reported alongside when theta is below the
-    classical threshold on the mesh, and as NaN otherwise.
+    classical threshold on the mesh, and as NaN otherwise.  The result is
+    flagged unconverged when the Simpson and trapezoid sums of the
+    log-det integrand disagree by more than ``QUAD_AGREEMENT``.
     """
     if theta < 0:
         raise FeasibilityError("risk parameter must be nonnegative", theta=theta)
-    neg_ld, margin = _neg_log_det_stack(grid.phi, grid.h, theta, grid.lambdas)
-    ups, tail, converged = _integrate(neg_ld, cfg, theta, grid.tail_coeff)
+    neg_ld, margin = _neg_log_det(grid, theta)
+    total, tail = cfg.half_line(neg_ld, theta * grid.tail_coeff)
+    simp = total - tail
+    trap = weighted_sum(cfg.trapezoid_weights(), neg_ld)
+    converged = abs(simp - trap) <= QUAD_AGREEMENT * max(abs(simp), 1e-300)
     try:
-        cl_vals, _ = _classical_stack(grid.phi, theta, grid.lambdas)
-        cl, _, _ = _integrate(cl_vals, cfg, theta, grid.tail_coeff)
+        cl = _classical_from_grid(grid, theta, cfg)
     except FeasibilityError:
         cl = math.nan
-    return RateResult(theta=float(theta), upsilon=ups, classical_v=cl,
-                      margin=margin, tail_contrib=tail,
+    return RateResult(theta=float(theta), upsilon=total / (2.0 * math.pi),
+                      classical_v=cl, margin=margin,
+                      tail_contrib=tail / (2.0 * math.pi),
                       n_freq=len(grid.lambdas), converged=converged)
 
 
@@ -187,10 +164,7 @@ def classical_v(ss: StateSpace, theta: float, cfg: QuadratureConfig) -> float:
     """Entropy integral V(theta) of the classical (commutative) limit."""
     if theta < 0:
         raise FeasibilityError("risk parameter must be nonnegative", theta=theta)
-    grid = sample_grid(ss, cfg.lambdas())
-    vals, _ = _classical_stack(grid.phi, theta, grid.lambdas)
-    v, _, _ = _integrate(vals, cfg, theta, grid.tail_coeff)
-    return v
+    return _classical_from_grid(sample_grid(ss, cfg.lambdas()), theta, cfg)
 
 
 def theta_threshold(ss: StateSpace, cfg: QuadratureConfig) -> float:
@@ -201,7 +175,7 @@ def theta_threshold(ss: StateSpace, cfg: QuadratureConfig) -> float:
     """
     lambdas = cfg.lambdas()
     grid = sample_grid(ss, lambdas)
-    peaks = np.linalg.eigvalsh(grid.phi)[:, -1]
+    peaks = grid.phi_eigvals[:, -1]
     k = int(np.argmax(peaks))
 
     def neg_peak(lam: float) -> float:
@@ -239,18 +213,14 @@ def small_theta_expansion(ss: StateSpace, theta: float,
     below the classical value.
     """
     grid = sample_grid(ss, cfg.lambdas())
-    cl_vals, _ = _classical_stack(grid.phi, theta, grid.lambdas)
-    v, _, _ = _integrate(cl_vals, cfg, theta, grid.tail_coeff)
-    n = ss.n
-    eye = np.eye(n)
+    v = _classical_from_grid(grid, theta, cfg)
+    eye = np.eye(ss.n)
     psi_sq = grid.psi @ grid.psi
     resolvent = np.linalg.solve(eye - theta * grid.phi,
                                 eye - (theta / 3.0) * grid.phi)
     corr_vals = np.real(np.trace(resolvent @ psi_sq, axis1=1, axis2=2))
-    corr = weighted_sum(cfg.simpson_weights(), corr_vals)
-    if cfg.tail_rule == TAIL_ASYMPTOTE:
-        # integrand decays like 1/lambda^4; integrate the read-off residual
-        corr += float(corr_vals[-1]) * cfg.cutoff / 3.0
+    # the integrand decays like 1/lambda^4: no 1/lambda^2 asymptote
+    corr, _ = cfg.half_line(corr_vals, 0.0)
     return v + (theta ** 2 / (4.0 * math.pi)) * corr
 
 
@@ -381,9 +351,9 @@ def frequency_profile(ss: StateSpace, theta: float, cfg: QuadratureConfig):
     Returns (lambdas, neg_log_det_d, classical_integrand) over the mesh.
     """
     grid = sample_grid(ss, cfg.lambdas())
-    neg_ld, _ = _neg_log_det_stack(grid.phi, grid.h, theta, grid.lambdas)
+    neg_ld, _ = _neg_log_det(grid, theta)
     try:
-        cl_vals, _ = _classical_stack(grid.phi, theta, grid.lambdas)
+        cl_vals, _ = _neg_log_factor(grid.phi_eigvals, theta, grid.lambdas)
     except FeasibilityError:
         cl_vals = np.full_like(neg_ld, math.nan)
     return grid.lambdas, neg_ld, cl_vals

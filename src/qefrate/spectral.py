@@ -22,18 +22,17 @@ Hermitian by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._funcs import apply_herm, hermitize, sinhc, skew_hermitize, tanhc
 from .errors import SingularityError
 from .model import StateSpace
-from .quadrature import QuadratureConfig
 
 __all__ = [
     "SpectralSample", "SpectralGrid", "TrigBundle",
     "transfer", "spectral_sample", "sample_grid", "trig_bundle",
-    "feasibility_margin",
 ]
 
 
@@ -47,6 +46,13 @@ class SpectralSample:
     psi: np.ndarray          # skew-Hermitian
     h: np.ndarray            # i * psi, Hermitian
 
+    def mirrored(self) -> "SpectralSample":
+        """The sample at -lam, by the reality symmetries
+        Phi(-lam) = conj(Phi(lam)) and Psi(-lam) = conj(Psi(lam))."""
+        return SpectralSample(lam=-self.lam, f_val=np.conj(self.f_val),
+                              phi=np.conj(self.phi), psi=np.conj(self.psi),
+                              h=-np.conj(self.h))
+
 
 @dataclass(frozen=True)
 class SpectralGrid:
@@ -55,6 +61,10 @@ class SpectralGrid:
     ``phi``, ``psi`` and ``h`` have shape (n_freq, n, n).  ``tail_coeff``
     is Tr(Pi B B'), the coefficient of the 1/lambda^2 high-frequency
     asymptote shared by the log-det and trace integrands.
+
+    The theta-independent eigendecompositions ``h_eigh`` and
+    ``phi_eigvals`` are computed on first use and cached on the instance;
+    ``dataclasses.replace`` builds a new instance with empty caches.
     """
 
     lambdas: np.ndarray
@@ -67,6 +77,16 @@ class SpectralGrid:
     def sample(self, k: int) -> SpectralSample:
         return SpectralSample(lam=float(self.lambdas[k]), f_val=self.f_val[k],
                               phi=self.phi[k], psi=self.psi[k], h=self.h[k])
+
+    @cached_property
+    def h_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked eigenpairs (w, v) of the Hermitian H = i Psi."""
+        return np.linalg.eigh(self.h)
+
+    @cached_property
+    def phi_eigvals(self) -> np.ndarray:
+        """Stacked ascending eigenvalues of Phi."""
+        return np.linalg.eigvalsh(self.phi)
 
 
 @dataclass(frozen=True)
@@ -94,23 +114,13 @@ def transfer(ss: StateSpace, v: complex) -> np.ndarray:
 
 
 def spectral_sample(ss: StateSpace, lam: float) -> SpectralSample:
-    """Spectral pair at one frequency, explicitly (skew-)Hermitized.
+    """Spectral pair at one frequency: a one-node ``sample_grid``.
 
-    Negative frequencies are produced by conjugating the positive-frequency
-    sample (one code path, mirrored), so the reality symmetries
-    Phi(-lam) = conj(Phi(lam)) and Psi(-lam) = conj(Psi(lam)) hold exactly.
+    Negative frequencies are produced by mirroring the positive-frequency
+    sample, so the reality symmetries hold exactly.
     """
-    if lam < 0:
-        base = spectral_sample(ss, -lam)
-        return SpectralSample(lam=float(lam), f_val=np.conj(base.f_val),
-                              phi=np.conj(base.phi), psi=np.conj(base.psi),
-                              h=-np.conj(base.h))
-    f = transfer(ss, 1j * lam)
-    fh = f.conj().T
-    phi = hermitize(f @ fh)
-    psi = skew_hermitize(f @ ss.j @ fh)
-    return SpectralSample(lam=float(lam), f_val=f, phi=phi, psi=psi,
-                          h=hermitize(1j * psi))
+    sample = sample_grid(ss, np.array([abs(lam)])).sample(0)
+    return sample.mirrored() if lam < 0 else sample
 
 
 def sample_grid(ss: StateSpace, lambdas: np.ndarray) -> SpectralGrid:
@@ -139,37 +149,3 @@ def trig_bundle(sample: SpectralSample, theta: float) -> TrigBundle:
         tanc_tp=apply_herm(np.asarray(tanhc(x)), v),
         theta=float(theta),
     )
-
-
-def _margin_per_freq(phi: np.ndarray, h: np.ndarray, theta: float) -> np.ndarray:
-    """theta * lam_max(sqrt(tanhc) Phi sqrt(tanhc)) for stacked samples."""
-    w, v = np.linalg.eigh(h)
-    root = np.sqrt(np.asarray(tanhc(theta * w)))
-    sym = apply_herm(root, v)
-    inner = hermitize(sym @ phi @ sym)
-    return theta * np.linalg.eigvalsh(inner)[..., -1]
-
-
-def feasibility_margin(ss: StateSpace, theta: float,
-                       grid: QuadratureConfig) -> float:
-    """Certified bound for the spectral feasibility condition.
-
-    Returns the supremum over the mesh of
-
-        theta * lam_max( sqrt(tanc(theta Psi)) Phi sqrt(tanc(theta Psi)) ),
-
-    combined with the strictly-proper tail bound
-    theta * (||S|| ||B|| / (cutoff - ||A||))^2 that dominates every
-    frequency beyond the cutoff.  A value below 1 certifies feasibility of
-    ``theta``; the caller interprets values >= 1 as infeasible.
-    """
-    if theta == 0.0:
-        return 0.0
-    sg = sample_grid(ss, grid.lambdas())
-    grid_sup = float(np.max(_margin_per_freq(sg.phi, sg.h, theta)))
-    a_norm = np.linalg.norm(ss.a, 2)
-    tail = np.inf
-    if grid.cutoff > a_norm:
-        gain = np.linalg.norm(ss.s_half, 2) * np.linalg.norm(ss.b, 2)
-        tail = theta * (gain / (grid.cutoff - a_norm)) ** 2
-    return max(grid_sup, float(tail))

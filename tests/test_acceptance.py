@@ -192,10 +192,18 @@ def test_criterion_10_invariant_suites(random_models):
     probe_cfg = q.QuadratureConfig(cutoff=60.0, step=0.15)
     rng = np.random.default_rng(7777)
     failures = []
+    field_sizes = {ss.m for ss in random_models}
+    if not (len(random_models) == 50
+            and {ss.n for ss in random_models} == {2, 4}
+            and field_sizes <= {2, 4, 6} and len(field_sizes) >= 2):
+        failures.append((None, "pool-shapes"))
     for idx, ss in enumerate(random_models):
         scale = 1.0 + np.linalg.norm(ss.a) * np.linalg.norm(ss.theta_ccr)
         if ss.pr_residual() > 1e-10 * scale:
             failures.append((idx, "pr-residual"))
+        sig_scale = 1.0 + np.linalg.norm(ss.a) * np.linalg.norm(ss.sigma)
+        if ss.sigma_residual() > 1e-10 * sig_scale:
+            failures.append((idx, "sigma-residual"))
         tau = float(rng.uniform(0.1, 2.0))
         plus, minus = q.kernel_at(ss, tau), q.kernel_at(ss, -tau)
         if not (np.array_equal(minus.lambda_k, -plus.lambda_k.T)
@@ -206,14 +214,19 @@ def test_criterion_10_invariant_suites(random_models):
         w_phi = np.linalg.eigvalsh(sample.phi)
         if w_phi[0] < -1e-12 * max(w_phi[-1], 1.0):
             failures.append((idx, "phi-psd"))
+        if not np.array_equal(sample.psi, -sample.psi.conj().T):
+            failures.append((idx, "psi-skew-hermitian"))
         if not np.array_equal(sample.h, sample.h.conj().T):
             failures.append((idx, "h-hermitian"))
         grid = q.sample_grid(ss, probe_cfg.lambdas())
-        theta_half = 0.5 / float(np.max(np.linalg.eigvalsh(grid.phi)[:, -1]))
+        theta_half = 0.5 / float(np.max(grid.phi_eigvals[:, -1]))
         tb = trig_bundle(sample, theta_half)
         w_tanc = np.linalg.eigvalsh(tb.tanc_tp)
         if not (np.all(w_tanc > 0.0) and np.all(w_tanc <= 1.0 + 1e-12)):
             failures.append((idx, "tanhc-range"))
+        if np.max(np.abs(tb.tanc_tp @ tb.cos_tp - tb.sinc_tp)) \
+                >= 1e-12 * max(1.0, float(np.linalg.norm(tb.sinc_tp))):
+            failures.append((idx, "tanc-cos-sinc"))
         n_steps = 40
         h = theta_half / n_steps
         u = sample.phi.astype(complex)

@@ -36,11 +36,11 @@ class TestUDirect:
 
     def test_hermitian_before_symmetrization(self, twomode, theta0):
         # evaluate the raw closed form and measure its Hermiticity defect
-        from qefrate.homotopy import _trig_parts
+        from qefrate.spectral import trig_bundle
         s = q.spectral_sample(twomode, 2.4)
         theta = 0.5 * theta0
-        cos_m, sin_m = _trig_parts(s.h[None], theta)
-        cos_m, sin_m = cos_m[0], sin_m[0]
+        tb = trig_bundle(s, theta)
+        cos_m, sin_m = tb.cos_tp, theta * s.psi @ tb.sinc_tp
         raw = s.psi @ np.linalg.solve(s.psi @ cos_m - s.phi @ sin_m,
                                       s.phi @ cos_m + s.psi @ sin_m)
         assert np.linalg.norm(raw - raw.conj().T) < 1e-10

@@ -1,4 +1,4 @@
-"""Transfer function, spectral pair, matrix trigonometry, feasibility."""
+"""Transfer function, spectral pair and matrix trigonometry."""
 
 from __future__ import annotations
 
@@ -161,16 +161,3 @@ class TestTrigBundle:
         w = np.linalg.eigvalsh(tb.tanc_tp)
         assert np.all(w > 0.0) and np.all(w <= 1.0 + 1e-12)
 
-
-class TestFeasibilityMargin:
-    def test_zero_theta(self, twomode, cfg_coarse):
-        assert q.feasibility_margin(twomode, 0.0, cfg_coarse) == 0.0
-
-    def test_below_classical_bound(self, twomode, cfg_coarse, theta0):
-        # tanhc <= 1 makes each per-frequency value at most theta*lam_max(Phi)
-        theta = 0.5 * theta0
-        margin = q.feasibility_margin(twomode, theta, cfg_coarse)
-        assert margin <= theta / theta0 + 1e-9
-
-    def test_feasible_at_high_theta(self, twomode, cfg_full, theta0):
-        assert q.feasibility_margin(twomode, 0.9 * theta0, cfg_full) < 1.0
