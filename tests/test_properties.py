@@ -23,7 +23,7 @@ def probe_cfg():
 
 def cheap_threshold(ss: q.StateSpace, cfg) -> float:
     grid = q.sample_grid(ss, cfg.lambdas())
-    return 1.0 / float(np.max(np.linalg.eigvalsh(grid.phi)[:, -1]))
+    return 1.0 / float(np.max(grid.phi_eigvals[:, -1]))
 
 
 def test_pool_covers_requested_shapes(random_models):

@@ -1,4 +1,4 @@
-"""Transfer function, spectral pair and matrix trigonometry."""
+"""Transfer function, spectral pair, matrix trigonometry, feasibility."""
 
 from __future__ import annotations
 
@@ -161,3 +161,17 @@ class TestTrigBundle:
         w = np.linalg.eigvalsh(tb.tanc_tp)
         assert np.all(w > 0.0) and np.all(w <= 1.0 + 1e-12)
 
+
+class TestFeasibilityMargin:
+    def test_zero_theta(self, twomode, cfg_coarse):
+        assert q.upsilon(twomode, 0.0, cfg_coarse).margin == 0.0
+
+    def test_below_classical_bound(self, twomode, cfg_coarse, theta0):
+        # tanhc <= 1 makes each per-frequency value at most theta*lam_max(Phi)
+        theta = 0.5 * theta0
+        margin = q.upsilon(twomode, theta, cfg_coarse).margin
+        assert margin <= theta / theta0 + 1e-9
+
+    def test_feasible_at_high_theta(self, grid_full, cfg_full, theta0):
+        assert q.upsilon_from_grid(grid_full, 0.9 * theta0,
+                                   cfg_full).margin < 1.0
