@@ -241,7 +241,8 @@ def homotopy_cmd(model_path, theta_max, dtheta, out, cutoff, step, threads):
                               theta_max=theta_max, dtheta=dtheta,
                               cutoff=cutoff, step=step),
         "theta": float(theta_max), "theta0": theta0,
-        "upsilon": float(trace.rate[-1]), "status": "ok",
+        "upsilon": float(trace.rate[-1]), "march_workers": trace.workers,
+        "status": "ok",
     })
     click.echo(f"upsilon({theta_max:g}) = {trace.rate[-1]:.9g}")
 
@@ -416,8 +417,8 @@ def example(out, dtheta_frac, cutoff, step, threads):
               zip(lambdas.tolist(), neg_ld.tolist(), asym.tolist()))
 
     dtheta = dtheta_frac * theta0
-    trace = homotopy_mod.rate_by_homotopy(ss, theta_hi, dtheta, cfg)
     grid = sample_grid(ss, cfg.lambdas())
+    trace = homotopy_mod.rate_by_homotopy_from_grid(grid, theta_hi, dtheta, cfg)
     direct = np.array([rate_mod.upsilon_from_grid(grid, float(t), cfg).upsilon
                        for t in trace.theta_grid])
     write_csv(out_path / "rate_curve.csv",
@@ -438,6 +439,7 @@ def example(out, dtheta_frac, cutoff, step, threads):
         "drift_norm": float(np.linalg.norm(ss.a, 2)),
         "lqg_rate": rate_mod.lqg_rate(ss),
         "cross_method_gap": gap,
+        "march_workers": trace.workers,
         "cutoff": cfg.cutoff, "step": cfg.step,
         "status": "ok",
     })

@@ -17,11 +17,24 @@ trapezoid rule reproduces Upsilon(theta) independently of the direct
 log-determinant quadrature, which makes the two methods mutual checks.
 The closed form above is the logarithmic-derivative (Hopf-Cole) transform
 of the linear equation D'' = -D Psi^2 satisfied by the log-det matrix.
+
+The march runs in real arithmetic: U = X + iY with X real symmetric and Y
+real antisymmetric, so U^2 = (XX - YY) + i (XY - (XY)') costs three real
+stacked products, Tr U = Tr X and ||U||^2 = ||X||^2 + ||Y||^2.  The
+frequency stack is cut into fixed blocks that are stepped in place, in
+preallocated buffers, on a thread pool sized to the CPUs the process may
+use.  Block boundaries do not depend on the pool size and the trace
+integral is summed exactly, so the results are bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,15 +52,31 @@ __all__ = ["HomotopyTrace", "u_direct", "u_ode_step", "rate_by_homotopy",
 #: indicate approach to the finite-escape (feasibility) boundary.
 GROWTH_GUARD = 10.0
 
+#: Frequencies per block of the march.  One block's RK4 work buffers fit in
+#: a core's L2 cache; block boundaries do not depend on the worker count.
+BLOCK_SIZE = 1024
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 @dataclass(frozen=True)
 class HomotopyTrace:
-    """Riccati march output: rate derivative and cumulative rate."""
+    """Riccati march output: rate derivative and cumulative rate.
+
+    ``workers`` is the number of threads that stepped the frequency
+    blocks (1: inline on the calling thread).
+    """
 
     theta_grid: np.ndarray
     rate_derivative: np.ndarray
     rate: np.ndarray
     per_freq_u: np.ndarray | None = None
+    workers: int = 1
 
 
 def u_direct(sample: SpectralSample, theta: float) -> np.ndarray:
@@ -72,36 +101,138 @@ def u_direct(sample: SpectralSample, theta: float) -> np.ndarray:
     return hermitize(u)
 
 
-def _riccati_rhs(u: np.ndarray, psi_sq: np.ndarray) -> np.ndarray:
-    return psi_sq + u @ u
+class _RiccatiStack:
+    """Hermitian Riccati states over a frequency stack, held in real form.
 
-
-def _rk4_stack(u: np.ndarray, psi_sq: np.ndarray, h: float) -> np.ndarray:
-    k1 = _riccati_rhs(u, psi_sq)
-    k2 = _riccati_rhs(u + 0.5 * h * k1, psi_sq)
-    k3 = _riccati_rhs(u + 0.5 * h * k2, psi_sq)
-    k4 = _riccati_rhs(u + h * k3, psi_sq)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _guarded_step(u: np.ndarray, norms: np.ndarray, psi_sq: np.ndarray,
-                  floor: np.ndarray | float, h: float, theta_next: float,
-                  lambdas: np.ndarray):
-    """One re-Hermitized RK4 step of stacked Riccati states.
-
-    Returns the new states and their norms.  Raises FeasibilityError,
-    naming the first frequency, where a state grows by more than
-    ``GROWTH_GUARD`` times its previous norm floored at ``floor``.
+    U = X + iY and Psi^2 = SX + i SY.  The stack is cut into blocks of
+    ``BLOCK_SIZE`` frequencies.  Each of ``workers`` workers steps one
+    block at a time, the next not yet taken, in its own work buffers, so a
+    worker slowed by other load on its core steps fewer blocks; every
+    buffer is overwritten before it is read, so a block's arithmetic does
+    not depend on which worker steps it.  ``norms`` and ``trace`` hold
+    ||U|| and Tr X of the current states.
     """
-    u = hermitize(_rk4_stack(u, psi_sq, h))
-    new_norms = np.linalg.norm(u, axis=(1, 2))
-    escaped = np.nonzero(new_norms > GROWTH_GUARD * np.maximum(norms, floor))[0]
-    if escaped.size:
-        i = int(escaped[0])
+
+    def __init__(self, u: np.ndarray, psi: np.ndarray, floor: np.ndarray,
+                 workers: int = 1):
+        psi_sq = psi @ psi
+        self.x = 0.5 * (u.real + np.swapaxes(u.real, 1, 2))
+        self.y = 0.5 * (u.imag - np.swapaxes(u.imag, 1, 2))
+        self.sx = np.ascontiguousarray(psi_sq.real)
+        self.sy = np.ascontiguousarray(psi_sq.imag)
+        self.floor = floor
+        self.norms = np.sqrt(np.einsum("kij,kij->k", self.x, self.x)
+                             + np.einsum("kij,kij->k", self.y, self.y))
+        self.trace = np.trace(self.x, axis1=1, axis2=2)
+        self.blocks = [slice(i, i + BLOCK_SIZE)
+                       for i in range(0, len(u), BLOCK_SIZE)]
+        # per worker: 7 matrix stacks (stage argument, slope and RK4 sum,
+        # each as X and Y, and a product) and 2 vectors, one block long
+        size, n = min(BLOCK_SIZE, len(u)), u.shape[-1]
+        self.buffers = [(np.empty((7, size, n, n)), np.empty((2, size)))
+                        for _ in range(workers)]
+
+    def u(self) -> np.ndarray:
+        return self.x + 1j * self.y
+
+
+def _riccati_rhs(x, y, sx, sy, k_x, k_y, prod) -> None:
+    """(k_x, k_y) = Psi^2 + U^2 for U = x + iy, written in place."""
+    np.matmul(x, x, out=prod)
+    np.add(sx, prod, out=k_x)
+    np.matmul(y, y, out=prod)
+    k_x -= prod
+    np.matmul(x, y, out=prod)
+    np.add(sy, prod, out=k_y)
+    k_y -= np.swapaxes(prod, 1, 2)
+
+
+def _rk4_block(st: _RiccatiStack, blk: slice, buffers, h: float) -> int:
+    """Re-Hermitized RK4 step of one block, in place.
+
+    Updates the block's norms and traces and returns the stack index of
+    its first escaping frequency, or -1.
+    """
+    x, y, sx, sy = st.x[blk], st.y[blk], st.sx[blk], st.sy[blk]
+    b = len(x)
+    arg_x, arg_y, k_x, k_y, acc_x, acc_y, prod = buffers[0][:, :b]
+    sq, limit = buffers[1][:, :b]
+    _riccati_rhs(x, y, sx, sy, k_x, k_y, prod)
+    np.copyto(acc_x, k_x)
+    np.copyto(acc_y, k_y)
+    # acc = k1 + 2 k2 + 2 k3 + k4; a spent stage argument holds w k
+    for c, w in ((0.5 * h, 2.0), (0.5 * h, 2.0), (h, 1.0)):
+        np.multiply(k_x, c, out=arg_x)
+        arg_x += x
+        np.multiply(k_y, c, out=arg_y)
+        arg_y += y
+        _riccati_rhs(arg_x, arg_y, sx, sy, k_x, k_y, prod)
+        acc_x += np.multiply(k_x, w, out=arg_x)
+        acc_y += np.multiply(k_y, w, out=arg_y)
+    acc_x *= h / 6.0
+    x += acc_x
+    acc_y *= h / 6.0
+    y += acc_y
+    np.add(x, np.swapaxes(x, 1, 2), out=prod)
+    np.multiply(prod, 0.5, out=x)
+    np.subtract(y, np.swapaxes(y, 1, 2), out=prod)
+    np.multiply(prod, 0.5, out=y)
+
+    norms = st.norms[blk]
+    np.maximum(norms, st.floor[blk], out=limit)
+    limit *= GROWTH_GUARD
+    np.einsum("kij,kij->k", x, x, out=sq)
+    np.einsum("kij,kij->k", y, y, out=norms)
+    norms += sq
+    np.sqrt(norms, out=norms)
+    np.trace(x, axis1=1, axis2=2, out=st.trace[blk])
+    escaped = np.flatnonzero(norms > limit)
+    return blk.start + int(escaped[0]) if escaped.size else -1
+
+
+def _rk4_worker(st: _RiccatiStack, todo: queue.SimpleQueue, buffers,
+                h: float) -> list[int]:
+    """Step blocks taken from ``todo`` until it is empty; the escape index
+    of each (-1: none)."""
+    escaped = []
+    while True:
+        try:
+            blk = todo.get_nowait()
+        except queue.Empty:
+            return escaped
+        escaped.append(_rk4_block(st, blk, buffers, h))
+
+
+def _rk4_stack(st: _RiccatiStack, h: float,
+               pool: ThreadPoolExecutor | None = None) -> int:
+    """One RK4 step of the whole stack, block by block on ``pool`` (inline
+    without one).  Returns the lowest escaping index, or -1."""
+    todo = queue.SimpleQueue()
+    for blk in st.blocks:
+        todo.put(blk)
+    if pool is None:
+        escaped = _rk4_worker(st, todo, st.buffers[0], h)
+    else:
+        futures = [pool.submit(_rk4_worker, st, todo, buffers, h)
+                   for buffers in st.buffers]
+        escaped = [i for f in futures for i in f.result()]
+    return min((i for i in escaped if i >= 0), default=-1)
+
+
+def _guarded_step(st: _RiccatiStack, h: float, theta_next: float,
+                  lambdas: np.ndarray,
+                  pool: ThreadPoolExecutor | None = None) -> None:
+    """One re-Hermitized RK4 step of stacked Riccati states, in place.
+
+    Raises FeasibilityError, naming the first frequency, where a state
+    grows by more than ``GROWTH_GUARD`` times its previous norm floored at
+    its entry of ``st.floor``.
+    """
+    i = _rk4_stack(st, h, pool)
+    if i >= 0:
         raise FeasibilityError(
             f"Riccati state escaping at frequency {lambdas[i]:g}, "
             f"theta {theta_next:g}", theta=theta_next, lam=float(lambdas[i]))
-    return u, new_norms
 
 
 def u_ode_step(sample: SpectralSample, u: np.ndarray, theta: float,
@@ -113,11 +244,10 @@ def u_ode_step(sample: SpectralSample, u: np.ndarray, theta: float,
     scale of the sample so that marches started from small states are not
     mistaken for escapes.
     """
-    floor = max(np.linalg.norm(sample.psi), 1e-300)
-    u_new, _ = _guarded_step(u[None], np.array([np.linalg.norm(u)]),
-                             (sample.psi @ sample.psi)[None], floor, d_theta,
-                             theta + d_theta, np.array([sample.lam]))
-    return u_new[0]
+    floor = np.array([max(np.linalg.norm(sample.psi), 1e-300)])
+    st = _RiccatiStack(u[None], sample.psi[None], floor)
+    _guarded_step(st, d_theta, theta + d_theta, np.array([sample.lam]))
+    return st.u()[0]
 
 
 def rate_by_homotopy(ss: StateSpace, theta_max: float, d_theta: float,
@@ -141,35 +271,31 @@ def rate_by_homotopy_from_grid(grid, theta_max: float, d_theta: float,
                                cfg: QuadratureConfig,
                                store_u: bool = False) -> HomotopyTrace:
     """Riccati march over precomputed spectral stacks."""
-    if theta_max < 0 or d_theta <= 0:
-        raise FeasibilityError("theta_max must be >= 0 and d_theta > 0")
+    if not (0.0 <= theta_max < math.inf and 0.0 < d_theta < math.inf):
+        raise FeasibilityError("theta_max and d_theta must be finite, "
+                               "theta_max >= 0 and d_theta > 0")
+    n_steps = max(1, int(math.ceil(theta_max / d_theta - 1e-12))) \
+        if theta_max > 0 else 0
+    h = theta_max / max(n_steps, 1)
+    n_blocks = -(-len(grid.lambdas) // BLOCK_SIZE)
+    workers = min(_cpu_count(), n_blocks)
+    floor = np.maximum(np.linalg.norm(grid.psi, axis=(1, 2)), 1e-300)
+    st = _RiccatiStack(grid.phi, grid.psi, floor, workers)
 
-    def derivative(u_stack: np.ndarray) -> float:
-        tr = np.real(np.trace(u_stack, axis1=1, axis2=2))
-        return cfg.half_line(tr, grid.tail_coeff)[0] / (2.0 * math.pi)
+    def derivative() -> float:
+        return cfg.half_line(st.trace, grid.tail_coeff)[0] / (2.0 * math.pi)
 
-    n_steps = max(1, int(math.ceil(theta_max / d_theta - 1e-12)))
-    if theta_max == 0.0:
-        u0 = grid.phi.astype(complex)
-        return HomotopyTrace(theta_grid=np.array([0.0]),
-                             rate_derivative=np.array([derivative(u0)]),
-                             rate=np.array([0.0]),
-                             per_freq_u=u0 if store_u else None)
-    h = theta_max / n_steps
-    psi_sq = grid.psi @ grid.psi
-    u = grid.phi.astype(complex)
     thetas = np.linspace(0.0, theta_max, n_steps + 1)
     derivs = np.empty(n_steps + 1)
-    derivs[0] = derivative(u)
-    floor = np.maximum(np.linalg.norm(grid.psi, axis=(1, 2)), 1e-300)
-    norms = np.linalg.norm(u, axis=(1, 2))
-    for k in range(n_steps):
-        u, norms = _guarded_step(u, norms, psi_sq, floor, h,
-                                 float(thetas[k + 1]), grid.lambdas)
-        derivs[k + 1] = derivative(u)
+    derivs[0] = derivative()
+    with (ThreadPoolExecutor(workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        for k in range(n_steps):
+            _guarded_step(st, h, float(thetas[k + 1]), grid.lambdas, pool)
+            derivs[k + 1] = derivative()
     rate = np.concatenate([[0.0], np.cumsum(0.5 * h * (derivs[1:] + derivs[:-1]))])
     return HomotopyTrace(theta_grid=thetas, rate_derivative=derivs, rate=rate,
-                         per_freq_u=u if store_u else None)
+                         workers=workers, per_freq_u=st.u() if store_u else None)
 
 
 def d_second_derivative_check(sample: SpectralSample, theta: float,

@@ -138,8 +138,9 @@ def upsilon_from_grid(grid: SpectralGrid, theta: float,
     flagged unconverged when the Simpson and trapezoid sums of the
     log-det integrand disagree by more than ``QUAD_AGREEMENT``.
     """
-    if theta < 0:
-        raise FeasibilityError("risk parameter must be nonnegative", theta=theta)
+    if not 0.0 <= theta < math.inf:
+        raise FeasibilityError("risk parameter must be finite and nonnegative",
+                               theta=theta)
     neg_ld, margin = _neg_log_det(grid, theta)
     total, tail = cfg.half_line(neg_ld, theta * grid.tail_coeff)
     simp = total - tail

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import qefrate as q
+from qefrate import homotopy
+from qefrate._funcs import hermitize
 from qefrate.errors import FeasibilityError
 from qefrate.homotopy import (d_second_derivative_check, rate_by_homotopy,
                               rate_by_homotopy_from_grid, u_direct, u_ode_step)
@@ -17,9 +22,51 @@ from conftest import SURROGATE_A, SURROGATE_G, surrogate_v_closed
 
 def synthetic_sample(phi: np.ndarray, psi: np.ndarray,
                      lam: float = 1.0) -> q.SpectralSample:
-    from qefrate._funcs import hermitize
     return q.SpectralSample(lam=lam, f_val=np.zeros_like(phi), phi=phi,
                             psi=psi, h=hermitize(1j * psi))
+
+
+def reference_march(grid, theta_max, d_theta, cfg):
+    """The complex-stack march: RK4 on u @ u, hermitize, norm guard.
+
+    Returns (rate, rate_derivative, final u), or the FeasibilityError of
+    the first escape.
+    """
+    n_steps = max(1, int(math.ceil(theta_max / d_theta - 1e-12)))
+    h, psi_sq, u = theta_max / n_steps, grid.psi @ grid.psi, grid.phi.astype(complex)
+    floor = np.maximum(np.linalg.norm(grid.psi, axis=(1, 2)), 1e-300)
+    norms = np.linalg.norm(u, axis=(1, 2))
+
+    def rhs(v):
+        return psi_sq + v @ v
+
+    def derivative(v):
+        tr = np.real(np.trace(v, axis1=1, axis2=2))
+        return cfg.half_line(tr, grid.tail_coeff)[0] / (2.0 * math.pi)
+
+    derivs = [derivative(u)]
+    for k in range(n_steps):
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * h * k1)
+        k3 = rhs(u + 0.5 * h * k2)
+        k4 = rhs(u + h * k3)
+        u = hermitize(u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        new_norms = np.linalg.norm(u, axis=(1, 2))
+        escaped = np.flatnonzero(
+            new_norms > homotopy.GROWTH_GUARD * np.maximum(norms, floor))
+        if escaped.size:
+            return FeasibilityError("escape", theta=(k + 1) * h,
+                                    lam=float(grid.lambdas[escaped[0]]))
+        norms = new_norms
+        derivs.append(derivative(u))
+    derivs = np.array(derivs)
+    rate = np.concatenate([[0.0], np.cumsum(0.5 * h * (derivs[1:] + derivs[:-1]))])
+    return rate, derivs, u
+
+
+def several_blocks(cfg: q.QuadratureConfig) -> q.QuadratureConfig:
+    assert cfg.n_intervals + 1 > 3 * homotopy.BLOCK_SIZE
+    return cfg
 
 
 class TestUDirect:
@@ -110,6 +157,13 @@ class TestRateByHomotopy:
         tr = rate_by_homotopy(twomode, 0.0, 1e-3, cfg_coarse)
         assert len(tr.rate) == 1 and tr.rate[0] == 0.0
 
+    @pytest.mark.parametrize("theta_max,d_theta", [
+        (math.nan, 1e-3), (math.inf, 1e-3), (0.01, math.nan), (0.01, math.inf)])
+    def test_non_finite_parameters_rejected(self, twomode, cfg_coarse,
+                                            theta_max, d_theta):
+        with pytest.raises(FeasibilityError, match="must be finite"):
+            rate_by_homotopy(twomode, theta_max, d_theta, cfg_coarse)
+
     def test_trace_structure(self, twomode, cfg_coarse, theta0):
         tr = rate_by_homotopy(twomode, 0.3 * theta0, 0.02 * theta0, cfg_coarse)
         assert tr.rate[0] == 0.0
@@ -136,10 +190,57 @@ class TestRateByHomotopy:
         assert abs(a.rate[-1] - b.rate[-1]) < 1e-6 * abs(b.rate[-1])
 
     def test_escape_detected_beyond_feasible_range(self, twomode, theta0):
-        cfg = q.QuadratureConfig(cutoff=100.0, step=0.5)
+        # fine enough that the escaping frequency lies past the first block
+        cfg = several_blocks(q.QuadratureConfig(cutoff=10.0, step=0.0025))
+        grid = q.sample_grid(twomode, cfg.lambdas())
         with pytest.raises(FeasibilityError) as err:
-            rate_by_homotopy(twomode, 40.0 * theta0, 0.4 * theta0, cfg)
+            rate_by_homotopy_from_grid(grid, 40.0 * theta0, 0.4 * theta0, cfg)
         assert err.value.lam is not None
+        ref = reference_march(grid, 40.0 * theta0, 0.4 * theta0, cfg)
+        assert isinstance(ref, FeasibilityError)
+        assert (err.value.theta, err.value.lam) == (ref.theta, ref.lam)
+        assert np.searchsorted(grid.lambdas, ref.lam) >= homotopy.BLOCK_SIZE
+
+    def test_matches_complex_reference(self, twomode, theta0):
+        cfg = several_blocks(q.QuadratureConfig(cutoff=100.0, step=0.025))
+        grid = q.sample_grid(twomode, cfg.lambdas())
+        tr = rate_by_homotopy_from_grid(grid, 0.9 * theta0, 0.01 * theta0,
+                                        cfg, store_u=True)
+        rate, derivs, u = reference_march(grid, 0.9 * theta0, 0.01 * theta0, cfg)
+        np.testing.assert_allclose(tr.rate, rate, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(tr.rate_derivative, derivs, rtol=1e-13,
+                                   atol=0.0)
+        err = np.linalg.norm(tr.per_freq_u - u, axis=(1, 2))
+        assert np.all(err <= 1e-13 * np.linalg.norm(u, axis=(1, 2)))
+
+    def test_workers_bit_identical_under_contention(self, twomode, theta0,
+                                                    monkeypatch):
+        # more workers than cores, switching threads as often as possible:
+        # every block must still see the same arithmetic
+        cfg = q.QuadratureConfig(cutoff=100.0, step=0.01)
+        grid = q.sample_grid(twomode, cfg.lambdas())
+
+        def march():
+            return rate_by_homotopy_from_grid(grid, 0.5 * theta0, 0.05 * theta0,
+                                              cfg, store_u=True)
+
+        monkeypatch.setattr(homotopy, "_cpu_count", lambda: 1)
+        serial = march()
+        monkeypatch.setattr(homotopy, "_cpu_count", lambda: 8)
+        pooled = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=lambda: pooled.append(march()),
+                                      daemon=True)
+            caller.start()
+            caller.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive() and len(pooled) == 1
+        assert (serial.workers, pooled[0].workers) == (1, 8)
+        for name in ("rate", "rate_derivative", "per_freq_u"):
+            assert np.array_equal(getattr(serial, name), getattr(pooled[0], name))
 
     def test_cross_method_agreement(self, surrogate):
         cfg = q.QuadratureConfig(cutoff=100.0, step=0.02)

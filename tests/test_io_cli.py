@@ -114,6 +114,15 @@ class TestCliExitCodes:
                                       str(tmp_path), "--step", "0.2"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("args", [["homotopy", "--theta-max", "nan"],
+                                      ["homotopy", "--theta-max", "inf"],
+                                      ["rate", "--theta", "nan"]])
+    def test_non_finite_theta_exits_3(self, runner, tmp_path, args):
+        result = runner.invoke(main, args + ["--step", "0.25",
+                                             "--out", str(tmp_path)])
+        assert result.exit_code == 3
+        assert "must be finite" in result.output
+
 
 class TestCliArtifacts:
     def test_sweep_flags_infeasible_rows(self, runner, tmp_path):
@@ -152,6 +161,15 @@ class TestCliArtifacts:
         assert summary["status"] == "ok"
         assert summary["max_dev"]["psi"] < 1e-10
 
+    def test_homotopy_summary_reports_workers(self, runner, tmp_path):
+        # 241 mesh nodes make one block, stepped inline
+        result = runner.invoke(main, ["homotopy", "--cutoff", "60", "--step",
+                                      "0.25", "--out", str(tmp_path)])
+        assert result.exit_code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        validate_summary(summary)
+        assert summary["march_workers"] == 1
+
     def test_example_outputs_deterministic(self, runner, tmp_path):
         args = ["example", "--dtheta-frac", "0.1", "--cutoff", "60",
                 "--step", "0.1"]
@@ -168,6 +186,7 @@ class TestCliArtifacts:
         # error; the default-resolution gap is asserted in the acceptance
         # suite at 1e-3
         assert summary["cross_method_gap"] < 2e-2
+        assert summary["march_workers"] == 1
 
     def test_bounds_artifacts(self, runner, tmp_path):
         result = runner.invoke(main, [
