@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -141,8 +142,11 @@ def rate_cmd(model_path, theta, out, cutoff, step, threads):
     _limit_threads(threads)
     ss = _get_model(model_path)
     cfg = _config(ss, cutoff, step)
-    result = rate_mod.upsilon(ss, theta, cfg)
-    lambdas, neg_ld, classical = rate_mod.frequency_profile(ss, theta, cfg)
+    # theta0 samples its own grid; taking it first keeps one grid alive at a time
+    theta0 = rate_mod.theta_threshold(ss, cfg)
+    grid = sample_grid(ss, cfg.lambdas())
+    result = rate_mod.upsilon_from_grid(grid, theta, cfg)
+    lambdas, neg_ld, classical = rate_mod.frequency_profile(grid, theta)
     out_path = _out_dir(out)
     write_csv(out_path / "frequency_profile.csv",
               ["lambda", "neg_log_det_D", "classical_integrand"],
@@ -159,7 +163,7 @@ def rate_cmd(model_path, theta, out, cutoff, step, threads):
         "margin": result.margin,
         "tail_contrib": result.tail_contrib,
         "n_freq": result.n_freq,
-        "theta0": rate_mod.theta_threshold(ss, cfg),
+        "theta0": theta0,
         "lqg_rate": rate_mod.lqg_rate(ss),
         "cutoff": cfg.cutoff,
         "step": cfg.step,
@@ -186,6 +190,9 @@ def sweep(model_path, theta_max, points, out, cutoff, step, threads):
     cfg = _config(ss, cutoff, step)
     if theta_max is None:
         theta_max = 0.9 * rate_mod.theta_threshold(ss, cfg)
+    if not 0.0 <= theta_max < math.inf:
+        raise FeasibilityError("theta_max must be finite and nonnegative",
+                               theta=theta_max)
     grid = sample_grid(ss, cfg.lambdas())
     rows = []
     for theta in np.linspace(0.0, theta_max, points):
@@ -266,6 +273,8 @@ def horizon_cmd(model_path, theta, horizons, dt, max_dim, out, threads):
     ts = [float(t) for t in horizons.split(",") if t.strip()]
     if not ts:
         raise NumericalError("empty horizon list")
+    if not all(0.0 < v < math.inf for v in [dt, *ts]):
+        raise NumericalError("time step and horizons must be positive and finite")
     study = horizon_mod.convergence_study(ss, theta, ts,
                                           n_per_unit_time=int(round(1.0 / dt)),
                                           max_dim=max_dim)
@@ -406,8 +415,9 @@ def example(out, dtheta_frac, cutoff, step, threads):
     theta0 = rate_mod.theta_threshold(ss, cfg)
     theta_hi = 0.9 * theta0
     out_path = _out_dir(out)
+    grid = sample_grid(ss, cfg.lambdas())
 
-    lambdas, neg_ld, _ = rate_mod.frequency_profile(ss, theta_hi, cfg)
+    lambdas, neg_ld, _ = rate_mod.frequency_profile(grid, theta_hi)
     tail_coeff = ss.lqg_weight_trace()
     with np.errstate(divide="ignore"):
         asym = np.where(lambdas > 0, theta_hi * tail_coeff / lambdas ** 2,
@@ -417,7 +427,6 @@ def example(out, dtheta_frac, cutoff, step, threads):
               zip(lambdas.tolist(), neg_ld.tolist(), asym.tolist()))
 
     dtheta = dtheta_frac * theta0
-    grid = sample_grid(ss, cfg.lambdas())
     trace = homotopy_mod.rate_by_homotopy_from_grid(grid, theta_hi, dtheta, cfg)
     direct = np.array([rate_mod.upsilon_from_grid(grid, float(t), cfg).upsilon
                        for t in trace.theta_grid])

@@ -14,13 +14,21 @@ and (ln Xi)/T approaches the growth rate as the horizon grows, which makes
 this an oracle for the frequency-domain methods that shares nothing with
 them but the model matrices.
 
-Everything stays in real arithmetic: an orthogonal Hessenberg reduction
-brings the antisymmetric L to tridiagonal form, whose spectrum comes from
-a real symmetric tridiagonal eigenproblem, and even matrix functions of L
-inherit a checkerboard sparsity in that basis (conjugating the tridiagonal
-matrix by the alternating-sign diagonal flips its sign, so even functions
-commute with that conjugation).  This avoids complex eigensolves of order
-n*N, which dominate the cost otherwise.
+Everything stays in real arithmetic.  The eigenvalues of the
+antisymmetric L come in pairs +-i omega, and both functions the formula
+needs are even in omega: cos(theta L) has eigenvalues cosh(theta omega)
+and K has tanhc(theta omega).  They are therefore functions of the real
+symmetric matrix L'L = -L^2, and its one eigendecomposition
+L'L = V diag(omega^2) V' gives them all:
+
+    Tr ln cos(theta L) = sum lncosh(theta omega),
+    sqrt(K) = V R V',  R = diag(sqrt(tanhc(theta omega))).
+
+The matrix R (V' P V) R equals V' (sqrt(K) P sqrt(K)) V, an orthogonal
+similarity of a matrix with the spectrum of P K, so its largest
+eigenvalue is the feasibility margin and its Cholesky factor gives
+ln det(I - theta P K).  Both functions are smooth in omega^2, so forming
+L'L perturbs the result only to first order in eps * ||L||^2.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, eigh_tridiagonal, expm, hessenberg
+# hessenberg and eigh_tridiagonal stay bound: benchmarks/spans.py traces them
+from scipy.linalg import cholesky, eigh_tridiagonal, expm, hessenberg  # noqa: F401
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from ._funcs import lncosh, tanhc
@@ -104,8 +113,8 @@ def discretize_kernels(ss: StateSpace, horizon: float, n_grid: int,
     """
     if n_grid < 1:
         raise NumericalError(f"need at least one time cell, got {n_grid}")
-    if horizon <= 0:
-        raise NumericalError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise NumericalError(f"horizon must be positive and finite, got {horizon:g}")
     if ss.n * n_grid > max_dim:
         raise SizeError(
             f"discretization order {ss.n * n_grid} exceeds the guard {max_dim}")
@@ -113,30 +122,6 @@ def discretize_kernels(ss: StateSpace, horizon: float, n_grid: int,
     big_l = _assemble(lam_blocks, n_grid, antisymmetric=True)
     big_p = _assemble(p_blocks, n_grid, antisymmetric=False)
     return big_l, big_p
-
-
-def _tridiagonal_form(big_l: np.ndarray):
-    """Orthogonal reduction of an antisymmetric matrix to tridiagonal form.
-
-    Returns (q, beta) with  L = Q T Q',  T having superdiagonal beta and
-    subdiagonal -beta.  The eigenvalues of i L are those of the real
-    symmetric tridiagonal matrix with the same off-diagonal.
-    """
-    hess, q = hessenberg(big_l, calc_q=True)
-    beta = np.diag(hess, 1).copy()
-    dim = big_l.shape[0]
-    resid = hess - (np.diag(beta, 1) - np.diag(beta, -1))
-    scale = max(np.abs(beta).max(), 1e-300)
-    if np.abs(resid).max() > 1e-10 * scale:
-        raise NumericalError("Hessenberg form of the commutator matrix "
-                             "is not tridiagonal")
-    return q, beta, dim
-
-
-def _checkerboard_mask(dim: int) -> np.ndarray:
-    """Signs of i^(k-j) on even offsets, zero on odd offsets."""
-    kj = np.subtract.outer(np.arange(dim), np.arange(dim))
-    return np.where(kj % 2 != 0, 0.0, np.where(kj % 4 == 0, 1.0, -1.0))
 
 
 def _lambda_max(mat: np.ndarray) -> float:
@@ -177,22 +162,19 @@ def ln_xi_from_matrices(big_l: np.ndarray, big_p: np.ndarray, theta: float,
                         classical: bool = False):
     """Evaluate (ln_xi, spec_value) from assembled kernel matrices."""
     dim = big_p.shape[0]
-    if theta < 0:
-        raise FeasibilityError("risk parameter must be nonnegative", theta=theta)
+    if not 0.0 <= theta < math.inf:
+        raise FeasibilityError("risk parameter must be finite and nonnegative",
+                               theta=theta)
 
     if classical:
         sym = big_p
         trace_ln_cos = 0.0
     else:
-        q, beta, dim = _tridiagonal_form(big_l)
-        omega, w_vecs = eigh_tridiagonal(np.zeros(dim), beta)
-        x = theta * omega
+        omega_sq, v = np.linalg.eigh(big_l.T @ big_l)
+        x = theta * np.sqrt(np.maximum(omega_sq, 0.0))
         trace_ln_cos = math.fsum(np.asarray(lncosh(x)))
         root = np.sqrt(np.asarray(tanhc(x)))
-        half_k = (w_vecs * root[None, :]) @ w_vecs.T
-        half_k *= _checkerboard_mask(dim)
-        p_rot = q.T @ big_p @ q
-        sym = half_k @ p_rot @ half_k
+        sym = root[:, None] * (v.T @ big_p @ v) * root[None, :]
         sym = 0.5 * (sym + sym.T)
 
     spec_value = theta * _lambda_max(sym) if theta > 0 else 0.0

@@ -291,8 +291,8 @@ def tail_bound(ss: StateSpace, alpha: float, theta_grid,
     Upsilon(theta) - alpha * theta, the large-deviations exponent for the
     event that the time-averaged cost exceeds 2 * alpha.
     """
-    if alpha <= 0:
-        raise FeasibilityError("tail level alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise FeasibilityError("tail level alpha must be positive and finite")
     grid = sample_grid(ss, cfg.lambdas())
     thetas, ups = _feasible_curve(grid, theta_grid, cfg)
 
@@ -313,8 +313,9 @@ def worst_case_lqg_bound(ss: StateSpace, eps: float, theta_grid,
     uncertainty budget eps >= 0, evaluated on the grid with one
     refinement.
     """
-    if eps < 0:
-        raise FeasibilityError("uncertainty budget eps must be nonnegative")
+    if not 0.0 <= eps < math.inf:
+        raise FeasibilityError(
+            "uncertainty budget eps must be finite and nonnegative")
     grid = sample_grid(ss, cfg.lambdas())
     thetas, ups = _feasible_curve(grid, theta_grid, cfg, positive_only=True)
 
@@ -346,12 +347,11 @@ def _feasible_curve(grid: SpectralGrid, theta_grid, cfg: QuadratureConfig,
     return np.asarray(thetas), np.asarray(values)
 
 
-def frequency_profile(ss: StateSpace, theta: float, cfg: QuadratureConfig):
+def frequency_profile(grid: SpectralGrid, theta: float):
     """Per-frequency integrand data for CSV export.
 
     Returns (lambdas, neg_log_det_d, classical_integrand) over the mesh.
     """
-    grid = sample_grid(ss, cfg.lambdas())
     neg_ld, _ = _neg_log_det(grid, theta)
     try:
         cl_vals, _ = _neg_log_factor(grid.phi_eigvals, theta, grid.lambdas)

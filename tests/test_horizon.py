@@ -2,14 +2,34 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import qefrate as q
+from qefrate._funcs import tanhc
 from qefrate.errors import FeasibilityError, NumericalError, SizeError
 from qefrate.horizon import ln_xi_from_matrices
 
 from conftest import SURROGATE_A, SURROGATE_G, surrogate_v_closed
+
+
+def reference_ln_xi(big_l, big_p, theta):
+    """(ln_xi, spec_value) from the complex Hermitian eigensolve of H = iL.
+
+    L = -iH gives cos(theta L) = cosh(theta H) and tanc(theta L) =
+    tanhc(theta H); the log-det of I - theta P K is taken by slogdet.
+    """
+    w, u = np.linalg.eigh(1j * big_l)
+    x = theta * w
+    k_eigs = np.asarray(tanhc(x))
+    k = (u * k_eigs) @ u.conj().T
+    root_k = (u * np.sqrt(k_eigs)) @ u.conj().T
+    sign, ln_det = np.linalg.slogdet(np.eye(len(w)) - theta * big_p @ k)
+    assert abs(sign - 1.0) < 1e-12
+    spec = theta * np.linalg.eigvalsh(root_k @ big_p @ root_k)[-1]
+    return -0.5 * (math.fsum(np.log(np.cosh(x))) + ln_det), spec
 
 
 class TestDiscretizeKernels:
@@ -45,8 +65,9 @@ class TestDiscretizeKernels:
     def test_rejects_bad_grid(self, twomode):
         with pytest.raises(NumericalError):
             q.discretize_kernels(twomode, horizon=2.0, n_grid=0)
-        with pytest.raises(NumericalError):
-            q.discretize_kernels(twomode, horizon=-1.0, n_grid=16)
+        for horizon in (-1.0, math.nan, math.inf):
+            with pytest.raises(NumericalError):
+                q.discretize_kernels(twomode, horizon=horizon, n_grid=16)
 
 
 class TestLnXi:
@@ -81,6 +102,32 @@ class TestLnXi:
         a = ln_xi_from_matrices(big_l, big_p, theta)[0]
         b = ln_xi_from_matrices(l_rev, p_rev, theta)[0]
         assert abs(a - b) < 1e-9 * max(1.0, abs(a))
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_non_finite_theta_raises(self, twomode, theta):
+        big_l, big_p = q.discretize_kernels(twomode, 2.0, 16)
+        with pytest.raises(FeasibilityError, match="must be finite"):
+            ln_xi_from_matrices(big_l, big_p, theta)
+
+    @pytest.mark.parametrize("case", ["twomode", "random_odd_order"])
+    def test_matches_complex_hermitian_reference(self, twomode, theta0, case):
+        if case == "twomode":
+            big_l, big_p = q.discretize_kernels(twomode, 4.0, 80)
+            theta = 0.5 * theta0
+        else:
+            # odd order: a zero eigenvalue besides the +-i omega pairs
+            rng = np.random.default_rng(7)
+            g = rng.normal(size=(7, 7))
+            big_l = 0.5 * (g - g.T)
+            h = rng.normal(size=(7, 3))
+            big_p = h @ h.T
+            theta = 1.0
+            # tanhc <= 1, so theta * lam_max(P K) <= 0.8
+            big_p *= 0.8 / np.linalg.eigvalsh(big_p)[-1]
+        expected, expected_spec = reference_ln_xi(big_l, big_p, theta)
+        value, spec = ln_xi_from_matrices(big_l, big_p, theta)
+        assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+        assert abs(spec - expected_spec) <= 1e-12
 
     def test_requires_enough_cells(self, twomode):
         with pytest.raises(NumericalError):

@@ -116,12 +116,35 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("args", [["homotopy", "--theta-max", "nan"],
                                       ["homotopy", "--theta-max", "inf"],
-                                      ["rate", "--theta", "nan"]])
+                                      ["rate", "--theta", "nan"],
+                                      ["sweep", "--theta-max", "nan"],
+                                      ["sweep", "--theta-max", "-0.1"]])
     def test_non_finite_theta_exits_3(self, runner, tmp_path, args):
         result = runner.invoke(main, args + ["--step", "0.25",
                                              "--out", str(tmp_path)])
         assert result.exit_code == 3
         assert "must be finite" in result.output
+
+    @pytest.mark.parametrize("args, code", [
+        (["--theta", "nan"], 3), (["--theta", "inf"], 3),
+        (["--dt", "0"], 4), (["--dt", "-0.1"], 4), (["--dt", "nan"], 4),
+        (["--horizons", "4,nan"], 4), (["--horizons", "4,inf"], 4)],
+        ids=["theta-nan", "theta-inf", "dt-zero", "dt-negative", "dt-nan",
+             "horizon-nan", "horizon-inf"])
+    def test_horizon_bad_inputs_exit(self, runner, tmp_path, args, code):
+        base = ["horizon", "--theta", "0.02", "--horizons", "4", "--dt", "0.1"]
+        result = runner.invoke(main, base + args + ["--out", str(tmp_path)])
+        assert result.exit_code == code
+        assert "finite" in result.output
+
+    def test_bounds_nan_levels_infeasible(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "bounds", "--alpha", "nan", "--eps", "nan", "--step", "0.25",
+            "--out", str(tmp_path)])
+        assert result.exit_code == 0
+        for name in ["tail_bounds.csv", "worst_case_bounds.csv"]:
+            rows = (tmp_path / name).read_text().strip().splitlines()
+            assert [r.split(",")[-1] for r in rows[1:]] == ["infeasible"]
 
 
 class TestCliArtifacts:

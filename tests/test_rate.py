@@ -321,11 +321,19 @@ class TestBounds:
         with pytest.raises(FeasibilityError):
             q.worst_case_lqg_bound(twomode, 0.0, [], bound_cfg)
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf])
+    def test_non_finite_levels_raise(self, twomode, bound_cfg, theta0, level):
+        grid = np.linspace(0.1, 0.9, 5) * theta0
+        with pytest.raises(FeasibilityError, match="finite"):
+            q.tail_bound(twomode, level, grid, bound_cfg)
+        with pytest.raises(FeasibilityError, match="finite"):
+            q.worst_case_lqg_bound(twomode, level, grid, bound_cfg)
+
 
 class TestFrequencyProfile:
     def test_shapes_and_signs(self, twomode, cfg_coarse, theta0):
         lambdas, neg_ld, classical = q.frequency_profile(
-            twomode, 0.5 * theta0, cfg_coarse)
+            q.sample_grid(twomode, cfg_coarse.lambdas()), 0.5 * theta0)
         assert len(lambdas) == len(neg_ld) == len(classical)
         assert np.all(neg_ld >= -1e-12)
         assert np.all(classical >= neg_ld - 1e-12)
