@@ -34,10 +34,12 @@ def tanhc(x: np.ndarray | float) -> np.ndarray | float:
 
 
 def lncosh(x: np.ndarray | float) -> np.ndarray | float:
-    """log(cosh(x)) without overflow for large |x|."""
+    """log(cosh(x)) without overflow for large |x| and to full relative
+    precision for small |x|, as log1p(2 sinh(x/2)^2)."""
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
-    out = a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
+    small = np.log1p(2.0 * np.sinh(0.5 * np.minimum(a, 1.0)) ** 2)
+    out = np.where(a < 1.0, small, a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0))
     return out if out.ndim else float(out)
 
 

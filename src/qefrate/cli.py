@@ -63,10 +63,13 @@ def _get_model(model_path: str | None) -> StateSpace:
 
 
 def _config(ss: StateSpace, cutoff: float | None, step: float | None) -> QuadratureConfig:
+    """Resonance-placed panels, or uniform panels when ``step`` is given."""
     cfg = QuadratureConfig.for_system(ss)
-    overrides = {k: v for k, v in (("cutoff", cutoff), ("step", step))
-                 if v is not None}
-    return dataclasses.replace(cfg, **overrides)
+    if cutoff is not None:
+        cfg = dataclasses.replace(cfg, cutoff=cutoff)
+    if step is not None:
+        cfg = QuadratureConfig(cutoff=cfg.cutoff, step=step)
+    return cfg
 
 
 def _out_dir(out: str) -> Path:
@@ -86,9 +89,11 @@ model_option = click.option("--model", "model_path", type=click.Path(exists=True
 out_option = click.option("--out", default=".", show_default=True,
                           help="Output directory.")
 cutoff_option = click.option("--cutoff", type=float, default=None,
-                             help="Frequency cutoff override.")
+                             help="Frequency where the mapped tail panel "
+                             "of the quadrature starts.")
 step_option = click.option("--step", type=float, default=None,
-                           help="Frequency mesh step override.")
+                           help="Node spacing of uniform quadrature panels, "
+                           "replacing the resonance-placed ones.")
 threads_option = click.option("--threads", type=int, default=None,
                               help="Cap BLAS thread count.")
 
@@ -142,7 +147,6 @@ def rate_cmd(model_path, theta, out, cutoff, step, threads):
     _limit_threads(threads)
     ss = _get_model(model_path)
     cfg = _config(ss, cutoff, step)
-    # theta0 samples its own grid; taking it first keeps one grid alive at a time
     theta0 = rate_mod.theta_threshold(ss, cfg)
     grid = sample_grid(ss, cfg.lambdas())
     result = rate_mod.upsilon_from_grid(grid, theta, cfg)
@@ -163,6 +167,8 @@ def rate_cmd(model_path, theta, out, cutoff, step, threads):
         "margin": result.margin,
         "tail_contrib": result.tail_contrib,
         "n_freq": result.n_freq,
+        "rule": cfg.rule,
+        "quad_error": result.quad_error,
         "theta0": theta0,
         "lqg_rate": rate_mod.lqg_rate(ss),
         "cutoff": cfg.cutoff,
@@ -257,7 +263,7 @@ def homotopy_cmd(model_path, theta_max, dtheta, out, cutoff, step, threads):
 @main.command(name="horizon")
 @model_option
 @click.option("--theta", type=float, required=True)
-@click.option("--horizons", default="10,20,40", show_default=True,
+@click.option("--horizons", default="10,20", show_default=True,
               help="Comma-separated horizon list.")
 @click.option("--dt", type=float, default=0.025, show_default=True,
               help="Time step of the kernel discretization.")

@@ -12,9 +12,11 @@ frequency integral of its trace:
 
     Upsilon'(theta) = (1/4 pi) * integral Tr U_theta(lambda) d lambda.
 
-Marching U by fixed-step RK4 from zero and accumulating Upsilon' by the
-trapezoid rule reproduces Upsilon(theta) independently of the direct
-log-determinant quadrature, which makes the two methods mutual checks.
+Marching U by fixed-step RK4 from zero, integrating Tr U over frequency
+on the Gauss-Kronrod rule of ``qefrate.quadrature`` and accumulating
+Upsilon' by the trapezoid rule in theta reproduces Upsilon(theta)
+independently of the direct log-determinant quadrature, which makes the
+two methods mutual checks.
 The closed form above is the logarithmic-derivative (Hopf-Cole) transform
 of the linear equation D'' = -D Psi^2 satisfied by the log-det matrix.
 
@@ -23,9 +25,10 @@ real antisymmetric, so U^2 = (XX - YY) + i (XY - (XY)') costs three real
 stacked products, Tr U = Tr X and ||U||^2 = ||X||^2 + ||Y||^2.  The
 frequency stack is cut into fixed blocks that are stepped in place, in
 preallocated buffers, on a thread pool sized to the CPUs the process may
-use.  Block boundaries do not depend on the pool size and the trace
-integral is summed exactly, so the results are bit-identical for any
-worker count.
+use; a stack of one block (a few hundred nodes on the default rule) is
+stepped inline.  Block boundaries do not depend on the pool size and the
+trace integral is summed exactly, so the results are bit-identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -254,10 +257,9 @@ def rate_by_homotopy(ss: StateSpace, theta_max: float, d_theta: float,
                      cfg: QuadratureConfig, store_u: bool = False) -> HomotopyTrace:
     """March the Riccati equation in theta across the frequency mesh.
 
-    The trace integral of U supplies Upsilon' at each step and the
-    trapezoid rule accumulates Upsilon.  The high-frequency tail of the
-    trace integral equals that of the spectral density at leading order,
-    contributing Tr(Pi B B') / (2 pi cutoff) per unit theta.
+    The trace integral of U over the rule's nodes, tail panel included,
+    supplies Upsilon' at each step and the trapezoid rule accumulates
+    Upsilon.
 
     Raises FeasibilityError if any frequency shows finite-time escape
     before theta_max.
@@ -283,7 +285,7 @@ def rate_by_homotopy_from_grid(grid, theta_max: float, d_theta: float,
     st = _RiccatiStack(grid.phi, grid.psi, floor, workers)
 
     def derivative() -> float:
-        return cfg.half_line(st.trace, grid.tail_coeff)[0] / (2.0 * math.pi)
+        return cfg.half_line(st.trace).value / (2.0 * math.pi)
 
     thetas = np.linspace(0.0, theta_max, n_steps + 1)
     derivs = np.empty(n_steps + 1)

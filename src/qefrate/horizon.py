@@ -203,8 +203,16 @@ def convergence_study(ss: StateSpace, theta: float, horizons,
 
     The per-time rates are fitted with a + b/T by least squares; the
     intercept estimates the infinite-horizon growth rate, consistent with
-    the boundary-layer origin of the finite-horizon correction.
+    the boundary-layer origin of the finite-horizon correction.  Every
+    horizon is checked against ``max_dim`` before any is evaluated.
     """
+    for t in horizons:
+        if not 0.0 < t < math.inf:
+            raise NumericalError(f"horizon must be positive and finite, got {t:g}")
+        order = ss.n * int(round(t * n_per_unit_time))
+        if order > max_dim:
+            raise SizeError(f"discretization order {order} at horizon {t:g} "
+                            f"exceeds the guard {max_dim}")
     estimates = [
         ln_xi(ss, theta, horizon=t, n_grid=int(round(t * n_per_unit_time)),
               max_dim=max_dim, classical=classical)

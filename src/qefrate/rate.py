@@ -15,13 +15,14 @@ is always computed through the two-factor Hermitian split
 
 whose factors have real spectra; the direct complex determinant is kept
 only as an assertion channel against branch-cut mistakes.  The integrand
-is even in frequency, so the integral runs over [0, cutoff] with Simpson
-weights, doubled, plus the analytic tail theta * Tr(Pi B B') / (2 pi cutoff)
-with its next-order refinement.
+is even in frequency, so the integral runs over [0, inf) on the composite
+Gauss-Kronrod rule of ``qefrate.quadrature``, whose mapped last panel
+covers the high-frequency tail.
 
 The module also provides the classical entropy integral V(theta) obtained
 when the commutator spectrum is absent, the feasibility threshold
-theta0 = 1 / sup lam_max(Phi), the mean-square (LQG) limit, the small-theta
+theta0 = 1 / sup lam_max(Phi) (mesh-free, from the Hamiltonian matrix of
+the H-infinity norm), the mean-square (LQG) limit, the small-theta
 expansion, an analytic continuation E_theta(s) off the imaginary axis, and
 the exponential tail / worst-case cost bounds built on top of Upsilon.
 """
@@ -37,7 +38,7 @@ from scipy.optimize import minimize_scalar
 from ._funcs import apply_herm, hermitize, lncosh, tanhc
 from .errors import FeasibilityError, NumericalError
 from .model import StateSpace
-from .quadrature import QuadratureConfig, weighted_sum
+from .quadrature import HalfLine, QuadratureConfig
 from .spectral import (SpectralGrid, SpectralSample, sample_grid, transfer,
                        trig_bundle)
 
@@ -47,14 +48,28 @@ __all__ = [
     "tail_bound", "worst_case_lqg_bound", "frequency_profile",
 ]
 
-#: Relative disagreement between Simpson and trapezoid sums above which a
+#: Gauss-Kronrod error estimate, relative to the integral, above which a
 #: rate result is flagged as unconverged.
 QUAD_AGREEMENT = 1e-6
+
+#: Relative step above the best known peak of lam_max(Phi) at which the
+#: level-set iteration for theta0 looks for imaginary-axis eigenvalues.
+LEVEL_STEP = 1e-9
+
+#: Relative depth below the peak of the level set whose interval around
+#: the peak brackets the final bounded maximization when the level-set
+#: iteration for theta0 made no step.
+POLISH_DEPTH = 1e-6
 
 
 @dataclass(frozen=True)
 class RateResult:
-    """Growth rate at one risk parameter, with quadrature diagnostics."""
+    """Growth rate at one risk parameter, with quadrature diagnostics.
+
+    ``tail_contrib`` is the part of ``upsilon`` from the mapped panel
+    beyond the cutoff and ``quad_error`` the Gauss-Kronrod error estimate
+    of ``upsilon``.
+    """
 
     theta: float
     upsilon: float
@@ -63,6 +78,7 @@ class RateResult:
     tail_contrib: float
     n_freq: int
     converged: bool = True
+    quad_error: float = 0.0
 
 
 def _neg_log_factor(eigs: np.ndarray, theta: float, lambdas: np.ndarray):
@@ -81,7 +97,8 @@ def _neg_log_factor(eigs: np.ndarray, theta: float, lambdas: np.ndarray):
             f"risk parameter {theta:g} infeasible at frequency "
             f"{lambdas[k]:g} (margin {theta * eigs[k, -1]:g} >= 1)",
             theta=theta, lam=float(lambdas[k]))
-    return -np.sum(np.log(factors), axis=-1), float(theta * np.max(eigs[:, -1]))
+    return (-np.sum(np.log1p(-theta * eigs), axis=-1),
+            float(theta * np.max(eigs[:, -1])))
 
 
 def _neg_log_det(grid: SpectralGrid, theta: float):
@@ -98,10 +115,10 @@ def _neg_log_det(grid: SpectralGrid, theta: float):
 
 
 def _classical_from_grid(grid: SpectralGrid, theta: float,
-                         cfg: QuadratureConfig) -> float:
-    """Entropy integral V(theta) over the mesh, with the analytic tail."""
+                         cfg: QuadratureConfig) -> HalfLine:
+    """Entropy integral V(theta) times 2 pi, with its error estimate."""
     vals, _ = _neg_log_factor(grid.phi_eigvals, theta, grid.lambdas)
-    return cfg.half_line(vals, theta * grid.tail_coeff)[0] / (2.0 * math.pi)
+    return cfg.half_line(vals)
 
 
 def log_det_d(sample: SpectralSample, theta: float,
@@ -117,8 +134,7 @@ def log_det_d(sample: SpectralSample, theta: float,
         sample = sample.mirrored()
     one_node = SpectralGrid(lambdas=np.array([sample.lam]),
                             f_val=sample.f_val[None], phi=sample.phi[None],
-                            psi=sample.psi[None], h=sample.h[None],
-                            tail_coeff=math.nan)
+                            psi=sample.psi[None], h=sample.h[None])
     value = -float(_neg_log_det(one_node, theta)[0][0])
     tb = trig_bundle(sample, theta)
     sign, _ = np.linalg.slogdet(tb.cos_tp - theta * sample.phi @ tb.sinc_tp)
@@ -130,30 +146,35 @@ def log_det_d(sample: SpectralSample, theta: float,
 
 def upsilon_from_grid(grid: SpectralGrid, theta: float,
                       cfg: QuadratureConfig) -> RateResult:
-    """Growth rate from precomputed spectral stacks.
+    """Growth rate from spectral stacks sampled at ``cfg.lambdas()``.
 
-    Feasibility is certified on the same mesh the integral uses; the
+    Feasibility is certified at the same nodes the integral uses; the
     classical entropy value is reported alongside when theta is below the
-    classical threshold on the mesh, and as NaN otherwise.  The result is
-    flagged unconverged when the Simpson and trapezoid sums of the
-    log-det integrand disagree by more than ``QUAD_AGREEMENT``.
+    classical threshold at the nodes, and as NaN otherwise.  The result is
+    flagged unconverged when the Gauss-Kronrod error estimate of either
+    integral exceeds ``QUAD_AGREEMENT`` times its value.
     """
     if not 0.0 <= theta < math.inf:
         raise FeasibilityError("risk parameter must be finite and nonnegative",
                                theta=theta)
     neg_ld, margin = _neg_log_det(grid, theta)
-    total, tail = cfg.half_line(neg_ld, theta * grid.tail_coeff)
-    simp = total - tail
-    trap = weighted_sum(cfg.trapezoid_weights(), neg_ld)
-    converged = abs(simp - trap) <= QUAD_AGREEMENT * max(abs(simp), 1e-300)
+    quad = cfg.half_line(neg_ld)
+    converged = _converged(quad)
     try:
         cl = _classical_from_grid(grid, theta, cfg)
+        converged = converged and _converged(cl)
+        v = cl.value / (2.0 * math.pi)
     except FeasibilityError:
-        cl = math.nan
-    return RateResult(theta=float(theta), upsilon=total / (2.0 * math.pi),
-                      classical_v=cl, margin=margin,
-                      tail_contrib=tail / (2.0 * math.pi),
-                      n_freq=len(grid.lambdas), converged=converged)
+        v = math.nan
+    return RateResult(theta=float(theta), upsilon=quad.value / (2.0 * math.pi),
+                      classical_v=v, margin=margin,
+                      tail_contrib=quad.tail / (2.0 * math.pi),
+                      n_freq=len(grid.lambdas), converged=converged,
+                      quad_error=quad.error / (2.0 * math.pi))
+
+
+def _converged(quad: HalfLine) -> bool:
+    return quad.error <= QUAD_AGREEMENT * max(abs(quad.value), 1e-300)
 
 
 def upsilon(ss: StateSpace, theta: float, cfg: QuadratureConfig) -> RateResult:
@@ -165,30 +186,70 @@ def classical_v(ss: StateSpace, theta: float, cfg: QuadratureConfig) -> float:
     """Entropy integral V(theta) of the classical (commutative) limit."""
     if theta < 0:
         raise FeasibilityError("risk parameter must be nonnegative", theta=theta)
-    return _classical_from_grid(sample_grid(ss, cfg.lambdas()), theta, cfg)
+    grid = sample_grid(ss, cfg.lambdas())
+    return _classical_from_grid(grid, theta, cfg).value / (2.0 * math.pi)
+
+
+def _phi_peak(ss: StateSpace, lam: float) -> float:
+    """lam_max(Phi(lam)), the squared largest singular value of F(i lam)."""
+    f = transfer(ss, 1j * lam)
+    return float(np.linalg.eigvalsh(hermitize(f @ f.conj().T))[-1])
+
+
+def _crossings(ss: StateSpace, level: float) -> np.ndarray:
+    """Frequencies, of both signs and ascending, where a squared singular
+    value of F(i lam) equals ``level``.
+
+    They are the imaginary parts of the imaginary-axis eigenvalues of the
+    Hamiltonian matrix [[A, B B' / g], [-Pi / g, -A']], g = sqrt(level),
+    balanced so that both off-diagonal blocks carry the level.
+    """
+    g = math.sqrt(level)
+    ham = np.block([[ss.a, (ss.b @ ss.b.T) / g], [-ss.weight / g, -ss.a.T]])
+    ev = np.linalg.eigvals(ham)
+    scale = max(1.0, float(np.max(np.abs(ev))))
+    return np.sort(ev.imag[np.abs(ev.real) <= 1e-8 * scale])
 
 
 def theta_threshold(ss: StateSpace, cfg: QuadratureConfig) -> float:
-    """Classical feasibility threshold 1 / sup lam_max(Phi).
+    """Classical feasibility threshold 1 / sup lam_max(Phi) = 1/||F||_inf^2.
 
-    The supremum is located on the mesh and refined by golden-section
-    search in the bracketing interval.
+    Mesh-free: ``cfg`` is kept in the signature for its callers and is not
+    used.
+    The level-set iteration of Bruinsma & Steinbuch (1990) raises a lower
+    bound on the peak, starting from lambda = 0 and the drift resonances:
+    the frequencies where lam_max(Phi) crosses the bound are read off the
+    imaginary-axis eigenvalues of a Hamiltonian matrix, and the bound moves
+    to the largest value at the midpoints between them, until no crossing
+    is left above it.  A bounded scalar maximization inside the crossing
+    interval around the peak then settles the value to rounding.
     """
-    lambdas = cfg.lambdas()
-    grid = sample_grid(ss, lambdas)
-    peaks = grid.phi_eigvals[:, -1]
+    cands = np.concatenate([[0.0], np.abs(np.linalg.eigvals(ss.a).imag)])
+    peaks = [_phi_peak(ss, lam) for lam in cands]
     k = int(np.argmax(peaks))
-
-    def neg_peak(lam: float) -> float:
-        f = transfer(ss, 1j * lam)
-        return -float(np.linalg.eigvalsh(hermitize(f @ f.conj().T))[-1])
-
-    lo = lambdas[max(k - 1, 0)]
-    hi = lambdas[min(k + 1, len(lambdas) - 1)]
-    res = minimize_scalar(neg_peak, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    best = max(-res.fun, peaks[k])
-    return 1.0 / float(best)
+    best_lam, best = float(cands[k]), peaks[k]
+    bracket = None
+    for _ in range(50):
+        w = _crossings(ss, best * (1.0 + LEVEL_STEP))
+        pairs = [(lo, hi) for lo, hi in zip(w[:-1], w[1:]) if lo + hi >= 0.0]
+        vals = [_phi_peak(ss, 0.5 * (lo + hi)) for lo, hi in pairs]
+        if not vals or max(vals) <= best:
+            break
+        j = int(np.argmax(vals))
+        bracket, best = pairs[j], vals[j]
+        best_lam = 0.5 * (bracket[0] + bracket[1])
+    if bracket is None:
+        # the starting point was the peak to LEVEL_STEP: bracket it
+        w = _crossings(ss, best * (1.0 - POLISH_DEPTH))
+        i = int(np.searchsorted(w, best_lam))
+        if 0 < i < len(w):
+            bracket = (w[i - 1], w[i])
+    if bracket is not None:
+        res = minimize_scalar(lambda lam: -_phi_peak(ss, lam),
+                              bounds=(float(bracket[0]), float(bracket[1])),
+                              method="bounded", options={"xatol": 1e-12})
+        best = max(best, -float(res.fun))
+    return 1.0 / best
 
 
 def lqg_rate(ss: StateSpace) -> float:
@@ -214,14 +275,13 @@ def small_theta_expansion(ss: StateSpace, theta: float,
     below the classical value.
     """
     grid = sample_grid(ss, cfg.lambdas())
-    v = _classical_from_grid(grid, theta, cfg)
+    v = _classical_from_grid(grid, theta, cfg).value / (2.0 * math.pi)
     eye = np.eye(ss.n)
     psi_sq = grid.psi @ grid.psi
     resolvent = np.linalg.solve(eye - theta * grid.phi,
                                 eye - (theta / 3.0) * grid.phi)
     corr_vals = np.real(np.trace(resolvent @ psi_sq, axis1=1, axis2=2))
-    # the integrand decays like 1/lambda^4: no 1/lambda^2 asymptote
-    corr, _ = cfg.half_line(corr_vals, 0.0)
+    corr = cfg.half_line(corr_vals).value
     return v + (theta ** 2 / (4.0 * math.pi)) * corr
 
 

@@ -58,9 +58,7 @@ class SpectralSample:
 class SpectralGrid:
     """Stacked spectral samples over a frequency mesh.
 
-    ``phi``, ``psi`` and ``h`` have shape (n_freq, n, n).  ``tail_coeff``
-    is Tr(Pi B B'), the coefficient of the 1/lambda^2 high-frequency
-    asymptote shared by the log-det and trace integrands.
+    ``phi``, ``psi`` and ``h`` have shape (n_freq, n, n).
 
     The theta-independent eigendecompositions ``h_eigh`` and
     ``phi_eigvals`` are computed on first use and cached on the instance;
@@ -72,7 +70,6 @@ class SpectralGrid:
     phi: np.ndarray
     psi: np.ndarray
     h: np.ndarray
-    tail_coeff: float
 
     def sample(self, k: int) -> SpectralSample:
         return SpectralSample(lam=float(self.lambdas[k]), f_val=self.f_val[k],
@@ -135,8 +132,7 @@ def sample_grid(ss: StateSpace, lambdas: np.ndarray) -> SpectralGrid:
     phi = hermitize(f @ fh)
     psi = skew_hermitize(f @ ss.j @ fh)
     return SpectralGrid(lambdas=lambdas, f_val=f, phi=phi, psi=psi,
-                        h=hermitize(1j * psi),
-                        tail_coeff=ss.lqg_weight_trace())
+                        h=hermitize(1j * psi))
 
 
 def trig_bundle(sample: SpectralSample, theta: float) -> TrigBundle:

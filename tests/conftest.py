@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_are
 
 import qefrate as q
 from qefrate.errors import DegeneracyError, StabilityError
@@ -47,6 +48,21 @@ SURROGATE_G = 1.2
 def surrogate_v_closed(theta: float, a: float = SURROGATE_A,
                        g: float = SURROGATE_G) -> float:
     return a * (1.0 - np.sqrt(1.0 - theta * g * g / (a * a)))
+
+
+def care_v(ss: q.StateSpace, theta: float) -> float:
+    """Mesh-free V(theta) = (theta/2) Tr(B' X B), X the stabilizing
+    solution of A'X + XA + Pi + theta X B B' X = 0 (R = -I/theta)."""
+    x = solve_continuous_are(ss.a, ss.b, ss.weight, -np.eye(ss.m) / theta)
+    return 0.5 * theta * float(np.trace(ss.b.T @ x @ ss.b))
+
+
+def single_mode(damping: float, freq: float = 1.0) -> q.StateSpace:
+    """One lightly damped mode: A = -damping I + freq [[0, 1], [-1, 0]],
+    B = sqrt(2 damping) I, Pi = I."""
+    a = np.array([[-damping, freq], [-freq, -damping]])
+    return q.from_state_space(a, np.sqrt(2.0 * damping) * np.eye(2),
+                              np.eye(2))
 
 
 @pytest.fixture(scope="session")

@@ -42,7 +42,7 @@ def reference_march(grid, theta_max, d_theta, cfg):
 
     def derivative(v):
         tr = np.real(np.trace(v, axis1=1, axis2=2))
-        return cfg.half_line(tr, grid.tail_coeff)[0] / (2.0 * math.pi)
+        return cfg.half_line(tr).value / (2.0 * math.pi)
 
     derivs = [derivative(u)]
     for k in range(n_steps):
@@ -241,6 +241,12 @@ class TestRateByHomotopy:
         assert (serial.workers, pooled[0].workers) == (1, 8)
         for name in ("rate", "rate_derivative", "per_freq_u"):
             assert np.array_equal(getattr(serial, name), getattr(pooled[0], name))
+
+    def test_default_rule_marches_inline(self, twomode, cfg_full, theta0):
+        # the resonance-placed rule is one block: no thread pool
+        assert len(cfg_full.lambdas()) <= homotopy.BLOCK_SIZE
+        tr = rate_by_homotopy(twomode, 0.2 * theta0, 0.1 * theta0, cfg_full)
+        assert tr.workers == 1
 
     def test_cross_method_agreement(self, surrogate):
         cfg = q.QuadratureConfig(cutoff=100.0, step=0.02)

@@ -137,6 +137,24 @@ class TestCliExitCodes:
         assert result.exit_code == code
         assert "finite" in result.output
 
+    def test_horizon_guard_before_any_evaluation(self, runner, tmp_path,
+                                                 monkeypatch):
+        calls = []
+        monkeypatch.setattr(q.horizon, "ln_xi",
+                            lambda *a, **k: calls.append(a))
+        result = runner.invoke(main, ["horizon", "--theta", "0.02",
+                                      "--horizons", "1,40",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 4
+        assert "6400 at horizon 40 exceeds the guard 6000" in result.output
+        assert calls == []
+
+    def test_horizon_defaults_pass_the_guard(self, twomode):
+        params = {p.name: p.default for p in main.commands["horizon"].params}
+        orders = [twomode.n * round(float(t) / params["dt"])
+                  for t in params["horizons"].split(",")]
+        assert max(orders) <= params["max_dim"]
+
     def test_bounds_nan_levels_infeasible(self, runner, tmp_path):
         result = runner.invoke(main, [
             "bounds", "--alpha", "nan", "--eps", "nan", "--step", "0.25",
@@ -166,6 +184,21 @@ class TestCliArtifacts:
         validate_summary(summary)
         profile = (tmp_path / "frequency_profile.csv").read_text()
         assert profile.startswith("lambda,neg_log_det_D,classical_integrand")
+
+    def test_rate_summary_reports_rule(self, runner, tmp_path):
+        for extra, layout in (([], "resonance"), (["--step", "0.1"], "uniform")):
+            out = tmp_path / layout
+            result = runner.invoke(main, ["rate", "--theta", "0.045", *extra,
+                                          "--out", str(out)])
+            assert result.exit_code == 0
+            summary = json.loads((out / "summary.json").read_text())
+            validate_summary(summary)
+            assert summary["rule"] == f"gauss-kronrod-15/{layout}"
+            assert 0.0 <= summary["quad_error"] <= 1e-6 * summary["upsilon"]
+            assert summary["status"] == "ok"
+        for bad in ({"rule": 15}, {"quad_error": -1.0}, {"quad_error": "0"}):
+            with pytest.raises(Exception):
+                validate_summary({"command": "rate", "version": "0.1.0", **bad})
 
     def test_horizon_csv(self, runner, tmp_path):
         result = runner.invoke(main, [

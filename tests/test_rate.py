@@ -11,7 +11,6 @@ import pytest
 import qefrate as q
 from qefrate.errors import FeasibilityError
 from qefrate.model import BJ2
-from qefrate.quadrature import weighted_sum
 from qefrate.rate import log_det_d
 
 from conftest import SURROGATE_A, SURROGATE_G, surrogate_v_closed
@@ -172,9 +171,7 @@ class TestLqgRate:
     def test_matches_trace_quadrature(self, twomode, grid_full, cfg_full):
         # mean-square rate is the half-line trace integral over 2 pi
         tr_phi = np.real(np.trace(grid_full.phi, axis1=1, axis2=2))
-        half_line = weighted_sum(cfg_full.simpson_weights(), tr_phi)
-        quad = (half_line + grid_full.tail_coeff / cfg_full.cutoff) \
-            / (2.0 * math.pi)
+        quad = cfg_full.half_line(tr_phi).value / (2.0 * math.pi)
         assert abs(quad - q.lqg_rate(twomode)) < 1e-4 * q.lqg_rate(twomode)
 
     def test_matches_slope_of_upsilon(self, twomode, grid_full, cfg_full,

@@ -45,6 +45,13 @@ class TestScalarFunctions:
         if abs(x) < 600:
             assert abs(val - np.log(np.cosh(x))) < 1e-10 * max(1.0, abs(x))
 
+    @given(st.floats(min_value=1e-100, max_value=1e-3), st.sampled_from([-1, 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_lncosh_small_argument_relative(self, x, sign):
+        # log(cosh x) = x^2/2 - x^4/12 + x^6/45 - ... to full relative precision
+        expected = x * x / 2.0 - x ** 4 / 12.0 + x ** 6 / 45.0
+        assert abs(lncosh(sign * x) - expected) <= 1e-14 * expected
+
     @given(st.floats(min_value=-20.0, max_value=20.0))
     @settings(max_examples=200, deadline=None)
     def test_tanhc_cosh_is_sinhc(self, x):
