@@ -1,4 +1,5 @@
-"""Scalar special functions and small dense linear-algebra helpers.
+"""Scalar special functions, small dense linear-algebra helpers and a
+bounded scalar minimizer.
 
 The hyperbolic ratio functions sinhc(x) = sinh(x)/x and tanhc(x) = tanh(x)/x
 are extended by 1 at x = 0 and switch to short series below |x| = 1e-4,
@@ -6,6 +7,9 @@ where direct division loses accuracy.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Callable
 
 import numpy as np
 
@@ -85,3 +89,86 @@ def solve_ale(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 def apply_herm(func_of_eig: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Reassemble V diag(f) V* for stacked Hermitian eigendecompositions."""
     return (v * func_of_eig[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+
+
+#: Fraction of a bracket at which golden-section steps probe, (3 - sqrt 5)/2.
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+#: Relative part of the step floor: the square root of the double epsilon.
+_SQRT_EPS = math.sqrt(2.2e-16)
+#: Function evaluations after which ``minimize_bounded`` stops.
+_MAX_EVALS = 500
+
+
+def minimize_bounded(func: Callable[[float], float], lo: float, hi: float,
+                     xatol: float) -> tuple[float, float]:
+    """Minimize a scalar function on [lo, hi]; returns (x, func(x)).
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 5): parabolic interpolation through the three best points, with a
+    golden-section step whenever the parabola's minimum falls outside the
+    bracket or does not halve the step before last.  No point closer than
+    sqrt(eps) |x| + xatol/3 to one already evaluated is tried.  The
+    iterates are those of ``scipy.optimize.fminbound``.  ``func`` may
+    return inf, which the search treats as a wall.
+    """
+    a, b = float(lo), float(hi)
+    if not (math.isfinite(a) and math.isfinite(b)) or a > b:
+        raise ValueError("bounds must be finite with lo <= hi")
+    # x best so far, w second best, v the previous w
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = func(x)
+    step = last = 0.0
+    evals = 1
+    mid = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(x - mid) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(last) > tol1:
+            # parabola through (x, fx), (w, fw), (v, fv)
+            golden = False
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, last = last, step
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                step = (p + 0.0) / q    # + 0.0: a zero step is +0.0
+                u = x + step
+                if (u - a) < tol2 or (b - u) < tol2:
+                    step = math.copysign(tol1, mid - x)
+            else:
+                golden = True
+        if golden:
+            last = (a - x) if x >= mid else (b - x)
+            step = _GOLDEN * last
+        u = x + math.copysign(max(abs(step), tol1), step)
+        fu = func(u)
+        evals += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv = w, fw
+            w, fw = x, fx
+            x, fx = u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv = w, fw
+                w, fw = u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        mid = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if evals >= _MAX_EVALS:
+            break
+    return x, fx

@@ -25,7 +25,7 @@ from .errors import FeasibilityError, ModelError, NumericalError
 from .io import load_model, write_csv, write_summary
 from .model import BJ2, StateSpace
 from .quadrature import QuadratureConfig
-from .spectral import sample_grid, spectral_sample, trig_bundle
+from .spectral import grid_for, spectral_sample, trig_bundle
 from .twomode import two_mode_example
 
 
@@ -148,9 +148,9 @@ def rate_cmd(model_path, theta, out, cutoff, step, threads):
     ss = _get_model(model_path)
     cfg = _config(ss, cutoff, step)
     theta0 = rate_mod.theta_threshold(ss, cfg)
-    grid = sample_grid(ss, cfg.lambdas())
-    result = rate_mod.upsilon_from_grid(grid, theta, cfg)
-    lambdas, neg_ld, classical = rate_mod.frequency_profile(grid, theta)
+    result = rate_mod.upsilon(ss, theta, cfg)
+    lambdas, neg_ld, classical = rate_mod.frequency_profile(grid_for(ss, cfg),
+                                                            theta)
     out_path = _out_dir(out)
     write_csv(out_path / "frequency_profile.csv",
               ["lambda", "neg_log_det_D", "classical_integrand"],
@@ -199,24 +199,26 @@ def sweep(model_path, theta_max, points, out, cutoff, step, threads):
     if not 0.0 <= theta_max < math.inf:
         raise FeasibilityError("theta_max must be finite and nonnegative",
                                theta=theta_max)
-    grid = sample_grid(ss, cfg.lambdas())
     rows = []
     for theta in np.linspace(0.0, theta_max, points):
         try:
-            res = rate_mod.upsilon_from_grid(grid, float(theta), cfg)
+            res = rate_mod.upsilon(ss, float(theta), cfg)
             rows.append((float(theta), res.upsilon, res.classical_v,
-                         res.margin, "ok"))
+                         res.margin,
+                         "ok" if res.converged else "quadrature-warning"))
         except FeasibilityError:
             rows.append((float(theta), float("nan"), float("nan"),
                          float("nan"), "infeasible"))
     out_path = _out_dir(out)
     write_csv(out_path / "sweep.csv",
               ["theta", "upsilon", "classical_v", "margin", "status"], rows)
+    warned = any(row[-1] == "quadrature-warning" for row in rows)
     write_summary(out_path / "summary.json", {
         "command": "sweep", "version": __version__, "model": model_path,
         "manifest": _manifest("sweep", model_path, out, theta_max=theta_max,
                               points=points, cutoff=cutoff, step=step),
-        "theta": float(theta_max), "status": "ok",
+        "theta": float(theta_max),
+        "status": "quadrature-warning" if warned else "ok",
     })
     click.echo(f"wrote {len(rows)} rows to {out_path / 'sweep.csv'}")
 
@@ -421,9 +423,8 @@ def example(out, dtheta_frac, cutoff, step, threads):
     theta0 = rate_mod.theta_threshold(ss, cfg)
     theta_hi = 0.9 * theta0
     out_path = _out_dir(out)
-    grid = sample_grid(ss, cfg.lambdas())
 
-    lambdas, neg_ld, _ = rate_mod.frequency_profile(grid, theta_hi)
+    lambdas, neg_ld, _ = rate_mod.frequency_profile(grid_for(ss, cfg), theta_hi)
     tail_coeff = ss.lqg_weight_trace()
     with np.errstate(divide="ignore"):
         asym = np.where(lambdas > 0, theta_hi * tail_coeff / lambdas ** 2,
@@ -433,8 +434,8 @@ def example(out, dtheta_frac, cutoff, step, threads):
               zip(lambdas.tolist(), neg_ld.tolist(), asym.tolist()))
 
     dtheta = dtheta_frac * theta0
-    trace = homotopy_mod.rate_by_homotopy_from_grid(grid, theta_hi, dtheta, cfg)
-    direct = np.array([rate_mod.upsilon_from_grid(grid, float(t), cfg).upsilon
+    trace = homotopy_mod.rate_by_homotopy(ss, theta_hi, dtheta, cfg)
+    direct = np.array([rate_mod.upsilon(ss, float(t), cfg).upsilon
                        for t in trace.theta_grid])
     write_csv(out_path / "rate_curve.csv",
               ["theta", "upsilon_homotopy", "upsilon_direct"],

@@ -46,7 +46,7 @@ from ._funcs import hermitize
 from .errors import FeasibilityError
 from .model import StateSpace
 from .quadrature import QuadratureConfig
-from .spectral import SpectralSample, sample_grid, trig_bundle
+from .spectral import SpectralSample, grid_for, trig_bundle
 
 __all__ = ["HomotopyTrace", "u_direct", "u_ode_step", "rate_by_homotopy",
            "rate_by_homotopy_from_grid", "d_second_derivative_check"]
@@ -264,9 +264,8 @@ def rate_by_homotopy(ss: StateSpace, theta_max: float, d_theta: float,
     Raises FeasibilityError if any frequency shows finite-time escape
     before theta_max.
     """
-    grid = sample_grid(ss, cfg.lambdas())
-    return rate_by_homotopy_from_grid(grid, theta_max, d_theta, cfg,
-                                      store_u=store_u)
+    return rate_by_homotopy_from_grid(grid_for(ss, cfg), theta_max, d_theta,
+                                      cfg, store_u=store_u)
 
 
 def rate_by_homotopy_from_grid(grid, theta_max: float, d_theta: float,

@@ -20,7 +20,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from .errors import ParameterError
 from .model import OqhoParams, StateSpace, from_state_space, realize
@@ -83,6 +82,8 @@ def _summary_schema() -> dict:
 
 def validate_summary(summary: dict) -> None:
     """Validate a summary dict against the shipped schema."""
+    # imported here: jsonschema costs every import of the package
+    import jsonschema
     jsonschema.validate(summary, _summary_schema())
 
 

@@ -121,7 +121,13 @@ class OqhoParams:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Validated realization of a stable oscillator driven by vacuum fields."""
+    """Validated realization of a stable oscillator driven by vacuum fields.
+
+    The matrices are read-only copies of the ones passed in, so results
+    cached on the instance (its spectral grid and theta0, see
+    ``qefrate.spectral.grid_for``) cannot go stale; ``dataclasses.replace``
+    builds a new instance with no cache.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -131,6 +137,12 @@ class StateSpace:
     sigma: np.ndarray
     theta_ccr: np.ndarray
     residual_tol: float = field(default=DEFAULT_RESIDUAL_TOL, repr=False)
+
+    def __post_init__(self):
+        for f in ("a", "b", "j", "weight", "s_half", "sigma", "theta_ccr"):
+            arr = np.array(getattr(self, f))
+            arr.flags.writeable = False
+            object.__setattr__(self, f, arr)
 
     @property
     def n(self) -> int:

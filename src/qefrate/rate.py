@@ -14,10 +14,13 @@ is always computed through the two-factor Hermitian split
              + ln det(I - theta sqrt(tanc) Phi sqrt(tanc)),
 
 whose factors have real spectra; the direct complex determinant is kept
-only as an assertion channel against branch-cut mistakes.  The integrand
-is even in frequency, so the integral runs over [0, inf) on the composite
-Gauss-Kronrod rule of ``qefrate.quadrature``, whose mapped last panel
-covers the high-frequency tail.
+only as an assertion channel against branch-cut mistakes.  The second
+factor is formed in the eigenbasis of H = i Psi, where sqrt(tanc) is
+diagonal, so each theta scales the model's cached rotated Phi and takes
+one stacked Hermitian eigensolve.  The integrand is even in frequency,
+so the integral runs over [0, inf) on the composite Gauss-Kronrod rule
+of ``qefrate.quadrature``, whose mapped last panel covers the
+high-frequency tail.
 
 The module also provides the classical entropy integral V(theta) obtained
 when the commutator spectrum is absent, the feasibility threshold
@@ -25,6 +28,11 @@ theta0 = 1 / sup lam_max(Phi) (mesh-free, from the Hamiltonian matrix of
 the H-infinity norm), the mean-square (LQG) limit, the small-theta
 expansion, an analytic continuation E_theta(s) off the imaginary axis, and
 the exponential tail / worst-case cost bounds built on top of Upsilon.
+
+Every entry point that takes a model samples its spectrum through
+``qefrate.spectral.grid_for``, once per model and rule, and theta0 is
+computed once per model; the ``*_from_grid`` functions take a grid the
+caller sampled.
 """
 
 from __future__ import annotations
@@ -33,13 +41,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from ._funcs import apply_herm, hermitize, lncosh, tanhc
+from ._funcs import hermitize, lncosh, minimize_bounded, tanhc
 from .errors import FeasibilityError, NumericalError
 from .model import StateSpace
 from .quadrature import HalfLine, QuadratureConfig
-from .spectral import (SpectralGrid, SpectralSample, sample_grid, transfer,
+from .spectral import (SpectralGrid, SpectralSample, grid_for, transfer,
                        trig_bundle)
 
 __all__ = [
@@ -55,6 +62,9 @@ QUAD_AGREEMENT = 1e-6
 #: Relative step above the best known peak of lam_max(Phi) at which the
 #: level-set iteration for theta0 looks for imaginary-axis eigenvalues.
 LEVEL_STEP = 1e-9
+
+#: Attribute of a ``StateSpace`` holding its memoized theta0.
+_THETA0_SLOT = "_theta0"
 
 #: Relative depth below the peak of the level set whose interval around
 #: the peak brackets the final bounded maximization when the level-set
@@ -102,14 +112,18 @@ def _neg_log_factor(eigs: np.ndarray, theta: float, lambdas: np.ndarray):
 
 
 def _neg_log_det(grid: SpectralGrid, theta: float):
-    """-ln det D_theta over the mesh via the Hermitian split, with margin."""
+    """-ln det D_theta over the mesh via the Hermitian split, with margin.
+
+    The second factor's spectrum is taken in the eigenbasis of H, where
+    sqrt(tanc) is the diagonal r = sqrt(tanhc(theta w)) and the matrix is
+    ``grid.phi_rot`` scaled by r_i r_j.
+    """
     if theta == 0.0:
         return np.zeros(len(grid.lambdas)), 0.0
-    w, v = grid.h_eigh
-    x = theta * w
+    x = theta * grid.h_eigh[0]
     ln_cos = np.sum(np.asarray(lncosh(x)), axis=-1)
-    sym = apply_herm(np.sqrt(np.asarray(tanhc(x))), v)
-    eigs = np.linalg.eigvalsh(hermitize(sym @ grid.phi @ sym))
+    r = np.sqrt(np.asarray(tanhc(x)))
+    eigs = np.linalg.eigvalsh(grid.phi_rot * (r[:, :, None] * r[:, None, :]))
     neg_second, margin = _neg_log_factor(eigs, theta, grid.lambdas)
     return neg_second - ln_cos, margin
 
@@ -179,15 +193,15 @@ def _converged(quad: HalfLine) -> bool:
 
 def upsilon(ss: StateSpace, theta: float, cfg: QuadratureConfig) -> RateResult:
     """Growth rate of the exponential quadratic cost at risk level theta."""
-    return upsilon_from_grid(sample_grid(ss, cfg.lambdas()), theta, cfg)
+    return upsilon_from_grid(grid_for(ss, cfg), theta, cfg)
 
 
 def classical_v(ss: StateSpace, theta: float, cfg: QuadratureConfig) -> float:
     """Entropy integral V(theta) of the classical (commutative) limit."""
     if theta < 0:
         raise FeasibilityError("risk parameter must be nonnegative", theta=theta)
-    grid = sample_grid(ss, cfg.lambdas())
-    return _classical_from_grid(grid, theta, cfg).value / (2.0 * math.pi)
+    return _classical_from_grid(grid_for(ss, cfg), theta,
+                                cfg).value / (2.0 * math.pi)
 
 
 def _phi_peak(ss: StateSpace, lam: float) -> float:
@@ -215,7 +229,7 @@ def theta_threshold(ss: StateSpace, cfg: QuadratureConfig) -> float:
     """Classical feasibility threshold 1 / sup lam_max(Phi) = 1/||F||_inf^2.
 
     Mesh-free: ``cfg`` is kept in the signature for its callers and is not
-    used.
+    used.  The value is computed once per model and stored on it.
     The level-set iteration of Bruinsma & Steinbuch (1990) raises a lower
     bound on the peak, starting from lambda = 0 and the drift resonances:
     the frequencies where lam_max(Phi) crosses the bound are read off the
@@ -224,6 +238,14 @@ def theta_threshold(ss: StateSpace, cfg: QuadratureConfig) -> float:
     is left above it.  A bounded scalar maximization inside the crossing
     interval around the peak then settles the value to rounding.
     """
+    theta0 = vars(ss).get(_THETA0_SLOT)
+    if theta0 is None:
+        theta0 = vars(ss)[_THETA0_SLOT] = 1.0 / _phi_sup(ss)
+    return theta0
+
+
+def _phi_sup(ss: StateSpace) -> float:
+    """sup over frequency of lam_max(Phi), by the level-set iteration."""
     cands = np.concatenate([[0.0], np.abs(np.linalg.eigvals(ss.a).imag)])
     peaks = [_phi_peak(ss, lam) for lam in cands]
     k = int(np.argmax(peaks))
@@ -245,11 +267,11 @@ def theta_threshold(ss: StateSpace, cfg: QuadratureConfig) -> float:
         if 0 < i < len(w):
             bracket = (w[i - 1], w[i])
     if bracket is not None:
-        res = minimize_scalar(lambda lam: -_phi_peak(ss, lam),
-                              bounds=(float(bracket[0]), float(bracket[1])),
-                              method="bounded", options={"xatol": 1e-12})
-        best = max(best, -float(res.fun))
-    return 1.0 / best
+        _, f_min = minimize_bounded(lambda lam: -_phi_peak(ss, lam),
+                                    float(bracket[0]), float(bracket[1]),
+                                    xatol=1e-12)
+        best = max(best, -float(f_min))
+    return best
 
 
 def lqg_rate(ss: StateSpace) -> float:
@@ -274,7 +296,7 @@ def small_theta_expansion(ss: StateSpace, theta: float,
     whose integrand is real and nonpositive, so the expansion always sits
     below the classical value.
     """
-    grid = sample_grid(ss, cfg.lambdas())
+    grid = grid_for(ss, cfg)
     v = _classical_from_grid(grid, theta, cfg).value / (2.0 * math.pi)
     eye = np.eye(ss.n)
     psi_sq = grid.psi @ grid.psi
@@ -330,16 +352,16 @@ def contour_e(ss: StateSpace, s: complex, theta: float) -> np.ndarray:
 
 
 def _refine_inf(objective, grid: np.ndarray, values: np.ndarray) -> float:
-    """Grid infimum with one golden-section refinement around the best node."""
+    """Grid infimum with one bounded Brent refinement around the best node."""
     k = int(np.argmin(values))
     best = float(values[k])
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
     if hi > lo:
-        res = minimize_scalar(objective, bounds=(float(lo), float(hi)),
-                              method="bounded", options={"xatol": 1e-10})
-        if np.isfinite(res.fun):
-            best = min(best, float(res.fun))
+        _, f_min = minimize_bounded(objective, float(lo), float(hi),
+                                    xatol=1e-10)
+        if np.isfinite(f_min):
+            best = min(best, float(f_min))
     return best
 
 
@@ -353,7 +375,7 @@ def tail_bound(ss: StateSpace, alpha: float, theta_grid,
     """
     if not 0.0 < alpha < math.inf:
         raise FeasibilityError("tail level alpha must be positive and finite")
-    grid = sample_grid(ss, cfg.lambdas())
+    grid = grid_for(ss, cfg)
     thetas, ups = _feasible_curve(grid, theta_grid, cfg)
 
     def objective(th: float) -> float:
@@ -376,7 +398,7 @@ def worst_case_lqg_bound(ss: StateSpace, eps: float, theta_grid,
     if not 0.0 <= eps < math.inf:
         raise FeasibilityError(
             "uncertainty budget eps must be finite and nonnegative")
-    grid = sample_grid(ss, cfg.lambdas())
+    grid = grid_for(ss, cfg)
     thetas, ups = _feasible_curve(grid, theta_grid, cfg, positive_only=True)
 
     def objective(th: float) -> float:

@@ -17,6 +17,13 @@ functions with real spectra:
 
 This keeps every eigensolve on the Hermitian path and makes the outputs
 Hermitian by construction.
+
+Every theta-independent step is done once per model and quadrature rule.
+``grid_for`` samples the model's spectral grid on the rule's nodes the
+first time it is asked for and keeps it on the (immutable) model; the
+grid in turn caches eig(H), eig(Phi) and Phi in the eigenbasis of H, so a
+further risk parameter costs only the scalar functions of theta*w and one
+stacked Hermitian eigensolve.
 """
 
 from __future__ import annotations
@@ -29,11 +36,15 @@ import numpy as np
 from ._funcs import apply_herm, hermitize, sinhc, skew_hermitize, tanhc
 from .errors import SingularityError
 from .model import StateSpace
+from .quadrature import QuadratureConfig
 
 __all__ = [
     "SpectralSample", "SpectralGrid", "TrigBundle",
-    "transfer", "spectral_sample", "sample_grid", "trig_bundle",
+    "transfer", "spectral_sample", "sample_grid", "grid_for", "trig_bundle",
 ]
+
+#: Attribute of a ``StateSpace`` holding its cached (rule, grid) pair.
+_GRID_SLOT = "_spectral_grid"
 
 
 @dataclass(frozen=True)
@@ -61,8 +72,9 @@ class SpectralGrid:
     ``phi``, ``psi`` and ``h`` have shape (n_freq, n, n).
 
     The theta-independent eigendecompositions ``h_eigh`` and
-    ``phi_eigvals`` are computed on first use and cached on the instance;
-    ``dataclasses.replace`` builds a new instance with empty caches.
+    ``phi_eigvals``, and ``phi_rot``, are computed on first use and cached
+    on the instance; ``dataclasses.replace`` builds a new instance with
+    empty caches.
     """
 
     lambdas: np.ndarray
@@ -79,6 +91,17 @@ class SpectralGrid:
     def h_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Stacked eigenpairs (w, v) of the Hermitian H = i Psi."""
         return np.linalg.eigh(self.h)
+
+    @cached_property
+    def phi_rot(self) -> np.ndarray:
+        """Phi in the eigenbasis of H, V* Phi V with V from ``h_eigh``.
+
+        For r = sqrt(tanhc(theta w)) the stack r_i r_j (V* Phi V)_ij is
+        unitarily similar to sqrt(tanc) Phi sqrt(tanc), the per-theta
+        factor of the log-determinant.
+        """
+        v = self.h_eigh[1]
+        return hermitize(np.conj(np.swapaxes(v, -1, -2)) @ self.phi @ v)
 
     @cached_property
     def phi_eigvals(self) -> np.ndarray:
@@ -133,6 +156,22 @@ def sample_grid(ss: StateSpace, lambdas: np.ndarray) -> SpectralGrid:
     psi = skew_hermitize(f @ ss.j @ fh)
     return SpectralGrid(lambdas=lambdas, f_val=f, phi=phi, psi=psi,
                         h=hermitize(1j * psi))
+
+
+def grid_for(ss: StateSpace, cfg: QuadratureConfig) -> SpectralGrid:
+    """The model's spectral grid at the nodes of the rule ``cfg``.
+
+    Sampled on the first request and stored on the model, the way
+    ``functools.cached_property`` stores values on an instance; the
+    model's arrays are read-only, so the grid cannot go stale.  A model
+    keeps one grid: a request for another rule samples again and replaces
+    it.
+    """
+    cached = vars(ss).get(_GRID_SLOT)
+    if cached is None or cached[0] != cfg:
+        cached = (cfg, sample_grid(ss, cfg.lambdas()))
+        vars(ss)[_GRID_SLOT] = cached
+    return cached[1]
 
 
 def trig_bundle(sample: SpectralSample, theta: float) -> TrigBundle:

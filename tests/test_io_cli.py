@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +180,18 @@ class TestCliArtifacts:
         assert len(rows) == 5
         assert any(r.endswith("infeasible") for r in rows[1:])
 
+    def test_sweep_flags_unconverged_rows(self, runner, tmp_path):
+        # on panels 7.5 wide the estimate misses the tolerance at 0.9 theta0
+        result = runner.invoke(main, ["sweep", "--points", "3", "--step", "0.5",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0
+        rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+        status = [r.split(",")[-1] for r in rows[1:]]
+        assert status[0] == "ok"
+        assert status[-1] == "quadrature-warning"
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["status"] == "quadrature-warning"
+
     def test_rate_artifacts_validate(self, runner, tmp_path):
         result = runner.invoke(main, ["rate", "--theta", "0.02",
                                       "--step", "0.1", "--out", str(tmp_path)])
@@ -253,3 +269,13 @@ class TestCliArtifacts:
         assert tails[0] == "alpha,bound,status"
         worst = (tmp_path / "worst_case_bounds.csv").read_text().splitlines()
         assert worst[0] == "eps,bound,status"
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    code = ("import sys, qefrate, qefrate.cli; print(sorted(m for m in "
+            "('scipy.optimize', 'scipy.sparse', 'jsonschema') if m in sys.modules))")
+    src = str(Path(q.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 import qefrate as q
+from qefrate import rate
+from qefrate._funcs import apply_herm, hermitize, lncosh, minimize_bounded, tanhc
 from qefrate.errors import FeasibilityError
 from qefrate.model import BJ2
 from qefrate.rate import log_det_d
 
-from conftest import SURROGATE_A, SURROGATE_G, surrogate_v_closed
+from conftest import (SURROGATE_A, SURROGATE_G, single_mode,
+                      surrogate_v_closed)
 
 
 def zero_psi(grid: q.SpectralGrid) -> q.SpectralGrid:
@@ -53,6 +56,49 @@ class TestLogDetD:
         with pytest.raises(FeasibilityError) as err:
             log_det_d(s, 5.0 * theta0)
         assert err.value.lam == pytest.approx(4.3)
+
+
+def neg_log_det_reference(grid: q.SpectralGrid, theta: float) -> np.ndarray:
+    """-ln det D_theta per node, the stacked-product formulation: sqrt(tanc)
+    reassembled as V diag(r) V* and sqrt(tanc) Phi sqrt(tanc) multiplied
+    out before its eigensolve."""
+    w, v = grid.h_eigh
+    x = theta * w
+    sym = apply_herm(np.sqrt(tanhc(x)), v)
+    eigs = np.linalg.eigvalsh(hermitize(sym @ grid.phi @ sym))
+    return -np.sum(np.log1p(-theta * eigs), axis=-1) \
+        - np.sum(lncosh(x), axis=-1)
+
+
+class TestRotatedKernel:
+    """The per-theta factor taken in the eigenbasis of H."""
+
+    @staticmethod
+    def check_model(ss: q.StateSpace) -> None:
+        cfg = q.QuadratureConfig.for_system(ss)
+        grid = q.sample_grid(ss, cfg.lambdas())
+        theta0 = q.theta_threshold(ss, cfg)
+        for f in (0.05, 0.5, 0.95):
+            got, _ = rate._neg_log_det(grid, f * theta0)
+            ref = neg_log_det_reference(grid, f * theta0)
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    def test_matches_stacked_products_twomode(self, twomode):
+        self.check_model(twomode)
+
+    def test_matches_stacked_products_random_pool(self, random_models):
+        for ss in random_models:
+            self.check_model(ss)
+
+    def test_infeasible_names_first_frequency(self, grid_full, theta0):
+        theta = 5.0 * theta0
+        w, v = grid_full.h_eigh
+        sym = apply_herm(np.sqrt(tanhc(theta * w)), v)
+        eigs = np.linalg.eigvalsh(hermitize(sym @ grid_full.phi @ sym))
+        first = int(np.flatnonzero(theta * eigs[:, -1] >= 1.0)[0])
+        with pytest.raises(FeasibilityError) as err:
+            rate._neg_log_det(grid_full, theta)
+        assert err.value.lam == grid_full.lambdas[first]
 
 
 class TestUpsilon:
@@ -159,6 +205,16 @@ class TestThetaThreshold:
         expected = SURROGATE_A ** 2 / SURROGATE_G ** 2
         assert q.theta_threshold(surrogate, cfg) == pytest.approx(expected,
                                                                   rel=1e-10)
+
+    def test_memoized_per_model(self, cfg_coarse, monkeypatch):
+        calls = []
+        original = rate._phi_sup
+        monkeypatch.setattr(rate, "_phi_sup",
+                            lambda ss: calls.append(1) or original(ss))
+        ss = q.two_mode_example()
+        first = q.theta_threshold(ss, cfg_coarse)
+        assert q.theta_threshold(ss, q.QuadratureConfig.for_system(ss)) == first
+        assert len(calls) == 1
 
 
 class TestLqgRate:
@@ -334,3 +390,47 @@ class TestFrequencyProfile:
         assert len(lambdas) == len(neg_ld) == len(classical)
         assert np.all(neg_ld >= -1e-12)
         assert np.all(classical >= neg_ld - 1e-12)
+
+
+def scipy_bounded(func, lo, hi, xatol):
+    """The reference minimizer: scipy's bounded Brent method."""
+    from scipy.optimize import minimize_scalar
+    res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol})
+    return float(res.x), float(res.fun)
+
+
+class TestBoundedMinimizer:
+    @pytest.mark.parametrize("func, lo, hi, xatol", [
+        (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-10),
+        (lambda x: math.cos(3.0 * x) + 0.1 * x, 0.0, 3.0, 1e-12),
+        (lambda x: abs(x - 1.0) ** 0.5, 0.0, 4.0, 1e-8),
+        (lambda x: math.inf if x > 0.7 else -x * (1.0 - x), 0.0, 1.0, 1e-10),
+        (lambda x: x, 2.0, 5.0, 1e-6),
+    ], ids=["quadratic", "cosine", "cusp", "wall", "monotone"])
+    def test_iterates_match_scipy(self, func, lo, hi, xatol):
+        assert minimize_bounded(func, lo, hi, xatol) == \
+            scipy_bounded(func, lo, hi, xatol)
+
+    def test_rejects_bad_bounds(self):
+        with pytest.raises(ValueError):
+            minimize_bounded(abs, 1.0, 0.0, 1e-8)
+        with pytest.raises(ValueError):
+            minimize_bounded(abs, 0.0, math.nan, 1e-8)
+
+    def test_threshold_and_bounds_match_scipy_path(self, bound_cfg,
+                                                   monkeypatch):
+        def answers():
+            # fresh models: theta0 is memoized on the model
+            ss = q.two_mode_example()
+            theta0 = q.theta_threshold(ss, bound_cfg)
+            grid = np.linspace(0.05, 0.95, 10) * theta0
+            return (theta0, q.theta_threshold(single_mode(1e-3), bound_cfg),
+                    q.tail_bound(ss, 1.5 * q.lqg_rate(ss), grid, bound_cfg),
+                    q.worst_case_lqg_bound(ss, 0.05, grid, bound_cfg))
+
+        ours = answers()
+        monkeypatch.setattr(rate, "minimize_bounded", scipy_bounded)
+        reference = answers()
+        for a, b in zip(ours, reference):
+            assert a == pytest.approx(b, rel=1e-12)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 
 import qefrate as q
 from qefrate._funcs import lncosh, sinhc, tanhc
+from qefrate import spectral
 from qefrate.errors import SingularityError
-from qefrate.spectral import trig_bundle
+from qefrate.spectral import grid_for, trig_bundle
 
 
 def adjugate_inverse(m: np.ndarray) -> np.ndarray:
@@ -182,3 +185,73 @@ class TestFeasibilityMargin:
     def test_feasible_at_high_theta(self, grid_full, cfg_full, theta0):
         assert q.upsilon_from_grid(grid_full, 0.9 * theta0,
                                    cfg_full).margin < 1.0
+
+
+class TestGridCache:
+    """One spectral grid per (model, rule), sampled on first use."""
+
+    @pytest.fixture()
+    def sampled(self, monkeypatch):
+        """Rules of every ``sample_grid`` call made through the cache."""
+        calls = []
+        original = spectral.sample_grid
+
+        def counting(ss, lambdas):
+            calls.append(len(lambdas))
+            return original(ss, lambdas)
+
+        monkeypatch.setattr(spectral, "sample_grid", counting)
+        return calls
+
+    def test_every_entry_point_samples_once(self, sampled):
+        ss = q.two_mode_example()
+        cfg = q.QuadratureConfig.for_system(ss)
+        theta0 = q.theta_threshold(ss, cfg)
+        for f in (0.2, 0.5, 0.8):
+            q.upsilon(ss, f * theta0, cfg)
+        q.classical_v(ss, 0.5 * theta0, cfg)
+        q.small_theta_expansion(ss, theta0 / 8.0, cfg)
+        thetas = np.linspace(0.05, 0.95, 5) * theta0
+        q.tail_bound(ss, 1.5 * q.lqg_rate(ss), thetas, cfg)
+        q.worst_case_lqg_bound(ss, 0.05, thetas, cfg)
+        q.rate_by_homotopy(ss, 0.5 * theta0, 0.05 * theta0, cfg)
+        assert sampled == [cfg.n_intervals + 1]
+
+    def test_another_rule_samples_again(self, sampled):
+        ss = q.two_mode_example()
+        fine = q.QuadratureConfig.for_system(ss)
+        coarse = q.QuadratureConfig(cutoff=100.0, step=0.25)
+        assert grid_for(ss, fine) is grid_for(ss, fine)
+        grid_coarse = grid_for(ss, coarse)
+        assert len(grid_coarse.lambdas) == coarse.n_intervals + 1
+        # one slot per model: the first rule was replaced
+        grid_for(ss, fine)
+        assert len(sampled) == 3
+
+    def test_replace_starts_with_empty_cache(self, sampled):
+        ss = q.two_mode_example()
+        cfg = q.QuadratureConfig(cutoff=100.0, step=0.25)
+        q.upsilon(ss, 0.02, cfg)
+        q.theta_threshold(ss, cfg)
+        twin = dataclasses.replace(ss, residual_tol=2.0 * ss.residual_tol)
+        assert not {"_spectral_grid", "_theta0"} & set(vars(twin))
+        q.upsilon(twin, 0.02, cfg)
+        assert len(sampled) == 2
+
+    def test_model_arrays_read_only(self):
+        ref = q.two_mode_example()
+        a = np.array(ref.a)
+        ss = q.from_state_space(a, ref.b, ref.weight)
+        for name in ("a", "b", "j", "weight", "s_half", "sigma", "theta_ccr"):
+            with pytest.raises(ValueError):
+                getattr(ss, name)[0, 0] = 1.0
+        # the caller's array is copied, not frozen
+        a[0, 0] += 0.0
+
+    def test_cached_upsilon_bit_identical(self, twomode, theta0):
+        cfg = q.QuadratureConfig.for_system(twomode)
+        for f in (0.05, 0.5, 0.95):
+            cached = q.upsilon(twomode, f * theta0, cfg)
+            fresh = q.upsilon_from_grid(q.sample_grid(twomode, cfg.lambdas()),
+                                        f * theta0, cfg)
+            assert cached == fresh
