@@ -23,9 +23,9 @@ from . import onemode as onemode_mod
 from . import rate as rate_mod
 from .errors import FeasibilityError, ModelError, NumericalError
 from .io import load_model, write_csv, write_summary
-from .model import BJ2, StateSpace
+from .model import StateSpace
 from .quadrature import QuadratureConfig
-from .spectral import grid_for, spectral_sample, trig_bundle
+from .spectral import grid_for
 from .twomode import two_mode_example
 
 
@@ -78,6 +78,11 @@ def _out_dir(out: str) -> Path:
     return path
 
 
+def _eig_pairs(ss: StateSpace) -> list[list[float]]:
+    """Drift eigenvalues as [real, imag] pairs."""
+    return [[float(e.real), float(e.imag)] for e in ss.drift_eigenvalues]
+
+
 def _manifest(command: str, model_path, out, **overrides) -> dict:
     used = {k: v for k, v in overrides.items() if v is not None}
     return {"command": command, "model": model_path, "out": str(out), **used}
@@ -114,7 +119,6 @@ def validate(model_path, out, threads):
     _limit_threads(threads)
     ss = _get_model(model_path)
     cfg = QuadratureConfig.for_system(ss)
-    eigs = np.linalg.eigvals(ss.a)
     summary = {
         "command": "validate",
         "version": __version__,
@@ -125,7 +129,7 @@ def validate(model_path, out, threads):
         "hurwitz_margin": ss.hurwitz_margin(),
         "noise_det": ss.noise_det(),
         "theta0": rate_mod.theta_threshold(ss, cfg),
-        "drift_eigenvalues": [[float(e.real), float(e.imag)] for e in eigs],
+        "drift_eigenvalues": _eig_pairs(ss),
         "drift_norm": float(np.linalg.norm(ss.a, 2)),
         "status": "ok",
     }
@@ -183,7 +187,8 @@ def rate_cmd(model_path, theta, out, cutoff, step, threads):
 @model_option
 @click.option("--theta-max", type=float, default=None,
               help="Top of the sweep; defaults to 0.9 * theta0.")
-@click.option("--points", type=int, default=10, show_default=True)
+@click.option("--points", type=click.IntRange(min=1), default=10,
+              show_default=True)
 @out_option
 @cutoff_option
 @step_option
@@ -306,7 +311,8 @@ def horizon_cmd(model_path, theta, horizons, dt, max_dim, out, threads):
 @model_option
 @click.option("--alpha", default="", help="Comma-separated tail levels.")
 @click.option("--eps", default="", help="Comma-separated uncertainty budgets.")
-@click.option("--theta-points", type=int, default=30, show_default=True)
+@click.option("--theta-points", type=click.IntRange(min=1), default=30,
+              show_default=True)
 @out_option
 @cutoff_option
 @step_option
@@ -354,7 +360,8 @@ def bounds(model_path, alpha, eps, theta_points, out, cutoff, step, threads):
 
 @main.command(name="onemode-check")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--samples", type=int, default=100, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=100,
+              show_default=True)
 @out_option
 @threads_option
 @_exit_on_errors
@@ -362,29 +369,10 @@ def onemode_check(seed, samples, out, threads):
     """Cross-check the generic pipeline against single-mode closed forms."""
     _limit_threads(threads)
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(2, 2))
-    r = g @ g.T + 0.5 * np.eye(2)
-    m_mat = rng.normal(size=(4, 2))
-    if (m_mat.T @ np.kron(np.array([[0., 1.], [-1., 0.]]), np.eye(2)) @ m_mat)[0, 1] < 0:
-        m_mat = m_mat @ np.diag([1.0, -1.0])
-    params = onemode_mod.OneModeParams.from_matrices(r, m_mat)
-    ss = onemode_mod.to_state_space(params)
+    params = onemode_mod.random_params(rng)
     lams = rng.uniform(-8.0, 8.0, size=samples)
-    dev_psi = 0.0
-    dev_trig = 0.0
-    for lam in lams:
-        sample = spectral_sample(ss, lam)
-        a, b = onemode_mod.ab_functions(params.mu, params.nu, 1j * lam)
-        closed = a * np.eye(2) + b * BJ2
-        dev_psi = max(dev_psi, float(np.max(np.abs(sample.psi - closed))))
-        theta = 0.3 / (1.0 + abs(float(lam)))
-        cos_c, sin_c = onemode_mod.onemode_trig(params.mu, params.nu,
-                                                1j * lam, theta)
-        tb = trig_bundle(sample, theta)
-        sin_generic = theta * sample.psi @ tb.sinc_tp
-        dev_trig = max(dev_trig,
-                       float(np.max(np.abs(tb.cos_tp - cos_c))),
-                       float(np.max(np.abs(sin_generic - sin_c))))
+    dev_psi, dev_trig = onemode_mod.generic_deviation(
+        params, lams, 0.3 / (1.0 + np.abs(lams)))
     res_dets = [abs(np.linalg.det(onemode_mod.residue_at(params.mu, params.nu, p)))
                 for p in onemode_mod.poles(params.mu, params.nu)]
     summary = {
@@ -435,8 +423,8 @@ def example(out, dtheta_frac, cutoff, step, threads):
 
     dtheta = dtheta_frac * theta0
     trace = homotopy_mod.rate_by_homotopy(ss, theta_hi, dtheta, cfg)
-    direct = np.array([rate_mod.upsilon(ss, float(t), cfg).upsilon
-                       for t in trace.theta_grid])
+    results = [rate_mod.upsilon(ss, float(t), cfg) for t in trace.theta_grid]
+    direct = np.array([r.upsilon for r in results])
     write_csv(out_path / "rate_curve.csv",
               ["theta", "upsilon_homotopy", "upsilon_direct"],
               zip(trace.theta_grid.tolist(), trace.rate.tolist(),
@@ -445,19 +433,19 @@ def example(out, dtheta_frac, cutoff, step, threads):
     nonzero = trace.theta_grid > 0
     gap = float(np.max(np.abs(trace.rate[nonzero] - direct[nonzero])
                        / np.abs(direct[nonzero])))
-    eigs = np.linalg.eigvals(ss.a)
     write_summary(out_path / "summary.json", {
         "command": "example", "version": __version__, "model": None,
         "manifest": _manifest("example", None, out, dtheta_frac=dtheta_frac,
                               cutoff=cutoff, step=step),
         "theta0": theta0,
-        "drift_eigenvalues": [[float(e.real), float(e.imag)] for e in eigs],
+        "drift_eigenvalues": _eig_pairs(ss),
         "drift_norm": float(np.linalg.norm(ss.a, 2)),
         "lqg_rate": rate_mod.lqg_rate(ss),
         "cross_method_gap": gap,
         "march_workers": trace.workers,
         "cutoff": cfg.cutoff, "step": cfg.step,
-        "status": "ok",
+        "status": "ok" if all(r.converged for r in results)
+                  else "quadrature-warning",
     })
     click.echo(f"theta0 = {theta0:.6g}, cross-method gap = {gap:.3g}")
 

@@ -15,6 +15,7 @@ platforms.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 from pathlib import Path
@@ -80,11 +81,32 @@ def _summary_schema() -> dict:
     return json.loads(text)
 
 
-def validate_summary(summary: dict) -> None:
-    """Validate a summary dict against the shipped schema."""
+@functools.cache
+def _summary_validator():
+    """Validator for the shipped schema, built once per process.
+
+    Checking the schema against its meta-schema and building the
+    validator costs two orders of magnitude more than validating one
+    summary, so both happen on first use only.
+    """
     # imported here: jsonschema costs every import of the package
-    import jsonschema
-    jsonschema.validate(summary, _summary_schema())
+    from jsonschema.validators import validator_for
+    schema = _summary_schema()
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_summary(summary: dict) -> None:
+    """Validate a summary dict against the shipped schema.
+
+    Raises the ``jsonschema.ValidationError`` that ``jsonschema.validate``
+    would raise: the best match among all errors in the summary.
+    """
+    from jsonschema.exceptions import best_match
+    error = best_match(_summary_validator().iter_errors(summary))
+    if error is not None:
+        raise error
 
 
 def write_summary(path: str | Path, summary: dict) -> None:

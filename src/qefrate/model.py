@@ -21,6 +21,7 @@ P(-tau) = P(tau)'.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -124,9 +125,9 @@ class StateSpace:
     """Validated realization of a stable oscillator driven by vacuum fields.
 
     The matrices are read-only copies of the ones passed in, so results
-    cached on the instance (its spectral grid and theta0, see
-    ``qefrate.spectral.grid_for``) cannot go stale; ``dataclasses.replace``
-    builds a new instance with no cache.
+    cached on the instance (its drift spectrum, spectral grid and theta0,
+    see ``qefrate.spectral.grid_for``) cannot go stale;
+    ``dataclasses.replace`` builds a new instance with no cache.
     """
 
     a: np.ndarray
@@ -152,6 +153,11 @@ class StateSpace:
     def m(self) -> int:
         return self.b.shape[1]
 
+    @cached_property
+    def drift_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the drift A, solved once per model (read-only)."""
+        return _eigvals(self.a)
+
     def pr_residual(self) -> float:
         """Frobenius norm of A Theta + Theta A' + B J B'."""
         return float(np.linalg.norm(
@@ -165,7 +171,7 @@ class StateSpace:
 
     def hurwitz_margin(self) -> float:
         """-max Re eig(A); positive for a stable drift."""
-        return float(-np.max(np.real(np.linalg.eigvals(self.a))))
+        return float(-np.max(np.real(self.drift_eigenvalues)))
 
     def noise_det(self) -> float:
         """det(B J B'), whose vanishing degenerates the commutator kernel."""
@@ -185,10 +191,19 @@ class KernelSample:
     p_k: np.ndarray
 
 
-def _check_hurwitz(a: np.ndarray) -> None:
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    eig = np.linalg.eigvals(a)
+    eig.flags.writeable = False
+    return eig
+
+
+def _check_hurwitz(a: np.ndarray) -> np.ndarray:
+    """Reject a drift that is not Hurwitz; returns its eigenvalues."""
+    eig = _eigvals(a)
     margin = HURWITZ_MARGIN * max(np.linalg.norm(a, 2), 1e-300)
-    if np.max(np.real(np.linalg.eigvals(a))) >= -margin:
+    if np.max(np.real(eig)) >= -margin:
         raise StabilityError("drift matrix is not Hurwitz")
+    return eig
 
 
 def _check_noise_rank(b: np.ndarray, j: np.ndarray) -> None:
@@ -199,13 +214,16 @@ def _check_noise_rank(b: np.ndarray, j: np.ndarray) -> None:
 
 
 def _validated(a, b, j, pi, theta, residual_tol: float,
-               pd_floor: float) -> StateSpace:
-    _check_hurwitz(a)
+               pd_floor: float, eig: np.ndarray | None = None) -> StateSpace:
+    if eig is None:
+        eig = _check_hurwitz(a)
     _check_noise_rank(b, j)
     s = sqrtm_spd(pi, floor=pd_floor)
     sigma = symmetrize(solve_ale(a, b @ b.T))
     ss = StateSpace(a=a, b=b, j=j, weight=pi, s_half=s, sigma=sigma,
                     theta_ccr=theta, residual_tol=residual_tol)
+    # the spectrum of the drift just checked: the cached_property's slot
+    vars(ss)["drift_eigenvalues"] = eig
     scale = 1.0 + np.linalg.norm(a) * np.linalg.norm(theta)
     if ss.pr_residual() > residual_tol * scale:
         raise ParameterError(
@@ -270,13 +288,13 @@ def from_state_space(a, b, weight, theta_ccr=None,
     if m < 2 or m % 2:
         raise DimensionError(f"field dimension must be even and >= 2, got {m}")
     j = build_j_matrix(m)
-    _check_hurwitz(a)
+    eig = _check_hurwitz(a)
     if theta_ccr is None:
         theta = solve_ale(a, b @ j @ b.T)
         theta = 0.5 * (theta - theta.T)
     else:
         theta = _as_matrix(theta_ccr, "theta_ccr")
-    return _validated(a, b, j, pi, theta, residual_tol, pd_floor)
+    return _validated(a, b, j, pi, theta, residual_tol, pd_floor, eig)
 
 
 def kernel_at(ss: StateSpace, tau: float) -> KernelSample:

@@ -18,7 +18,8 @@ commutator spectrum collapses to two scalar functions:
 with poles at mu +/- i nu and -mu +/- i nu.  Trigonometric functions of
 theta*Mho then reduce to scalar sin/cos/sinh/cosh combinations.  These
 closed forms provide an independent oracle for the generic spectral
-pipeline.
+pipeline.  They take a scalar point s or an array of points, and return
+one value or 2x2 matrix per point.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._funcs import sqrtm_spd
+from ._funcs import apply_herm, sinhc, sqrtm_spd
 from .errors import DimensionError, ParameterError, SingularityError, StructureError
-from .model import BJ2, OqhoParams, StateSpace, realize
+from .model import BJ2, OqhoParams, StateSpace, build_j_matrix, realize
+from .spectral import sample_grid
 
 __all__ = ["OneModeParams", "extract_mu", "onemode_drift", "ab_functions",
-           "onemode_trig", "poles", "residue_at", "to_state_space"]
+           "onemode_trig", "poles", "residue_at", "to_state_space",
+           "random_params", "generic_deviation"]
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,6 @@ class OneModeParams:
             raise DimensionError("energy matrix must be 2x2")
         if np.any(np.linalg.eigvalsh(0.5 * (r + r.T)) <= 0):
             raise ParameterError("energy matrix must be positive definite")
-        from .model import build_j_matrix
         j = build_j_matrix(m_mat.shape[0])
         mu = extract_mu(m_mat, j)
         nu = float(np.sqrt(np.linalg.det(r)))
@@ -93,29 +95,37 @@ def poles(mu: float, nu: float) -> np.ndarray:
     return np.array([mu + 1j * nu, mu - 1j * nu, -mu + 1j * nu, -mu - 1j * nu])
 
 
-def ab_functions(mu: float, nu: float, s: complex):
-    """Scalar coefficients (a, b) of Mho(s) = a I + b BJ2."""
-    s = complex(s)
-    if np.min(np.abs(poles(mu, nu) - s)) < 1e-10:
+def ab_functions(mu: float, nu: float, s):
+    """Scalar coefficients (a, b) of Mho(s) = a I + b BJ2, at each point s."""
+    s = np.asarray(s, dtype=complex)
+    if np.min(np.abs(poles(mu, nu)[:, None] - s.reshape(1, -1))) < 1e-10:
         raise SingularityError(f"evaluation point {s} is at a pole")
     denom = ((s + mu) ** 2 + nu ** 2) * ((mu - s) ** 2 + nu ** 2)
     factor = mu * nu / denom
     return factor * 2.0 * nu * s, factor * (mu ** 2 + nu ** 2 - s * s)
 
 
-def onemode_trig(mu: float, nu: float, s: complex, theta: float):
+def _split(a, b) -> np.ndarray:
+    """Stacked a I + b BJ2, one 2x2 matrix per entry of a and b."""
+    return a[..., None, None] * np.eye(2) + b[..., None, None] * BJ2
+
+
+def _mho(mu: float, nu: float, s) -> np.ndarray:
+    """Mho(s) = a(s) I + b(s) BJ2, a 2x2 matrix per point s."""
+    return _split(*ab_functions(mu, nu, s))
+
+
+def onemode_trig(mu: float, nu: float, s, theta):
     """cos(theta Mho) and sin(theta Mho) from the scalar closed forms.
 
     Uses cos(z BJ2) = cosh(z) I and sin(z BJ2) = sinh(z) BJ2 together with
-    the angle-sum identities on the commuting split a I + b BJ2.
+    the angle-sum identities on the commuting split a I + b BJ2.  ``theta``
+    broadcasts against the points s.
     """
     a, b = ab_functions(mu, nu, s)
-    eye = np.eye(2, dtype=complex)
     ca, sa = np.cos(theta * a), np.sin(theta * a)
     cb, sb = np.cosh(theta * b), np.sinh(theta * b)
-    cos_m = ca * cb * eye - sa * sb * BJ2.astype(complex)
-    sin_m = sa * cb * eye + ca * sb * BJ2.astype(complex)
-    return cos_m, sin_m
+    return _split(ca * cb, -sa * sb), _split(sa * cb, ca * sb)
 
 
 def residue_at(mu: float, nu: float, pole: complex, radius: float = 1e-3,
@@ -127,15 +137,53 @@ def residue_at(mu: float, nu: float, pole: complex, radius: float = 1e-3,
     """
     angles = 2.0 * np.pi * np.arange(nodes) / nodes
     points = pole + radius * np.exp(1j * angles)
-    acc = np.zeros((2, 2), dtype=complex)
-    for z in points:
-        a, b = ab_functions(mu, nu, z)
-        mho = a * np.eye(2) + b * BJ2
-        acc += mho * (z - pole)
-    return acc / nodes
+    terms = _mho(mu, nu, points) * (points - pole)[:, None, None]
+    return terms.sum(axis=0) / nodes
 
 
 def to_state_space(params: OneModeParams) -> StateSpace:
     """Realize the single-mode model with weight equal to the energy matrix."""
     return realize(OqhoParams(theta_ccr=0.5 * BJ2, energy=params.r,
                               coupling=params.m_mat, weight=params.r))
+
+
+def random_params(rng: np.random.Generator) -> OneModeParams:
+    """A random single-mode model: energy G G' + I/2 for a normal 2x2 G,
+    and a normal 4x2 coupling with a column sign flipped if needed so
+    that mu is positive."""
+    g = rng.normal(size=(2, 2))
+    r = g @ g.T + 0.5 * np.eye(2)
+    m_mat = rng.normal(size=(4, 2))
+    if (m_mat.T @ build_j_matrix(4) @ m_mat)[0, 1] < 0:
+        m_mat = m_mat @ np.diag([1.0, -1.0])
+    return OneModeParams.from_matrices(r, m_mat)
+
+
+def generic_deviation(params: OneModeParams, lams: np.ndarray,
+                      thetas: np.ndarray) -> tuple[float, float]:
+    """Largest entrywise deviations of the generic pipeline from the
+    closed forms, as (psi, trig).
+
+    ``psi`` compares Psi(lam) of the realized model with Mho(i lam);
+    ``trig`` compares cos(theta Psi) and theta Psi sinc(theta Psi) with
+    the closed-form cos and sin of theta Mho, at the paired entries of
+    ``lams`` and ``thetas``.  One grid over |lam| is sampled, mirrored by
+    conjugation where lam < 0 (as ``SpectralSample.mirrored`` does), and
+    H = i Psi is solved in one stacked eigensolve.
+    """
+    lams = np.asarray(lams, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    grid = sample_grid(to_state_space(params), np.abs(lams))
+    neg = (lams < 0)[:, None, None]
+    psi = np.where(neg, np.conj(grid.psi), grid.psi)
+    h = np.where(neg, -np.conj(grid.h), grid.h)
+    closed = _mho(params.mu, params.nu, 1j * lams)
+    dev_psi = float(np.max(np.abs(psi - closed)))
+    w, v = np.linalg.eigh(h)
+    x = thetas[:, None] * w
+    cos_tp = apply_herm(np.cosh(x), v)
+    sin_tp = thetas[:, None, None] * psi @ apply_herm(sinhc(x), v)
+    cos_c, sin_c = onemode_trig(params.mu, params.nu, 1j * lams, thetas)
+    dev_trig = max(float(np.max(np.abs(cos_tp - cos_c))),
+                   float(np.max(np.abs(sin_tp - sin_c))))
+    return dev_psi, dev_trig

@@ -111,7 +111,7 @@ class QuadratureConfig:
         from every pole.  ``step`` (``step_scale`` times cutoff/100)
         is kept for a uniform override.
         """
-        mu = np.linalg.eigvals(ss.a)
+        mu = ss.drift_eigenvalues
         rad = float(np.max(np.abs(mu)))
         cutoff = max(100.0, 10.0 * rad)
         edges = set()

@@ -246,7 +246,7 @@ def theta_threshold(ss: StateSpace, cfg: QuadratureConfig) -> float:
 
 def _phi_sup(ss: StateSpace) -> float:
     """sup over frequency of lam_max(Phi), by the level-set iteration."""
-    cands = np.concatenate([[0.0], np.abs(np.linalg.eigvals(ss.a).imag)])
+    cands = np.concatenate([[0.0], np.abs(ss.drift_eigenvalues.imag)])
     peaks = [_phi_peak(ss, lam) for lam in cands]
     k = int(np.argmax(peaks))
     best_lam, best = float(cands[k]), peaks[k]

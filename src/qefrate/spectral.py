@@ -123,11 +123,10 @@ def transfer(ss: StateSpace, v: complex) -> np.ndarray:
     """Evaluate F(v) = S (vI - A)^{-1} B by a dense linear solve.
 
     Raises SingularityError when v is within 1e-12 (relative) of an
-    eigenvalue of the drift; this cannot happen on the imaginary axis
-    because the drift is Hurwitz.
+    eigenvalue of the drift (the model's stored spectrum); this cannot
+    happen on the imaginary axis because the drift is Hurwitz.
     """
-    eig = np.linalg.eigvals(ss.a)
-    if np.min(np.abs(eig - v)) < 1e-12 * (1.0 + abs(v)):
+    if np.min(np.abs(ss.drift_eigenvalues - v)) < 1e-12 * (1.0 + abs(v)):
         raise SingularityError(f"evaluation point {v} is an eigenvalue of the drift")
     n = ss.n
     return ss.s_half @ np.linalg.solve(v * np.eye(n) - ss.a, ss.b)

@@ -8,14 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import qefrate as q
+from qefrate import io as qio
 from qefrate.cli import main
 from qefrate.errors import ParameterError
-from qefrate.io import load_model, validate_summary, write_csv
+from qefrate.io import load_model, validate_summary, write_csv, write_summary
 from qefrate.twomode import TWO_MODE_A, TWO_MODE_B, TWO_MODE_WEIGHT
 
 
@@ -83,6 +85,33 @@ class TestWriters:
         validate_summary({"command": "rate", "version": "0.1.0"})
         with pytest.raises(Exception):
             validate_summary({"version": "0.1.0"})
+
+    def test_validator_built_once(self, tmp_path):
+        qio._summary_validator.cache_clear()
+        for k in range(3):
+            write_summary(tmp_path / f"s{k}.json",
+                          {"command": "rate", "version": "0.1.0"})
+        info = qio._summary_validator.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_shipped_schema_passes_its_meta_schema(self):
+        schema = qio._summary_schema()
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("bad", [
+        {"version": "0.1.0"},
+        {"command": "rate", "version": "0.1.0", "rule": 15},
+        {"command": "rate", "version": "0.1.0", "quad_error": -1.0},
+        {"command": 3, "version": None, "status": 1}],
+        ids=["no-command", "rule-type", "negative-error", "several"])
+    def test_malformed_summary_error_matches_jsonschema(self, bad, tmp_path):
+        with pytest.raises(jsonschema.ValidationError) as ours:
+            write_summary(tmp_path / "summary.json", bad)
+        with pytest.raises(jsonschema.ValidationError) as reference:
+            jsonschema.validate(bad, qio._summary_schema())
+        assert ours.value.message == reference.value.message
+        assert str(ours.value) == str(reference.value)
+        assert not (tmp_path / "summary.json").exists()
 
 
 class TestCliExitCodes:
@@ -158,6 +187,21 @@ class TestCliExitCodes:
         orders = [twomode.n * round(float(t) / params["dt"])
                   for t in params["horizons"].split(",")]
         assert max(orders) <= params["max_dim"]
+
+    @pytest.mark.parametrize("args", [
+        ["onemode-check", "--samples", "0"],
+        ["onemode-check", "--samples", "-1"],
+        ["bounds", "--theta-points", "0", "--step", "0.25"],
+        ["sweep", "--points", "0", "--step", "0.25"]],
+        ids=["samples-zero", "samples-negative", "theta-points-zero",
+             "points-zero"])
+    def test_count_options_reject_nonpositive(self, runner, tmp_path, args):
+        out = tmp_path / "out"
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 2
+        assert "Invalid value" in result.output
+        assert "x>=1" in result.output
+        assert not out.exists()
 
     def test_bounds_nan_levels_infeasible(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -259,6 +303,14 @@ class TestCliArtifacts:
         # suite at 1e-3
         assert summary["cross_method_gap"] < 2e-2
         assert summary["march_workers"] == 1
+
+    def test_example_flags_unconverged_direct_values(self, runner, tmp_path):
+        # panels 7.5 wide miss the tolerance near 0.9 theta0, as in sweep
+        result = runner.invoke(main, ["example", "--dtheta-frac", "0.1",
+                                      "--step", "0.5", "--out", str(tmp_path)])
+        assert result.exit_code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["status"] == "quadrature-warning"
 
     def test_bounds_artifacts(self, runner, tmp_path):
         result = runner.invoke(main, [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,42 @@ class TestFromStateSpace:
         assert np.allclose(twomode.s_half @ twomode.s_half, twomode.weight,
                            atol=1e-12)
         assert np.array_equal(twomode.s_half, twomode.s_half.T)
+
+
+class TestDriftSpectrum:
+    @pytest.mark.parametrize("build", ["from_state_space", "realize"])
+    def test_solved_once_per_model(self, monkeypatch, twomode, onemode_params,
+                                   build):
+        orders = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            orders.append(a.shape[0])
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        if build == "realize":
+            ss = q.realize(q.OqhoParams(theta_ccr=0.5 * BJ2,
+                                        energy=onemode_params.r,
+                                        coupling=onemode_params.m_mat,
+                                        weight=onemode_params.r))
+        else:
+            ss = q.from_state_space(twomode.a, twomode.b, twomode.weight)
+        cfg = q.QuadratureConfig.for_system(ss)
+        q.theta_threshold(ss, cfg)
+        ss.hurwitz_margin()
+        q.transfer(ss, 0.5j)
+        # the level-set search solves 2n x 2n Hamiltonians, never A again
+        assert orders.count(ss.n) == 1
+
+    def test_read_only_and_dropped_by_replace(self, twomode):
+        eig = twomode.drift_eigenvalues
+        assert np.array_equal(eig, np.linalg.eigvals(twomode.a))
+        with pytest.raises(ValueError):
+            eig[0] = 0.0
+        twin = dataclasses.replace(twomode)
+        assert "drift_eigenvalues" not in vars(twin)
+        assert np.array_equal(twin.drift_eigenvalues, eig)
 
 
 class TestKernelAt:

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import qefrate as q
+from qefrate.cli import main
 from qefrate.errors import (DimensionError, ParameterError, SingularityError,
                             StructureError)
 from qefrate.model import BJ2, build_j_matrix
-from qefrate.onemode import onemode_trig, poles, residue_at
+from qefrate.onemode import (onemode_trig, poles, random_params, residue_at,
+                             to_state_space)
 from qefrate.spectral import trig_bundle
 
 
@@ -91,6 +96,11 @@ class TestAbFunctions:
         with pytest.raises(SingularityError):
             q.ab_functions(mu, nu, mu + 1j * nu)
 
+    def test_pole_guard_on_arrays(self):
+        mu, nu = 0.7, 1.3
+        with pytest.raises(SingularityError):
+            q.ab_functions(mu, nu, np.array([0.0, mu + 1j * nu]))
+
     def test_matches_generic_commutator_spectrum(self, onemode_params,
                                                  onemode_ss):
         for lam in [0.4, 1.9, 6.0]:
@@ -135,6 +145,17 @@ class TestOnemodeTrig:
             assert np.max(np.abs(d_generic - d_closed)) < 1e-10
 
 
+def residue_loop(mu, nu, pole, radius=1e-3, nodes=64):
+    """Residue of Mho by the node-by-node trapezoid loop, the reference
+    for the array expression in ``residue_at``."""
+    angles = 2.0 * np.pi * np.arange(nodes) / nodes
+    acc = np.zeros((2, 2), dtype=complex)
+    for z in pole + radius * np.exp(1j * angles):
+        a, b = q.ab_functions(mu, nu, z)
+        acc += (a * np.eye(2) + b * BJ2) * (z - pole)
+    return acc / nodes
+
+
 class TestResidues:
     def test_determinants_vanish_at_all_poles(self, onemode_params):
         for pole in poles(onemode_params.mu, onemode_params.nu):
@@ -142,6 +163,57 @@ class TestResidues:
             assert abs(np.linalg.det(res)) < 1e-6
             # the residue itself is far from zero; only its det collapses
             assert np.max(np.abs(res)) > 1e-3
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_node_loop(self, seed):
+        params = random_params(np.random.default_rng(seed))
+        for pole in poles(params.mu, params.nu):
+            ref = residue_loop(params.mu, params.nu, pole)
+            res = residue_at(params.mu, params.nu, pole)
+            assert np.max(np.abs(res - ref)) <= 1e-15
+
+
+def per_sample_check(seed: int, samples: int = 100) -> dict:
+    """The onemode-check command as one frequency at a time: the reference
+    for its single-grid, stacked-eigensolve evaluation."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(2, 2))
+    r = g @ g.T + 0.5 * np.eye(2)
+    m_mat = rng.normal(size=(4, 2))
+    if (m_mat.T @ build_j_matrix(4) @ m_mat)[0, 1] < 0:
+        m_mat = m_mat @ np.diag([1.0, -1.0])
+    params = q.OneModeParams.from_matrices(r, m_mat)
+    ss = to_state_space(params)
+    dev_psi = dev_trig = 0.0
+    for lam in rng.uniform(-8.0, 8.0, size=samples):
+        sample = q.spectral_sample(ss, lam)
+        a, b = q.ab_functions(params.mu, params.nu, 1j * lam)
+        closed = a * np.eye(2) + b * BJ2
+        dev_psi = max(dev_psi, float(np.max(np.abs(sample.psi - closed))))
+        theta = 0.3 / (1.0 + abs(float(lam)))
+        cos_c, sin_c = onemode_trig(params.mu, params.nu, 1j * lam, theta)
+        tb = trig_bundle(sample, theta)
+        sin_generic = theta * sample.psi @ tb.sinc_tp
+        dev_trig = max(dev_trig, float(np.max(np.abs(tb.cos_tp - cos_c))),
+                       float(np.max(np.abs(sin_generic - sin_c))))
+    res_det = max(abs(np.linalg.det(residue_loop(params.mu, params.nu, p)))
+                  for p in poles(params.mu, params.nu))
+    ok = max(dev_psi, dev_trig) < 1e-10 and res_det < 1e-6
+    return {"psi": dev_psi, "trig": dev_trig, "residue_det": res_det,
+            "status": "ok" if ok else "mismatch"}
+
+
+class TestVectorizedCheck:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cli_matches_per_sample_loop(self, seed, tmp_path):
+        result = CliRunner().invoke(main, ["onemode-check", "--seed", str(seed),
+                                           "--out", str(tmp_path)])
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        ref = per_sample_check(seed)
+        assert summary["status"] == ref["status"]
+        assert result.exit_code == (0 if ref["status"] == "ok" else 4)
+        for key in ("psi", "trig", "residue_det"):
+            assert abs(summary["max_dev"][key] - ref[key]) <= 1e-15
 
 
 class TestRealizationLink:
