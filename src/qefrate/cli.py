@@ -72,6 +72,26 @@ def _config(ss: StateSpace, cutoff: float | None, step: float | None) -> Quadrat
     return cfg
 
 
+def _float_list(text: str, option: str) -> list[float]:
+    """Comma-separated numbers; a non-numeric entry is a usage error."""
+    try:
+        return [float(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=option) from None
+
+
+def _all_converged(ss: StateSpace, thetas, cfg: QuadratureConfig) -> bool:
+    """Whether Upsilon meets the quadrature tolerance at every feasible
+    theta of ``thetas``."""
+    for theta in thetas:
+        try:
+            if not rate_mod.upsilon(ss, float(theta), cfg).converged:
+                return False
+        except FeasibilityError:
+            continue
+    return True
+
+
 def _out_dir(out: str) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -261,8 +281,7 @@ def homotopy_cmd(model_path, theta_max, dtheta, out, cutoff, step, threads):
                               theta_max=theta_max, dtheta=dtheta,
                               cutoff=cutoff, step=step),
         "theta": float(theta_max), "theta0": theta0,
-        "upsilon": float(trace.rate[-1]), "march_workers": trace.workers,
-        "status": "ok",
+        "upsilon": float(trace.rate[-1]), "status": "ok",
     })
     click.echo(f"upsilon({theta_max:g}) = {trace.rate[-1]:.9g}")
 
@@ -282,8 +301,8 @@ def homotopy_cmd(model_path, theta_max, dtheta, out, cutoff, step, threads):
 def horizon_cmd(model_path, theta, horizons, dt, max_dim, out, threads):
     """Finite-horizon oracle sweep with 1/T extrapolation."""
     _limit_threads(threads)
+    ts = _float_list(horizons, "--horizons")
     ss = _get_model(model_path)
-    ts = [float(t) for t in horizons.split(",") if t.strip()]
     if not ts:
         raise NumericalError("empty horizon list")
     if not all(0.0 < v < math.inf for v in [dt, *ts]):
@@ -321,12 +340,13 @@ def horizon_cmd(model_path, theta, horizons, dt, max_dim, out, threads):
 def bounds(model_path, alpha, eps, theta_points, out, cutoff, step, threads):
     """Tail decay-rate and worst-case cost bounds over parameter grids."""
     _limit_threads(threads)
+    alphas = _float_list(alpha, "--alpha")
+    epses = _float_list(eps, "--eps")
     ss = _get_model(model_path)
     cfg = _config(ss, cutoff, step)
     theta0 = rate_mod.theta_threshold(ss, cfg)
     theta_grid = np.linspace(0.05, 0.95, theta_points) * theta0
-    alphas = [float(a) for a in alpha.split(",") if a.strip()]
-    epses = [float(e) for e in eps.split(",") if e.strip()]
+    status = "ok" if _all_converged(ss, theta_grid, cfg) else "quadrature-warning"
     if not alphas:
         alphas = [rate_mod.lqg_rate(ss) * f for f in (1.0, 1.5, 2.0)]
     if not epses:
@@ -334,13 +354,13 @@ def bounds(model_path, alpha, eps, theta_points, out, cutoff, step, threads):
     rows_a, rows_e = [], []
     for a in alphas:
         try:
-            rows_a.append((a, rate_mod.tail_bound(ss, a, theta_grid, cfg), "ok"))
+            rows_a.append((a, rate_mod.tail_bound(ss, a, theta_grid, cfg), status))
         except FeasibilityError:
             rows_a.append((a, float("nan"), "infeasible"))
     for e in epses:
         try:
             rows_e.append((e, rate_mod.worst_case_lqg_bound(ss, e, theta_grid, cfg),
-                           "ok"))
+                           status))
         except FeasibilityError:
             rows_e.append((e, float("nan"), "infeasible"))
     out_path = _out_dir(out)
@@ -352,7 +372,7 @@ def bounds(model_path, alpha, eps, theta_points, out, cutoff, step, threads):
         "manifest": _manifest("bounds", model_path, out, alpha=alpha or None,
                               eps=eps or None, theta_points=theta_points,
                               cutoff=cutoff, step=step),
-        "theta0": theta0, "status": "ok",
+        "theta0": theta0, "status": status,
     })
     click.echo(f"wrote bounds for {len(rows_a)} tail levels, "
                f"{len(rows_e)} budgets")
@@ -442,7 +462,6 @@ def example(out, dtheta_frac, cutoff, step, threads):
         "drift_norm": float(np.linalg.norm(ss.a, 2)),
         "lqg_rate": rate_mod.lqg_rate(ss),
         "cross_method_gap": gap,
-        "march_workers": trace.workers,
         "cutoff": cfg.cutoff, "step": cfg.step,
         "status": "ok" if all(r.converged for r in results)
                   else "quadrature-warning",

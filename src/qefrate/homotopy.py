@@ -22,22 +22,14 @@ of the linear equation D'' = -D Psi^2 satisfied by the log-det matrix.
 
 The march runs in real arithmetic: U = X + iY with X real symmetric and Y
 real antisymmetric, so U^2 = (XX - YY) + i (XY - (XY)') costs three real
-stacked products, Tr U = Tr X and ||U||^2 = ||X||^2 + ||Y||^2.  The
-frequency stack is cut into fixed blocks that are stepped in place, in
-preallocated buffers, on a thread pool sized to the CPUs the process may
-use; a stack of one block (a few hundred nodes on the default rule) is
-stepped inline.  Block boundaries do not depend on the pool size and the
-trace integral is summed exactly, so the results are bit-identical for
-any worker count.
+stacked products, Tr U = Tr X and ||U||^2 = ||X||^2 + ||Y||^2.  Each
+step advances the whole frequency stack at once, in place, in work
+buffers allocated once per march.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,31 +47,15 @@ __all__ = ["HomotopyTrace", "u_direct", "u_ode_step", "rate_by_homotopy",
 #: indicate approach to the finite-escape (feasibility) boundary.
 GROWTH_GUARD = 10.0
 
-#: Frequencies per block of the march.  One block's RK4 work buffers fit in
-#: a core's L2 cache; block boundaries do not depend on the worker count.
-BLOCK_SIZE = 1024
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask where there is one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
 
 @dataclass(frozen=True)
 class HomotopyTrace:
-    """Riccati march output: rate derivative and cumulative rate.
-
-    ``workers`` is the number of threads that stepped the frequency
-    blocks (1: inline on the calling thread).
-    """
+    """Riccati march output: rate derivative and cumulative rate."""
 
     theta_grid: np.ndarray
     rate_derivative: np.ndarray
     rate: np.ndarray
     per_freq_u: np.ndarray | None = None
-    workers: int = 1
 
 
 def u_direct(sample: SpectralSample, theta: float) -> np.ndarray:
@@ -107,17 +83,12 @@ def u_direct(sample: SpectralSample, theta: float) -> np.ndarray:
 class _RiccatiStack:
     """Hermitian Riccati states over a frequency stack, held in real form.
 
-    U = X + iY and Psi^2 = SX + i SY.  The stack is cut into blocks of
-    ``BLOCK_SIZE`` frequencies.  Each of ``workers`` workers steps one
-    block at a time, the next not yet taken, in its own work buffers, so a
-    worker slowed by other load on its core steps fewer blocks; every
-    buffer is overwritten before it is read, so a block's arithmetic does
-    not depend on which worker steps it.  ``norms`` and ``trace`` hold
-    ||U|| and Tr X of the current states.
+    U = X + iY and Psi^2 = SX + i SY.  ``norms`` and ``trace`` hold ||U||
+    and Tr X of the current states; ``work`` and ``vec_work`` are the RK4
+    step's buffers, every one overwritten before it is read.
     """
 
-    def __init__(self, u: np.ndarray, psi: np.ndarray, floor: np.ndarray,
-                 workers: int = 1):
+    def __init__(self, u: np.ndarray, psi: np.ndarray, floor: np.ndarray):
         psi_sq = psi @ psi
         self.x = 0.5 * (u.real + np.swapaxes(u.real, 1, 2))
         self.y = 0.5 * (u.imag - np.swapaxes(u.imag, 1, 2))
@@ -127,13 +98,10 @@ class _RiccatiStack:
         self.norms = np.sqrt(np.einsum("kij,kij->k", self.x, self.x)
                              + np.einsum("kij,kij->k", self.y, self.y))
         self.trace = np.trace(self.x, axis1=1, axis2=2)
-        self.blocks = [slice(i, i + BLOCK_SIZE)
-                       for i in range(0, len(u), BLOCK_SIZE)]
-        # per worker: 7 matrix stacks (stage argument, slope and RK4 sum,
-        # each as X and Y, and a product) and 2 vectors, one block long
-        size, n = min(BLOCK_SIZE, len(u)), u.shape[-1]
-        self.buffers = [(np.empty((7, size, n, n)), np.empty((2, size)))
-                        for _ in range(workers)]
+        # 7 matrix stacks (stage argument, slope and RK4 sum, each as X and
+        # Y, and a product) and 2 vectors
+        self.work = np.empty((7, *self.x.shape))
+        self.vec_work = np.empty((2, len(u)))
 
     def u(self) -> np.ndarray:
         return self.x + 1j * self.y
@@ -150,16 +118,15 @@ def _riccati_rhs(x, y, sx, sy, k_x, k_y, prod) -> None:
     k_y -= np.swapaxes(prod, 1, 2)
 
 
-def _rk4_block(st: _RiccatiStack, blk: slice, buffers, h: float) -> int:
-    """Re-Hermitized RK4 step of one block, in place.
+def _rk4_stack(st: _RiccatiStack, h: float) -> int:
+    """Re-Hermitized RK4 step of the whole stack, in place.
 
-    Updates the block's norms and traces and returns the stack index of
-    its first escaping frequency, or -1.
+    Updates the norms and traces and returns the index of the first
+    escaping frequency, or -1.
     """
-    x, y, sx, sy = st.x[blk], st.y[blk], st.sx[blk], st.sy[blk]
-    b = len(x)
-    arg_x, arg_y, k_x, k_y, acc_x, acc_y, prod = buffers[0][:, :b]
-    sq, limit = buffers[1][:, :b]
+    x, y, sx, sy = st.x, st.y, st.sx, st.sy
+    arg_x, arg_y, k_x, k_y, acc_x, acc_y, prod = st.work
+    sq, limit = st.vec_work
     _riccati_rhs(x, y, sx, sy, k_x, k_y, prod)
     np.copyto(acc_x, k_x)
     np.copyto(acc_y, k_y)
@@ -181,57 +148,27 @@ def _rk4_block(st: _RiccatiStack, blk: slice, buffers, h: float) -> int:
     np.subtract(y, np.swapaxes(y, 1, 2), out=prod)
     np.multiply(prod, 0.5, out=y)
 
-    norms = st.norms[blk]
-    np.maximum(norms, st.floor[blk], out=limit)
+    norms = st.norms
+    np.maximum(norms, st.floor, out=limit)
     limit *= GROWTH_GUARD
     np.einsum("kij,kij->k", x, x, out=sq)
     np.einsum("kij,kij->k", y, y, out=norms)
     norms += sq
     np.sqrt(norms, out=norms)
-    np.trace(x, axis1=1, axis2=2, out=st.trace[blk])
+    np.trace(x, axis1=1, axis2=2, out=st.trace)
     escaped = np.flatnonzero(norms > limit)
-    return blk.start + int(escaped[0]) if escaped.size else -1
-
-
-def _rk4_worker(st: _RiccatiStack, todo: queue.SimpleQueue, buffers,
-                h: float) -> list[int]:
-    """Step blocks taken from ``todo`` until it is empty; the escape index
-    of each (-1: none)."""
-    escaped = []
-    while True:
-        try:
-            blk = todo.get_nowait()
-        except queue.Empty:
-            return escaped
-        escaped.append(_rk4_block(st, blk, buffers, h))
-
-
-def _rk4_stack(st: _RiccatiStack, h: float,
-               pool: ThreadPoolExecutor | None = None) -> int:
-    """One RK4 step of the whole stack, block by block on ``pool`` (inline
-    without one).  Returns the lowest escaping index, or -1."""
-    todo = queue.SimpleQueue()
-    for blk in st.blocks:
-        todo.put(blk)
-    if pool is None:
-        escaped = _rk4_worker(st, todo, st.buffers[0], h)
-    else:
-        futures = [pool.submit(_rk4_worker, st, todo, buffers, h)
-                   for buffers in st.buffers]
-        escaped = [i for f in futures for i in f.result()]
-    return min((i for i in escaped if i >= 0), default=-1)
+    return int(escaped[0]) if escaped.size else -1
 
 
 def _guarded_step(st: _RiccatiStack, h: float, theta_next: float,
-                  lambdas: np.ndarray,
-                  pool: ThreadPoolExecutor | None = None) -> None:
+                  lambdas: np.ndarray) -> None:
     """One re-Hermitized RK4 step of stacked Riccati states, in place.
 
     Raises FeasibilityError, naming the first frequency, where a state
     grows by more than ``GROWTH_GUARD`` times its previous norm floored at
     its entry of ``st.floor``.
     """
-    i = _rk4_stack(st, h, pool)
+    i = _rk4_stack(st, h)
     if i >= 0:
         raise FeasibilityError(
             f"Riccati state escaping at frequency {lambdas[i]:g}, "
@@ -278,10 +215,8 @@ def rate_by_homotopy_from_grid(grid, theta_max: float, d_theta: float,
     n_steps = max(1, int(math.ceil(theta_max / d_theta - 1e-12))) \
         if theta_max > 0 else 0
     h = theta_max / max(n_steps, 1)
-    n_blocks = -(-len(grid.lambdas) // BLOCK_SIZE)
-    workers = min(_cpu_count(), n_blocks)
     floor = np.maximum(np.linalg.norm(grid.psi, axis=(1, 2)), 1e-300)
-    st = _RiccatiStack(grid.phi, grid.psi, floor, workers)
+    st = _RiccatiStack(grid.phi, grid.psi, floor)
 
     def derivative() -> float:
         return cfg.half_line(st.trace).value / (2.0 * math.pi)
@@ -289,14 +224,12 @@ def rate_by_homotopy_from_grid(grid, theta_max: float, d_theta: float,
     thetas = np.linspace(0.0, theta_max, n_steps + 1)
     derivs = np.empty(n_steps + 1)
     derivs[0] = derivative()
-    with (ThreadPoolExecutor(workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        for k in range(n_steps):
-            _guarded_step(st, h, float(thetas[k + 1]), grid.lambdas, pool)
-            derivs[k + 1] = derivative()
+    for k in range(n_steps):
+        _guarded_step(st, h, float(thetas[k + 1]), grid.lambdas)
+        derivs[k + 1] = derivative()
     rate = np.concatenate([[0.0], np.cumsum(0.5 * h * (derivs[1:] + derivs[:-1]))])
     return HomotopyTrace(theta_grid=thetas, rate_derivative=derivs, rate=rate,
-                         workers=workers, per_freq_u=st.u() if store_u else None)
+                         per_freq_u=st.u() if store_u else None)
 
 
 def d_second_derivative_check(sample: SpectralSample, theta: float,

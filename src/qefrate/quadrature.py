@@ -94,8 +94,8 @@ class QuadratureConfig:
     edges: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.cutoff <= 0 or self.step <= 0:
-            raise ParameterError("cutoff and step must be positive")
+        if not (0.0 < self.cutoff < math.inf and 0.0 < self.step < math.inf):
+            raise ParameterError("cutoff and step must be positive and finite")
         if self.step > self.cutoff / 8:
             raise ParameterError("step must be much smaller than cutoff")
 

@@ -147,8 +147,8 @@ def log_det_d(sample: SpectralSample, theta: float,
     if sample.lam < 0:
         sample = sample.mirrored()
     one_node = SpectralGrid(lambdas=np.array([sample.lam]),
-                            f_val=sample.f_val[None], phi=sample.phi[None],
-                            psi=sample.psi[None], h=sample.h[None])
+                            phi=sample.phi[None], psi=sample.psi[None],
+                            h=sample.h[None])
     value = -float(_neg_log_det(one_node, theta)[0][0])
     tb = trig_bundle(sample, theta)
     sign, _ = np.linalg.slogdet(tb.cos_tp - theta * sample.phi @ tb.sinc_tp)

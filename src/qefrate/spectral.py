@@ -52,7 +52,6 @@ class SpectralSample:
     """Spectral data at a single frequency."""
 
     lam: float
-    f_val: np.ndarray        # transfer function F(i lam), n x m
     phi: np.ndarray          # Hermitian PSD
     psi: np.ndarray          # skew-Hermitian
     h: np.ndarray            # i * psi, Hermitian
@@ -60,9 +59,8 @@ class SpectralSample:
     def mirrored(self) -> "SpectralSample":
         """The sample at -lam, by the reality symmetries
         Phi(-lam) = conj(Phi(lam)) and Psi(-lam) = conj(Psi(lam))."""
-        return SpectralSample(lam=-self.lam, f_val=np.conj(self.f_val),
-                              phi=np.conj(self.phi), psi=np.conj(self.psi),
-                              h=-np.conj(self.h))
+        return SpectralSample(lam=-self.lam, phi=np.conj(self.phi),
+                              psi=np.conj(self.psi), h=-np.conj(self.h))
 
 
 @dataclass(frozen=True)
@@ -78,14 +76,13 @@ class SpectralGrid:
     """
 
     lambdas: np.ndarray
-    f_val: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
     h: np.ndarray
 
     def sample(self, k: int) -> SpectralSample:
-        return SpectralSample(lam=float(self.lambdas[k]), f_val=self.f_val[k],
-                              phi=self.phi[k], psi=self.psi[k], h=self.h[k])
+        return SpectralSample(lam=float(self.lambdas[k]), phi=self.phi[k],
+                              psi=self.psi[k], h=self.h[k])
 
     @cached_property
     def h_eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +150,7 @@ def sample_grid(ss: StateSpace, lambdas: np.ndarray) -> SpectralGrid:
     fh = np.conj(np.swapaxes(f, 1, 2))
     phi = hermitize(f @ fh)
     psi = skew_hermitize(f @ ss.j @ fh)
-    return SpectralGrid(lambdas=lambdas, f_val=f, phi=phi, psi=psi,
+    return SpectralGrid(lambdas=lambdas, phi=phi, psi=psi,
                         h=hermitize(1j * psi))
 
 

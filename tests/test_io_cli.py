@@ -203,6 +203,25 @@ class TestCliExitCodes:
         assert "x>=1" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["rate", "--theta", "0.045", "--cutoff", "nan"], "positive and finite"),
+        (["rate", "--theta", "0.045", "--cutoff", "inf"], "positive and finite"),
+        (["rate", "--theta", "0.045", "--step", "nan"], "positive and finite"),
+        (["homotopy", "--step", "nan"], "positive and finite"),
+        (["sweep", "--step", "nan"], "positive and finite"),
+        (["bounds", "--alpha", "abc"], "Invalid value for --alpha"),
+        (["bounds", "--eps", "0.1,x"], "Invalid value for --eps"),
+        (["horizon", "--theta", "0.02", "--horizons", "1,x"],
+         "Invalid value for --horizons")],
+        ids=["cutoff-nan", "cutoff-inf", "rate-step-nan", "homotopy-step-nan",
+             "sweep-step-nan", "alpha-text", "eps-text", "horizons-text"])
+    def test_bad_option_values_exit_2(self, runner, tmp_path, args, message):
+        out = tmp_path / "out"
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not out.exists()
+
     def test_bounds_nan_levels_infeasible(self, runner, tmp_path):
         result = runner.invoke(main, [
             "bounds", "--alpha", "nan", "--eps", "nan", "--step", "0.25",
@@ -277,14 +296,12 @@ class TestCliArtifacts:
         assert summary["status"] == "ok"
         assert summary["max_dev"]["psi"] < 1e-10
 
-    def test_homotopy_summary_reports_workers(self, runner, tmp_path):
-        # 241 mesh nodes make one block, stepped inline
+    def test_homotopy_summary_validates(self, runner, tmp_path):
         result = runner.invoke(main, ["homotopy", "--cutoff", "60", "--step",
                                       "0.25", "--out", str(tmp_path)])
         assert result.exit_code == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         validate_summary(summary)
-        assert summary["march_workers"] == 1
 
     def test_example_outputs_deterministic(self, runner, tmp_path):
         args = ["example", "--dtheta-frac", "0.1", "--cutoff", "60",
@@ -302,7 +319,6 @@ class TestCliArtifacts:
         # error; the default-resolution gap is asserted in the acceptance
         # suite at 1e-3
         assert summary["cross_method_gap"] < 2e-2
-        assert summary["march_workers"] == 1
 
     def test_example_flags_unconverged_direct_values(self, runner, tmp_path):
         # panels 7.5 wide miss the tolerance near 0.9 theta0, as in sweep
@@ -321,6 +337,17 @@ class TestCliArtifacts:
         assert tails[0] == "alpha,bound,status"
         worst = (tmp_path / "worst_case_bounds.csv").read_text().splitlines()
         assert worst[0] == "eps,bound,status"
+
+    def test_bounds_flags_unconverged_grid(self, runner, tmp_path):
+        # panels 7.5 wide miss the tolerance on the theta grid, as in sweep
+        result = runner.invoke(main, ["bounds", "--step", "0.5",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0
+        for name in ["tail_bounds.csv", "worst_case_bounds.csv"]:
+            rows = (tmp_path / name).read_text().strip().splitlines()
+            assert {r.split(",")[-1] for r in rows[1:]} == {"quadrature-warning"}
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["status"] == "quadrature-warning"
 
 
 def test_import_leaves_heavy_modules_unloaded():

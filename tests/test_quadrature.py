@@ -90,6 +90,13 @@ class TestRule:
         with pytest.raises(ParameterError):
             cfg_coarse.half_line(np.ones(cfg_coarse.n_intervals))
 
+    @pytest.mark.parametrize("cutoff,step", [
+        (math.nan, 0.1), (math.inf, 0.1), (0.0, 0.1), (10.0, math.nan),
+        (10.0, math.inf), (10.0, -0.1)])
+    def test_cutoff_and_step_must_be_positive_and_finite(self, cutoff, step):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            q.QuadratureConfig(cutoff=cutoff, step=step)
+
 
 class TestTwoModeRule:
     @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])

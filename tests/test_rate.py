@@ -31,8 +31,8 @@ class TestLogDetD:
 
     def test_classical_integrand_when_psi_vanishes(self, twomode):
         s = q.spectral_sample(twomode, 1.1)
-        zero = q.SpectralSample(lam=s.lam, f_val=s.f_val, phi=s.phi,
-                                psi=0.0 * s.psi, h=0.0 * s.h)
+        zero = q.SpectralSample(lam=s.lam, phi=s.phi, psi=0.0 * s.psi,
+                                h=0.0 * s.h)
         theta = 0.04
         expected = float(np.sum(np.log(1.0 - theta * np.linalg.eigvalsh(s.phi))))
         assert abs(log_det_d(zero, theta) - expected) < 1e-12

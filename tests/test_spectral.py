@@ -138,8 +138,8 @@ class TestTrigBundle:
 
     def test_vanishing_commutator_gives_identity(self, twomode):
         s = q.spectral_sample(twomode, 1.3)
-        zero = q.SpectralSample(lam=s.lam, f_val=s.f_val, phi=s.phi,
-                                psi=0.0 * s.psi, h=0.0 * s.h)
+        zero = q.SpectralSample(lam=s.lam, phi=s.phi, psi=0.0 * s.psi,
+                                h=0.0 * s.h)
         tb = trig_bundle(zero, 0.4)
         assert np.allclose(tb.cos_tp, np.eye(twomode.n), atol=1e-14)
         assert np.allclose(tb.sinc_tp, np.eye(twomode.n), atol=1e-14)
