@@ -342,6 +342,13 @@ def bounds(model_path, alpha, eps, theta_points, out, cutoff, step, threads):
     _limit_threads(threads)
     alphas = _float_list(alpha, "--alpha")
     epses = _float_list(eps, "--eps")
+    # the domains tail_bound and worst_case_lqg_bound enforce
+    if not all(0.0 < a < math.inf for a in alphas):
+        raise click.BadParameter("tail levels must be positive and finite",
+                                 param_hint="--alpha")
+    if not all(0.0 <= e < math.inf for e in epses):
+        raise click.BadParameter("budgets must be finite and nonnegative",
+                                 param_hint="--eps")
     ss = _get_model(model_path)
     cfg = _config(ss, cutoff, step)
     theta0 = rate_mod.theta_threshold(ss, cfg)

@@ -29,6 +29,16 @@ similarity of a matrix with the spectrum of P K, so its largest
 eigenvalue is the feasibility margin and its Cholesky factor gives
 ln det(I - theta P K).  Both functions are smooth in omega^2, so forming
 L'L perturbs the result only to first order in eps * ||L||^2.
+
+Each matrix of order n*N is allocated once and overwritten in place
+after that.  L and P are one strided copy each of their stacks of lag
+blocks.  L is freed as soon as L'L is formed, and the classical route
+frees it at once.  The eigensolver writes V over L'L; R V' P V R is
+written over P, and I - theta R V' P V R and its Cholesky factor over
+that.  At most four such matrices are alive at once, during the
+eigensolve: P, L'L and the eigensolver's workspace of about two; after
+it, P, V and P V.  At order 3200 (82 MB each) that is a peak of about
+330 MB.
 """
 
 from __future__ import annotations
@@ -37,8 +47,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 # hessenberg and eigh_tridiagonal stay bound: benchmarks/spans.py traces them
-from scipy.linalg import cholesky, eigh_tridiagonal, expm, hessenberg  # noqa: F401
+from scipy.linalg import cholesky, eigh, eigh_tridiagonal, expm, hessenberg  # noqa: F401
 
 from ._funcs import lncosh, tanhc
 from .errors import FeasibilityError, NumericalError, SizeError
@@ -50,6 +61,9 @@ __all__ = ["HorizonEstimate", "ConvergenceStudy", "discretize_kernels",
 #: Matrices of order above this guard are refused unless the caller
 #: raises the limit explicitly.
 DEFAULT_MAX_DIM = 6000
+
+#: Fewest time cells ``ln_xi`` accepts.
+MIN_CELLS = 8
 
 
 @dataclass(frozen=True)
@@ -89,17 +103,21 @@ def _kernel_blocks(ss: StateSpace, horizon: float, n_grid: int):
 
 
 def _assemble(blocks: np.ndarray, n_grid: int, antisymmetric: bool) -> np.ndarray:
-    """Block-Toeplitz assembly with the exact kernel mirror on negative lags."""
+    """Block-Toeplitz assembly with the exact kernel mirror on negative lags.
+
+    Block (j, k) is entry N-1+j-k of the lag stack
+    [-+B_{N-1}', ..., -+B_1', B_0, B_1, ..., B_{N-1}], so one strided view
+    of the stack, copied once, is the whole matrix.
+    """
     n = blocks.shape[1]
-    idx = np.subtract.outer(np.arange(n_grid), np.arange(n_grid))
-    tiles = blocks[np.abs(idx)]
-    pos = (idx >= 0)[:, :, None, None]
-    mirrored = np.swapaxes(tiles, 2, 3)
-    if antisymmetric:
-        full = np.where(pos, tiles, -mirrored)
-    else:
-        full = np.where(pos, tiles, mirrored)
-    return full.transpose(0, 2, 1, 3).reshape(n * n_grid, n * n_grid)
+    mirrored = np.swapaxes(blocks[:0:-1], 1, 2)
+    lags = np.concatenate([-mirrored if antisymmetric else mirrored, blocks])
+    s0, s1, s2 = lags.strides
+    view = as_strided(lags[n_grid - 1:], shape=(n_grid, n, n_grid, n),
+                      strides=(s0, s1, -s0, s2), writeable=False)
+    full = np.empty((n * n_grid, n * n_grid))
+    full.reshape(n_grid, n, n_grid, n)[...] = view
+    return full
 
 
 def discretize_kernels(ss: StateSpace, horizon: float, n_grid: int,
@@ -137,6 +155,12 @@ def _lambda_max(mat: np.ndarray) -> float:
         return float(np.linalg.eigvalsh(mat)[-1])
 
 
+def _check_theta(theta: float) -> None:
+    if not 0.0 <= theta < math.inf:
+        raise FeasibilityError("risk parameter must be finite and nonnegative",
+                               theta=theta)
+
+
 def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
           max_dim: int = DEFAULT_MAX_DIM, classical: bool = False) -> HorizonEstimate:
     """Finite-horizon log of the exponential cost on a midpoint grid.
@@ -149,16 +173,18 @@ def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
     Raises FeasibilityError when theta * lam_max(P K) reaches one, with
     the measured value attached.
     """
-    if n_grid < 8:
-        raise NumericalError(f"need at least 8 time cells, got {n_grid}")
+    if n_grid < MIN_CELLS:
+        raise NumericalError(f"need at least {MIN_CELLS} time cells, got {n_grid}")
+    _check_theta(theta)
     # _lambda_max imports scipy.sparse.linalg on first use; loading it here,
     # before the large matrices exist, keeps its long-lived objects from
     # pinning freed matrix memory in the heap (50 MB more peak memory at
     # order 3200 when it loads between them)
     import scipy.sparse.linalg  # noqa: F401
     big_l, big_p = discretize_kernels(ss, horizon, n_grid, max_dim=max_dim)
-    value, spec_value = ln_xi_from_matrices(big_l, big_p, theta,
-                                            classical=classical)
+    gram = None if classical else big_l.T @ big_l
+    del big_l
+    value, spec_value = _ln_xi_consuming(gram, big_p, theta)
     return HorizonEstimate(horizon=float(horizon), n_grid=int(n_grid),
                            ln_xi=value, per_time_rate=value / horizon,
                            spec_value=spec_value)
@@ -166,40 +192,66 @@ def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
 
 def ln_xi_from_matrices(big_l: np.ndarray, big_p: np.ndarray, theta: float,
                         classical: bool = False):
-    """Evaluate (ln_xi, spec_value) from assembled kernel matrices."""
-    dim = big_p.shape[0]
-    if not 0.0 <= theta < math.inf:
-        raise FeasibilityError("risk parameter must be finite and nonnegative",
-                               theta=theta)
+    """Evaluate (ln_xi, spec_value) from assembled kernel matrices.
 
-    if classical:
-        sym = big_p
-        trace_ln_cos = 0.0
-    else:
-        omega_sq, v = np.linalg.eigh(big_l.T @ big_l)
+    The inputs are left unchanged.
+    """
+    _check_theta(theta)
+    gram = None if classical else big_l.T @ big_l
+    return _ln_xi_consuming(gram, big_p.copy(), theta)
+
+
+def _ln_xi_consuming(gram: np.ndarray | None, big_p: np.ndarray, theta: float):
+    """(ln_xi, spec_value) from L'L (None for the classical route) and P.
+
+    Both arrays are overwritten: the eigenvectors of L'L take the place of
+    L'L, and R V' P V R, then I - theta R V' P V R and its Cholesky factor,
+    take the place of P.  One further matrix, P V, is allocated, so at most
+    three full-size matrices are alive besides the eigensolver's workspace.
+    """
+    if theta == 0.0:
+        return 0.0, 0.0
+    sym = big_p
+    trace_ln_cos = 0.0
+    if gram is not None:
+        # gram is exactly symmetric, so its transpose is the same matrix in
+        # Fortran order, which LAPACK overwrites without a copy
+        omega_sq, v = eigh(gram.T, overwrite_a=True, check_finite=False,
+                           driver="evd")
         x = theta * np.sqrt(np.maximum(omega_sq, 0.0))
         trace_ln_cos = math.fsum(np.asarray(lncosh(x)))
-        root = np.sqrt(np.asarray(tanhc(x)))
-        sym = root[:, None] * (v.T @ big_p @ v) * root[None, :]
-        sym = 0.5 * (sym + sym.T)
+        v *= np.sqrt(np.asarray(tanhc(x)))
+        pv = big_p @ v
+        np.matmul(v.T, pv, out=sym)
+        del pv  # before the ARPACK and Cholesky work allocates
+        _symmetrize(sym)
 
-    spec_value = theta * _lambda_max(sym) if theta > 0 else 0.0
+    spec_value = theta * _lambda_max(sym)
     if spec_value >= 1.0:
         raise FeasibilityError(
             f"theta * lam_max(P K) = {spec_value:g} >= 1", theta=theta)
-    if theta == 0.0:
-        value = 0.0
-    else:
-        try:
-            chol = cholesky(np.eye(dim) - theta * sym, lower=False,
-                            check_finite=False)
-        except np.linalg.LinAlgError:
-            raise FeasibilityError(
-                "I - theta P K lost positive definiteness",
-                theta=theta) from None
-        ln_det = 2.0 * math.fsum(np.log(np.diag(chol)))
-        value = -0.5 * (trace_ln_cos + ln_det)
-    return value, float(spec_value)
+    sym *= -theta
+    sym.flat[::sym.shape[0] + 1] += 1.0
+    try:
+        # the transpose of the symmetric I - theta P K, in Fortran order
+        chol = cholesky(sym.T, lower=False, overwrite_a=True,
+                        check_finite=False)
+    except np.linalg.LinAlgError:
+        raise FeasibilityError(
+            "I - theta P K lost positive definiteness", theta=theta) from None
+    ln_det = 2.0 * math.fsum(np.log(np.diag(chol)))
+    return -0.5 * (trace_ln_cos + ln_det), float(spec_value)
+
+
+def _symmetrize(mat: np.ndarray) -> None:
+    """Replace ``mat`` by (mat + mat')/2 in place, one strip of 256 rows
+    at a time, so no full-size temporary is made."""
+    dim = mat.shape[0]
+    for i in range(0, dim, 256):
+        strip = slice(i, i + 256)
+        avg = 0.5 * (mat[strip, i:] + mat[i:, strip].T)
+        mat[strip, i:] = avg
+        mat[i:, strip] = avg.T
 
 
 def convergence_study(ss: StateSpace, theta: float, horizons,
@@ -210,15 +262,20 @@ def convergence_study(ss: StateSpace, theta: float, horizons,
     The per-time rates are fitted with a + b/T by least squares; the
     intercept estimates the infinite-horizon growth rate, consistent with
     the boundary-layer origin of the finite-horizon correction.  Every
-    horizon is checked against ``max_dim`` before any is evaluated.
+    horizon is checked against ``max_dim`` and the minimum cell count, and
+    theta against its domain, before any is evaluated.
     """
+    _check_theta(theta)
     for t in horizons:
         if not 0.0 < t < math.inf:
             raise NumericalError(f"horizon must be positive and finite, got {t:g}")
-        order = ss.n * int(round(t * n_per_unit_time))
-        if order > max_dim:
-            raise SizeError(f"discretization order {order} at horizon {t:g} "
-                            f"exceeds the guard {max_dim}")
+        n_grid = int(round(t * n_per_unit_time))
+        if n_grid < MIN_CELLS:
+            raise NumericalError(f"need at least {MIN_CELLS} time cells, "
+                                 f"got {n_grid} at horizon {t:g}")
+        if ss.n * n_grid > max_dim:
+            raise SizeError(f"discretization order {ss.n * n_grid} at horizon "
+                            f"{t:g} exceeds the guard {max_dim}")
     estimates = [
         ln_xi(ss, theta, horizon=t, n_grid=int(round(t * n_per_unit_time)),
               max_dim=max_dim, classical=classical)

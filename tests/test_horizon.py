@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import qefrate as q
 from qefrate._funcs import tanhc
 from qefrate.errors import FeasibilityError, NumericalError, SizeError
-from qefrate.horizon import ln_xi_from_matrices
+from qefrate.horizon import _kernel_blocks, ln_xi_from_matrices
 
 from conftest import SURROGATE_A, SURROGATE_G, surrogate_v_closed
 
@@ -45,6 +46,27 @@ class TestDiscretizeKernels:
         big_l, big_p = q.discretize_kernels(twomode, t, n)
         assert np.array_equal(big_l, -big_l.T)
         assert np.array_equal(big_p, big_p.T)
+
+    @pytest.mark.parametrize("t_n", [(2.0, 16), (7.0, 40)])
+    def test_matches_blockwise_definition(self, twomode, t_n):
+        # block (j, k) is the lag-(j - k) kernel block, mirrored below zero
+        t, n_grid = t_n
+        lam_blocks, p_blocks = _kernel_blocks(twomode, t, n_grid)
+        n = twomode.n
+        ref_l = np.empty((n * n_grid, n * n_grid))
+        ref_p = np.empty_like(ref_l)
+        for j in range(n_grid):
+            for k in range(n_grid):
+                rows, cols = slice(j * n, (j + 1) * n), slice(k * n, (k + 1) * n)
+                if j >= k:
+                    ref_l[rows, cols] = lam_blocks[j - k]
+                    ref_p[rows, cols] = p_blocks[j - k]
+                else:
+                    ref_l[rows, cols] = -lam_blocks[k - j].T
+                    ref_p[rows, cols] = p_blocks[k - j].T
+        big_l, big_p = q.discretize_kernels(twomode, t, n_grid)
+        assert np.array_equal(big_l, ref_l)
+        assert np.array_equal(big_p, ref_p)
 
     def test_quantum_covariance_psd(self, twomode):
         big_l, big_p = q.discretize_kernels(twomode, horizon=10.0, n_grid=400)
@@ -129,6 +151,30 @@ class TestLnXi:
         assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
         assert abs(spec - expected_spec) <= 1e-12
 
+    @pytest.mark.parametrize("classical", [False, True])
+    def test_from_matrices_leaves_inputs_unchanged(self, twomode, theta0,
+                                                   classical):
+        big_l, big_p = q.discretize_kernels(twomode, 4.0, 80)
+        l_before, p_before = big_l.copy(), big_p.copy()
+        ln_xi_from_matrices(big_l, big_p, 0.5 * theta0, classical=classical)
+        assert np.array_equal(big_l, l_before)
+        assert np.array_equal(big_p, p_before)
+
+    def test_working_set(self, twomode, theta0):
+        # numpy reports its buffers to tracemalloc; the peak counts the
+        # full-size matrices alive at once, the eigensolver's workspace
+        # included (four measured at order 1600)
+        import scipy.sparse.linalg  # noqa: F401  (loaded by ln_xi)
+        tracemalloc.start()
+        try:
+            est = q.ln_xi(twomode, 0.5 * theta0, horizon=10.0, n_grid=400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        order = twomode.n * est.n_grid
+        assert order == 1600
+        assert peak < 4.5 * order ** 2 * 8
+
     def test_requires_enough_cells(self, twomode):
         with pytest.raises(NumericalError):
             q.ln_xi(twomode, 0.01, horizon=2.0, n_grid=4)
@@ -147,6 +193,22 @@ class TestConvergence:
         study = q.convergence_study(twomode, 0.3 * theta0, [5.0],
                                     n_per_unit_time=20)
         assert study.extrapolated_rate == study.estimates[0].per_time_rate
+
+    @pytest.mark.parametrize("theta, horizons, error, message", [
+        (math.nan, [2.0, 4.0], FeasibilityError, "must be finite"),
+        (-0.01, [2.0, 4.0], FeasibilityError, "must be finite"),
+        (0.04, [2.0, 0.1], NumericalError,
+         "at least 8 time cells, got 4 at horizon 0.1")],
+        ids=["theta-nan", "theta-negative", "too-few-cells"])
+    def test_inputs_checked_before_any_evaluation(self, twomode, monkeypatch,
+                                                  theta, horizons, error,
+                                                  message):
+        calls = []
+        monkeypatch.setattr(q.horizon, "ln_xi",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(error, match=message):
+            q.convergence_study(twomode, theta, horizons, n_per_unit_time=40)
+        assert calls == []
 
     def test_error_decreases_with_refinement(self, twomode, grid_full,
                                              cfg_full, theta0):

@@ -212,24 +212,19 @@ class TestCliExitCodes:
         (["bounds", "--alpha", "abc"], "Invalid value for --alpha"),
         (["bounds", "--eps", "0.1,x"], "Invalid value for --eps"),
         (["horizon", "--theta", "0.02", "--horizons", "1,x"],
-         "Invalid value for --horizons")],
+         "Invalid value for --horizons"),
+        (["bounds", "--alpha", "nan", "--eps", "nan"], "positive and finite"),
+        (["bounds", "--alpha", "-1"], "positive and finite"),
+        (["bounds", "--eps", "0.1,-0.1"], "finite and nonnegative")],
         ids=["cutoff-nan", "cutoff-inf", "rate-step-nan", "homotopy-step-nan",
-             "sweep-step-nan", "alpha-text", "eps-text", "horizons-text"])
+             "sweep-step-nan", "alpha-text", "eps-text", "horizons-text",
+             "alpha-eps-nan", "alpha-negative", "eps-negative"])
     def test_bad_option_values_exit_2(self, runner, tmp_path, args, message):
         out = tmp_path / "out"
         result = runner.invoke(main, args + ["--out", str(out)])
         assert result.exit_code == 2
         assert message in result.output
         assert not out.exists()
-
-    def test_bounds_nan_levels_infeasible(self, runner, tmp_path):
-        result = runner.invoke(main, [
-            "bounds", "--alpha", "nan", "--eps", "nan", "--step", "0.25",
-            "--out", str(tmp_path)])
-        assert result.exit_code == 0
-        for name in ["tail_bounds.csv", "worst_case_bounds.csv"]:
-            rows = (tmp_path / name).read_text().strip().splitlines()
-            assert [r.split(",")[-1] for r in rows[1:]] == ["infeasible"]
 
 
 class TestCliArtifacts:
