@@ -1,5 +1,5 @@
-"""Scalar special functions, small dense linear-algebra helpers and a
-bounded scalar minimizer.
+"""Scalar special functions, small dense linear-algebra helpers, a
+bounded scalar minimizer and the domain check of the risk parameter.
 
 The hyperbolic ratio functions sinhc(x) = sinh(x)/x and tanhc(x) = tanh(x)/x
 are extended by 1 at x = 0 and switch to short series below |x| = 1e-4,
@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import FeasibilityError, ParameterError
 
 _SERIES_CUT = 1e-4
 
@@ -45,6 +45,13 @@ def lncosh(x: np.ndarray | float) -> np.ndarray | float:
     small = np.log1p(2.0 * np.sinh(0.5 * np.minimum(a, 1.0)) ** 2)
     out = np.where(a < 1.0, small, a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0))
     return out if out.ndim else float(out)
+
+
+def check_theta(theta: float) -> None:
+    """Raise FeasibilityError unless the risk parameter is finite and >= 0."""
+    if not 0.0 <= theta < math.inf:
+        raise FeasibilityError("risk parameter must be finite and nonnegative",
+                               theta=theta)
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

@@ -1,7 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 model validation failure, 3 infeasible risk
-parameter, 4 numerical failure.
+Every command is registered through ``_command``, the one place that
+holds what the commands share: the ``--model``, ``--out``, ``--cutoff``,
+``--step`` and ``--threads`` options, the thread cap, and the exit-code
+map ``_EXITS``: 0 success, 2 model validation failure, 3 infeasible risk
+parameter, 4 numerical failure.  A command body receives a ``_Run``,
+whose ``setup`` loads the model, its quadrature rule and theta0, and
+whose ``summary`` writes every summary under the one header (command,
+version, model and the manifest of the options used).
 """
 
 from __future__ import annotations
@@ -28,22 +34,10 @@ from .quadrature import QuadratureConfig
 from .spectral import grid_for
 from .twomode import two_mode_example
 
-
-def _exit_on_errors(func):
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except ModelError as exc:
-            click.echo(f"validation failure: {exc}", err=True)
-            sys.exit(2)
-        except FeasibilityError as exc:
-            click.echo(f"infeasible risk parameter: {exc}", err=True)
-            sys.exit(3)
-        except NumericalError as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(4)
-    return wrapper
+#: Exit code and stderr label of each error branch of the package.
+_EXITS = {ModelError: (2, "validation failure"),
+          FeasibilityError: (3, "infeasible risk parameter"),
+          NumericalError: (4, "numerical failure")}
 
 
 def _limit_threads(n: int | None) -> None:
@@ -56,20 +50,54 @@ def _limit_threads(n: int | None) -> None:
         click.echo("threadpoolctl not installed; --threads ignored", err=True)
 
 
-def _get_model(model_path: str | None) -> StateSpace:
-    if model_path is None:
-        return two_mode_example()
-    return load_model(model_path)
+def _status(converged: bool) -> str:
+    """Status of an answer that met the quadrature tolerance, or missed it."""
+    return "ok" if converged else "quadrature-warning"
 
 
-def _config(ss: StateSpace, cutoff: float | None, step: float | None) -> QuadratureConfig:
-    """Resonance-placed panels, or uniform panels when ``step`` is given."""
-    cfg = QuadratureConfig.for_system(ss)
-    if cutoff is not None:
-        cfg = dataclasses.replace(cfg, cutoff=cutoff)
-    if step is not None:
-        cfg = QuadratureConfig(cutoff=cfg.cutoff, step=step)
-    return cfg
+@dataclasses.dataclass(frozen=True)
+class _Run:
+    """One invocation of a command: its name and its options but --threads."""
+
+    command: str
+    params: dict
+
+    def model(self) -> StateSpace:
+        """The ``--model`` file, or the built-in two-mode example."""
+        path = self.params.get("model_path")
+        return two_mode_example() if path is None else load_model(path)
+
+    def setup(self) -> tuple[StateSpace, QuadratureConfig, float]:
+        """The model, its quadrature rule (resonance-placed panels, uniform
+        ones under ``--step``, the tail from ``--cutoff``) and theta0."""
+        ss = self.model()
+        cfg = QuadratureConfig.for_system(ss)
+        cutoff, step = self.params.get("cutoff"), self.params.get("step")
+        if cutoff is not None:
+            cfg = dataclasses.replace(cfg, cutoff=cutoff)
+        if step is not None:
+            cfg = QuadratureConfig(cutoff=cfg.cutoff, step=step)
+        return ss, cfg, rate_mod.theta_threshold(ss, cfg)
+
+    def out_dir(self) -> Path:
+        path = Path(self.params["out"])
+        path.mkdir(parents=True, exist_ok=True)
+        return path
+
+    def summary(self, fields: dict, name: str = "summary.json",
+                **resolved) -> dict:
+        """Write ``fields`` under the common header and return the summary;
+        ``resolved`` holds options the command filled in from defaults."""
+        model = self.params.get("model_path")
+        used = {k: v for k, v in {**self.params, **resolved}.items()
+                if k not in ("model_path", "out") and v not in (None, "")}
+        summary = {"command": self.command, "version": __version__,
+                   "model": model,
+                   "manifest": {"command": self.command, "model": model,
+                                "out": str(self.params["out"]), **used},
+                   **fields}
+        write_summary(self.out_dir() / name, summary)
+        return summary
 
 
 def _float_list(text: str, option: str) -> list[float]:
@@ -80,32 +108,19 @@ def _float_list(text: str, option: str) -> list[float]:
         raise click.BadParameter(str(exc), param_hint=option) from None
 
 
-def _all_converged(ss: StateSpace, thetas, cfg: QuadratureConfig) -> bool:
-    """Whether Upsilon meets the quadrature tolerance at every feasible
-    theta of ``thetas``."""
-    for theta in thetas:
-        try:
-            if not rate_mod.upsilon(ss, float(theta), cfg).converged:
-                return False
-        except FeasibilityError:
-            continue
-    return True
+def _feasible(func, *args):
+    """``func(*args)``, or None where the risk parameter is infeasible."""
+    try:
+        return func(*args)
+    except FeasibilityError:
+        return None
 
 
-def _out_dir(out: str) -> Path:
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _eig_pairs(ss: StateSpace) -> list[list[float]]:
-    """Drift eigenvalues as [real, imag] pairs."""
-    return [[float(e.real), float(e.imag)] for e in ss.drift_eigenvalues]
-
-
-def _manifest(command: str, model_path, out, **overrides) -> dict:
-    used = {k: v for k, v in overrides.items() if v is not None}
-    return {"command": command, "model": model_path, "out": str(out), **used}
+def _drift(ss: StateSpace) -> dict:
+    """Drift eigenvalues as [real, imag] pairs, and the drift's 2-norm."""
+    return {"drift_eigenvalues": [[float(e.real), float(e.imag)]
+                                  for e in ss.drift_eigenvalues],
+            "drift_norm": float(np.linalg.norm(ss.a, 2))}
 
 
 model_option = click.option("--model", "model_path", type=click.Path(exists=True),
@@ -129,62 +144,65 @@ def main():
     """Growth rates of quadratic-exponential costs for linear quantum models."""
 
 
-@main.command()
-@model_option
-@out_option
-@threads_option
-@_exit_on_errors
-def validate(model_path, out, threads):
+def _command(name: str, *options, model: bool = True, rule: bool = False):
+    """Register a command body under ``name``.
+
+    Its options read --model (when ``model``), its own ``options``, --out,
+    --cutoff and --step (when ``rule``), --threads.  The body gets a
+    ``_Run`` and its own options by keyword, under the thread cap; a
+    package error it raises exits with the code ``_EXITS`` gives it.
+    """
+    stack = [*([model_option] if model else []), *options, out_option,
+             *([cutoff_option, step_option] if rule else []), threads_option]
+
+    def register(body):
+        @functools.wraps(body)
+        def callback(threads, **params):
+            _limit_threads(threads)
+            own = {k: v for k, v in params.items()
+                   if k not in ("model_path", "out", "cutoff", "step")}
+            try:
+                return body(_Run(name, params), **own)
+            except tuple(_EXITS) as exc:
+                code, label = next(v for kind, v in _EXITS.items()
+                                   if isinstance(exc, kind))
+                click.echo(f"{label}: {exc}", err=True)
+                sys.exit(code)
+
+        for option in reversed(stack):
+            callback = option(callback)
+        return main.command(name=name)(callback)
+    return register
+
+
+@_command("validate")
+def validate(run):
     """Validate a model and report its structural diagnostics."""
-    _limit_threads(threads)
-    ss = _get_model(model_path)
-    cfg = QuadratureConfig.for_system(ss)
-    summary = {
-        "command": "validate",
-        "version": __version__,
-        "model": model_path,
-        "manifest": _manifest("validate", model_path, out),
+    ss, _, theta0 = run.setup()
+    summary = run.summary({
         "pr_residual": ss.pr_residual(),
         "sigma_residual": ss.sigma_residual(),
         "hurwitz_margin": ss.hurwitz_margin(),
         "noise_det": ss.noise_det(),
-        "theta0": rate_mod.theta_threshold(ss, cfg),
-        "drift_eigenvalues": _eig_pairs(ss),
-        "drift_norm": float(np.linalg.norm(ss.a, 2)),
+        "theta0": theta0,
+        **_drift(ss),
         "status": "ok",
-    }
-    path = _out_dir(out) / "validate.json"
-    write_summary(path, summary)
+    }, name="validate.json")
     click.echo(json.dumps(summary, indent=2, sort_keys=True))
 
 
-@main.command(name="rate")
-@model_option
-@click.option("--theta", type=float, required=True, help="Risk parameter.")
-@out_option
-@cutoff_option
-@step_option
-@threads_option
-@_exit_on_errors
-def rate_cmd(model_path, theta, out, cutoff, step, threads):
+@_command("rate", click.option("--theta", type=float, required=True,
+                               help="Risk parameter."), rule=True)
+def rate_cmd(run, theta):
     """Growth rate at one risk parameter, with per-frequency CSV."""
-    _limit_threads(threads)
-    ss = _get_model(model_path)
-    cfg = _config(ss, cutoff, step)
-    theta0 = rate_mod.theta_threshold(ss, cfg)
+    ss, cfg, theta0 = run.setup()
     result = rate_mod.upsilon(ss, theta, cfg)
     lambdas, neg_ld, classical = rate_mod.frequency_profile(grid_for(ss, cfg),
                                                             theta)
-    out_path = _out_dir(out)
-    write_csv(out_path / "frequency_profile.csv",
+    write_csv(run.out_dir() / "frequency_profile.csv",
               ["lambda", "neg_log_det_D", "classical_integrand"],
               zip(lambdas.tolist(), neg_ld.tolist(), classical.tolist()))
-    summary = {
-        "command": "rate",
-        "version": __version__,
-        "model": model_path,
-        "manifest": _manifest("rate", model_path, out, theta=theta,
-                              cutoff=cutoff, step=step),
+    run.summary({
         "theta": result.theta,
         "upsilon": result.upsilon,
         "classical_v": None if np.isnan(result.classical_v) else result.classical_v,
@@ -197,149 +215,99 @@ def rate_cmd(model_path, theta, out, cutoff, step, threads):
         "lqg_rate": rate_mod.lqg_rate(ss),
         "cutoff": cfg.cutoff,
         "step": cfg.step,
-        "status": "ok" if result.converged else "quadrature-warning",
-    }
-    write_summary(out_path / "summary.json", summary)
+        "status": _status(result.converged),
+    })
     click.echo(f"upsilon({theta:g}) = {result.upsilon:.9g}")
 
 
-@main.command()
-@model_option
-@click.option("--theta-max", type=float, default=None,
-              help="Top of the sweep; defaults to 0.9 * theta0.")
-@click.option("--points", type=click.IntRange(min=1), default=10,
-              show_default=True)
-@out_option
-@cutoff_option
-@step_option
-@threads_option
-@_exit_on_errors
-def sweep(model_path, theta_max, points, out, cutoff, step, threads):
+@_command("sweep",
+          click.option("--theta-max", type=float, default=None,
+                       help="Top of the sweep; defaults to 0.9 * theta0."),
+          click.option("--points", type=click.IntRange(min=1), default=10,
+                       show_default=True), rule=True)
+def sweep(run, theta_max, points):
     """Growth rate over a grid of risk parameters."""
-    _limit_threads(threads)
-    ss = _get_model(model_path)
-    cfg = _config(ss, cutoff, step)
+    ss, cfg, theta0 = run.setup()
     if theta_max is None:
-        theta_max = 0.9 * rate_mod.theta_threshold(ss, cfg)
+        theta_max = 0.9 * theta0
     if not 0.0 <= theta_max < math.inf:
         raise FeasibilityError("theta_max must be finite and nonnegative",
                                theta=theta_max)
     rows = []
-    for theta in np.linspace(0.0, theta_max, points):
-        try:
-            res = rate_mod.upsilon(ss, float(theta), cfg)
-            rows.append((float(theta), res.upsilon, res.classical_v,
-                         res.margin,
-                         "ok" if res.converged else "quadrature-warning"))
-        except FeasibilityError:
-            rows.append((float(theta), float("nan"), float("nan"),
-                         float("nan"), "infeasible"))
-    out_path = _out_dir(out)
+    for theta in map(float, np.linspace(0.0, theta_max, points)):
+        res = _feasible(rate_mod.upsilon, ss, theta, cfg)
+        rows.append((theta, math.nan, math.nan, math.nan, "infeasible")
+                    if res is None else (theta, res.upsilon, res.classical_v,
+                                         res.margin, _status(res.converged)))
+    out_path = run.out_dir()
     write_csv(out_path / "sweep.csv",
               ["theta", "upsilon", "classical_v", "margin", "status"], rows)
-    warned = any(row[-1] == "quadrature-warning" for row in rows)
-    write_summary(out_path / "summary.json", {
-        "command": "sweep", "version": __version__, "model": model_path,
-        "manifest": _manifest("sweep", model_path, out, theta_max=theta_max,
-                              points=points, cutoff=cutoff, step=step),
-        "theta": float(theta_max),
-        "status": "quadrature-warning" if warned else "ok",
-    })
+    warned = any(row[-1] == _status(False) for row in rows)
+    run.summary({"theta": float(theta_max), "status": _status(not warned)},
+                theta_max=theta_max)
     click.echo(f"wrote {len(rows)} rows to {out_path / 'sweep.csv'}")
 
 
-@main.command(name="homotopy")
-@model_option
-@click.option("--theta-max", type=float, default=None,
-              help="March target; defaults to 0.9 * theta0.")
-@click.option("--dtheta", type=float, default=None,
-              help="Step in theta; defaults to 0.01 * theta0.")
-@out_option
-@cutoff_option
-@step_option
-@threads_option
-@_exit_on_errors
-def homotopy_cmd(model_path, theta_max, dtheta, out, cutoff, step, threads):
+@_command("homotopy",
+          click.option("--theta-max", type=float, default=None,
+                       help="March target; defaults to 0.9 * theta0."),
+          click.option("--dtheta", type=float, default=None,
+                       help="Step in theta; defaults to 0.01 * theta0."),
+          rule=True)
+def homotopy_cmd(run, theta_max, dtheta):
     """Growth rate by the Riccati march in the risk parameter."""
-    _limit_threads(threads)
-    ss = _get_model(model_path)
-    cfg = _config(ss, cutoff, step)
-    theta0 = rate_mod.theta_threshold(ss, cfg)
+    ss, cfg, theta0 = run.setup()
     if theta_max is None:
         theta_max = 0.9 * theta0
     if dtheta is None:
         dtheta = 0.01 * theta0
     trace = homotopy_mod.rate_by_homotopy(ss, theta_max, dtheta, cfg)
-    out_path = _out_dir(out)
-    write_csv(out_path / "homotopy.csv",
+    write_csv(run.out_dir() / "homotopy.csv",
               ["theta", "upsilon_prime", "upsilon"],
               zip(trace.theta_grid.tolist(), trace.rate_derivative.tolist(),
                   trace.rate.tolist()))
-    write_summary(out_path / "summary.json", {
-        "command": "homotopy", "version": __version__, "model": model_path,
-        "manifest": _manifest("homotopy", model_path, out,
-                              theta_max=theta_max, dtheta=dtheta,
-                              cutoff=cutoff, step=step),
-        "theta": float(theta_max), "theta0": theta0,
-        "upsilon": float(trace.rate[-1]), "status": "ok",
-    })
+    run.summary({"theta": float(theta_max), "theta0": theta0,
+                 "upsilon": float(trace.rate[-1]), "status": "ok"},
+                theta_max=theta_max, dtheta=dtheta)
     click.echo(f"upsilon({theta_max:g}) = {trace.rate[-1]:.9g}")
 
 
-@main.command(name="horizon")
-@model_option
-@click.option("--theta", type=float, required=True)
-@click.option("--horizons", default="10,20", show_default=True,
-              help="Comma-separated horizon list.")
-@click.option("--dt", type=float, default=0.025, show_default=True,
-              help="Time step of the kernel discretization.")
-@click.option("--max-dim", type=int, default=horizon_mod.DEFAULT_MAX_DIM,
-              show_default=True, help="Memory guard on the matrix order.")
-@out_option
-@threads_option
-@_exit_on_errors
-def horizon_cmd(model_path, theta, horizons, dt, max_dim, out, threads):
+@_command("horizon",
+          click.option("--theta", type=float, required=True),
+          click.option("--horizons", default="10,20", show_default=True,
+                       help="Comma-separated horizon list."),
+          click.option("--dt", type=float, default=0.025, show_default=True,
+                       help="Time step of the kernel discretization."),
+          click.option("--max-dim", type=int,
+                       default=horizon_mod.DEFAULT_MAX_DIM, show_default=True,
+                       help="Memory guard on the matrix order."))
+def horizon_cmd(run, theta, horizons, dt, max_dim):
     """Finite-horizon oracle sweep with 1/T extrapolation."""
-    _limit_threads(threads)
     ts = _float_list(horizons, "--horizons")
-    ss = _get_model(model_path)
-    if not ts:
-        raise NumericalError("empty horizon list")
+    ss = run.model()
     if not all(0.0 < v < math.inf for v in [dt, *ts]):
         raise NumericalError("time step and horizons must be positive and finite")
     study = horizon_mod.convergence_study(ss, theta, ts,
                                           n_per_unit_time=int(round(1.0 / dt)),
                                           max_dim=max_dim)
-    out_path = _out_dir(out)
     rows = [(e.horizon, e.n_grid, e.ln_xi, e.per_time_rate, e.spec_value,
              study.extrapolated_rate) for e in study.estimates]
-    write_csv(out_path / "horizon.csv",
+    write_csv(run.out_dir() / "horizon.csv",
               ["T", "N", "ln_xi", "rate", "spec_value", "extrapolated_rate"],
               rows)
-    write_summary(out_path / "summary.json", {
-        "command": "horizon", "version": __version__, "model": model_path,
-        "manifest": _manifest("horizon", model_path, out, theta=theta,
-                              horizons=horizons, dt=dt, max_dim=max_dim),
-        "theta": theta, "extrapolated_rate": study.extrapolated_rate,
-        "status": "ok",
-    })
+    run.summary({"theta": theta, "extrapolated_rate": study.extrapolated_rate,
+                 "status": "ok"})
     click.echo(f"extrapolated rate = {study.extrapolated_rate:.9g}")
 
 
-@main.command()
-@model_option
-@click.option("--alpha", default="", help="Comma-separated tail levels.")
-@click.option("--eps", default="", help="Comma-separated uncertainty budgets.")
-@click.option("--theta-points", type=click.IntRange(min=1), default=30,
-              show_default=True)
-@out_option
-@cutoff_option
-@step_option
-@threads_option
-@_exit_on_errors
-def bounds(model_path, alpha, eps, theta_points, out, cutoff, step, threads):
+@_command("bounds",
+          click.option("--alpha", default="", help="Comma-separated tail levels."),
+          click.option("--eps", default="",
+                       help="Comma-separated uncertainty budgets."),
+          click.option("--theta-points", type=click.IntRange(min=1), default=30,
+                       show_default=True), rule=True)
+def bounds(run, alpha, eps, theta_points):
     """Tail decay-rate and worst-case cost bounds over parameter grids."""
-    _limit_threads(threads)
     alphas = _float_list(alpha, "--alpha")
     epses = _float_list(eps, "--eps")
     # the domains tail_bound and worst_case_lqg_bound enforce
@@ -349,52 +317,36 @@ def bounds(model_path, alpha, eps, theta_points, out, cutoff, step, threads):
     if not all(0.0 <= e < math.inf for e in epses):
         raise click.BadParameter("budgets must be finite and nonnegative",
                                  param_hint="--eps")
-    ss = _get_model(model_path)
-    cfg = _config(ss, cutoff, step)
-    theta0 = rate_mod.theta_threshold(ss, cfg)
+    ss, cfg, theta0 = run.setup()
     theta_grid = np.linspace(0.05, 0.95, theta_points) * theta0
-    status = "ok" if _all_converged(ss, theta_grid, cfg) else "quadrature-warning"
+    ups = (_feasible(rate_mod.upsilon, ss, float(t), cfg) for t in theta_grid)
+    status = _status(all(r is None or r.converged for r in ups))
     if not alphas:
         alphas = [rate_mod.lqg_rate(ss) * f for f in (1.0, 1.5, 2.0)]
     if not epses:
         epses = [0.0, 0.01, 0.1]
-    rows_a, rows_e = [], []
-    for a in alphas:
-        try:
-            rows_a.append((a, rate_mod.tail_bound(ss, a, theta_grid, cfg), status))
-        except FeasibilityError:
-            rows_a.append((a, float("nan"), "infeasible"))
-    for e in epses:
-        try:
-            rows_e.append((e, rate_mod.worst_case_lqg_bound(ss, e, theta_grid, cfg),
-                           status))
-        except FeasibilityError:
-            rows_e.append((e, float("nan"), "infeasible"))
-    out_path = _out_dir(out)
+
+    def rows(bound, levels):
+        found = [(x, _feasible(bound, ss, x, theta_grid, cfg)) for x in levels]
+        return [(x, math.nan, "infeasible") if b is None else (x, b, status)
+                for x, b in found]
+    rows_a = rows(rate_mod.tail_bound, alphas)
+    rows_e = rows(rate_mod.worst_case_lqg_bound, epses)
+    out_path = run.out_dir()
     write_csv(out_path / "tail_bounds.csv", ["alpha", "bound", "status"], rows_a)
     write_csv(out_path / "worst_case_bounds.csv", ["eps", "bound", "status"],
               rows_e)
-    write_summary(out_path / "summary.json", {
-        "command": "bounds", "version": __version__, "model": model_path,
-        "manifest": _manifest("bounds", model_path, out, alpha=alpha or None,
-                              eps=eps or None, theta_points=theta_points,
-                              cutoff=cutoff, step=step),
-        "theta0": theta0, "status": status,
-    })
+    run.summary({"theta0": theta0, "status": status})
     click.echo(f"wrote bounds for {len(rows_a)} tail levels, "
                f"{len(rows_e)} budgets")
 
 
-@main.command(name="onemode-check")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--samples", type=click.IntRange(min=1), default=100,
-              show_default=True)
-@out_option
-@threads_option
-@_exit_on_errors
-def onemode_check(seed, samples, out, threads):
+@_command("onemode-check",
+          click.option("--seed", type=int, default=0, show_default=True),
+          click.option("--samples", type=click.IntRange(min=1), default=100,
+                       show_default=True), model=False)
+def onemode_check(run, seed, samples):
     """Cross-check the generic pipeline against single-mode closed forms."""
-    _limit_threads(threads)
     rng = np.random.default_rng(seed)
     params = onemode_mod.random_params(rng)
     lams = rng.uniform(-8.0, 8.0, size=samples)
@@ -402,42 +354,32 @@ def onemode_check(seed, samples, out, threads):
         params, lams, 0.3 / (1.0 + np.abs(lams)))
     res_dets = [abs(np.linalg.det(onemode_mod.residue_at(params.mu, params.nu, p)))
                 for p in onemode_mod.poles(params.mu, params.nu)]
-    summary = {
-        "command": "onemode-check", "version": __version__, "model": None,
-        "manifest": _manifest("onemode-check", None, out, seed=seed,
-                              samples=samples),
+    matched = max(dev_psi, dev_trig) < 1e-10 and max(res_dets) < 1e-6
+    summary = run.summary({
         "max_dev": {"psi": dev_psi, "trig": dev_trig,
                     "residue_det": max(res_dets)},
-        "status": "ok" if max(dev_psi, dev_trig) < 1e-10
-                  and max(res_dets) < 1e-6 else "mismatch",
-    }
-    write_summary(_out_dir(out) / "summary.json", summary)
+        "status": "ok" if matched else "mismatch",
+    })
     click.echo(json.dumps(summary, indent=2, sort_keys=True))
-    if summary["status"] != "ok":
-        sys.exit(4)
+    if not matched:
+        raise NumericalError("generic pipeline departs from the closed forms")
 
 
-@main.command()
-@click.option("--dtheta-frac", type=float, default=0.01, show_default=True,
-              help="Theta step as a fraction of theta0.")
-@out_option
-@cutoff_option
-@step_option
-@threads_option
-@_exit_on_errors
-def example(out, dtheta_frac, cutoff, step, threads):
+@_command("example",
+          click.option("--dtheta-frac", type=float, default=0.01,
+                       show_default=True,
+                       help="Theta step as a fraction of theta0."),
+          model=False, rule=True)
+def example(run, dtheta_frac):
     """Reproduce the two-mode example artifacts.
 
     Writes logdet_profile.csv (per-frequency integrand at 0.9 theta0 with
     its high-frequency asymptote), rate_curve.csv (growth rate by the
     direct quadrature and by the Riccati march), and summary.json.
     """
-    _limit_threads(threads)
-    ss = two_mode_example()
-    cfg = _config(ss, cutoff, step)
-    theta0 = rate_mod.theta_threshold(ss, cfg)
+    ss, cfg, theta0 = run.setup()
     theta_hi = 0.9 * theta0
-    out_path = _out_dir(out)
+    out_path = run.out_dir()
 
     lambdas, neg_ld, _ = rate_mod.frequency_profile(grid_for(ss, cfg), theta_hi)
     tail_coeff = ss.lqg_weight_trace()
@@ -460,18 +402,13 @@ def example(out, dtheta_frac, cutoff, step, threads):
     nonzero = trace.theta_grid > 0
     gap = float(np.max(np.abs(trace.rate[nonzero] - direct[nonzero])
                        / np.abs(direct[nonzero])))
-    write_summary(out_path / "summary.json", {
-        "command": "example", "version": __version__, "model": None,
-        "manifest": _manifest("example", None, out, dtheta_frac=dtheta_frac,
-                              cutoff=cutoff, step=step),
+    run.summary({
         "theta0": theta0,
-        "drift_eigenvalues": _eig_pairs(ss),
-        "drift_norm": float(np.linalg.norm(ss.a, 2)),
+        **_drift(ss),
         "lqg_rate": rate_mod.lqg_rate(ss),
         "cross_method_gap": gap,
         "cutoff": cfg.cutoff, "step": cfg.step,
-        "status": "ok" if all(r.converged for r in results)
-                  else "quadrature-warning",
+        "status": _status(all(r.converged for r in results)),
     })
     click.echo(f"theta0 = {theta0:.6g}, cross-method gap = {gap:.3g}")
 

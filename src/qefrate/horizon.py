@@ -51,7 +51,7 @@ from numpy.lib.stride_tricks import as_strided
 # hessenberg and eigh_tridiagonal stay bound: benchmarks/spans.py traces them
 from scipy.linalg import cholesky, eigh, eigh_tridiagonal, expm, hessenberg  # noqa: F401
 
-from ._funcs import lncosh, tanhc
+from ._funcs import check_theta, lncosh, tanhc
 from .errors import FeasibilityError, NumericalError, SizeError
 from .model import StateSpace
 
@@ -155,12 +155,6 @@ def _lambda_max(mat: np.ndarray) -> float:
         return float(np.linalg.eigvalsh(mat)[-1])
 
 
-def _check_theta(theta: float) -> None:
-    if not 0.0 <= theta < math.inf:
-        raise FeasibilityError("risk parameter must be finite and nonnegative",
-                               theta=theta)
-
-
 def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
           max_dim: int = DEFAULT_MAX_DIM, classical: bool = False) -> HorizonEstimate:
     """Finite-horizon log of the exponential cost on a midpoint grid.
@@ -175,7 +169,7 @@ def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
     """
     if n_grid < MIN_CELLS:
         raise NumericalError(f"need at least {MIN_CELLS} time cells, got {n_grid}")
-    _check_theta(theta)
+    check_theta(theta)
     # _lambda_max imports scipy.sparse.linalg on first use; loading it here,
     # before the large matrices exist, keeps its long-lived objects from
     # pinning freed matrix memory in the heap (50 MB more peak memory at
@@ -196,7 +190,7 @@ def ln_xi_from_matrices(big_l: np.ndarray, big_p: np.ndarray, theta: float,
 
     The inputs are left unchanged.
     """
-    _check_theta(theta)
+    check_theta(theta)
     gram = None if classical else big_l.T @ big_l
     return _ln_xi_consuming(gram, big_p.copy(), theta)
 
@@ -261,11 +255,15 @@ def convergence_study(ss: StateSpace, theta: float, horizons,
 
     The per-time rates are fitted with a + b/T by least squares; the
     intercept estimates the infinite-horizon growth rate, consistent with
-    the boundary-layer origin of the finite-horizon correction.  Every
-    horizon is checked against ``max_dim`` and the minimum cell count, and
-    theta against its domain, before any is evaluated.
+    the boundary-layer origin of the finite-horizon correction.  The list
+    is checked to be nonempty and free of repeats (a repeated horizon makes
+    the fit singular), theta against its domain, and every horizon against
+    ``max_dim`` and the minimum cell count, before any is evaluated.
     """
-    _check_theta(theta)
+    horizons = [float(t) for t in horizons]
+    if not horizons:
+        raise NumericalError("empty horizon list")
+    check_theta(theta)
     for t in horizons:
         if not 0.0 < t < math.inf:
             raise NumericalError(f"horizon must be positive and finite, got {t:g}")
@@ -276,6 +274,9 @@ def convergence_study(ss: StateSpace, theta: float, horizons,
         if ss.n * n_grid > max_dim:
             raise SizeError(f"discretization order {ss.n * n_grid} at horizon "
                             f"{t:g} exceeds the guard {max_dim}")
+    if len(set(horizons)) < len(horizons):
+        raise NumericalError(f"repeated horizon in {horizons}: the 1/T fit "
+                             "needs distinct horizons")
     estimates = [
         ln_xi(ss, theta, horizon=t, n_grid=int(round(t * n_per_unit_time)),
               max_dim=max_dim, classical=classical)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._funcs import hermitize, lncosh, minimize_bounded, tanhc
+from ._funcs import check_theta, hermitize, lncosh, minimize_bounded, tanhc
 from .errors import FeasibilityError, NumericalError
 from .model import StateSpace
 from .quadrature import HalfLine, QuadratureConfig
@@ -144,6 +144,7 @@ def log_det_d(sample: SpectralSample, theta: float,
     The value is even in both the frequency and the commutator sign, so
     mirrored samples are canonicalized first and evaluate identically.
     """
+    check_theta(theta)
     if sample.lam < 0:
         sample = sample.mirrored()
     one_node = SpectralGrid(lambdas=np.array([sample.lam]),
@@ -168,9 +169,7 @@ def upsilon_from_grid(grid: SpectralGrid, theta: float,
     flagged unconverged when the Gauss-Kronrod error estimate of either
     integral exceeds ``QUAD_AGREEMENT`` times its value.
     """
-    if not 0.0 <= theta < math.inf:
-        raise FeasibilityError("risk parameter must be finite and nonnegative",
-                               theta=theta)
+    check_theta(theta)
     neg_ld, margin = _neg_log_det(grid, theta)
     quad = cfg.half_line(neg_ld)
     converged = _converged(quad)
@@ -198,8 +197,7 @@ def upsilon(ss: StateSpace, theta: float, cfg: QuadratureConfig) -> RateResult:
 
 def classical_v(ss: StateSpace, theta: float, cfg: QuadratureConfig) -> float:
     """Entropy integral V(theta) of the classical (commutative) limit."""
-    if theta < 0:
-        raise FeasibilityError("risk parameter must be nonnegative", theta=theta)
+    check_theta(theta)
     return _classical_from_grid(grid_for(ss, cfg), theta,
                                 cfg).value / (2.0 * math.pi)
 
@@ -296,6 +294,7 @@ def small_theta_expansion(ss: StateSpace, theta: float,
     whose integrand is real and nonpositive, so the expansion always sits
     below the classical value.
     """
+    check_theta(theta)
     grid = grid_for(ss, cfg)
     v = _classical_from_grid(grid, theta, cfg).value / (2.0 * math.pi)
     eye = np.eye(ss.n)
@@ -434,6 +433,7 @@ def frequency_profile(grid: SpectralGrid, theta: float):
 
     Returns (lambdas, neg_log_det_d, classical_integrand) over the mesh.
     """
+    check_theta(theta)
     neg_ld, _ = _neg_log_det(grid, theta)
     try:
         cl_vals, _ = _neg_log_factor(grid.phi_eigvals, theta, grid.lambdas)

@@ -198,8 +198,11 @@ class TestConvergence:
         (math.nan, [2.0, 4.0], FeasibilityError, "must be finite"),
         (-0.01, [2.0, 4.0], FeasibilityError, "must be finite"),
         (0.04, [2.0, 0.1], NumericalError,
-         "at least 8 time cells, got 4 at horizon 0.1")],
-        ids=["theta-nan", "theta-negative", "too-few-cells"])
+         "at least 8 time cells, got 4 at horizon 0.1"),
+        (0.04, [], NumericalError, "empty horizon list"),
+        (0.04, [2.0, 2.0], NumericalError, "repeated horizon")],
+        ids=["theta-nan", "theta-negative", "too-few-cells", "empty",
+             "repeated"])
     def test_inputs_checked_before_any_evaluation(self, twomode, monkeypatch,
                                                   theta, horizons, error,
                                                   message):

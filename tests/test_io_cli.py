@@ -182,11 +182,51 @@ class TestCliExitCodes:
         assert "6400 at horizon 40 exceeds the guard 6000" in result.output
         assert calls == []
 
+    @pytest.mark.parametrize("horizons, message", [
+        ("10,10", "repeated horizon"), (",", "empty horizon list")],
+        ids=["repeated", "empty"])
+    def test_horizon_list_without_a_fit_exits_4(self, runner, tmp_path,
+                                               monkeypatch, horizons, message):
+        calls = []
+        monkeypatch.setattr(q.horizon, "ln_xi",
+                            lambda *a, **k: calls.append(a))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["horizon", "--theta", "0.03",
+                                      "--horizons", horizons, "--out", str(out)])
+        assert result.exit_code == 4
+        assert message in result.stderr
+        assert calls == []
+        assert not out.exists()
+
     def test_horizon_defaults_pass_the_guard(self, twomode):
         params = {p.name: p.default for p in main.commands["horizon"].params}
         orders = [twomode.n * round(float(t) / params["dt"])
                   for t in params["horizons"].split(",")]
         assert max(orders) <= params["max_dim"]
+
+    def test_onemode_mismatch_exits_4(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(q.onemode, "generic_deviation",
+                            lambda *a, **k: (1.0, 1.0))
+        result = runner.invoke(main, ["onemode-check", "--samples", "5",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 4
+        assert "numerical failure" in result.stderr
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["status"] == "mismatch"
+
+    @pytest.mark.parametrize("args", [
+        ["validate"], ["rate", "--theta", "0.02", "--step", "0.25"],
+        ["onemode-check", "--samples", "20"]],
+        ids=["validate", "rate", "onemode-check"])
+    def test_threads_without_threadpoolctl(self, runner, tmp_path,
+                                           monkeypatch, args):
+        # a None entry in sys.modules makes the import fail, as when absent
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        result = runner.invoke(main, args + ["--threads", "1",
+                                             "--out", str(tmp_path)])
+        assert result.exit_code == 0
+        assert ("threadpoolctl not installed; --threads ignored"
+                in result.stderr)
 
     @pytest.mark.parametrize("args", [
         ["onemode-check", "--samples", "0"],

@@ -392,6 +392,29 @@ class TestFrequencyProfile:
         assert np.all(classical >= neg_ld - 1e-12)
 
 
+#: Entry points that take a risk parameter, each called on the two-mode
+#: model with a coarse rule; all share one check of its domain.
+THETA_ENTRY_POINTS = {
+    "upsilon_from_grid": lambda ss, cfg, th: q.upsilon_from_grid(
+        q.sample_grid(ss, cfg.lambdas()), th, cfg),
+    "classical_v": lambda ss, cfg, th: q.classical_v(ss, th, cfg),
+    "small_theta_expansion":
+        lambda ss, cfg, th: q.small_theta_expansion(ss, th, cfg),
+    "log_det_d": lambda ss, cfg, th: log_det_d(q.spectral_sample(ss, 1.1), th),
+    "frequency_profile": lambda ss, cfg, th: q.frequency_profile(
+        q.sample_grid(ss, cfg.lambdas()), th),
+    "ln_xi": lambda ss, cfg, th: q.ln_xi(ss, th, horizon=1.0, n_grid=8),
+}
+
+
+@pytest.mark.parametrize("theta", [math.nan, -0.01, math.inf],
+                         ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("entry", sorted(THETA_ENTRY_POINTS))
+def test_risk_parameter_domain(twomode, cfg_coarse, entry, theta):
+    with pytest.raises(FeasibilityError, match="finite and nonnegative"):
+        THETA_ENTRY_POINTS[entry](twomode, cfg_coarse, theta)
+
+
 def scipy_bounded(func, lo, hi, xatol):
     """The reference minimizer: scipy's bounded Brent method."""
     from scipy.optimize import minimize_scalar
