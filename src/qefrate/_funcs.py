@@ -23,7 +23,8 @@ def sinhc(x: np.ndarray | float) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_CUT
     xs = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 + x * x / 6.0 + x**4 / 120.0, np.sinh(xs) / xs)
+    x2 = x * x
+    out = np.where(small, 1.0 + x2 / 6.0 + x2 * x2 / 120.0, np.sinh(xs) / xs)
     return out if out.ndim else float(out)
 
 
@@ -32,7 +33,8 @@ def tanhc(x: np.ndarray | float) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_CUT
     xs = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x * x / 3.0 + 2.0 * x**4 / 15.0,
+    x2 = x * x
+    out = np.where(small, 1.0 - x2 / 3.0 + 2.0 * x2 * x2 / 15.0,
                    np.tanh(xs) / xs)
     return out if out.ndim else float(out)
 

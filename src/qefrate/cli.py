@@ -277,7 +277,8 @@ def homotopy_cmd(run, theta_max, dtheta):
           click.option("--horizons", default="10,20", show_default=True,
                        help="Comma-separated horizon list."),
           click.option("--dt", type=float, default=0.025, show_default=True,
-                       help="Time step of the kernel discretization."),
+                       help="Time step of the kernel discretization, "
+                       "1/N for a whole number N."),
           click.option("--max-dim", type=int,
                        default=horizon_mod.DEFAULT_MAX_DIM, show_default=True,
                        help="Memory guard on the matrix order."))
@@ -287,8 +288,16 @@ def horizon_cmd(run, theta, horizons, dt, max_dim):
     ss = run.model()
     if not all(0.0 < v < math.inf for v in [dt, *ts]):
         raise NumericalError("time step and horizons must be positive and finite")
-    study = horizon_mod.convergence_study(ss, theta, ts,
-                                          n_per_unit_time=int(round(1.0 / dt)),
+    per_unit = 1.0 / dt
+    cells = round(per_unit)
+    if abs(per_unit - cells) > 1e-9 * per_unit:
+        near = min({max(1, math.floor(per_unit)), math.ceil(per_unit)},
+                   key=lambda k: abs(1.0 / k - dt))
+        raise click.BadParameter(
+            f"{dt:g} is not 1/N for a whole number N of cells per unit time; "
+            f"the nearest valid step is 1/{near} = {1.0 / near:g}",
+            param_hint="--dt")
+    study = horizon_mod.convergence_study(ss, theta, ts, n_per_unit_time=cells,
                                           max_dim=max_dim)
     rows = [(e.horizon, e.n_grid, e.ln_xi, e.per_time_rate, e.spec_value,
              study.extrapolated_rate) for e in study.estimates]

@@ -16,8 +16,12 @@ is always computed through the two-factor Hermitian split
 whose factors have real spectra; the direct complex determinant is kept
 only as an assertion channel against branch-cut mistakes.  The second
 factor is formed in the eigenbasis of H = i Psi, where sqrt(tanc) is
-diagonal, so each theta scales the model's cached rotated Phi and takes
-one stacked Hermitian eigensolve.  The integrand is even in frequency,
+diagonal, so each theta scales the model's cached rotated Phi and
+factors I - theta M as L D L*, one pivot column at a time over the whole
+frequency stack; a nonpositive pivot is the feasibility failure.  The
+feasibility margin theta * max lam_max(M) is exact but eigensolves only
+the few nodes whose bound max_i tanhc(theta w_i) * lam_max(Phi) reaches
+the peak.  The integrand is even in frequency,
 so the integral runs over [0, inf) on the composite Gauss-Kronrod rule
 of ``qefrate.quadrature``, whose mapped last panel covers the
 high-frequency tail.
@@ -71,6 +75,11 @@ _THETA0_SLOT = "_theta0"
 #: iteration for theta0 made no step.
 POLISH_DEPTH = 1e-6
 
+#: Relative slack below the exact lam_max(M) at the node of the largest
+#: bound max_i r_i^2 lam_max(Phi) that a node's bound must reach for the
+#: feasibility margin to eigensolve it; it covers rounding in the bound.
+MARGIN_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class RateResult:
@@ -92,47 +101,115 @@ class RateResult:
 
 
 def _neg_log_factor(eigs: np.ndarray, theta: float, lambdas: np.ndarray):
-    """-sum ln(1 - theta * eigs) per frequency, with the feasibility margin.
+    """-sum ln(1 - theta * eigs) per frequency.
 
-    ``eigs`` holds ascending eigenvalues per frequency.  Returns (values,
-    margin), where margin is the largest theta * eigenvalue on the mesh.
-    Raises FeasibilityError, naming the first offending frequency, when a
-    factor loses positivity.
+    ``eigs`` holds ascending eigenvalues per frequency.  Raises
+    FeasibilityError, naming the first offending frequency, when a factor
+    loses positivity.
     """
     factors = 1.0 - theta * eigs
     bad = np.nonzero(np.min(factors, axis=-1) <= 0.0)[0]
     if bad.size:
-        k = int(bad[0])
-        raise FeasibilityError(
-            f"risk parameter {theta:g} infeasible at frequency "
-            f"{lambdas[k]:g} (margin {theta * eigs[k, -1]:g} >= 1)",
-            theta=theta, lam=float(lambdas[k]))
-    return (-np.sum(np.log1p(-theta * eigs), axis=-1),
-            float(theta * np.max(eigs[:, -1])))
+        _raise_infeasible(theta, lambdas[bad[0]], theta * eigs[bad[0], -1])
+    return -np.sum(np.log1p(-theta * eigs), axis=-1)
 
 
-def _neg_log_det(grid: SpectralGrid, theta: float):
-    """-ln det D_theta over the mesh via the Hermitian split, with margin.
+def _raise_infeasible(theta: float, lam: float, margin: float):
+    raise FeasibilityError(
+        f"risk parameter {theta:g} infeasible at frequency "
+        f"{lam:g} (margin {margin:g} >= 1)", theta=theta, lam=float(lam))
 
-    The second factor's spectrum is taken in the eigenbasis of H, where
-    sqrt(tanc) is the diagonal r = sqrt(tanhc(theta w)) and the matrix is
-    ``grid.phi_rot`` scaled by r_i r_j.
+
+def _scaled_phi(grid: SpectralGrid, r: np.ndarray, nodes) -> np.ndarray:
+    """M = sqrt(tanc) Phi sqrt(tanc) at ``nodes`` in the eigenbasis of H:
+    ``grid.phi_rot`` scaled by r_i r_j, r = sqrt(tanhc(theta w))."""
+    rn = r[nodes]
+    return grid.phi_rot[nodes] * (rn[..., :, None] * rn[..., None, :])
+
+
+def _neg_log_det(grid: SpectralGrid, theta: float) -> np.ndarray:
+    """-ln det D_theta over the mesh via the Hermitian split.
+
+    The second factor I - theta M is factored as L D L* one pivot column
+    at a time, each step over every node at once (the node axis last, so
+    every operation runs along the frequency stack): with S = -theta M,
+    pivot k is 1 + e, e = Re S_kk, contributing -log1p(e), and the Schur
+    update is S[k+1:, k+1:] -= c c* / (1 + e) for the column c below the
+    pivot.  Keeping e apart from the 1 keeps the relative accuracy of
+    log1p at small theta.  A nonpositive pivot means I - theta M is not
+    positive definite there; such pivots are pinned to one so the sweep
+    finishes, and FeasibilityError then names the lowest failing
+    frequency with its margin from one eigensolve.
+    """
+    n_freq = len(grid.lambdas)
+    if theta == 0.0:
+        return np.zeros(n_freq)
+    x = theta * grid.h_eigh[0]
+    r = np.sqrt(np.asarray(tanhc(x)))
+    rt = r.T
+    s = np.moveaxis(grid.phi_rot, 0, -1) * (-theta * (rt[:, None] * rt[None]))
+    n = len(s)
+    piv = np.empty((n, n_freq))
+    failed = np.zeros(n_freq, dtype=bool)
+    for k in range(n):
+        e = s[k, k].real
+        bad = e <= -1.0
+        if bad.any():
+            failed |= bad
+            e = np.where(bad, 0.0, e)
+        piv[k] = e
+        if k + 1 < n:
+            col = s[k + 1:, k]
+            s[k + 1:, k + 1:] -= (col * (1.0 / (1.0 + e)))[:, None] \
+                * np.conj(col)[None]
+    if failed.any():
+        j = int(np.flatnonzero(failed)[0])
+        peak = np.linalg.eigvalsh(_scaled_phi(grid, r, j))[-1]
+        _raise_infeasible(theta, grid.lambdas[j], theta * peak)
+    return -np.sum(np.log1p(piv), axis=0) \
+        - np.sum(np.asarray(lncosh(x)), axis=-1)
+
+
+def _margin(grid: SpectralGrid, theta: float) -> float:
+    """Feasibility margin theta * max over the mesh of lam_max(M).
+
+    Exact without eigensolving the whole stack: lam_max(M) is at most
+    max_i r_i^2 * lam_max(Phi), so only the nodes whose bound reaches the
+    exact value at the node of the largest bound, less a rounding slack,
+    are solved, that node always among them.
     """
     if theta == 0.0:
-        return np.zeros(len(grid.lambdas)), 0.0
-    x = theta * grid.h_eigh[0]
-    ln_cos = np.sum(np.asarray(lncosh(x)), axis=-1)
-    r = np.sqrt(np.asarray(tanhc(x)))
-    eigs = np.linalg.eigvalsh(grid.phi_rot * (r[:, :, None] * r[:, None, :]))
-    neg_second, margin = _neg_log_factor(eigs, theta, grid.lambdas)
-    return neg_second - ln_cos, margin
+        return 0.0
+    r2 = np.asarray(tanhc(theta * grid.h_eigh[0]))
+    r = np.sqrt(r2)
+    bound = np.max(r2, axis=-1) * grid.phi_eigvals[:, -1]
+    top = int(np.argmax(bound))
+    peak = float(np.linalg.eigvalsh(_scaled_phi(grid, r, top))[-1])
+    cands = bound >= peak - MARGIN_SLACK * abs(peak)
+    cands[top] = False
+    if cands.any():
+        peak = max(peak, float(np.max(
+            np.linalg.eigvalsh(_scaled_phi(grid, r, cands))[:, -1])))
+    return theta * peak
+
+
+def _upsilon_quad(grid: SpectralGrid, theta: float,
+                  cfg: QuadratureConfig) -> HalfLine:
+    """Upsilon(theta) with its tail part and error estimate: the integral
+    of -ln det D_theta over [0, inf), divided by 2 pi."""
+    check_theta(theta)
+    return _over_2pi(cfg.half_line(_neg_log_det(grid, theta)))
 
 
 def _classical_from_grid(grid: SpectralGrid, theta: float,
                          cfg: QuadratureConfig) -> HalfLine:
-    """Entropy integral V(theta) times 2 pi, with its error estimate."""
-    vals, _ = _neg_log_factor(grid.phi_eigvals, theta, grid.lambdas)
-    return cfg.half_line(vals)
+    """Entropy integral V(theta) with its tail part and error estimate."""
+    return _over_2pi(cfg.half_line(_neg_log_factor(grid.phi_eigvals, theta,
+                                                   grid.lambdas)))
+
+
+def _over_2pi(quad: HalfLine) -> HalfLine:
+    return HalfLine(*(x / (2.0 * math.pi) for x in quad))
 
 
 def log_det_d(sample: SpectralSample, theta: float,
@@ -150,7 +227,7 @@ def log_det_d(sample: SpectralSample, theta: float,
     one_node = SpectralGrid(lambdas=np.array([sample.lam]),
                             phi=sample.phi[None], psi=sample.psi[None],
                             h=sample.h[None])
-    value = -float(_neg_log_det(one_node, theta)[0][0])
+    value = -float(_neg_log_det(one_node, theta)[0])
     tb = trig_bundle(sample, theta)
     sign, _ = np.linalg.slogdet(tb.cos_tp - theta * sample.phi @ tb.sinc_tp)
     if abs(np.angle(sign)) > tol_imag:
@@ -169,21 +246,19 @@ def upsilon_from_grid(grid: SpectralGrid, theta: float,
     flagged unconverged when the Gauss-Kronrod error estimate of either
     integral exceeds ``QUAD_AGREEMENT`` times its value.
     """
-    check_theta(theta)
-    neg_ld, margin = _neg_log_det(grid, theta)
-    quad = cfg.half_line(neg_ld)
+    quad = _upsilon_quad(grid, theta, cfg)
     converged = _converged(quad)
     try:
         cl = _classical_from_grid(grid, theta, cfg)
         converged = converged and _converged(cl)
-        v = cl.value / (2.0 * math.pi)
+        v = cl.value
     except FeasibilityError:
         v = math.nan
-    return RateResult(theta=float(theta), upsilon=quad.value / (2.0 * math.pi),
-                      classical_v=v, margin=margin,
-                      tail_contrib=quad.tail / (2.0 * math.pi),
+    return RateResult(theta=float(theta), upsilon=quad.value,
+                      classical_v=v, margin=_margin(grid, theta),
+                      tail_contrib=quad.tail,
                       n_freq=len(grid.lambdas), converged=converged,
-                      quad_error=quad.error / (2.0 * math.pi))
+                      quad_error=quad.error)
 
 
 def _converged(quad: HalfLine) -> bool:
@@ -198,8 +273,7 @@ def upsilon(ss: StateSpace, theta: float, cfg: QuadratureConfig) -> RateResult:
 def classical_v(ss: StateSpace, theta: float, cfg: QuadratureConfig) -> float:
     """Entropy integral V(theta) of the classical (commutative) limit."""
     check_theta(theta)
-    return _classical_from_grid(grid_for(ss, cfg), theta,
-                                cfg).value / (2.0 * math.pi)
+    return _classical_from_grid(grid_for(ss, cfg), theta, cfg).value
 
 
 def _phi_peak(ss: StateSpace, lam: float) -> float:
@@ -296,7 +370,7 @@ def small_theta_expansion(ss: StateSpace, theta: float,
     """
     check_theta(theta)
     grid = grid_for(ss, cfg)
-    v = _classical_from_grid(grid, theta, cfg).value / (2.0 * math.pi)
+    v = _classical_from_grid(grid, theta, cfg).value
     eye = np.eye(ss.n)
     psi_sq = grid.psi @ grid.psi
     resolvent = np.linalg.solve(eye - theta * grid.phi,
@@ -379,7 +453,7 @@ def tail_bound(ss: StateSpace, alpha: float, theta_grid,
 
     def objective(th: float) -> float:
         try:
-            return upsilon_from_grid(grid, th, cfg).upsilon - alpha * th
+            return _upsilon_quad(grid, th, cfg).value - alpha * th
         except FeasibilityError:
             return math.inf
 
@@ -404,7 +478,7 @@ def worst_case_lqg_bound(ss: StateSpace, eps: float, theta_grid,
         if th <= 0:
             return math.inf
         try:
-            return (eps + upsilon_from_grid(grid, th, cfg).upsilon) / th
+            return (eps + _upsilon_quad(grid, th, cfg).value) / th
         except FeasibilityError:
             return math.inf
 
@@ -419,7 +493,7 @@ def _feasible_curve(grid: SpectralGrid, theta_grid, cfg: QuadratureConfig,
         if positive_only and th <= 0:
             continue
         try:
-            values.append(upsilon_from_grid(grid, th, cfg).upsilon)
+            values.append(_upsilon_quad(grid, th, cfg).value)
             thetas.append(th)
         except FeasibilityError:
             continue
@@ -434,9 +508,9 @@ def frequency_profile(grid: SpectralGrid, theta: float):
     Returns (lambdas, neg_log_det_d, classical_integrand) over the mesh.
     """
     check_theta(theta)
-    neg_ld, _ = _neg_log_det(grid, theta)
+    neg_ld = _neg_log_det(grid, theta)
     try:
-        cl_vals, _ = _neg_log_factor(grid.phi_eigvals, theta, grid.lambdas)
+        cl_vals = _neg_log_factor(grid.phi_eigvals, theta, grid.lambdas)
     except FeasibilityError:
         cl_vals = np.full_like(neg_ld, math.nan)
     return grid.lambdas, neg_ld, cl_vals

@@ -23,7 +23,7 @@ Every theta-independent step is done once per model and quadrature rule.
 first time it is asked for and keeps it on the (immutable) model; the
 grid in turn caches eig(H), eig(Phi) and Phi in the eigenbasis of H, so a
 further risk parameter costs only the scalar functions of theta*w and one
-stacked Hermitian eigensolve.
+stacked L D L* factorization (``qefrate.rate``).
 """
 
 from __future__ import annotations
@@ -95,10 +95,15 @@ class SpectralGrid:
 
         For r = sqrt(tanhc(theta w)) the stack r_i r_j (V* Phi V)_ij is
         unitarily similar to sqrt(tanc) Phi sqrt(tanc), the per-theta
-        factor of the log-determinant.
+        factor of the log-determinant.  The stack is stored with the node
+        axis last, each entry contiguous over frequency, the layout in
+        which that factor is swept; the shape is (n_freq, n, n) as for
+        ``phi``.
         """
         v = self.h_eigh[1]
-        return hermitize(np.conj(np.swapaxes(v, -1, -2)) @ self.phi @ v)
+        rot = hermitize(np.conj(np.swapaxes(v, -1, -2)) @ self.phi @ v)
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(rot, 0, -1)),
+                           -1, 0)
 
     @cached_property
     def phi_eigvals(self) -> np.ndarray:

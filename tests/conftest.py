@@ -90,9 +90,13 @@ def onemode_ss(onemode_params) -> q.StateSpace:
     return to_state_space(onemode_params)
 
 
-def make_random_model(rng: np.random.Generator):
-    """One random stable realizable model, or None if the draw is unstable."""
-    n = int(rng.choice([2, 4]))
+def make_random_model(rng: np.random.Generator, n: int | None = None):
+    """One random stable realizable model, or None if the draw is unstable.
+
+    The state dimension is drawn from {2, 4} unless ``n`` is given.
+    """
+    if n is None:
+        n = int(rng.choice([2, 4]))
     m = int(rng.choice([2, 4, 6]))
     if n == 2:
         theta = float(rng.uniform(0.3, 1.5)) * BJ2

@@ -198,6 +198,27 @@ class TestCliExitCodes:
         assert calls == []
         assert not out.exists()
 
+    def test_horizon_step_must_divide_unit_time(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["horizon", "--theta", "0.02",
+                                      "--horizons", "4,8", "--dt", "0.4",
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert "Invalid value for --dt" in result.output
+        assert "nearest valid step is 1/3" in result.output
+        assert not out.exists()
+
+    def test_horizon_step_with_whole_inverse_runs_at_that_step(self, runner,
+                                                               tmp_path):
+        result = runner.invoke(main, ["horizon", "--theta", "0.02",
+                                      "--horizons", "0.2,0.4", "--dt", "0.025",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0
+        rows = (tmp_path / "horizon.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[1]) for row in rows] == [8, 16]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["manifest"]["dt"] == 0.025
+
     def test_horizon_defaults_pass_the_guard(self, twomode):
         params = {p.name: p.default for p in main.commands["horizon"].params}
         orders = [twomode.n * round(float(t) / params["dt"])

@@ -14,9 +14,10 @@ from qefrate._funcs import apply_herm, hermitize, lncosh, minimize_bounded, tanh
 from qefrate.errors import FeasibilityError
 from qefrate.model import BJ2
 from qefrate.rate import log_det_d
+from qefrate.spectral import trig_bundle
 
-from conftest import (SURROGATE_A, SURROGATE_G, single_mode,
-                      surrogate_v_closed)
+from conftest import (SURROGATE_A, SURROGATE_G, make_random_model,
+                      single_mode, surrogate_v_closed)
 
 
 def zero_psi(grid: q.SpectralGrid) -> q.SpectralGrid:
@@ -79,7 +80,7 @@ class TestRotatedKernel:
         grid = q.sample_grid(ss, cfg.lambdas())
         theta0 = q.theta_threshold(ss, cfg)
         for f in (0.05, 0.5, 0.95):
-            got, _ = rate._neg_log_det(grid, f * theta0)
+            got = rate._neg_log_det(grid, f * theta0)
             ref = neg_log_det_reference(grid, f * theta0)
             assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
@@ -99,6 +100,115 @@ class TestRotatedKernel:
         with pytest.raises(FeasibilityError) as err:
             rate._neg_log_det(grid_full, theta)
         assert err.value.lam == grid_full.lambdas[first]
+
+
+def stacked_kernel(grid: q.SpectralGrid, theta: float) -> np.ndarray:
+    """M = sqrt(tanc) Phi sqrt(tanc) at every node, in the eigenbasis of H."""
+    r = np.sqrt(tanhc(theta * grid.h_eigh[0]))
+    return grid.phi_rot * (r[:, :, None] * r[:, None, :])
+
+
+class TestStackedFactor:
+    """The pivot-column LDL* of I - theta M over the whole frequency stack
+    and the bounded search for the feasibility margin."""
+
+    @pytest.fixture(scope="class")
+    def sized_grids(self):
+        """Three random stable models of each state dimension 2, 4 and 6,
+        each with its default rule, sampled grid and theta0."""
+        rng = np.random.default_rng(20261018)
+        out = []
+        for n in (2, 4, 6):
+            drawn = 0
+            while drawn < 3:
+                ss = make_random_model(rng, n)
+                if ss is None:
+                    continue
+                cfg = q.QuadratureConfig.for_system(ss)
+                out.append((q.sample_grid(ss, cfg.lambdas()), cfg,
+                            q.theta_threshold(ss, cfg)))
+                drawn += 1
+        return out
+
+    @pytest.mark.parametrize("frac", [1e-8, 0.1, 0.5, 0.9, 0.999])
+    def test_matches_eigensolve_with_exact_margin(self, sized_grids, frac):
+        assert {g.phi.shape[-1] for g, _, _ in sized_grids} == {2, 4, 6}
+        for grid, cfg, theta0 in sized_grids:
+            theta = frac * theta0
+            eigs = np.linalg.eigvalsh(stacked_kernel(grid, theta))
+            ref = -np.sum(np.log1p(-theta * eigs), axis=-1) \
+                - np.sum(lncosh(theta * grid.h_eigh[0]), axis=-1)
+            got = rate._neg_log_det(grid, theta)
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+            assert q.upsilon_from_grid(grid, theta, cfg).margin \
+                == theta * np.max(eigs[:, -1])
+
+    def test_negligible_commutator_margin(self):
+        # A falsifying example of a property search: with a commutator
+        # of order 1e-129, r = 1 to rounding and the bound at its own
+        # argmax node fell below that node's eigenvalue, leaving no node
+        # to solve.
+        ss = q.from_state_space(np.array([[-0.1, 2.0], [-2.0, -0.1]]),
+                                np.array([[5.8e-130, 0.0], [0.0, 1.0]]),
+                                np.diag([0.5, 1.5]))
+        cfg = q.QuadratureConfig.for_system(ss)
+        grid = q.sample_grid(ss, cfg.lambdas())
+        theta = 0.5 * q.theta_threshold(ss, cfg)
+        eigs = np.linalg.eigvalsh(stacked_kernel(grid, theta))
+        res = q.upsilon_from_grid(grid, theta, cfg)
+        assert res.margin == theta * np.max(eigs[:, -1])
+        assert res.margin == pytest.approx(0.5, rel=1e-4)
+
+    def test_eigensolves_only_candidate_nodes(self, twomode, grid_full,
+                                              cfg_full, theta0, monkeypatch):
+        theta = 0.9 * theta0
+        r2 = tanhc(theta * grid_full.h_eigh[0])
+        bound = np.max(r2, axis=-1) * grid_full.phi_eigvals[:, -1]
+        top = int(np.argmax(bound))
+        peak = np.linalg.eigvalsh(stacked_kernel(grid_full, theta)[top])[-1]
+        cands = bound >= peak - rate.MARGIN_SLACK * peak
+        cands[top] = True
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            solved.append(math.prod(np.shape(a)[:-2]))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        q.upsilon_from_grid(grid_full, theta, cfg_full)
+        assert sum(solved) == np.count_nonzero(cands)
+        assert sum(solved) <= len(grid_full.lambdas) // 10
+        solved.clear()
+        q.tail_bound(twomode, 0.5, np.linspace(0.05, 0.95, 8) * theta0,
+                     cfg_full)
+        q.worst_case_lqg_bound(twomode, 0.1,
+                               np.linspace(0.05, 0.95, 8) * theta0, cfg_full)
+        assert solved == []
+
+    def test_infeasible_names_lowest_frequency_failing_later(self):
+        # with Psi = 0 the factor is I - theta Phi; at theta = 1 the node
+        # at 1.0 fails at the second pivot and the one at 2.0 at the first
+        phi = np.array([np.diag([0.5, 2.0]), np.diag([2.0, 0.5])],
+                       dtype=complex)
+        grid = q.SpectralGrid(lambdas=np.array([1.0, 2.0]), phi=phi,
+                              psi=np.zeros_like(phi), h=np.zeros_like(phi))
+        assert np.array_equal(grid.phi_rot, phi)
+        with pytest.raises(FeasibilityError) as err:
+            rate._neg_log_det(grid, 1.0)
+        assert err.value.lam == 1.0
+        assert "margin 2 >= 1" in str(err.value)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7, 4.3, 33.0])
+    def test_one_node_matches_complex_slogdet(self, twomode, theta0, lam):
+        s = q.spectral_sample(twomode, lam)
+        for frac in (0.1, 0.5, 0.95):
+            theta = frac * theta0
+            tb = trig_bundle(s, theta)
+            sign, ref = np.linalg.slogdet(tb.cos_tp
+                                          - theta * s.phi @ tb.sinc_tp)
+            assert abs(np.angle(sign)) < 1e-8
+            assert abs(log_det_d(s, theta) - ref) <= 1e-11 * abs(ref)
 
 
 class TestUpsilon:
