@@ -25,8 +25,7 @@ from .rate import (RateResult, classical_v, contour_e, frequency_profile,
                    log_det_d, lqg_rate, small_theta_expansion, tail_bound,
                    theta_threshold, upsilon, upsilon_from_grid,
                    worst_case_lqg_bound)
-from .spectral import (SpectralGrid, SpectralSample, TrigBundle, sample_grid,
-                       spectral_sample, transfer, trig_bundle)
+from .spectral import SpectralGrid, sample_grid, transfer
 from .twomode import two_mode_example
 
 __version__ = "0.1.0"
@@ -41,8 +40,7 @@ __all__ = [
     "OqhoParams", "StateSpace", "KernelSample", "build_j_matrix",
     "realize", "from_state_space", "kernel_at",
     # spectral
-    "SpectralSample", "SpectralGrid", "TrigBundle", "transfer",
-    "spectral_sample", "sample_grid", "trig_bundle",
+    "SpectralGrid", "transfer", "sample_grid",
     # quadrature
     "QuadratureConfig",
     # rate

@@ -38,7 +38,7 @@ from ._funcs import hermitize
 from .errors import FeasibilityError
 from .model import StateSpace
 from .quadrature import QuadratureConfig
-from .spectral import SpectralSample, grid_for, trig_bundle
+from .spectral import SpectralGrid, grid_for
 
 __all__ = ["HomotopyTrace", "u_direct", "u_ode_step", "rate_by_homotopy",
            "rate_by_homotopy_from_grid", "d_second_derivative_check"]
@@ -50,33 +50,37 @@ GROWTH_GUARD = 10.0
 
 @dataclass(frozen=True)
 class HomotopyTrace:
-    """Riccati march output: rate derivative and cumulative rate."""
+    """Riccati march output: rate derivative, cumulative rate and the
+    final Riccati state at each node."""
 
     theta_grid: np.ndarray
     rate_derivative: np.ndarray
     rate: np.ndarray
-    per_freq_u: np.ndarray | None = None
+    per_freq_u: np.ndarray
 
 
-def u_direct(sample: SpectralSample, theta: float) -> np.ndarray:
-    """Closed-form Hermitian Riccati solution at one (frequency, theta).
+def u_direct(grid: SpectralGrid, theta: float) -> np.ndarray:
+    """Closed-form Hermitian Riccati solution at every node of a grid.
 
     Evaluates -D^{-1} dD/dtheta = D^{-1} (Phi cos(theta Psi)
     + Psi sin(theta Psi)) with D the log-det matrix; this is the
     commutator-weighted resolvent form with the Psi factor absorbed, so it
     stays regular when the commutator spectrum degenerates (U then reduces
     to (I - theta Phi)^{-1} Phi).  sin(theta Psi) = theta Psi sinc(theta Psi).
+    Raises FeasibilityError, naming the first such frequency, where D is
+    numerically singular.
     """
-    phi, psi = sample.phi, sample.psi
-    tb = trig_bundle(sample, theta)
-    sin_m = theta * psi @ tb.sinc_tp
-    d_mat = tb.cos_tp - theta * phi @ tb.sinc_tp
+    phi, psi = grid.phi, grid.psi
+    cos_tp, sinc_tp, _ = grid.trig(theta)
+    sin_m = theta * psi @ sinc_tp
+    d_mat = cos_tp - theta * phi @ sinc_tp
     cond = np.linalg.cond(d_mat)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise FeasibilityError(
-            f"log-det matrix singular at frequency {sample.lam:g}",
-            theta=theta, lam=sample.lam)
-    u = np.linalg.solve(d_mat, phi @ tb.cos_tp + psi @ sin_m)
+    bad = np.flatnonzero(~np.isfinite(cond) | (cond > 1e14))
+    if bad.size:
+        lam = float(grid.lambdas[bad[0]])
+        raise FeasibilityError(f"log-det matrix singular at frequency {lam:g}",
+                               theta=theta, lam=lam)
+    u = np.linalg.solve(d_mat, phi @ cos_tp + psi @ sin_m)
     return hermitize(u)
 
 
@@ -175,39 +179,43 @@ def _guarded_step(st: _RiccatiStack, h: float, theta_next: float,
             f"theta {theta_next:g}", theta=theta_next, lam=float(lambdas[i]))
 
 
-def u_ode_step(sample: SpectralSample, u: np.ndarray, theta: float,
+def u_ode_step(grid: SpectralGrid, u: np.ndarray, theta: float,
                d_theta: float) -> np.ndarray:
-    """One RK4 step of dU/dtheta = Psi^2 + U^2, re-Hermitized.
+    """One RK4 step of dU/dtheta = Psi^2 + U^2, re-Hermitized, for the
+    stack ``u`` of states at the grid's nodes.
 
     The equation is autonomous; ``theta`` only labels the step for the
     finite-escape diagnostic.  The growth guard is floored at the natural
-    scale of the sample so that marches started from small states are not
+    scale of each node so that marches started from small states are not
     mistaken for escapes.
     """
-    floor = np.array([max(np.linalg.norm(sample.psi), 1e-300)])
-    st = _RiccatiStack(u[None], sample.psi[None], floor)
-    _guarded_step(st, d_theta, theta + d_theta, np.array([sample.lam]))
-    return st.u()[0]
+    st = _RiccatiStack(u, grid.psi, _guard_floor(grid))
+    _guarded_step(st, d_theta, theta + d_theta, grid.lambdas)
+    return st.u()
+
+
+def _guard_floor(grid: SpectralGrid) -> np.ndarray:
+    """Per-node floor of the growth guard: ||Psi||, kept above zero."""
+    return np.maximum(np.linalg.norm(grid.psi, axis=(1, 2)), 1e-300)
 
 
 def rate_by_homotopy(ss: StateSpace, theta_max: float, d_theta: float,
-                     cfg: QuadratureConfig, store_u: bool = False) -> HomotopyTrace:
+                     cfg: QuadratureConfig) -> HomotopyTrace:
     """March the Riccati equation in theta across the frequency mesh.
 
     The trace integral of U over the rule's nodes, tail panel included,
     supplies Upsilon' at each step and the trapezoid rule accumulates
-    Upsilon.
+    Upsilon.  ``per_freq_u`` holds the final states at the nodes.
 
     Raises FeasibilityError if any frequency shows finite-time escape
     before theta_max.
     """
     return rate_by_homotopy_from_grid(grid_for(ss, cfg), theta_max, d_theta,
-                                      cfg, store_u=store_u)
+                                      cfg)
 
 
 def rate_by_homotopy_from_grid(grid, theta_max: float, d_theta: float,
-                               cfg: QuadratureConfig,
-                               store_u: bool = False) -> HomotopyTrace:
+                               cfg: QuadratureConfig) -> HomotopyTrace:
     """Riccati march over precomputed spectral stacks."""
     if not (0.0 <= theta_max < math.inf and 0.0 < d_theta < math.inf):
         raise FeasibilityError("theta_max and d_theta must be finite, "
@@ -215,8 +223,7 @@ def rate_by_homotopy_from_grid(grid, theta_max: float, d_theta: float,
     n_steps = max(1, int(math.ceil(theta_max / d_theta - 1e-12))) \
         if theta_max > 0 else 0
     h = theta_max / max(n_steps, 1)
-    floor = np.maximum(np.linalg.norm(grid.psi, axis=(1, 2)), 1e-300)
-    st = _RiccatiStack(grid.phi, grid.psi, floor)
+    st = _RiccatiStack(grid.phi, grid.psi, _guard_floor(grid))
 
     def derivative() -> float:
         return cfg.half_line(st.trace).value / (2.0 * math.pi)
@@ -229,23 +236,24 @@ def rate_by_homotopy_from_grid(grid, theta_max: float, d_theta: float,
         derivs[k + 1] = derivative()
     rate = np.concatenate([[0.0], np.cumsum(0.5 * h * (derivs[1:] + derivs[:-1]))])
     return HomotopyTrace(theta_grid=thetas, rate_derivative=derivs, rate=rate,
-                         per_freq_u=st.u() if store_u else None)
+                         per_freq_u=st.u())
 
 
-def d_second_derivative_check(sample: SpectralSample, theta: float,
+def d_second_derivative_check(grid: SpectralGrid, theta: float,
                               d_theta: float = 1e-4) -> float:
-    """Residual of the linear structure D'' = -D Psi^2 at one sample.
+    """Largest residual over the grid's nodes of the linear structure
+    D'' = -D Psi^2.
 
     D'' is a central finite difference of the log-det matrix in theta, so
     the residual is dominated by the O(d_theta^2) differencing error.
     """
     def d_mat(th: float) -> np.ndarray:
-        tb = trig_bundle(sample, th)
-        return tb.cos_tp - th * sample.phi @ tb.sinc_tp
+        cos_tp, sinc_tp, _ = grid.trig(th)
+        return cos_tp - th * grid.phi @ sinc_tp
 
     d0 = d_mat(theta)
     d_plus = d_mat(theta + d_theta)
     d_minus = d_mat(theta - d_theta)
     second = (d_plus - 2.0 * d0 + d_minus) / d_theta ** 2
-    psi_sq = sample.psi @ sample.psi
-    return float(np.linalg.norm(second + d0 @ psi_sq))
+    psi_sq = grid.psi @ grid.psi
+    return float(np.max(np.linalg.norm(second + d0 @ psi_sq, axis=(1, 2))))

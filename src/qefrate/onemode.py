@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._funcs import apply_herm, sinhc, sqrtm_spd
+from ._funcs import sqrtm_spd
 from .errors import DimensionError, ParameterError, SingularityError, StructureError
 from .model import BJ2, OqhoParams, StateSpace, build_j_matrix, realize
 from .spectral import sample_grid
@@ -167,22 +167,15 @@ def generic_deviation(params: OneModeParams, lams: np.ndarray,
     ``psi`` compares Psi(lam) of the realized model with Mho(i lam);
     ``trig`` compares cos(theta Psi) and theta Psi sinc(theta Psi) with
     the closed-form cos and sin of theta Mho, at the paired entries of
-    ``lams`` and ``thetas``.  One grid over |lam| is sampled, mirrored by
-    conjugation where lam < 0 (as ``SpectralSample.mirrored`` does), and
-    H = i Psi is solved in one stacked eigensolve.
+    ``lams`` and ``thetas``, on one grid sampled at ``lams``.
     """
     lams = np.asarray(lams, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
-    grid = sample_grid(to_state_space(params), np.abs(lams))
-    neg = (lams < 0)[:, None, None]
-    psi = np.where(neg, np.conj(grid.psi), grid.psi)
-    h = np.where(neg, -np.conj(grid.h), grid.h)
+    grid = sample_grid(to_state_space(params), lams)
     closed = _mho(params.mu, params.nu, 1j * lams)
-    dev_psi = float(np.max(np.abs(psi - closed)))
-    w, v = np.linalg.eigh(h)
-    x = thetas[:, None] * w
-    cos_tp = apply_herm(np.cosh(x), v)
-    sin_tp = thetas[:, None, None] * psi @ apply_herm(sinhc(x), v)
+    dev_psi = float(np.max(np.abs(grid.psi - closed)))
+    cos_tp, sinc_tp, _ = grid.trig(thetas)
+    sin_tp = thetas[:, None, None] * grid.psi @ sinc_tp
     cos_c, sin_c = onemode_trig(params.mu, params.nu, 1j * lams, thetas)
     dev_trig = max(float(np.max(np.abs(cos_tp - cos_c))),
                    float(np.max(np.abs(sin_tp - sin_c))))

@@ -100,7 +100,7 @@ class QuadratureConfig:
             raise ParameterError("step must be much smaller than cutoff")
 
     @classmethod
-    def for_system(cls, ss, step_scale: float = 0.005) -> "QuadratureConfig":
+    def for_system(cls, ss) -> "QuadratureConfig":
         """Panels broken at the system's drift resonances.
 
         The cutoff sits an order of magnitude beyond the fastest drift
@@ -108,8 +108,8 @@ class QuadratureConfig:
         pole of the integrands at distance d = |Re mu| from the frequency
         axis at c = |Im mu|, so the panel edges c and c +- d 2^j
         (j >= -INNER_LEVELS) keep every panel no wider than its distance
-        from every pole.  ``step`` (``step_scale`` times cutoff/100)
-        is kept for a uniform override.
+        from every pole.  ``step`` is 0.005 * cutoff/100; the edges leave
+        it no part in the panel layout.
         """
         mu = ss.drift_eigenvalues
         rad = float(np.max(np.abs(mu)))
@@ -121,7 +121,7 @@ class QuadratureConfig:
             while s < cutoff:
                 edges.update((float(c - s), float(c + s)))
                 s *= 2.0
-        return cls(cutoff=cutoff, step=step_scale * (cutoff / 100.0),
+        return cls(cutoff=cutoff, step=0.005 * (cutoff / 100.0),
                    edges=tuple(sorted(e for e in edges if 0.0 < e < cutoff)))
 
     @property

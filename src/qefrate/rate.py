@@ -47,11 +47,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._funcs import check_theta, hermitize, lncosh, minimize_bounded, tanhc
-from .errors import FeasibilityError, NumericalError
+from .errors import FeasibilityError, NumericalError, ParameterError
 from .model import StateSpace
 from .quadrature import HalfLine, QuadratureConfig
-from .spectral import (SpectralGrid, SpectralSample, grid_for, transfer,
-                       trig_bundle)
+from .spectral import SpectralGrid, grid_for, transfer
 
 __all__ = [
     "RateResult", "log_det_d", "upsilon", "upsilon_from_grid", "classical_v",
@@ -79,6 +78,10 @@ POLISH_DEPTH = 1e-6
 #: bound max_i r_i^2 lam_max(Phi) that a node's bound must reach for the
 #: feasibility margin to eigensolve it; it covers rounding in the bound.
 MARGIN_SLACK = 1e-12
+
+#: Largest phase of the complex determinant's sign that ``log_det_d``
+#: accepts as real.
+PHASE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -212,25 +215,26 @@ def _over_2pi(quad: HalfLine) -> HalfLine:
     return HalfLine(*(x / (2.0 * math.pi) for x in quad))
 
 
-def log_det_d(sample: SpectralSample, theta: float,
-              tol_imag: float = 1e-8) -> float:
-    """ln det D_theta at one frequency.
+def log_det_d(grid: SpectralGrid, theta: float) -> float:
+    """ln det D_theta at the one node of a one-node grid.
 
     Evaluated on the Hermitian split; the direct complex determinant is
-    computed as well and its imaginary part asserted below ``tol_imag``.
-    The value is even in both the frequency and the commutator sign, so
-    mirrored samples are canonicalized first and evaluate identically.
+    computed as well, from the same eigenbasis of H, and its phase
+    asserted below ``PHASE_TOL``.  The value is even in both the frequency
+    and the commutator sign, so a negative node is conjugated back first
+    and evaluates identically.
     """
     check_theta(theta)
-    if sample.lam < 0:
-        sample = sample.mirrored()
-    one_node = SpectralGrid(lambdas=np.array([sample.lam]),
-                            phi=sample.phi[None], psi=sample.psi[None],
-                            h=sample.h[None])
-    value = -float(_neg_log_det(one_node, theta)[0])
-    tb = trig_bundle(sample, theta)
-    sign, _ = np.linalg.slogdet(tb.cos_tp - theta * sample.phi @ tb.sinc_tp)
-    if abs(np.angle(sign)) > tol_imag:
+    if len(grid.lambdas) != 1:
+        raise ParameterError(
+            f"log_det_d takes a one-node grid, got {len(grid.lambdas)} nodes")
+    if grid.lambdas[0] < 0:
+        grid = SpectralGrid(lambdas=-grid.lambdas, phi=np.conj(grid.phi),
+                            psi=np.conj(grid.psi), h=-np.conj(grid.h))
+    value = -float(_neg_log_det(grid, theta)[0])
+    cos_tp, sinc_tp, _ = grid.trig(theta)
+    sign, _ = np.linalg.slogdet(cos_tp[0] - theta * grid.phi[0] @ sinc_tp[0])
+    if abs(np.angle(sign)) > PHASE_TOL:
         raise NumericalError(
             f"complex log-det drifted off the real axis: Im = {np.angle(sign):g}")
     return value

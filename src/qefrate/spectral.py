@@ -18,6 +18,13 @@ functions with real spectra:
 This keeps every eigensolve on the Hermitian path and makes the outputs
 Hermitian by construction.
 
+``SpectralGrid`` is the one spectral type: a frequency mesh of any size,
+a single frequency being a one-node grid.  ``sample_grid`` samples |lambda|
+and obtains negative frequencies by the reality symmetries
+Phi(-lambda) = conj Phi(lambda) and Psi(-lambda) = conj Psi(lambda), so
+they hold exactly.  ``SpectralGrid.trig`` evaluates cos, sinc and tanc of
+theta*Psi over the whole stack from the cached eig(H).
+
 Every theta-independent step is done once per model and quadrature rule.
 ``grid_for`` samples the model's spectral grid on the rule's nodes the
 first time it is asked for and keeps it on the (immutable) model; the
@@ -38,29 +45,10 @@ from .errors import SingularityError
 from .model import StateSpace
 from .quadrature import QuadratureConfig
 
-__all__ = [
-    "SpectralSample", "SpectralGrid", "TrigBundle",
-    "transfer", "spectral_sample", "sample_grid", "grid_for", "trig_bundle",
-]
+__all__ = ["SpectralGrid", "transfer", "sample_grid", "grid_for"]
 
 #: Attribute of a ``StateSpace`` holding its cached (rule, grid) pair.
 _GRID_SLOT = "_spectral_grid"
-
-
-@dataclass(frozen=True)
-class SpectralSample:
-    """Spectral data at a single frequency."""
-
-    lam: float
-    phi: np.ndarray          # Hermitian PSD
-    psi: np.ndarray          # skew-Hermitian
-    h: np.ndarray            # i * psi, Hermitian
-
-    def mirrored(self) -> "SpectralSample":
-        """The sample at -lam, by the reality symmetries
-        Phi(-lam) = conj(Phi(lam)) and Psi(-lam) = conj(Psi(lam))."""
-        return SpectralSample(lam=-self.lam, phi=np.conj(self.phi),
-                              psi=np.conj(self.psi), h=-np.conj(self.h))
 
 
 @dataclass(frozen=True)
@@ -79,10 +67,6 @@ class SpectralGrid:
     phi: np.ndarray
     psi: np.ndarray
     h: np.ndarray
-
-    def sample(self, k: int) -> SpectralSample:
-        return SpectralSample(lam=float(self.lambdas[k]), phi=self.phi[k],
-                              psi=self.psi[k], h=self.h[k])
 
     @cached_property
     def h_eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -110,15 +94,16 @@ class SpectralGrid:
         """Stacked ascending eigenvalues of Phi."""
         return np.linalg.eigvalsh(self.phi)
 
+    def trig(self, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked cos, sinc and tanc of theta*Psi, in that order.
 
-@dataclass(frozen=True)
-class TrigBundle:
-    """cos, sinc and tanc of theta*Psi at one frequency."""
-
-    cos_tp: np.ndarray
-    sinc_tp: np.ndarray
-    tanc_tp: np.ndarray
-    theta: float
+        Evaluated as cosh, sinhc and tanhc of theta*H on the cached
+        ``h_eigh``.  ``theta`` is a scalar or holds one value per node.
+        """
+        w, v = self.h_eigh
+        x = np.asarray(theta, dtype=float)[..., None] * w
+        return (apply_herm(np.cosh(x), v), apply_herm(sinhc(x), v),
+                apply_herm(tanhc(x), v))
 
 
 def transfer(ss: StateSpace, v: complex) -> np.ndarray:
@@ -134,29 +119,29 @@ def transfer(ss: StateSpace, v: complex) -> np.ndarray:
     return ss.s_half @ np.linalg.solve(v * np.eye(n) - ss.a, ss.b)
 
 
-def spectral_sample(ss: StateSpace, lam: float) -> SpectralSample:
-    """Spectral pair at one frequency: a one-node ``sample_grid``.
+def sample_grid(ss: StateSpace, lambdas) -> SpectralGrid:
+    """Vectorized spectral pair over a frequency mesh.
 
-    Negative frequencies are produced by mirroring the positive-frequency
-    sample, so the reality symmetries hold exactly.
+    Each node is sampled at |lambda|; a negative node stores conj Phi,
+    conj Psi and -conj H of that sample, so the reality symmetries hold
+    exactly.
     """
-    sample = sample_grid(ss, np.array([abs(lam)])).sample(0)
-    return sample.mirrored() if lam < 0 else sample
-
-
-def sample_grid(ss: StateSpace, lambdas: np.ndarray) -> SpectralGrid:
-    """Vectorized spectral pair over a frequency mesh."""
     lambdas = np.asarray(lambdas, dtype=float)
     n = ss.n
     eye = np.eye(n)
     resolvent_rhs = np.broadcast_to(ss.b, (len(lambdas), n, ss.m))
     f = ss.s_half @ np.linalg.solve(
-        1j * lambdas[:, None, None] * eye - ss.a, resolvent_rhs)
+        1j * np.abs(lambdas)[:, None, None] * eye - ss.a, resolvent_rhs)
     fh = np.conj(np.swapaxes(f, 1, 2))
     phi = hermitize(f @ fh)
     psi = skew_hermitize(f @ ss.j @ fh)
-    return SpectralGrid(lambdas=lambdas, phi=phi, psi=psi,
-                        h=hermitize(1j * psi))
+    h = hermitize(1j * psi)
+    neg = lambdas < 0
+    if neg.any():
+        phi[neg] = np.conj(phi[neg])
+        psi[neg] = np.conj(psi[neg])
+        h[neg] = -np.conj(h[neg])
+    return SpectralGrid(lambdas=lambdas, phi=phi, psi=psi, h=h)
 
 
 def grid_for(ss: StateSpace, cfg: QuadratureConfig) -> SpectralGrid:
@@ -173,15 +158,3 @@ def grid_for(ss: StateSpace, cfg: QuadratureConfig) -> SpectralGrid:
         cached = (cfg, sample_grid(ss, cfg.lambdas()))
         vars(ss)[_GRID_SLOT] = cached
     return cached[1]
-
-
-def trig_bundle(sample: SpectralSample, theta: float) -> TrigBundle:
-    """Matrix trig functions of theta*Psi via the Hermitian eigenpath."""
-    w, v = np.linalg.eigh(sample.h)
-    x = theta * w
-    return TrigBundle(
-        cos_tp=apply_herm(np.cosh(x), v),
-        sinc_tp=apply_herm(np.asarray(sinhc(x)), v),
-        tanc_tp=apply_herm(np.asarray(tanhc(x)), v),
-        theta=float(theta),
-    )

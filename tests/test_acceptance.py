@@ -15,7 +15,6 @@ import pytest
 import qefrate as q
 from qefrate.homotopy import d_second_derivative_check, u_direct, u_ode_step
 from qefrate.onemode import onemode_trig, poles, residue_at
-from qefrate.spectral import trig_bundle
 
 from conftest import SURROGATE_A, SURROGATE_G, surrogate_v_closed
 
@@ -53,7 +52,7 @@ def test_criterion_03_high_frequency_asymptote(twomode, theta0):
     coeff = theta * twomode.lqg_weight_trace()
     ratios = []
     for lam in np.geomspace(300.0, 1000.0, 15):
-        sample = q.spectral_sample(twomode, float(lam))
+        sample = q.sample_grid(twomode, [lam])
         ratios.append(-q.log_det_d(sample, theta) / (coeff / lam ** 2))
     ratios = np.array(ratios)
     ok = np.all(ratios >= 0.98) and np.all(ratios <= 1.02)
@@ -162,7 +161,7 @@ def test_criterion_09_onemode_oracle(onemode_params, onemode_ss):
     worst = 0.0
     for lam in lams:
         lam = float(lam)
-        sample = q.spectral_sample(onemode_ss, lam)
+        sample = q.sample_grid(onemode_ss, [lam])
         f_generic = q.transfer(onemode_ss, 1j * lam)
         lhs = (1j * lam + onemode_params.mu) * np.eye(2) \
             - onemode_params.nu * BJ2
@@ -172,12 +171,12 @@ def test_criterion_09_onemode_oracle(onemode_params, onemode_ss):
         worst = max(worst, float(np.max(np.abs(
             sample.psi - (a * np.eye(2) + b * BJ2)))))
         theta = 0.3 / (1.0 + abs(lam))
-        tb = trig_bundle(sample, theta)
+        cos_tp, sinc_tp, _ = sample.trig(theta)
         cos_c, sin_c = onemode_trig(onemode_params.mu, onemode_params.nu,
                                     1j * lam, theta)
-        worst = max(worst, float(np.max(np.abs(tb.cos_tp - cos_c))))
+        worst = max(worst, float(np.max(np.abs(cos_tp - cos_c))))
         worst = max(worst, float(np.max(np.abs(
-            theta * sample.psi @ tb.sinc_tp - sin_c))))
+            theta * sample.psi @ sinc_tp - sin_c))))
     res_det = max(abs(np.linalg.det(residue_at(onemode_params.mu,
                                                onemode_params.nu, p)))
                   for p in poles(onemode_params.mu, onemode_params.nu))
@@ -210,22 +209,22 @@ def test_criterion_10_invariant_suites(random_models):
                 and np.array_equal(minus.p_k, plus.p_k.T)):
             failures.append((idx, "kernel-symmetry"))
         lam = float(rng.uniform(0.0, 4.0))
-        sample = q.spectral_sample(ss, lam)
-        w_phi = np.linalg.eigvalsh(sample.phi)
+        sample = q.sample_grid(ss, [lam])
+        w_phi = np.linalg.eigvalsh(sample.phi[0])
         if w_phi[0] < -1e-12 * max(w_phi[-1], 1.0):
             failures.append((idx, "phi-psd"))
-        if not np.array_equal(sample.psi, -sample.psi.conj().T):
+        if not np.array_equal(sample.psi[0], -sample.psi[0].conj().T):
             failures.append((idx, "psi-skew-hermitian"))
-        if not np.array_equal(sample.h, sample.h.conj().T):
+        if not np.array_equal(sample.h[0], sample.h[0].conj().T):
             failures.append((idx, "h-hermitian"))
         grid = q.sample_grid(ss, probe_cfg.lambdas())
         theta_half = 0.5 / float(np.max(grid.phi_eigvals[:, -1]))
-        tb = trig_bundle(sample, theta_half)
-        w_tanc = np.linalg.eigvalsh(tb.tanc_tp)
+        cos_tp, sinc_tp, tanc_tp = sample.trig(theta_half)
+        w_tanc = np.linalg.eigvalsh(tanc_tp)
         if not (np.all(w_tanc > 0.0) and np.all(w_tanc <= 1.0 + 1e-12)):
             failures.append((idx, "tanhc-range"))
-        if np.max(np.abs(tb.tanc_tp @ tb.cos_tp - tb.sinc_tp)) \
-                >= 1e-12 * max(1.0, float(np.linalg.norm(tb.sinc_tp))):
+        if np.max(np.abs(tanc_tp @ cos_tp - sinc_tp)) \
+                >= 1e-12 * max(1.0, float(np.linalg.norm(sinc_tp[0]))):
             failures.append((idx, "tanc-cos-sinc"))
         n_steps = 40
         h = theta_half / n_steps
@@ -235,8 +234,8 @@ def test_criterion_10_invariant_suites(random_models):
         ref = u_direct(sample, theta_half)
         if np.max(np.abs(u - ref)) > 1e-6 * max(1.0, np.max(np.abs(ref))):
             failures.append((idx, "hopf-cole"))
-        dd_scale = max(1.0, float(np.linalg.norm(sample.phi))
-                       * float(np.linalg.norm(sample.psi @ sample.psi)))
+        dd_scale = max(1.0, float(np.linalg.norm(sample.phi[0]))
+                       * float(np.linalg.norm(sample.psi[0] @ sample.psi[0])))
         if d_second_derivative_check(sample, 0.5 * theta_half,
                                      d_theta=1e-4) > 1e-6 * dd_scale:
             failures.append((idx, "second-derivative"))

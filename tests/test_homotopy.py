@@ -19,8 +19,10 @@ from conftest import SURROGATE_A, SURROGATE_G, surrogate_v_closed
 
 
 def synthetic_sample(phi: np.ndarray, psi: np.ndarray,
-                     lam: float = 1.0) -> q.SpectralSample:
-    return q.SpectralSample(lam=lam, phi=phi, psi=psi, h=hermitize(1j * psi))
+                     lam: float = 1.0) -> q.SpectralGrid:
+    """A one-node grid holding the given Phi and Psi."""
+    return q.SpectralGrid(lambdas=np.array([lam]), phi=phi[None],
+                          psi=psi[None], h=hermitize(1j * psi)[None])
 
 
 def reference_march(grid, theta_max, d_theta, cfg):
@@ -63,26 +65,59 @@ def reference_march(grid, theta_max, d_theta, cfg):
 
 class TestUDirect:
     def test_theta_zero_is_phi(self, twomode):
-        s = q.spectral_sample(twomode, 1.9)
+        s = q.sample_grid(twomode, [1.9])
         assert np.max(np.abs(u_direct(s, 0.0) - s.phi)) < 1e-12
 
     def test_classical_resolvent_form(self, twomode):
-        s = q.spectral_sample(twomode, 1.9)
-        zero = synthetic_sample(s.phi, 0.0 * s.psi, s.lam)
+        s = q.sample_grid(twomode, [1.9])
+        zero = dataclasses.replace(s, psi=0.0 * s.psi, h=0.0 * s.h)
         theta = 0.05
         expected = np.linalg.solve(np.eye(twomode.n) - theta * s.phi, s.phi)
         assert np.max(np.abs(u_direct(zero, theta) - expected)) < 1e-10
 
     def test_hermitian_before_symmetrization(self, twomode, theta0):
         # evaluate the raw closed form and measure its Hermiticity defect
-        from qefrate.spectral import trig_bundle
-        s = q.spectral_sample(twomode, 2.4)
+        s = q.sample_grid(twomode, [2.4])
         theta = 0.5 * theta0
-        tb = trig_bundle(s, theta)
-        cos_m, sin_m = tb.cos_tp, theta * s.psi @ tb.sinc_tp
-        raw = s.psi @ np.linalg.solve(s.psi @ cos_m - s.phi @ sin_m,
-                                      s.phi @ cos_m + s.psi @ sin_m)
+        cos_m, sinc_m, _ = s.trig(theta)
+        sin_m = theta * s.psi @ sinc_m
+        raw = (s.psi @ np.linalg.solve(s.psi @ cos_m - s.phi @ sin_m,
+                                       s.phi @ cos_m + s.psi @ sin_m))[0]
         assert np.linalg.norm(raw - raw.conj().T) < 1e-10
+
+
+    def test_singular_node_named(self):
+        # D = I - theta Phi vanishes at the second node only
+        phi = np.stack([0.5 * np.eye(2), np.eye(2)]).astype(complex)
+        zero = np.zeros_like(phi)
+        grid = q.SpectralGrid(lambdas=np.array([1.0, 2.0]), phi=phi,
+                              psi=zero, h=zero)
+        with pytest.raises(FeasibilityError) as err:
+            u_direct(grid, 1.0)
+        assert err.value.lam == 2.0
+
+
+class TestStackedNodes:
+    """The per-frequency checks take a grid of any size, node by node."""
+
+    def test_stack_matches_one_node_grids(self, twomode, theta0):
+        lams = [0.5, 4.3, 12.0]
+        grid = q.sample_grid(twomode, lams)
+        theta = 0.5 * theta0
+        u = u_direct(grid, theta)
+        stepped = u_ode_step(grid, u, theta, 0.01 * theta0)
+        for k, lam in enumerate(lams):
+            one = q.sample_grid(twomode, [lam])
+            u_one = u_direct(one, theta)
+            stepped_one = u_ode_step(one, u_one, theta, 0.01 * theta0)
+            assert np.max(np.abs(u[k] - u_one[0])) \
+                <= 1e-13 * np.max(np.abs(u_one))
+            assert np.max(np.abs(stepped[k] - stepped_one[0])) \
+                <= 1e-13 * np.max(np.abs(stepped_one))
+        worst = max(d_second_derivative_check(q.sample_grid(twomode, [lam]),
+                                              theta) for lam in lams)
+        assert d_second_derivative_check(grid, theta) \
+            == pytest.approx(worst, rel=1e-6)
 
 
 class TestUOdeStep:
@@ -93,10 +128,10 @@ class TestUOdeStep:
 
         def march(n_steps, theta_end=0.5):
             h = theta_end / n_steps
-            u = phi.copy()
+            u = s.phi.copy()
             for k in range(n_steps):
                 u = u_ode_step(s, u, k * h, h)
-            return u[0, 0].real
+            return u[0, 0, 0].real
 
         exact = 0.8 / (1.0 - 0.5 * 0.8)
         err_coarse = abs(march(20) - exact)
@@ -105,8 +140,8 @@ class TestUOdeStep:
 
     def test_pure_commutator_start(self, twomode, theta0):
         # Phi = 0 gives U = Psi tan(theta Psi), reachable from u_direct
-        s = q.spectral_sample(twomode, 1.2)
-        stripped = synthetic_sample(np.zeros_like(s.phi), s.psi, s.lam)
+        s = q.sample_grid(twomode, [1.2])
+        stripped = dataclasses.replace(s, phi=np.zeros_like(s.phi))
         theta_end = 0.5 * theta0
         n_steps = 60
         h = theta_end / n_steps
@@ -118,7 +153,7 @@ class TestUOdeStep:
     def test_growth_guard_trips(self):
         phi = np.diag([1.0, 1.0]).astype(complex)
         s = synthetic_sample(phi, np.zeros((2, 2), dtype=complex))
-        u = phi.copy()
+        u = s.phi.copy()
         with pytest.raises(FeasibilityError):
             # one huge step across the finite-escape point theta = 1 of
             # the scalar equation u' = u^2 started from u = 1
@@ -130,15 +165,15 @@ class TestHopfColeEquivalence:
     # Riccati state stiffens as the feasibility margin closes
     @pytest.mark.parametrize("lam,n_steps", [(1.0, 90), (4.3, 720)])
     def test_march_matches_closed_form(self, twomode, theta0, lam, n_steps):
-        s = q.spectral_sample(twomode, lam)
+        s = q.sample_grid(twomode, [lam])
         theta_end = 0.9 * theta0
         h = theta_end / n_steps
         u = s.phi.astype(complex)
         herm_defect = 0.0
         for k in range(n_steps):
             u_raw = u_ode_step(s, u, k * h, h)
-            herm_defect = max(herm_defect,
-                              float(np.linalg.norm(u_raw - u_raw.conj().T)))
+            herm_defect = max(herm_defect, float(np.linalg.norm(
+                u_raw - np.swapaxes(u_raw, 1, 2).conj())))
             u = u_raw
         assert np.max(np.abs(u - u_direct(s, theta_end))) < 1e-6
         assert herm_defect < 1e-9
@@ -164,7 +199,7 @@ class TestRateByHomotopy:
         assert np.all(np.diff(tr.rate) >= -1e-15)
 
     def test_classical_surrogate_matches_closed_form(self, surrogate):
-        cfg = q.QuadratureConfig.for_system(surrogate, step_scale=0.01)
+        cfg = q.QuadratureConfig.for_system(surrogate)
         grid = q.sample_grid(surrogate, cfg.lambdas())
         classical = dataclasses.replace(grid, psi=0.0 * grid.psi,
                                         h=0.0 * grid.h)
@@ -196,7 +231,7 @@ class TestRateByHomotopy:
         cfg = q.QuadratureConfig(cutoff=100.0, step=0.025)
         grid = q.sample_grid(twomode, cfg.lambdas())
         tr = rate_by_homotopy_from_grid(grid, 0.9 * theta0, 0.01 * theta0,
-                                        cfg, store_u=True)
+                                        cfg)
         rate, derivs, u = reference_march(grid, 0.9 * theta0, 0.01 * theta0, cfg)
         np.testing.assert_allclose(tr.rate, rate, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(tr.rate_derivative, derivs, rtol=1e-13,
@@ -217,16 +252,16 @@ class TestRateByHomotopy:
 
 class TestSecondDerivativeStructure:
     def test_residual_small_at_zero(self, twomode):
-        s = q.spectral_sample(twomode, 1.5)
+        s = q.sample_grid(twomode, [1.5])
         assert d_second_derivative_check(s, 0.0, d_theta=1e-4) < 1e-6
 
     def test_residual_small_at_random_sample(self, twomode, theta0):
-        s = q.spectral_sample(twomode, 3.1)
+        s = q.sample_grid(twomode, [3.1])
         assert d_second_derivative_check(s, 0.4 * theta0, d_theta=1e-4) < 1e-6
 
     def test_vanishing_commutator_leaves_noise(self, twomode):
         # D is then linear in theta; the residual is pure differencing
         # roundoff, of order machine epsilon / d_theta^2
-        s = q.spectral_sample(twomode, 3.1)
-        zeroed = synthetic_sample(s.phi, 0.0 * s.psi, s.lam)
+        s = q.sample_grid(twomode, [3.1])
+        zeroed = dataclasses.replace(s, psi=0.0 * s.psi, h=0.0 * s.h)
         assert d_second_derivative_check(zeroed, 0.03, d_theta=1e-4) < 1e-7

@@ -15,7 +15,6 @@ from qefrate.errors import (DimensionError, ParameterError, SingularityError,
 from qefrate.model import BJ2, build_j_matrix
 from qefrate.onemode import (onemode_trig, poles, random_params, residue_at,
                              to_state_space)
-from qefrate.spectral import trig_bundle
 
 
 class TestExtractMu:
@@ -104,7 +103,7 @@ class TestAbFunctions:
     def test_matches_generic_commutator_spectrum(self, onemode_params,
                                                  onemode_ss):
         for lam in [0.4, 1.9, 6.0]:
-            sample = q.spectral_sample(onemode_ss, lam)
+            sample = q.sample_grid(onemode_ss, [lam])
             a, b = q.ab_functions(onemode_params.mu, onemode_params.nu,
                                   1j * lam)
             closed = a * np.eye(2) + b * BJ2
@@ -121,21 +120,21 @@ class TestOnemodeTrig:
     @pytest.mark.parametrize("lam", [0.5, 2.7])
     def test_matches_generic_bundle(self, onemode_params, onemode_ss, lam):
         theta = 0.25
-        sample = q.spectral_sample(onemode_ss, lam)
-        tb = trig_bundle(sample, theta)
+        sample = q.sample_grid(onemode_ss, [lam])
+        cos_tp, sinc_tp, _ = sample.trig(theta)
         cos_c, sin_c = onemode_trig(onemode_params.mu, onemode_params.nu,
                                     1j * lam, theta)
-        sin_generic = theta * sample.psi @ tb.sinc_tp
-        assert np.max(np.abs(tb.cos_tp - cos_c)) < 1e-10
+        sin_generic = theta * sample.psi @ sinc_tp
+        assert np.max(np.abs(cos_tp - cos_c)) < 1e-10
         assert np.max(np.abs(sin_generic - sin_c)) < 1e-10
 
     def test_full_log_det_matrix_assembly(self, onemode_params, onemode_ss):
         # closed-form D = cos(theta Mho) - Phi Mho^{-1} sin(theta Mho)
         theta = 0.2
         for lam in [0.8, 3.1]:
-            sample = q.spectral_sample(onemode_ss, lam)
-            tb = trig_bundle(sample, theta)
-            d_generic = tb.cos_tp - theta * sample.phi @ tb.sinc_tp
+            sample = q.sample_grid(onemode_ss, [lam])
+            cos_tp, sinc_tp, _ = sample.trig(theta)
+            d_generic = cos_tp - theta * sample.phi @ sinc_tp
             a, b = q.ab_functions(onemode_params.mu, onemode_params.nu,
                                   1j * lam)
             mho = a * np.eye(2) + b * BJ2
@@ -186,15 +185,15 @@ def per_sample_check(seed: int, samples: int = 100) -> dict:
     ss = to_state_space(params)
     dev_psi = dev_trig = 0.0
     for lam in rng.uniform(-8.0, 8.0, size=samples):
-        sample = q.spectral_sample(ss, lam)
+        sample = q.sample_grid(ss, [lam])
         a, b = q.ab_functions(params.mu, params.nu, 1j * lam)
         closed = a * np.eye(2) + b * BJ2
         dev_psi = max(dev_psi, float(np.max(np.abs(sample.psi - closed))))
         theta = 0.3 / (1.0 + abs(float(lam)))
         cos_c, sin_c = onemode_trig(params.mu, params.nu, 1j * lam, theta)
-        tb = trig_bundle(sample, theta)
-        sin_generic = theta * sample.psi @ tb.sinc_tp
-        dev_trig = max(dev_trig, float(np.max(np.abs(tb.cos_tp - cos_c))),
+        cos_tp, sinc_tp, _ = sample.trig(theta)
+        sin_generic = theta * sample.psi @ sinc_tp
+        dev_trig = max(dev_trig, float(np.max(np.abs(cos_tp - cos_c))),
                        float(np.max(np.abs(sin_generic - sin_c))))
     res_det = max(abs(np.linalg.det(residue_loop(params.mu, params.nu, p)))
                   for p in poles(params.mu, params.nu))

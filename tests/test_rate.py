@@ -11,10 +11,9 @@ import pytest
 import qefrate as q
 from qefrate import rate
 from qefrate._funcs import apply_herm, hermitize, lncosh, minimize_bounded, tanhc
-from qefrate.errors import FeasibilityError
+from qefrate.errors import FeasibilityError, ParameterError
 from qefrate.model import BJ2
 from qefrate.rate import log_det_d
-from qefrate.spectral import trig_bundle
 
 from conftest import (SURROGATE_A, SURROGATE_G, make_random_model,
                       single_mode, surrogate_v_closed)
@@ -27,33 +26,37 @@ def zero_psi(grid: q.SpectralGrid) -> q.SpectralGrid:
 
 class TestLogDetD:
     def test_zero_theta(self, twomode):
-        s = q.spectral_sample(twomode, 1.1)
+        s = q.sample_grid(twomode, [1.1])
         assert log_det_d(s, 0.0) == 0.0
 
     def test_classical_integrand_when_psi_vanishes(self, twomode):
-        s = q.spectral_sample(twomode, 1.1)
-        zero = q.SpectralSample(lam=s.lam, phi=s.phi, psi=0.0 * s.psi,
-                                h=0.0 * s.h)
+        zero = zero_psi(q.sample_grid(twomode, [1.1]))
         theta = 0.04
-        expected = float(np.sum(np.log(1.0 - theta * np.linalg.eigvalsh(s.phi))))
+        expected = float(np.sum(np.log(
+            1.0 - theta * np.linalg.eigvalsh(zero.phi[0]))))
         assert abs(log_det_d(zero, theta) - expected) < 1e-12
 
     @pytest.mark.parametrize("lam", [0.7, 4.3, 33.0])
     def test_mirror_exact(self, twomode, lam):
-        plus = q.spectral_sample(twomode, lam)
-        minus = q.spectral_sample(twomode, -lam)
+        plus = q.sample_grid(twomode, [lam])
+        minus = q.sample_grid(twomode, [-lam])
         assert log_det_d(plus, 0.05) == log_det_d(minus, 0.05)
 
     def test_high_frequency_asymptote(self, twomode, theta0):
         theta = 0.9 * theta0
         coeff = theta * twomode.lqg_weight_trace()
         for lam in [300.0, 600.0, 1000.0]:
-            s = q.spectral_sample(twomode, lam)
+            s = q.sample_grid(twomode, [lam])
             ratio = -log_det_d(s, theta) / (coeff / lam ** 2)
             assert 0.98 <= ratio <= 1.02
 
+    @pytest.mark.parametrize("lams", [[], [1.1, 2.2]], ids=["empty", "two"])
+    def test_one_node_only(self, twomode, lams):
+        with pytest.raises(ParameterError, match="one-node grid"):
+            log_det_d(q.sample_grid(twomode, lams), 0.05)
+
     def test_infeasible_theta_names_frequency(self, twomode, theta0):
-        s = q.spectral_sample(twomode, 4.3)   # near the spectral peak
+        s = q.sample_grid(twomode, [4.3])   # near the spectral peak
         with pytest.raises(FeasibilityError) as err:
             log_det_d(s, 5.0 * theta0)
         assert err.value.lam == pytest.approx(4.3)
@@ -201,12 +204,12 @@ class TestStackedFactor:
 
     @pytest.mark.parametrize("lam", [0.0, 0.7, 4.3, 33.0])
     def test_one_node_matches_complex_slogdet(self, twomode, theta0, lam):
-        s = q.spectral_sample(twomode, lam)
+        s = q.sample_grid(twomode, [lam])
         for frac in (0.1, 0.5, 0.95):
             theta = frac * theta0
-            tb = trig_bundle(s, theta)
-            sign, ref = np.linalg.slogdet(tb.cos_tp
-                                          - theta * s.phi @ tb.sinc_tp)
+            cos_tp, sinc_tp, _ = s.trig(theta)
+            sign, ref = np.linalg.slogdet(cos_tp[0]
+                                          - theta * s.phi[0] @ sinc_tp[0])
             assert abs(np.angle(sign)) < 1e-8
             assert abs(log_det_d(s, theta) - ref) <= 1e-11 * abs(ref)
 
@@ -375,13 +378,12 @@ class TestSmallThetaExpansion:
 
 class TestContourE:
     def test_restricts_to_log_det_matrix(self, twomode, theta0):
-        from qefrate.spectral import trig_bundle
         theta = 0.5 * theta0
         for lam in [0.9, 3.7, 11.0]:
             e_mat = q.contour_e(twomode, 1j * lam, theta)
-            s = q.spectral_sample(twomode, lam)
-            tb = trig_bundle(s, theta)
-            d_mat = tb.cos_tp - theta * s.phi @ tb.sinc_tp
+            s = q.sample_grid(twomode, [lam])
+            cos_tp, sinc_tp, _ = s.trig(theta)
+            d_mat = cos_tp[0] - theta * s.phi[0] @ sinc_tp[0]
             assert np.max(np.abs(e_mat - d_mat)) < 1e-8
 
     def test_large_s_limit(self, twomode, theta0):
@@ -510,7 +512,7 @@ THETA_ENTRY_POINTS = {
     "classical_v": lambda ss, cfg, th: q.classical_v(ss, th, cfg),
     "small_theta_expansion":
         lambda ss, cfg, th: q.small_theta_expansion(ss, th, cfg),
-    "log_det_d": lambda ss, cfg, th: log_det_d(q.spectral_sample(ss, 1.1), th),
+    "log_det_d": lambda ss, cfg, th: log_det_d(q.sample_grid(ss, [1.1]), th),
     "frequency_profile": lambda ss, cfg, th: q.frequency_profile(
         q.sample_grid(ss, cfg.lambdas()), th),
     "ln_xi": lambda ss, cfg, th: q.ln_xi(ss, th, horizon=1.0, n_grid=8),

@@ -13,7 +13,7 @@ import qefrate as q
 from qefrate._funcs import lncosh, sinhc, tanhc
 from qefrate import spectral
 from qefrate.errors import SingularityError
-from qefrate.spectral import grid_for, trig_bundle
+from qefrate.spectral import grid_for
 
 
 def adjugate_inverse(m: np.ndarray) -> np.ndarray:
@@ -94,23 +94,25 @@ class TestTransfer:
 
 
 class TestSpectralSample:
+    """A frequency sample: a one-node ``sample_grid``."""
+
     @pytest.mark.parametrize("lam", [0.0, 0.7, 4.3, 25.0])
     def test_phi_psd(self, twomode, lam):
-        s = q.spectral_sample(twomode, lam)
-        w = np.linalg.eigvalsh(s.phi)
+        s = q.sample_grid(twomode, [lam])
+        w = np.linalg.eigvalsh(s.phi[0])
         assert w[0] >= -1e-12 * max(w[-1], 1.0)
 
     @pytest.mark.parametrize("lam", [0.7, 4.3])
     def test_structure(self, twomode, lam):
-        s = q.spectral_sample(twomode, lam)
-        assert np.array_equal(s.phi, s.phi.conj().T)
-        assert np.array_equal(s.psi, -s.psi.conj().T)
-        assert np.array_equal(s.h, s.h.conj().T)
+        s = q.sample_grid(twomode, [lam])
+        assert np.array_equal(s.phi[0], s.phi[0].conj().T)
+        assert np.array_equal(s.psi[0], -s.psi[0].conj().T)
+        assert np.array_equal(s.h[0], s.h[0].conj().T)
 
     @pytest.mark.parametrize("lam", [0.9, 3.3, 12.0])
     def test_conjugate_mirror(self, twomode, lam):
-        plus = q.spectral_sample(twomode, lam)
-        minus = q.spectral_sample(twomode, -lam)
+        plus = q.sample_grid(twomode, [lam])
+        minus = q.sample_grid(twomode, [-lam])
         assert np.max(np.abs(plus.phi - np.conj(minus.phi))) < 1e-12
         assert np.max(np.abs(plus.psi - np.conj(minus.psi))) < 1e-12
 
@@ -119,8 +121,8 @@ class TestSpectralSample:
         det_pi = np.linalg.det(twomode.weight)
         det_noise = np.linalg.det(twomode.b @ twomode.j @ twomode.b.T)
         for lam in np.geomspace(0.05, 80.0, 12):
-            s = q.spectral_sample(twomode, float(lam))
-            lhs = np.linalg.det(s.psi)
+            s = q.sample_grid(twomode, [lam])
+            lhs = np.linalg.det(s.psi[0])
             denom = abs(np.linalg.det(1j * lam * np.eye(n) - twomode.a)) ** 2
             rhs = det_pi * det_noise / denom
             assert abs(lhs - rhs) < 1e-8 * abs(rhs)
@@ -128,47 +130,41 @@ class TestSpectralSample:
 
 
 class TestTrigBundle:
+    """``SpectralGrid.trig`` at one node."""
+
     def test_theta_zero_is_identity(self, twomode):
-        s = q.spectral_sample(twomode, 1.3)
-        tb = trig_bundle(s, 0.0)
+        s = q.sample_grid(twomode, [1.3])
         eye = np.eye(twomode.n)
-        assert np.allclose(tb.cos_tp, eye, atol=1e-14)
-        assert np.allclose(tb.sinc_tp, eye, atol=1e-14)
-        assert np.allclose(tb.tanc_tp, eye, atol=1e-14)
+        for m in s.trig(0.0):
+            assert np.allclose(m[0], eye, atol=1e-14)
 
     def test_vanishing_commutator_gives_identity(self, twomode):
-        s = q.spectral_sample(twomode, 1.3)
-        zero = q.SpectralSample(lam=s.lam, phi=s.phi, psi=0.0 * s.psi,
-                                h=0.0 * s.h)
-        tb = trig_bundle(zero, 0.4)
-        assert np.allclose(tb.cos_tp, np.eye(twomode.n), atol=1e-14)
-        assert np.allclose(tb.sinc_tp, np.eye(twomode.n), atol=1e-14)
-        assert np.allclose(tb.tanc_tp, np.eye(twomode.n), atol=1e-14)
+        s = q.sample_grid(twomode, [1.3])
+        zero = dataclasses.replace(s, psi=0.0 * s.psi, h=0.0 * s.h)
+        for m in zero.trig(0.4):
+            assert np.allclose(m[0], np.eye(twomode.n), atol=1e-14)
 
     def test_tanc_cos_equals_sinc(self, random_models):
         rng = np.random.default_rng(7)
         for ss in random_models[:8]:
             lam = float(rng.uniform(0.0, 5.0))
-            s = q.spectral_sample(ss, lam)
-            tb = trig_bundle(s, 0.3)
-            assert np.max(np.abs(tb.tanc_tp @ tb.cos_tp - tb.sinc_tp)) < 1e-12 \
-                * max(1.0, np.linalg.norm(tb.sinc_tp))
+            cos_tp, sinc_tp, tanc_tp = q.sample_grid(ss, [lam]).trig(0.3)
+            assert np.max(np.abs(tanc_tp @ cos_tp - sinc_tp)) < 1e-12 \
+                * max(1.0, np.linalg.norm(sinc_tp[0]))
 
     def test_hyperbolic_pythagoras_per_eigenvalue(self, twomode):
-        s = q.spectral_sample(twomode, 2.2)
-        w = np.linalg.eigvalsh(s.h)
+        s = q.sample_grid(twomode, [2.2])
+        w = np.linalg.eigvalsh(s.h[0])
         x = 0.37 * w
         assert np.max(np.abs(np.cosh(x) ** 2 - np.sinh(x) ** 2 - 1.0)) < 1e-12
 
     def test_cos_eigenvalues_at_least_one(self, twomode):
-        s = q.spectral_sample(twomode, 2.2)
-        tb = trig_bundle(s, 0.5)
-        assert np.min(np.linalg.eigvalsh(tb.cos_tp)) >= 1.0 - 1e-12
+        cos_tp, _, _ = q.sample_grid(twomode, [2.2]).trig(0.5)
+        assert np.min(np.linalg.eigvalsh(cos_tp[0])) >= 1.0 - 1e-12
 
     def test_tanc_eigenvalues_in_unit_interval(self, twomode):
-        s = q.spectral_sample(twomode, 2.2)
-        tb = trig_bundle(s, 0.5)
-        w = np.linalg.eigvalsh(tb.tanc_tp)
+        _, _, tanc_tp = q.sample_grid(twomode, [2.2]).trig(0.5)
+        w = np.linalg.eigvalsh(tanc_tp[0])
         assert np.all(w > 0.0) and np.all(w <= 1.0 + 1e-12)
 
 
