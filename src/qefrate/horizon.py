@@ -14,31 +14,60 @@ and (ln Xi)/T approaches the growth rate as the horizon grows, which makes
 this an oracle for the frequency-domain methods that shares nothing with
 them but the model matrices.
 
-Everything stays in real arithmetic.  The eigenvalues of the
-antisymmetric L come in pairs +-i omega, and both functions the formula
-needs are even in omega: cos(theta L) has eigenvalues cosh(theta omega)
-and K has tanhc(theta omega).  They are therefore functions of the real
-symmetric matrix L'L = -L^2, and its one eigendecomposition
-L'L = V diag(omega^2) V' gives them all:
+Everything stays in real arithmetic, and no eigendecomposition is made.
+The eigenvalues of the antisymmetric L come in pairs +-i omega, and every
+function the formula needs is even in omega, so each is a function of the
+real symmetric positive semidefinite Y = theta^2 L'L = -(theta L)^2, whose
+eigenvalues are y = (theta omega)^2:
 
-    Tr ln cos(theta L) = sum lncosh(theta omega),
-    sqrt(K) = V R V',  R = diag(sqrt(tanhc(theta omega))).
+    cos(theta L) = cosh(sqrt Y),   K = tanhc(sqrt Y),   Sc = sinhc(sqrt Y),
+    Q = K^-1 = q(Y),   q(y) = sqrt(y) coth(sqrt y).
 
-The matrix R (V' P V) R equals V' (sqrt(K) P sqrt(K)) V, an orthogonal
-similarity of a matrix with the spectrum of P K, so its largest
-eigenvalue is the feasibility margin and its Cholesky factor gives
-ln det(I - theta P K).  Both functions are smooth in omega^2, so forming
-L'L perturbs the result only to first order in eps * ||L||^2.
+These commute, cosh = q * sinhc and K cosh = sinhc, so
+
+    det(cos theta L) det(I - theta P K) = det(Q - theta P) det(Sc),
+    ln Xi = -1/2 * ( ln det(Q - theta P) + Tr ln sinhc(sqrt Y) ).
+
+Q - theta P = sqrt(Q) (I - theta sqrt(K) P sqrt(K)) sqrt(Q) is positive
+definite exactly when theta * lam_max(P K) < 1, so its Cholesky factor R
+is the feasibility test and gives the first log-det.  The generalized
+eigenvalues mu of P v = mu Q v are those of P K, and mu' = mu / (1 -
+theta mu) are those of R^-T P R^-1, so the feasibility margin is
+theta * lam_max(P K) = theta mu' / (1 + theta mu') for the largest mu'.
+
+Both q and ln sinhc(sqrt .) are analytic for |y| < pi^2, with Taylor
+coefficients q_k = 4^k B_2k / (2k)! and s_k = q_k / (2k) (Bernoulli
+numbers B_2k); both series alternate with decreasing terms for small y,
+so the first term left out bounds the remainder.  The bound
+b = ||Y||_inf >= lam_max(Y) decides how often Y is divided by 4 to bring
+it below Y* = 0.05, where ln sinhc to degree 6 is within 2e-15 of each
+term (Higham, Functions of Matrices, 2008, ch. 4-5).  With W = Y^2 and
+Y^3 the traces Tr Y^k, k <= 6, are Frobenius products.  Q follows by
+Horner's rule in W with coefficients linear in Y, the first step taken
+elementwise from Y^3 (Paterson and Stockmeyer 1973), to the least
+degree, 3, 5 or 7, whose remainder at b is below 2^-53: no further
+product up to b = 8.5e-4, one up to 0.019 and two above.  Each halving
+step undoes one division by 4 with
+
+    q(4y) = q(y) + y / q(y),   ln sinhc(2x) = 2 ln sinhc(x) + ln q(x^2),
+
+that is one Cholesky factor of Q, its log-det, and Q^-1 Y from it.  The
+steps amplify rounding that does not commute with Y, so b above 1e4 is
+refused: on random L of orders 7 and 40, Q is within 1e-14 of q(Y)
+(relative, 2-norm) up to b = 1.6e4, but 3e-12 off at 1.6e5 and 2e-4 at
+1.6e7.  The models' own b is far smaller: at order 1600 and 0.5 theta0
+it is 0.013 on the two-mode model and at most 0.37 on forty seeded
+random models (1.2 at 0.9 theta0).
 
 Each matrix of order n*N is allocated once and overwritten in place
 after that.  L and P are one strided copy each of their stacks of lag
-blocks.  L is freed as soon as L'L is formed, and the classical route
-frees it at once.  The eigensolver writes V over L'L; R V' P V R is
-written over P, and I - theta R V' P V R and its Cholesky factor over
-that.  At most four such matrices are alive at once, during the
-eigensolve: P, L'L and the eigensolver's workspace of about two; after
-it, P, V and P V.  At order 3200 (82 MB each) that is a peak of about
-330 MB.
+blocks, and L is freed as soon as Y is formed; the classical route never
+builds it.  The products that overwrite a factor go one row strip at a
+time: Horner's steps write Q over Y^3, and Q - theta P and its Cholesky
+factor take the place of Q.  At most four such matrices are alive at
+once: P, Y, W and Y^3 during the series, or P, Y, Q and the Cholesky
+factor of Q during the halving steps.  At order 3200 (82 MB each) that
+is a peak of about 330 MB.  The classical route holds P alone.
 """
 
 from __future__ import annotations
@@ -49,9 +78,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 # hessenberg and eigh_tridiagonal stay bound: benchmarks/spans.py traces them
-from scipy.linalg import cholesky, eigh, eigh_tridiagonal, expm, hessenberg  # noqa: F401
+from scipy.linalg import (cho_solve, cholesky, eigh_tridiagonal,  # noqa: F401
+                          expm, hessenberg, solve_triangular)
+from scipy.linalg.blas import dsyrk
 
-from ._funcs import check_theta, lncosh, tanhc
+from ._funcs import check_theta
 from .errors import FeasibilityError, NumericalError, SizeError
 from .model import StateSpace
 
@@ -120,6 +151,17 @@ def _assemble(blocks: np.ndarray, n_grid: int, antisymmetric: bool) -> np.ndarra
     return full
 
 
+def _check_grid(ss: StateSpace, horizon: float, n_grid: int,
+                max_dim: int) -> None:
+    if n_grid < 1:
+        raise NumericalError(f"need at least one time cell, got {n_grid}")
+    if not 0.0 < horizon < math.inf:
+        raise NumericalError(f"horizon must be positive and finite, got {horizon:g}")
+    if ss.n * n_grid > max_dim:
+        raise SizeError(
+            f"discretization order {ss.n * n_grid} exceeds the guard {max_dim}")
+
+
 def discretize_kernels(ss: StateSpace, horizon: float, n_grid: int,
                        max_dim: int = DEFAULT_MAX_DIM):
     """Midpoint collocation matrices (L, P) of the two kernel operators.
@@ -128,31 +170,42 @@ def discretize_kernels(ss: StateSpace, horizon: float, n_grid: int,
     kernel at lag t_j - t_k times dt.  L is exactly antisymmetric and P
     exactly symmetric.
     """
-    if n_grid < 1:
-        raise NumericalError(f"need at least one time cell, got {n_grid}")
-    if not 0.0 < horizon < math.inf:
-        raise NumericalError(f"horizon must be positive and finite, got {horizon:g}")
-    if ss.n * n_grid > max_dim:
-        raise SizeError(
-            f"discretization order {ss.n * n_grid} exceeds the guard {max_dim}")
+    _check_grid(ss, horizon, n_grid, max_dim)
     lam_blocks, p_blocks = _kernel_blocks(ss, horizon, n_grid)
     big_l = _assemble(lam_blocks, n_grid, antisymmetric=True)
     big_p = _assemble(p_blocks, n_grid, antisymmetric=False)
     return big_l, big_p
 
 
-def _lambda_max(mat: np.ndarray) -> float:
+def _lambda_max(mat: np.ndarray, chol: np.ndarray | None = None) -> float:
+    """Largest eigenvalue of the symmetric ``mat``, or of R^-T mat R^-1
+    when the upper triangular Cholesky factor ``chol`` = R is given.
+
+    Dense up to order 1200; above it ARPACK, on two triangular solves and
+    a product with ``mat`` per step when ``chol`` is given, falling back
+    to the dense route if it does not converge.
+    """
     dim = mat.shape[0]
-    if dim <= 1200:
-        return float(np.linalg.eigvalsh(mat)[-1])
-    # imported here: loading scipy.sparse costs every import of the package
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-    v0 = np.full(dim, 1.0 / math.sqrt(dim))
-    try:
-        val = eigsh(mat, k=1, which="LA", v0=v0, return_eigenvectors=False)
-        return float(val[0])
-    except ArpackNoConvergence:
-        return float(np.linalg.eigvalsh(mat)[-1])
+    if dim > 1200:
+        # imported here: loading scipy.sparse costs every import of the package
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+        op = mat
+        if chol is not None:
+            def apply(v):
+                inner = mat @ solve_triangular(chol, v, check_finite=False)
+                return solve_triangular(chol, inner, trans="T",
+                                        check_finite=False)
+            op = LinearOperator((dim, dim), matvec=apply, dtype=float)
+        v0 = np.full(dim, 1.0 / math.sqrt(dim))
+        try:
+            val = eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)
+            return float(val[0])
+        except ArpackNoConvergence:
+            pass
+    if chol is not None:
+        half = solve_triangular(chol, mat, trans="T", check_finite=False)
+        mat = solve_triangular(chol, half.T, trans="T", check_finite=False)
+    return float(np.linalg.eigvalsh(mat)[-1])
 
 
 def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
@@ -162,10 +215,10 @@ def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
     With ``classical=True`` the commutator matrix is dropped (K becomes
     the identity and the cosine factor disappears), which gives the
     moment-generating value -1/2 ln det(I - theta P) of the Gaussian
-    quadratic form; this serves as the commutative cross-check.
+    quadratic form; this serves as the commutative cross-check, and L is
+    not assembled.
 
-    Raises FeasibilityError when theta * lam_max(P K) reaches one, with
-    the measured value attached.
+    Raises FeasibilityError when theta * lam_max(P K) reaches one.
     """
     if n_grid < MIN_CELLS:
         raise NumericalError(f"need at least {MIN_CELLS} time cells, got {n_grid}")
@@ -175,10 +228,16 @@ def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
     # pinning freed matrix memory in the heap (50 MB more peak memory at
     # order 3200 when it loads between them)
     import scipy.sparse.linalg  # noqa: F401
-    big_l, big_p = discretize_kernels(ss, horizon, n_grid, max_dim=max_dim)
-    gram = None if classical else big_l.T @ big_l
-    del big_l
-    value, spec_value = _ln_xi_consuming(gram, big_p, theta)
+    if classical:
+        _check_grid(ss, horizon, n_grid, max_dim)
+        p_blocks = _kernel_blocks(ss, horizon, n_grid)[1]
+        big_p = _assemble(p_blocks, n_grid, antisymmetric=False)
+        y = None
+    else:
+        big_l, big_p = discretize_kernels(ss, horizon, n_grid, max_dim=max_dim)
+        y = _syrk(big_l, theta * theta)
+        del big_l
+    value, spec_value = _ln_xi_consuming(y, big_p, theta)
     return HorizonEstimate(horizon=float(horizon), n_grid=int(n_grid),
                            ln_xi=value, per_time_rate=value / horizon,
                            spec_value=spec_value)
@@ -188,64 +247,174 @@ def ln_xi_from_matrices(big_l: np.ndarray, big_p: np.ndarray, theta: float,
                         classical: bool = False):
     """Evaluate (ln_xi, spec_value) from assembled kernel matrices.
 
-    The inputs are left unchanged.
+    L and P must be finite square matrices of one order; L is read as
+    antisymmetric and P as symmetric.  The inputs are left unchanged.
     """
     check_theta(theta)
-    gram = None if classical else big_l.T @ big_l
-    return _ln_xi_consuming(gram, big_p.copy(), theta)
+    big_l, big_p = np.asarray(big_l), np.asarray(big_p)
+    if not (big_p.ndim == 2 and big_p.shape[0] == big_p.shape[1] >= 1
+            and big_l.shape == big_p.shape):
+        raise NumericalError(
+            f"L and P must be square matrices of one order, got shapes "
+            f"{big_l.shape} and {big_p.shape}")
+    if not (np.isfinite(big_l).all() and np.isfinite(big_p).all()):
+        raise NumericalError("L and P must be finite")
+    y = None if classical else _syrk(big_l, theta * theta)
+    return _ln_xi_consuming(y, np.array(big_p, dtype=float, order="C"), theta)
 
 
-def _ln_xi_consuming(gram: np.ndarray | None, big_p: np.ndarray, theta: float):
-    """(ln_xi, spec_value) from L'L (None for the classical route) and P.
+#: Row strip height of the products and updates written back in place.
+_STRIP = 256
 
-    Both arrays are overwritten: the eigenvectors of L'L take the place of
-    L'L, and R V' P V R, then I - theta R V' P V R and its Cholesky factor,
-    take the place of P.  One further matrix, P V, is allocated, so at most
-    three full-size matrices are alive besides the eigensolver's workspace.
+#: Bound on the spectrum of the scaled Y below which the series run.
+_SERIES_BOUND = 0.05
+
+#: Largest ||Y||_inf accepted: beyond it the halving steps lose accuracy.
+_MAX_BOUND = 1e4
+
+#: Taylor coefficients of q(y) = sqrt(y) coth(sqrt y), q_k = 4^k B_2k/(2k)!
+_Q = (1.0, 1 / 3, -1 / 45, 2 / 945, -1 / 4725, 2 / 93555, -1382 / 638512875,
+      4 / 18243225, -3617 / 162820783125)
+#: ... and of ln sinhc(sqrt y), s_k = q_k/(2k), for k = 1..6
+_S = (1 / 6, -1 / 180, 1 / 2835, -1 / 37800, 1 / 467775, -691 / 3831077250)
+#: Largest spectral bound at which q to degree 2h + 3 (h products in
+#: Horner's rule) leaves a remainder |q_2h+4| b^(2h+4) below 2^-53, for
+#: h = 0, 1; degree 7 leaves 1e-18 at ``_SERIES_BOUND``.
+_HORNER_BOUNDS = tuple((2.0 ** -53 / abs(_Q[2 * h + 4])) ** (1.0 / (2 * h + 4))
+                       for h in (0, 1))
+
+
+def _strips(dim: int):
+    return [slice(i, i + _STRIP) for i in range(0, dim, _STRIP)]
+
+
+def _syrk(mat: np.ndarray, alpha: float) -> np.ndarray:
+    """alpha * mat' mat as a new C-ordered array.
+
+    BLAS syrk computes one triangle, about half the work of a general
+    product, reading a C-ordered ``mat`` as the Fortran-ordered mat'; the
+    other triangle is mirrored one strip at a time.
     """
-    if theta == 0.0:
-        return 0.0, 0.0
-    sym = big_p
-    trace_ln_cos = 0.0
-    if gram is not None:
-        # gram is exactly symmetric, so its transpose is the same matrix in
-        # Fortran order, which LAPACK overwrites without a copy
-        omega_sq, v = eigh(gram.T, overwrite_a=True, check_finite=False,
-                           driver="evd")
-        x = theta * np.sqrt(np.maximum(omega_sq, 0.0))
-        trace_ln_cos = math.fsum(np.asarray(lncosh(x)))
-        v *= np.sqrt(np.asarray(tanhc(x)))
-        pv = big_p @ v
-        np.matmul(v.T, pv, out=sym)
-        del pv  # before the ARPACK and Cholesky work allocates
-        _symmetrize(sym)
+    out = dsyrk(alpha, mat.T, lower=1).T
+    for s in _strips(out.shape[0]):
+        block = out[s, s]
+        np.copyto(block, block.T, where=np.tri(*block.shape, -1, dtype=bool))
+        out[s.stop:, s] = out[s, s.stop:].T
+    return out
 
-    spec_value = theta * _lambda_max(sym)
-    if spec_value >= 1.0:
-        raise FeasibilityError(
-            f"theta * lam_max(P K) = {spec_value:g} >= 1", theta=theta)
-    sym *= -theta
-    sym.flat[::sym.shape[0] + 1] += 1.0
+
+def _ln_det(chol: np.ndarray) -> float:
+    """ln det of R'R from its triangular Cholesky factor R."""
+    return 2.0 * math.fsum(np.log(np.diag(chol)))
+
+
+def _factor_feasible(sym: np.ndarray, theta: float) -> np.ndarray:
+    """Upper Cholesky factor of the symmetric ``sym``, written over it."""
     try:
-        # the transpose of the symmetric I - theta P K, in Fortran order
-        chol = cholesky(sym.T, lower=False, overwrite_a=True,
+        # the transpose of the symmetric sym, in Fortran order, is
+        # factored in place without a copy
+        return cholesky(sym.T, lower=False, overwrite_a=True,
                         check_finite=False)
     except np.linalg.LinAlgError:
         raise FeasibilityError(
             "I - theta P K lost positive definiteness", theta=theta) from None
-    ln_det = 2.0 * math.fsum(np.log(np.diag(chol)))
-    return -0.5 * (trace_ln_cos + ln_det), float(spec_value)
 
 
-def _symmetrize(mat: np.ndarray) -> None:
-    """Replace ``mat`` by (mat + mat')/2 in place, one strip of 256 rows
-    at a time, so no full-size temporary is made."""
-    dim = mat.shape[0]
-    for i in range(0, dim, 256):
-        strip = slice(i, i + 256)
-        avg = 0.5 * (mat[strip, i:] + mat[i:, strip].T)
-        mat[strip, i:] = avg
-        mat[i:, strip] = avg.T
+def _ln_xi_consuming(y: np.ndarray | None, big_p: np.ndarray, theta: float):
+    """(ln_xi, spec_value) from Y = theta^2 L'L (None for the classical
+    route) and P.
+
+    Both arrays are overwritten.  On the classical route I - theta P and
+    its Cholesky factor take the place of P.  Otherwise Q, Q - theta P
+    and its Cholesky factor take the place of the series' Y^3, and P is
+    kept for the feasibility margin.
+    """
+    if theta == 0.0:
+        return 0.0, 0.0
+    dim = big_p.shape[0]
+    if y is None:
+        spec_value = theta * _lambda_max(big_p)
+        if spec_value >= 1.0:
+            raise FeasibilityError(
+                f"theta * lam_max(P K) = {spec_value:g} >= 1", theta=theta)
+        big_p *= -theta
+        big_p.flat[::dim + 1] += 1.0
+        return -0.5 * _ln_det(_factor_feasible(big_p, theta)), float(spec_value)
+    sym, ln_det_sinhc = _coth_and_ln_det_sinhc(y)
+    for s in _strips(dim):
+        sym[s] -= theta * big_p[s]
+    chol = _factor_feasible(sym, theta)
+    mu = _lambda_max(big_p, chol)
+    return (-0.5 * (_ln_det(chol) + ln_det_sinhc),
+            float(theta * mu / (1.0 + theta * mu)))
+
+
+def _coth_and_ln_det_sinhc(y: np.ndarray):
+    """Q = q(Y) and ln det sinhc(sqrt Y) for a symmetric positive
+    semidefinite Y, which is scaled in place and restored.
+
+    Y is divided by 4^s until the certified bound ||Y||_inf on its
+    spectrum is at most ``_SERIES_BOUND``; s halving steps then undo the
+    scaling.
+    """
+    dim = y.shape[0]
+    bound = max(float(np.abs(y[s]).sum(axis=1).max()) for s in _strips(dim))
+    if not bound <= _MAX_BOUND:
+        raise NumericalError(
+            f"||theta^2 L'L||_inf = {bound:g} exceeds {_MAX_BOUND:g}, beyond "
+            "which the halving steps lose accuracy")
+    halvings = 0
+    while bound > _SERIES_BOUND:
+        bound *= 0.25
+        halvings += 1
+    if halvings:
+        y *= 0.25 ** halvings
+    q, ln_det_sinhc = _series(y, bound)
+    if halvings:
+        factor = np.empty_like(q)
+        for _ in range(halvings):
+            # q(4y) = q + y/q and ln sinhc(2x) = 2 ln sinhc(x) + ln q(x^2)
+            np.copyto(factor, q)
+            chol = cholesky(factor.T, lower=False, overwrite_a=True,
+                            check_finite=False)
+            ln_det_sinhc = 2.0 * ln_det_sinhc + _ln_det(chol)
+            for s in _strips(dim):
+                # Q^-1 Y is symmetric: its row strip is (Q^-1 Y[s]')'
+                q[s] += cho_solve((chol, False), y[s].T, check_finite=False).T
+            y *= 4.0
+    return q, ln_det_sinhc
+
+
+def _series(y: np.ndarray, bound: float):
+    """q(Y) and Tr ln sinhc(sqrt Y) by their Taylor series, for Y with
+    spectrum in [0, bound], bound <= ``_SERIES_BOUND``; Y is left
+    unchanged.  The log-det takes degree 6, q the least degree, 3, 5 or
+    7, that the bound allows."""
+    dim = y.shape[0]
+    w = _syrk(y, 1.0)
+    cube = y @ w
+    traces = (np.trace(y), np.vdot(y, y), np.vdot(y, w), np.vdot(w, w),
+              np.vdot(w, cube), np.vdot(cube, cube))
+    ln_det_sinhc = math.fsum(c * t for c, t in zip(_S, traces))
+    # Horner in W with coefficients c_j = q_2j + q_2j+1 Y: to degree
+    # 2h + 3, q(Y) = c_0 + W (c_1 + ... W (c_h + W c_h+1)), whose
+    # innermost W c_h+1 is q_2h+2 W + q_2h+3 Y^3, taken elementwise; each
+    # product with W overwrites its left factor one row strip at a time,
+    # which W commutes with
+    steps = sum(bound > limit for limit in _HORNER_BOUNDS)
+    top = 2 * steps
+    for s in _strips(dim):
+        strip = cube[s]
+        strip *= _Q[top + 3]
+        strip += _Q[top + 2] * w[s]
+        strip += _Q[top + 1] * y[s]
+    cube.flat[::dim + 1] += _Q[top]
+    for j in reversed(range(steps)):
+        for s in _strips(dim):
+            cube[s] = cube[s] @ w
+            cube[s] += _Q[2 * j + 1] * y[s]
+        cube.flat[::dim + 1] += _Q[2 * j]
+    return cube, ln_det_sinhc
 
 
 def convergence_study(ss: StateSpace, theta: float, horizons,

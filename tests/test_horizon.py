@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import qefrate as q
-from qefrate._funcs import tanhc
+from qefrate import horizon
+from qefrate._funcs import lncosh, sinhc, tanhc
 from qefrate.errors import FeasibilityError, NumericalError, SizeError
 from qefrate.horizon import _kernel_blocks, ln_xi_from_matrices
 
@@ -31,6 +33,25 @@ def reference_ln_xi(big_l, big_p, theta):
     assert abs(sign - 1.0) < 1e-12
     spec = theta * np.linalg.eigvalsh(root_k @ big_p @ root_k)[-1]
     return -0.5 * (math.fsum(np.log(np.cosh(x))) + ln_det), spec
+
+
+def gram_eigh_reference(big_l, big_p, theta):
+    """(ln_xi, spec_value) from the real symmetric eigensolve of L'L.
+
+    The eigenvectors V of L'L = V diag(omega^2) V' give Tr ln cos(theta L)
+    as a sum of lncosh(theta omega), and R V'PV R with R =
+    diag(sqrt(tanhc(theta omega))) is orthogonally similar to
+    sqrt(K) P sqrt(K); its spectrum is taken densely.
+    """
+    omega_sq, v = np.linalg.eigh(big_l.T @ big_l)
+    x = theta * np.sqrt(np.maximum(omega_sq, 0.0))
+    v *= np.sqrt(np.asarray(tanhc(x)))
+    sym = v.T @ big_p @ v
+    sym = 0.5 * (sym + sym.T)
+    spec = theta * np.linalg.eigvalsh(sym)[-1]
+    sign, ln_det = np.linalg.slogdet(np.eye(len(x)) - theta * sym)
+    assert sign == 1.0
+    return -0.5 * (math.fsum(np.asarray(lncosh(x))) + ln_det), spec
 
 
 class TestDiscretizeKernels:
@@ -131,11 +152,13 @@ class TestLnXi:
         with pytest.raises(FeasibilityError, match="must be finite"):
             ln_xi_from_matrices(big_l, big_p, theta)
 
-    @pytest.mark.parametrize("case", ["twomode", "random_odd_order"])
+    @pytest.mark.parametrize("case", ["twomode", "random_odd_order",
+                                      "twomode_near_threshold",
+                                      "random_odd_order_scaled"])
     def test_matches_complex_hermitian_reference(self, twomode, theta0, case):
-        if case == "twomode":
+        if case.startswith("twomode"):
             big_l, big_p = q.discretize_kernels(twomode, 4.0, 80)
-            theta = 0.5 * theta0
+            theta = (0.9 if case.endswith("threshold") else 0.5) * theta0
         else:
             # odd order: a zero eigenvalue besides the +-i omega pairs
             rng = np.random.default_rng(7)
@@ -146,6 +169,9 @@ class TestLnXi:
             theta = 1.0
             # tanhc <= 1, so theta * lam_max(P K) <= 0.8
             big_p *= 0.8 / np.linalg.eigvalsh(big_p)[-1]
+            if case.endswith("scaled"):
+                # ||theta^2 L'L||_inf = 744: seven halving steps
+                big_l *= 10.0
         expected, expected_spec = reference_ln_xi(big_l, big_p, theta)
         value, spec = ln_xi_from_matrices(big_l, big_p, theta)
         assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -175,6 +201,60 @@ class TestLnXi:
         assert order == 1600
         assert peak < 4.5 * order ** 2 * 8
 
+    def test_working_set_classical(self, twomode, theta0):
+        # P alone is assembled and overwritten in place (1.03 matrices
+        # measured at order 1600)
+        import scipy.sparse.linalg  # noqa: F401  (loaded by ln_xi)
+        tracemalloc.start()
+        try:
+            est = q.ln_xi(twomode, 0.5 * theta0, horizon=10.0, n_grid=400,
+                          classical=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        order = twomode.n * est.n_grid
+        assert order == 1600
+        assert peak < 1.25 * order ** 2 * 8
+
+    @pytest.mark.parametrize("shapes, bad", [
+        (((3, 3), (4, 4)), None), (((4, 4), (3, 3)), None),
+        (((3, 4), (3, 4)), None), (((4,), (4,)), None),
+        (((0, 0), (0, 0)), None), (((4, 4), (4, 4)), ("l", math.nan)),
+        (((4, 4), (4, 4)), ("p", math.inf))],
+        ids=["orders-differ", "orders-differ-l-larger", "not-square",
+             "not-a-matrix", "empty", "l-nan", "p-inf"])
+    @pytest.mark.parametrize("classical", [False, True])
+    def test_from_matrices_checks_inputs(self, monkeypatch, shapes, bad,
+                                         classical):
+        big_l, big_p = (np.ones(shape) for shape in shapes)
+        if bad is not None:
+            (big_l if bad[0] == "l" else big_p)[1, 2] = bad[1]
+        calls = []
+        monkeypatch.setattr(horizon, "_ln_xi_consuming",
+                            lambda *a: calls.append(a))
+        with pytest.raises(NumericalError, match="L and P must be"):
+            ln_xi_from_matrices(big_l, big_p, 0.1, classical=classical)
+        assert calls == []
+
+    def test_refuses_bound_beyond_halving_range(self):
+        # ||L'L||_inf = 7.4e6, where the halving steps would put ln_xi
+        # 6e-5 (relative) and the margin 0.04 off
+        rng = np.random.default_rng(7)
+        g = rng.normal(size=(7, 7))
+        big_l = 500.0 * (g - g.T)
+        with pytest.raises(NumericalError, match="exceeds 10000"):
+            ln_xi_from_matrices(big_l, np.eye(7), 1.0)
+
+    def test_spec_value_on_arpack_path(self, twomode, theta0):
+        # above order 1200 the margin comes from ARPACK on R^-T P R^-1
+        theta = 0.5 * theta0
+        big_l, big_p = q.discretize_kernels(twomode, 8.0, 320)
+        assert big_p.shape[0] == 1280
+        expected, expected_spec = gram_eigh_reference(big_l, big_p, theta)
+        value, spec = ln_xi_from_matrices(big_l, big_p, theta)
+        assert abs(value - expected) <= 1e-12 * abs(expected)
+        assert abs(spec - expected_spec) <= 1e-12
+
     def test_requires_enough_cells(self, twomode):
         with pytest.raises(NumericalError):
             q.ln_xi(twomode, 0.01, horizon=2.0, n_grid=4)
@@ -186,6 +266,52 @@ class TestLnXi:
         omega = np.linalg.eigvalsh(1j * big_l)
         k_eigs = np.asarray(tanhc(0.5 * theta0 * omega))
         assert np.all(k_eigs > 0.0) and np.all(k_eigs <= 1.0)
+
+
+class TestSeries:
+    def test_coefficients(self):
+        # q_k = 4^k B_2k/(2k)! and s_k = q_k/(2k), exactly rounded, with the
+        # Bernoulli numbers from sum_j C(m+1, j) B_j = 0
+        bern = [Fraction(1)]
+        for m in range(1, 17):
+            bern.append(-sum(math.comb(m + 1, j) * bern[j]
+                             for j in range(m)) / (m + 1))
+        exact = [4 ** k * bern[2 * k] / math.factorial(2 * k)
+                 for k in range(9)]
+        assert exact[:4] == [1, Fraction(1, 3), Fraction(-1, 45),
+                             Fraction(2, 945)]
+        assert horizon._Q == tuple(float(c) for c in exact)
+        assert horizon._S == tuple(float(exact[k] / (2 * k))
+                                   for k in range(1, 7))
+
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    def test_q_against_tanhc_to_its_bound(self, steps):
+        bound = (*horizon._HORNER_BOUNDS, horizon._SERIES_BOUND)[steps]
+        y = np.linspace(0.0, bound, 201)
+        degree = 2 * steps + 3
+        series = sum(horizon._Q[k] * y ** k for k in range(degree + 1))
+        assert np.max(np.abs(series - 1.0 / np.asarray(tanhc(np.sqrt(y))))) \
+            <= 4 * np.finfo(float).eps
+
+    def test_ln_sinhc_to_the_series_bound(self):
+        y = np.linspace(0.0, horizon._SERIES_BOUND, 201)
+        series = sum(c * y ** k for k, c in enumerate(horizon._S, start=1))
+        expected = np.log(np.asarray(sinhc(np.sqrt(y))))
+        assert np.max(np.abs(series - expected)) <= 2 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("top", [1e-4, 0.04, 3.0, 1e3])
+    def test_diagonal_matches_scalar_functions(self, top):
+        # a diagonal Y commutes exactly with every step, halvings included
+        y = np.linspace(0.0, top, 64)
+        q_mat, ln_det = horizon._coth_and_ln_det_sinhc(np.diag(y))
+        x = np.sqrt(y)
+        expected_q = 1.0 / np.asarray(tanhc(x))
+        expected_ln_det = math.fsum(np.log(np.asarray(sinhc(x))))
+        assert np.max(np.abs(np.diag(q_mat) - expected_q) / expected_q) \
+            <= 1e-14
+        assert np.count_nonzero(q_mat - np.diag(np.diag(q_mat))) == 0
+        assert abs(ln_det - expected_ln_det) \
+            <= 1e-14 * max(1.0, abs(expected_ln_det))
 
 
 class TestConvergence:
