@@ -59,21 +59,44 @@ refused: on random L of orders 7 and 40, Q is within 1e-14 of q(Y)
 it is 0.013 on the two-mode model and at most 0.37 on forty seeded
 random models (1.2 at 0.9 theta0).
 
+L and P are block Toeplitz: block (j, k) is the kernel at lag j - k.
+``ln_xi`` holds each as its stack of lag blocks.  It never builds L, and
+builds P only for the classical route's Cholesky factor and for the
+dense eigensolve of the feasibility margin, up to order 1200.  A product
+of such matrices has a low-rank block-shift displacement.  With
+A[n:, n:] - A[:-n, :-n] = G_A H_A', the product C = AB satisfies
+
+    C[n:, n:] - C[:-n, :-n] = A[n:, :n] B[:n, n:] - A[:-n, -n:] B[-n:, :-n]
+                              + G_A (H_A' B[n:, n:]) + (A[:-n, :-n] G_B) H_B',
+
+so C is its first block row plus a displacement of rank r_A + r_B + 2n,
+O((r_A + r_B + n) (nN)^2) work instead of O((nN)^3) (Kailath, Kung and
+Morf 1979; Kailath and Sayed 1995).  Y = theta^2 L'L comes from the lag
+blocks, with generators of rank 2n from L's first and last block rows.
+W, Y^3 and each Horner product carry their generators (ranks 24, 40 and
+104 on the two-mode model), and each is rebuilt one block row at a time,
+C[i+1, i+1:] = C[i, i:-1] + the displacement's row, its upper triangle
+mirrored.  Products with P are FFT convolutions with its lag stack, and
+Q - theta P reads P through a strided view of it.
+``ln_xi_from_matrices`` takes arbitrary L and P, so it forms the same
+series with dense products (BLAS syrk and gemm); the halving steps are
+dense on both.
+
 Each matrix of order n*N is allocated once and overwritten in place
-after that.  L and P are one strided copy each of their stacks of lag
-blocks, and L is freed as soon as Y is formed; the classical route never
-builds it.  The products that overwrite a factor go one row strip at a
-time: Horner's steps write Q over Y^3, and Q - theta P and its Cholesky
-factor take the place of Q.  At most four such matrices are alive at
-once: P, Y, W and Y^3 during the series, or P, Y, Q and the Cholesky
-factor of Q during the halving steps.  At order 3200 (82 MB each) that
-is a peak of about 330 MB.  The classical route holds P alone.
+after that: Horner's steps write Q over Y^3, and Q - theta P and its
+Cholesky factor take the place of Q.  On ``ln_xi``'s quantum route at
+most three such matrices are alive at once: Y, W and Y^3 during the
+series, or Y, Q and the Cholesky factor of Q during the halving steps.
+Their generators and one strip of displacement add about 0.45 of a
+matrix at order 1600.  At order 3200 (82 MB each) that is a peak of
+about 265 MB.  The classical route holds P alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -133,22 +156,68 @@ def _kernel_blocks(ss: StateSpace, horizon: float, n_grid: int):
     return lam_blocks, p_blocks
 
 
-def _assemble(blocks: np.ndarray, n_grid: int, antisymmetric: bool) -> np.ndarray:
-    """Block-Toeplitz assembly with the exact kernel mirror on negative lags.
-
-    Block (j, k) is entry N-1+j-k of the lag stack
-    [-+B_{N-1}', ..., -+B_1', B_0, B_1, ..., B_{N-1}], so one strided view
-    of the stack, copied once, is the whole matrix.
-    """
-    n = blocks.shape[1]
+def _lags(blocks: np.ndarray, antisymmetric: bool) -> np.ndarray:
+    """The lag stack [-+B_{N-1}', ..., -+B_1', B_0, B_1, ..., B_{N-1}]:
+    the kernel blocks with the exact mirror on negative lags."""
     mirrored = np.swapaxes(blocks[:0:-1], 1, 2)
-    lags = np.concatenate([-mirrored if antisymmetric else mirrored, blocks])
+    return np.concatenate([-mirrored if antisymmetric else mirrored, blocks])
+
+
+def _toeplitz_view(lags: np.ndarray) -> np.ndarray:
+    """Read-only (N, n, N, n) view of the block-Toeplitz matrix whose
+    block (j, k) is entry N-1+j-k of the lag stack."""
+    n_grid, n = (lags.shape[0] + 1) // 2, lags.shape[1]
     s0, s1, s2 = lags.strides
-    view = as_strided(lags[n_grid - 1:], shape=(n_grid, n, n_grid, n),
+    return as_strided(lags[n_grid - 1:], shape=(n_grid, n, n_grid, n),
                       strides=(s0, s1, -s0, s2), writeable=False)
+
+
+def _assemble(lags: np.ndarray) -> np.ndarray:
+    """Block-Toeplitz assembly: one copy of the strided view of the lag
+    stack is the whole matrix."""
+    view = _toeplitz_view(lags)
+    n_grid, n = view.shape[:2]
     full = np.empty((n * n_grid, n * n_grid))
-    full.reshape(n_grid, n, n_grid, n)[...] = view
+    full.reshape(view.shape)[...] = view
     return full
+
+
+class _BlockToeplitz:
+    """Symmetric block-Toeplitz matrix of order n*N held as its lag blocks
+    B_0, ..., B_{N-1}: block (j, k) is B_{j-k}, with B_{-d} = B_d'.
+
+    A product with a vector is one FFT convolution with the lag stack;
+    ``shape``, ``dtype`` and ``matvec`` make it an operator for ``eigsh``.
+    """
+
+    dtype = np.dtype(float)
+
+    def __init__(self, blocks: np.ndarray):
+        self.n_grid, self.n = blocks.shape[:2]
+        self.shape = (self.n * self.n_grid,) * 2
+        self.lags = _lags(blocks, antisymmetric=False)
+        # a circular convolution of length >= 2N - 1 leaves the N block
+        # entries of the product unaliased
+        self._fft_len = 1 << (2 * self.n_grid - 2).bit_length()
+        self._lag_spectrum = np.fft.rfft(self.lags, self._fft_len, axis=0)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        spectrum = np.fft.rfft(np.reshape(v, (self.n_grid, self.n)),
+                               self._fft_len, axis=0)
+        conv = np.fft.irfft((self._lag_spectrum @ spectrum[..., None])[..., 0],
+                            self._fft_len, axis=0)
+        return conv[self.n_grid - 1:2 * self.n_grid - 1].reshape(-1)
+
+    __matmul__ = matvec
+
+    def assemble(self) -> np.ndarray:
+        return _assemble(self.lags)
+
+    def subtract_from(self, out: np.ndarray, scale: float) -> None:
+        """out -= scale * self in place, read through a strided view of
+        the scaled lag stack."""
+        grid = out.reshape(self.n_grid, self.n, self.n_grid, self.n)
+        np.subtract(grid, _toeplitz_view(scale * self.lags), out=grid)
 
 
 def _check_grid(ss: StateSpace, horizon: float, n_grid: int,
@@ -172,18 +241,20 @@ def discretize_kernels(ss: StateSpace, horizon: float, n_grid: int,
     """
     _check_grid(ss, horizon, n_grid, max_dim)
     lam_blocks, p_blocks = _kernel_blocks(ss, horizon, n_grid)
-    big_l = _assemble(lam_blocks, n_grid, antisymmetric=True)
-    big_p = _assemble(p_blocks, n_grid, antisymmetric=False)
+    big_l = _assemble(_lags(lam_blocks, antisymmetric=True))
+    big_p = _assemble(_lags(p_blocks, antisymmetric=False))
     return big_l, big_p
 
 
-def _lambda_max(mat: np.ndarray, chol: np.ndarray | None = None) -> float:
+def _lambda_max(mat: np.ndarray | _BlockToeplitz,
+                chol: np.ndarray | None = None) -> float:
     """Largest eigenvalue of the symmetric ``mat``, or of R^-T mat R^-1
     when the upper triangular Cholesky factor ``chol`` = R is given.
 
     Dense up to order 1200; above it ARPACK, on two triangular solves and
     a product with ``mat`` per step when ``chol`` is given, falling back
-    to the dense route if it does not converge.
+    to the dense route if it does not converge.  A ``_BlockToeplitz`` is
+    assembled for the dense route only.
     """
     dim = mat.shape[0]
     if dim > 1200:
@@ -202,6 +273,8 @@ def _lambda_max(mat: np.ndarray, chol: np.ndarray | None = None) -> float:
             return float(val[0])
         except ArpackNoConvergence:
             pass
+    if isinstance(mat, _BlockToeplitz):
+        mat = mat.assemble()
     if chol is not None:
         half = solve_triangular(chol, mat, trans="T", check_finite=False)
         mat = solve_triangular(chol, half.T, trans="T", check_finite=False)
@@ -215,29 +288,28 @@ def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
     With ``classical=True`` the commutator matrix is dropped (K becomes
     the identity and the cosine factor disappears), which gives the
     moment-generating value -1/2 ln det(I - theta P) of the Gaussian
-    quadratic form; this serves as the commutative cross-check, and L is
-    not assembled.
+    quadratic form; this serves as the commutative cross-check.  L is
+    never assembled, and P only on the classical route and up to order
+    1200.  At theta = 0 the value is 0 and nothing is built.
 
     Raises FeasibilityError when theta * lam_max(P K) reaches one.
     """
     if n_grid < MIN_CELLS:
         raise NumericalError(f"need at least {MIN_CELLS} time cells, got {n_grid}")
     check_theta(theta)
-    # _lambda_max imports scipy.sparse.linalg on first use; loading it here,
-    # before the large matrices exist, keeps its long-lived objects from
-    # pinning freed matrix memory in the heap (50 MB more peak memory at
-    # order 3200 when it loads between them)
-    import scipy.sparse.linalg  # noqa: F401
-    if classical:
-        _check_grid(ss, horizon, n_grid, max_dim)
-        p_blocks = _kernel_blocks(ss, horizon, n_grid)[1]
-        big_p = _assemble(p_blocks, n_grid, antisymmetric=False)
-        y = None
+    _check_grid(ss, horizon, n_grid, max_dim)
+    if theta == 0.0:
+        value = spec_value = 0.0
     else:
-        big_l, big_p = discretize_kernels(ss, horizon, n_grid, max_dim=max_dim)
-        y = _syrk(big_l, theta * theta)
-        del big_l
-    value, spec_value = _ln_xi_consuming(y, big_p, theta)
+        # _lambda_max imports scipy.sparse.linalg on first use; loading it
+        # here, before the large matrices exist, keeps its long-lived
+        # objects from pinning freed matrix memory in the heap (50 MB more
+        # peak memory at order 3200 when it loads between them)
+        import scipy.sparse.linalg  # noqa: F401
+        lam_blocks, p_blocks = _kernel_blocks(ss, horizon, n_grid)
+        y, gen = (None, None) if classical else _gram(lam_blocks, theta)
+        value, spec_value = _ln_xi_consuming(y, _BlockToeplitz(p_blocks),
+                                             theta, gen)
     return HorizonEstimate(horizon=float(horizon), n_grid=int(n_grid),
                            ln_xi=value, per_time_rate=value / horizon,
                            spec_value=spec_value)
@@ -259,11 +331,14 @@ def ln_xi_from_matrices(big_l: np.ndarray, big_p: np.ndarray, theta: float,
             f"{big_l.shape} and {big_p.shape}")
     if not (np.isfinite(big_l).all() and np.isfinite(big_p).all()):
         raise NumericalError("L and P must be finite")
+    if theta == 0.0:
+        return 0.0, 0.0
     y = None if classical else _syrk(big_l, theta * theta)
     return _ln_xi_consuming(y, np.array(big_p, dtype=float, order="C"), theta)
 
 
-#: Row strip height of the products and updates written back in place.
+#: Row strip height of the products and updates written back in place,
+#: of the mirrored triangles and of each product of generators.
 _STRIP = 256
 
 #: Bound on the spectrum of the scaled Y below which the series run.
@@ -288,19 +363,124 @@ def _strips(dim: int):
     return [slice(i, i + _STRIP) for i in range(0, dim, _STRIP)]
 
 
-def _syrk(mat: np.ndarray, alpha: float) -> np.ndarray:
-    """alpha * mat' mat as a new C-ordered array.
-
-    BLAS syrk computes one triangle, about half the work of a general
-    product, reading a C-ordered ``mat`` as the Fortran-ordered mat'; the
-    other triangle is mirrored one strip at a time.
-    """
-    out = dsyrk(alpha, mat.T, lower=1).T
+def _mirror_upper(out: np.ndarray) -> None:
+    """Copy the upper triangle of the square ``out`` over its lower one,
+    one strip at a time."""
     for s in _strips(out.shape[0]):
         block = out[s, s]
         np.copyto(block, block.T, where=np.tri(*block.shape, -1, dtype=bool))
         out[s.stop:, s] = out[s, s.stop:].T
+
+
+def _syrk(mat: np.ndarray, alpha: float) -> np.ndarray:
+    """alpha * mat' mat as a new C-ordered array.
+
+    BLAS syrk computes one triangle, about half the work of a general
+    product, reading a C-ordered ``mat`` as the Fortran-ordered mat'.
+    """
+    out = dsyrk(alpha, mat.T, lower=1).T
+    _mirror_upper(out)
     return out
+
+
+def _rebuild(out: np.ndarray, first: np.ndarray, g: np.ndarray,
+             h: np.ndarray) -> None:
+    """Write over ``out`` the symmetric matrix C with first block row
+    ``first`` and block-shift displacement C[n:, n:] - C[:-n, :-n] = g h'.
+
+    The upper triangle is built one block row at a time, C[i+1, i+1:] =
+    C[i, i:-1] + (g h')[i, i:], taking g h' one strip of block rows at a
+    time; the lower triangle is its mirror, so C is exactly symmetric.
+    """
+    n, dim = first.shape
+    out[:n] = first
+    rows = max(1, _STRIP // n)
+    n_blocks = dim // n
+    for i0 in range(0, n_blocks - 1, rows):
+        i1 = min(i0 + rows, n_blocks - 1)
+        disp = g[i0 * n:i1 * n] @ h[i0 * n:].T
+        for i in range(i0, i1):
+            r, t = i * n, (i - i0) * n
+            np.add(out[r:r + n, r:dim - n], disp[t:t + n, t:],
+                   out=out[r + n:r + 2 * n, r + n:])
+        del disp  # before the next strip's is allocated
+    _mirror_upper(out)
+
+
+def _gram(lam_blocks: np.ndarray, theta: float):
+    """Y = theta^2 L'L for the antisymmetric block-Toeplitz L of the
+    commutator blocks B_m, with L never assembled, and the generators
+    (g, h) of its displacement Y[n:, n:] - Y[:-n, :-n] = g h'.
+
+    Block k of Y's first block row is theta^2 sum_m B_m' L[m, k], and
+    block column k of L is a contiguous window of the lag stack.  With
+    U = L[:n, n:]' and V = L[-n:, :-n]', from L's first and last block
+    rows, the displacement is theta^2 (U U' - V V').
+    """
+    n_grid, n = lam_blocks.shape[:2]
+    dim = n * n_grid
+    stack = _lags(lam_blocks, antisymmetric=True).reshape(-1, n)
+    s0, s1 = stack.strides
+    columns = as_strided(stack[(n_grid - 1) * n:], shape=(n_grid, dim, n),
+                         strides=(-n * s0, s0, s1), writeable=False)
+    first = np.matmul(lam_blocks.reshape(dim, n).T, columns)
+    first = (theta * theta) * first.transpose(1, 0, 2).reshape(n, dim)
+    u = -lam_blocks[1:].reshape(-1, n)
+    v = np.swapaxes(lam_blocks[:0:-1], 1, 2).reshape(-1, n)
+    g = (theta * theta) * np.concatenate([u, -v], axis=1)
+    h = np.concatenate([u, v], axis=1)
+    y = np.empty((dim, dim))
+    _rebuild(y, first, g, h)
+    return y, (g, h)
+
+
+class _Term(NamedTuple):
+    """A symmetric matrix of the series and the generators (g, h) of its
+    block-shift displacement mat[n:, n:] - mat[:-n, :-n] = g h', or None
+    when its products are formed densely."""
+
+    mat: np.ndarray
+    gen: tuple[np.ndarray, np.ndarray] | None
+
+
+def _product(a: _Term, b: _Term, in_place: bool = False) -> _Term:
+    """The product of the commuting symmetric a and b, as a new term or
+    written over a.
+
+    Dense terms take syrk for a square, a gemm otherwise, and a gemm per
+    row strip in place.  Terms with generators take the displacement of
+    C = AB (Kailath, Kung and Morf 1979):
+
+        C[n:, n:] - C[:-n, :-n] = A[n:, :n] B[:n, n:] - A[:-n, -n:] B[-n:, :-n]
+                                  + G_A (H_A' B[n:, n:]) + (A[:-n, :-n] G_B) H_B',
+
+    so C is its first block row and a displacement of rank r_A + r_B + 2n,
+    O((r_A + r_B + n) dim^2) work in all.
+    """
+    if a.gen is None:
+        if not in_place:
+            return _Term(_syrk(a.mat, 1.0) if a is b else a.mat @ b.mat, None)
+        for s in _strips(a.mat.shape[0]):
+            a.mat[s] = a.mat[s] @ b.mat
+        return a
+    am, bm = a.mat, b.mat
+    (ga, ha), (gb, hb) = a.gen, b.gen
+    n = am.shape[0] - ga.shape[0]
+    first = am[:n] @ bm
+    g = np.concatenate([am[n:, :n], -am[:-n, -n:], ga, am[:-n, :-n] @ gb],
+                       axis=1)
+    h = np.concatenate([bm[n:, :n], bm[:-n, -n:], bm[n:, n:] @ ha, hb], axis=1)
+    out = am if in_place else np.empty_like(am)
+    _rebuild(out, first, g, h)
+    return _Term(out, (g, h))
+
+
+def _gen_sum(terms) -> tuple[np.ndarray, np.ndarray] | None:
+    """Generators of sum_k c_k M_k from the (c_k, M_k) pairs' own."""
+    if terms[0][1].gen is None:
+        return None
+    return (np.concatenate([c * t.gen[0] for c, t in terms], axis=1),
+            np.concatenate([t.gen[1] for _, t in terms], axis=1))
 
 
 def _ln_det(chol: np.ndarray) -> float:
@@ -320,38 +500,45 @@ def _factor_feasible(sym: np.ndarray, theta: float) -> np.ndarray:
             "I - theta P K lost positive definiteness", theta=theta) from None
 
 
-def _ln_xi_consuming(y: np.ndarray | None, big_p: np.ndarray, theta: float):
+def _ln_xi_consuming(y: np.ndarray | None, big_p: np.ndarray | _BlockToeplitz,
+                     theta: float, gen=None):
     """(ln_xi, spec_value) from Y = theta^2 L'L (None for the classical
-    route) and P.
+    route) and P, dense or a ``_BlockToeplitz``; ``gen`` are the
+    generators of Y's block-shift displacement, when it has them.
 
-    Both arrays are overwritten.  On the classical route I - theta P and
-    its Cholesky factor take the place of P.  Otherwise Q, Q - theta P
-    and its Cholesky factor take the place of the series' Y^3, and P is
-    kept for the feasibility margin.
+    Y and a dense P are overwritten.  On the classical route I - theta P
+    and its Cholesky factor take the place of P, which a
+    ``_BlockToeplitz`` assembles after the feasibility margin.  Otherwise
+    Q, Q - theta P and its Cholesky factor take the place of the series'
+    Y^3, and P is kept for the feasibility margin.
     """
-    if theta == 0.0:
-        return 0.0, 0.0
     dim = big_p.shape[0]
+    structured = isinstance(big_p, _BlockToeplitz)
     if y is None:
         spec_value = theta * _lambda_max(big_p)
         if spec_value >= 1.0:
             raise FeasibilityError(
                 f"theta * lam_max(P K) = {spec_value:g} >= 1", theta=theta)
+        big_p = big_p.assemble() if structured else big_p
         big_p *= -theta
         big_p.flat[::dim + 1] += 1.0
         return -0.5 * _ln_det(_factor_feasible(big_p, theta)), float(spec_value)
-    sym, ln_det_sinhc = _coth_and_ln_det_sinhc(y)
-    for s in _strips(dim):
-        sym[s] -= theta * big_p[s]
+    sym, ln_det_sinhc = _coth_and_ln_det_sinhc(y, gen)
+    if structured:
+        big_p.subtract_from(sym, theta)
+    else:
+        for s in _strips(dim):
+            sym[s] -= theta * big_p[s]
     chol = _factor_feasible(sym, theta)
     mu = _lambda_max(big_p, chol)
     return (-0.5 * (_ln_det(chol) + ln_det_sinhc),
             float(theta * mu / (1.0 + theta * mu)))
 
 
-def _coth_and_ln_det_sinhc(y: np.ndarray):
+def _coth_and_ln_det_sinhc(y: np.ndarray, gen=None):
     """Q = q(Y) and ln det sinhc(sqrt Y) for a symmetric positive
-    semidefinite Y, which is scaled in place and restored.
+    semidefinite Y, which is scaled in place and restored; ``gen`` are
+    the generators of Y's block-shift displacement, when it has them.
 
     Y is divided by 4^s until the certified bound ||Y||_inf on its
     spectrum is at most ``_SERIES_BOUND``; s halving steps then undo the
@@ -369,7 +556,9 @@ def _coth_and_ln_det_sinhc(y: np.ndarray):
         halvings += 1
     if halvings:
         y *= 0.25 ** halvings
-    q, ln_det_sinhc = _series(y, bound)
+        if gen is not None:
+            gen = (gen[0] * 0.25 ** halvings, gen[1])
+    q, ln_det_sinhc = _series(_Term(y, gen), bound)
     if halvings:
         factor = np.empty_like(q)
         for _ in range(halvings):
@@ -385,36 +574,41 @@ def _coth_and_ln_det_sinhc(y: np.ndarray):
     return q, ln_det_sinhc
 
 
-def _series(y: np.ndarray, bound: float):
+def _series(y: _Term, bound: float):
     """q(Y) and Tr ln sinhc(sqrt Y) by their Taylor series, for Y with
     spectrum in [0, bound], bound <= ``_SERIES_BOUND``; Y is left
     unchanged.  The log-det takes degree 6, q the least degree, 3, 5 or
-    7, that the bound allows."""
-    dim = y.shape[0]
-    w = _syrk(y, 1.0)
-    cube = y @ w
-    traces = (np.trace(y), np.vdot(y, y), np.vdot(y, w), np.vdot(w, w),
-              np.vdot(w, cube), np.vdot(cube, cube))
+    7, that the bound allows.  Every product is ``_product``'s, from
+    generators when Y has them."""
+    dim = y.mat.shape[0]
+    w = _product(y, y)
+    cube = _product(y, w)
+    traces = (np.trace(y.mat), np.vdot(y.mat, y.mat), np.vdot(y.mat, w.mat),
+              np.vdot(w.mat, w.mat), np.vdot(w.mat, cube.mat),
+              np.vdot(cube.mat, cube.mat))
     ln_det_sinhc = math.fsum(c * t for c, t in zip(_S, traces))
     # Horner in W with coefficients c_j = q_2j + q_2j+1 Y: to degree
     # 2h + 3, q(Y) = c_0 + W (c_1 + ... W (c_h + W c_h+1)), whose
     # innermost W c_h+1 is q_2h+2 W + q_2h+3 Y^3, taken elementwise; each
-    # product with W overwrites its left factor one row strip at a time,
-    # which W commutes with
+    # product with W overwrites its left factor.  The identity added on
+    # the diagonal has no displacement.
     steps = sum(bound > limit for limit in _HORNER_BOUNDS)
     top = 2 * steps
     for s in _strips(dim):
-        strip = cube[s]
+        strip = cube.mat[s]
         strip *= _Q[top + 3]
-        strip += _Q[top + 2] * w[s]
-        strip += _Q[top + 1] * y[s]
-    cube.flat[::dim + 1] += _Q[top]
+        strip += _Q[top + 2] * w.mat[s]
+        strip += _Q[top + 1] * y.mat[s]
+    cube.mat.flat[::dim + 1] += _Q[top]
+    cube = _Term(cube.mat, _gen_sum([(_Q[top + 3], cube), (_Q[top + 2], w),
+                                     (_Q[top + 1], y)]))
     for j in reversed(range(steps)):
+        cube = _product(cube, w, in_place=True)
         for s in _strips(dim):
-            cube[s] = cube[s] @ w
-            cube[s] += _Q[2 * j + 1] * y[s]
-        cube.flat[::dim + 1] += _Q[2 * j]
-    return cube, ln_det_sinhc
+            cube.mat[s] += _Q[2 * j + 1] * y.mat[s]
+        cube.mat.flat[::dim + 1] += _Q[2 * j]
+        cube = _Term(cube.mat, _gen_sum([(1.0, cube), (_Q[2 * j + 1], y)]))
+    return cube.mat, ln_det_sinhc
 
 
 def convergence_study(ss: StateSpace, theta: float, horizons,

@@ -8,12 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import qefrate as q
 from qefrate import horizon
 from qefrate._funcs import lncosh, sinhc, tanhc
 from qefrate.errors import FeasibilityError, NumericalError, SizeError
-from qefrate.horizon import _kernel_blocks, ln_xi_from_matrices
+from qefrate.horizon import _BlockToeplitz, _kernel_blocks, ln_xi_from_matrices
 
 from conftest import SURROGATE_A, SURROGATE_G, surrogate_v_closed
 
@@ -266,6 +267,149 @@ class TestLnXi:
         omega = np.linalg.eigvalsh(1j * big_l)
         k_eigs = np.asarray(tanhc(0.5 * theta0 * omega))
         assert np.all(k_eigs > 0.0) and np.all(k_eigs <= 1.0)
+
+
+def riccati_ln_xi_classical(ss, theta, horizon, piece=0.5):
+    """Exact -1/2 ln det(I - theta P) of the continuous-time covariance
+    operator on [0, T], with no time mesh.
+
+    Feynman-Kac gives ln E exp(theta/2 int x'Pi x dt) = 1/2 int Tr(BB'Q)
+    - 1/2 ln det(I - Sigma Q(T)) for the stationary x, where Q' = A'Q +
+    QA + QBB'Q + theta Pi from Q(0) = 0 (Jacobson 1973).  Q = Y X^-1 with
+    (X, Y)' = [[-A, -BB'], [theta Pi, A']] (X, Y) makes the trace integral
+    -(ln det X(T) + T Tr A); the pieces of length ``piece`` each take one
+    expm and reset (X, Y) to (I, Q), which keeps X well conditioned.
+    """
+    n = ss.n
+    ham = np.block([[-ss.a, -ss.b @ ss.b.T], [theta * ss.weight, ss.a.T]])
+    pieces = int(round(horizon / piece))
+    step = expm((horizon / pieces) * ham)
+    q_mat = np.zeros((n, n))
+    ln_det_x = 0.0
+    for _ in range(pieces):
+        xy = step @ np.vstack([np.eye(n), q_mat])
+        sign, ln_det = np.linalg.slogdet(xy[:n])
+        assert sign == 1.0
+        ln_det_x += ln_det
+        q_mat = np.linalg.solve(xy[:n].T, xy[n:].T).T
+    sign, ln_det = np.linalg.slogdet(np.eye(n) - ss.sigma @ q_mat)
+    assert sign == 1.0
+    return -0.5 * (ln_det_x + horizon * np.trace(ss.a)) - 0.5 * ln_det
+
+
+def random_lag_blocks(rng, n, n_grid):
+    """Decaying random n x n lag blocks B_0, ..., B_{N-1}."""
+    decay = np.exp(-0.05 * np.arange(n_grid))[:, None, None]
+    return rng.normal(size=(n_grid, n, n)) * decay
+
+
+class TestStructured:
+    """ln_xi's block-Toeplitz route: Y, W, Y^3 and Horner's products from
+    displacement generators, products with P by FFT, no dense L or P."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_displacement_products_match_gemm(self, n):
+        rng = np.random.default_rng(n)
+        n_grid = 67
+        lam_blocks = random_lag_blocks(rng, n, n_grid)
+        lam_blocks[0] = 0.5 * (lam_blocks[0] - lam_blocks[0].T)
+        big_l = horizon._assemble(horizon._lags(lam_blocks, antisymmetric=True))
+        y = horizon._Term(*horizon._gram(lam_blocks, 0.3))
+        y_ref = 0.09 * big_l.T @ big_l
+        w = horizon._product(y, y)
+        cube = horizon._product(y, w)
+        w_ref = y_ref @ y_ref
+        cube_ref = y_ref @ w_ref
+        for term, ref in ((y, y_ref), (w, w_ref), (cube, cube_ref)):
+            assert np.array_equal(term.mat, term.mat.T)
+            assert np.max(np.abs(term.mat - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # one Horner product, written over its left factor
+        horner = horizon._product(cube, w, in_place=True)
+        ref = cube_ref @ w_ref
+        assert horner.mat is cube.mat
+        assert np.array_equal(horner.mat, horner.mat.T)
+        assert np.max(np.abs(horner.mat - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_fft_product_matches_assembled(self, n):
+        rng = np.random.default_rng(10 + n)
+        blocks = random_lag_blocks(rng, n, 67)
+        blocks[0] = 0.5 * (blocks[0] + blocks[0].T)
+        big_p = _BlockToeplitz(blocks)
+        dense = horizon._assemble(horizon._lags(blocks, antisymmetric=False))
+        v = rng.normal(size=n * 67)
+        expected = dense @ v
+        assert np.max(np.abs(big_p @ v - expected)) \
+            <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("t_n", [(4.0, 81), (8.25, 330)],
+                             ids=["dense-margin", "arpack-margin"])
+    @pytest.mark.parametrize("classical", [False, True])
+    def test_matches_dense_matrices(self, twomode, theta0, frac, t_n,
+                                    classical):
+        # N - 1 = 80 and 329 block rows of displacement: neither is a
+        # multiple of the 64-block-row rebuild strip
+        t, n_grid = t_n
+        theta = frac * theta0
+        est = q.ln_xi(twomode, theta, t, n_grid, classical=classical)
+        value, spec = ln_xi_from_matrices(*q.discretize_kernels(twomode, t,
+                                                                 n_grid),
+                                          theta, classical=classical)
+        assert abs(est.ln_xi - value) <= 1e-13 * abs(value)
+        assert abs(est.spec_value - spec) <= 1e-13 * spec
+
+    def test_matches_dense_matrices_with_halvings(self, random_models):
+        ss = random_models[1]
+        theta = 0.5 * q.theta_threshold(ss, q.QuadratureConfig.for_system(ss))
+        big_l, big_p = q.discretize_kernels(ss, 6.0, 300)
+        # ||theta^2 L'L||_inf = 0.198: one halving step
+        bound = theta ** 2 * np.abs(big_l.T @ big_l).sum(axis=1).max()
+        assert horizon._SERIES_BOUND < bound <= 4 * horizon._SERIES_BOUND
+        est = q.ln_xi(ss, theta, 6.0, 300)
+        value, spec = ln_xi_from_matrices(big_l, big_p, theta)
+        assert abs(est.ln_xi - value) <= 1e-13 * abs(value)
+        assert abs(est.spec_value - spec) <= 1e-13 * spec
+
+    def test_zero_theta_builds_nothing(self, twomode, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("evaluated at theta = 0")
+        monkeypatch.setattr(horizon, "_kernel_blocks", refuse)
+        monkeypatch.setattr(horizon, "_ln_xi_consuming", refuse)
+        est = q.ln_xi(twomode, 0.0, horizon=10.0, n_grid=400)
+        assert (est.ln_xi, est.spec_value) == (0.0, 0.0)
+        assert ln_xi_from_matrices(np.eye(4), np.eye(4), 0.0) == (0.0, 0.0)
+        with pytest.raises(NumericalError, match="horizon must be positive"):
+            q.ln_xi(twomode, 0.0, horizon=-1.0, n_grid=400)
+        with pytest.raises(NumericalError, match="L and P must be"):
+            ln_xi_from_matrices(np.eye(3), np.eye(4), 0.0)
+
+    def test_working_set_structured(self, twomode, theta0):
+        # Y, W and Y^3 during the series, with their generators and one
+        # strip of displacement; P is never assembled (3.45 matrices
+        # measured at order 1600)
+        import scipy.sparse.linalg  # noqa: F401  (loaded by ln_xi)
+        tracemalloc.start()
+        try:
+            est = q.ln_xi(twomode, 0.5 * theta0, horizon=10.0, n_grid=400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        order = twomode.n * est.n_grid
+        assert order == 1600
+        assert peak < 3.6 * order ** 2 * 8
+
+    @pytest.mark.parametrize("frac", [0.1, 0.5])
+    def test_classical_richardson_hits_exact_reference(self, twomode, theta0,
+                                                       frac):
+        # midpoint collocation is O(dt^2); Richardson on 40 and 80 cells
+        # per unit time leaves 4e-9 and 4e-8 (relative) at 0.1 and 0.5
+        # theta0, and 20/40 cells would leave 6e-8 and 7e-7
+        theta = frac * theta0
+        coarse, fine = (q.ln_xi(twomode, theta, horizon=5.0, n_grid=n,
+                                classical=True).ln_xi for n in (200, 400))
+        exact = riccati_ln_xi_classical(twomode, theta, 5.0)
+        assert abs((4.0 * fine - coarse) / 3.0 - exact) <= 1e-7 * exact
 
 
 class TestSeries:
