@@ -60,8 +60,10 @@ it is 0.013 on the two-mode model and at most 0.37 on forty seeded
 random models (1.2 at 0.9 theta0).
 
 L and P are block Toeplitz: block (j, k) is the kernel at lag j - k.
-``ln_xi`` holds each as its stack of lag blocks.  It never builds L, and
-builds P only for the classical route's Cholesky factor and for the
+Both entry points hand their lag blocks to one evaluator: ``ln_xi`` the
+kernel blocks, and ``ln_xi_from_matrices`` the arbitrary L and P of order
+d, each read as a block-Toeplitz matrix with one d x d block.  L is never
+built, and P only for the classical route's Cholesky factor and for the
 dense eigensolve of the feasibility margin, up to order 1200.  A product
 of such matrices has a low-rank block-shift displacement.  With
 A[n:, n:] - A[:-n, :-n] = G_A H_A', the product C = AB satisfies
@@ -77,10 +79,11 @@ W, Y^3 and each Horner product carry their generators (ranks 24, 40 and
 104 on the two-mode model), and each is rebuilt one block row at a time,
 C[i+1, i+1:] = C[i, i:-1] + the displacement's row, its upper triangle
 mirrored.  Products with P are FFT convolutions with its lag stack, and
-Q - theta P reads P through a strided view of it.
-``ln_xi_from_matrices`` takes arbitrary L and P, so it forms the same
-series with dense products (BLAS syrk and gemm); the halving steps are
-dense on both.
+Q - theta P reads P through a strided view of it.  With one block the
+displacement is empty, so Y is one gemm from the lag blocks, each
+product's first block row is the whole product (one gemm, then the
+mirror), and the lag stack of P is P itself.  The halving steps are
+dense on both entry points.
 
 Each matrix of order n*N is allocated once and overwritten in place
 after that: Horner's steps write Q over Y^3, and Q - theta P and its
@@ -89,13 +92,17 @@ most three such matrices are alive at once: Y, W and Y^3 during the
 series, or Y, Q and the Cholesky factor of Q during the halving steps.
 Their generators and one strip of displacement add about 0.45 of a
 matrix at order 1600.  At order 3200 (82 MB each) that is a peak of
-about 265 MB.  The classical route holds P alone.
+about 265 MB.  The classical route holds P alone.  With one block a
+product's first block row is a full matrix beside its factors, and P's
+lag stack is a copy of P, so ``ln_xi_from_matrices`` holds about four
+matrices beside its inputs on either route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -103,7 +110,6 @@ from numpy.lib.stride_tricks import as_strided
 # hessenberg and eigh_tridiagonal stay bound: benchmarks/spans.py traces them
 from scipy.linalg import (cho_solve, cholesky, eigh_tridiagonal,  # noqa: F401
                           expm, hessenberg, solve_triangular)
-from scipy.linalg.blas import dsyrk
 
 from ._funcs import check_theta
 from .errors import FeasibilityError, NumericalError, SizeError
@@ -186,8 +192,9 @@ class _BlockToeplitz:
     """Symmetric block-Toeplitz matrix of order n*N held as its lag blocks
     B_0, ..., B_{N-1}: block (j, k) is B_{j-k}, with B_{-d} = B_d'.
 
-    A product with a vector is one FFT convolution with the lag stack;
-    ``shape``, ``dtype`` and ``matvec`` make it an operator for ``eigsh``.
+    A product with a vector is one FFT convolution with the lag stack,
+    whose spectrum is computed on the first product; ``shape``, ``dtype``
+    and ``matvec`` make it an operator for ``eigsh``.
     """
 
     dtype = np.dtype(float)
@@ -199,7 +206,10 @@ class _BlockToeplitz:
         # a circular convolution of length >= 2N - 1 leaves the N block
         # entries of the product unaliased
         self._fft_len = 1 << (2 * self.n_grid - 2).bit_length()
-        self._lag_spectrum = np.fft.rfft(self.lags, self._fft_len, axis=0)
+
+    @cached_property
+    def _lag_spectrum(self) -> np.ndarray:
+        return np.fft.rfft(self.lags, self._fft_len, axis=0)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         spectrum = np.fft.rfft(np.reshape(v, (self.n_grid, self.n)),
@@ -220,15 +230,17 @@ class _BlockToeplitz:
         np.subtract(grid, _toeplitz_view(scale * self.lags), out=grid)
 
 
-def _check_grid(ss: StateSpace, horizon: float, n_grid: int,
-                max_dim: int) -> None:
-    if n_grid < 1:
-        raise NumericalError(f"need at least one time cell, got {n_grid}")
+def _check_grid(ss: StateSpace, horizon: float, n_grid: int, max_dim: int,
+                min_cells: int) -> None:
     if not 0.0 < horizon < math.inf:
         raise NumericalError(f"horizon must be positive and finite, got {horizon:g}")
+    if n_grid < min_cells:
+        raise NumericalError(
+            f"need at least {min_cells} time cell{'s' * (min_cells > 1)}, "
+            f"got {n_grid} at horizon {horizon:g}")
     if ss.n * n_grid > max_dim:
-        raise SizeError(
-            f"discretization order {ss.n * n_grid} exceeds the guard {max_dim}")
+        raise SizeError(f"discretization order {ss.n * n_grid} at horizon "
+                        f"{horizon:g} exceeds the guard {max_dim}")
 
 
 def discretize_kernels(ss: StateSpace, horizon: float, n_grid: int,
@@ -239,22 +251,21 @@ def discretize_kernels(ss: StateSpace, horizon: float, n_grid: int,
     kernel at lag t_j - t_k times dt.  L is exactly antisymmetric and P
     exactly symmetric.
     """
-    _check_grid(ss, horizon, n_grid, max_dim)
+    _check_grid(ss, horizon, n_grid, max_dim, 1)
     lam_blocks, p_blocks = _kernel_blocks(ss, horizon, n_grid)
     big_l = _assemble(_lags(lam_blocks, antisymmetric=True))
     big_p = _assemble(_lags(p_blocks, antisymmetric=False))
     return big_l, big_p
 
 
-def _lambda_max(mat: np.ndarray | _BlockToeplitz,
-                chol: np.ndarray | None = None) -> float:
+def _lambda_max(mat: _BlockToeplitz, chol: np.ndarray | None = None) -> float:
     """Largest eigenvalue of the symmetric ``mat``, or of R^-T mat R^-1
     when the upper triangular Cholesky factor ``chol`` = R is given.
 
     Dense up to order 1200; above it ARPACK, on two triangular solves and
     a product with ``mat`` per step when ``chol`` is given, falling back
-    to the dense route if it does not converge.  A ``_BlockToeplitz`` is
-    assembled for the dense route only.
+    to the dense route if it does not converge.  ``mat`` is assembled for
+    the dense route only.
     """
     dim = mat.shape[0]
     if dim > 1200:
@@ -273,8 +284,7 @@ def _lambda_max(mat: np.ndarray | _BlockToeplitz,
             return float(val[0])
         except ArpackNoConvergence:
             pass
-    if isinstance(mat, _BlockToeplitz):
-        mat = mat.assemble()
+    mat = mat.assemble()
     if chol is not None:
         half = solve_triangular(chol, mat, trans="T", check_finite=False)
         mat = solve_triangular(chol, half.T, trans="T", check_finite=False)
@@ -294,10 +304,8 @@ def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
 
     Raises FeasibilityError when theta * lam_max(P K) reaches one.
     """
-    if n_grid < MIN_CELLS:
-        raise NumericalError(f"need at least {MIN_CELLS} time cells, got {n_grid}")
     check_theta(theta)
-    _check_grid(ss, horizon, n_grid, max_dim)
+    _check_grid(ss, horizon, n_grid, max_dim, MIN_CELLS)
     if theta == 0.0:
         value = spec_value = 0.0
     else:
@@ -306,10 +314,8 @@ def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
         # objects from pinning freed matrix memory in the heap (50 MB more
         # peak memory at order 3200 when it loads between them)
         import scipy.sparse.linalg  # noqa: F401
-        lam_blocks, p_blocks = _kernel_blocks(ss, horizon, n_grid)
-        y, gen = (None, None) if classical else _gram(lam_blocks, theta)
-        value, spec_value = _ln_xi_consuming(y, _BlockToeplitz(p_blocks),
-                                             theta, gen)
+        value, spec_value = _ln_xi_consuming(
+            *_kernel_blocks(ss, horizon, n_grid), theta, classical)
     return HorizonEstimate(horizon=float(horizon), n_grid=int(n_grid),
                            ln_xi=value, per_time_rate=value / horizon,
                            spec_value=spec_value)
@@ -320,10 +326,13 @@ def ln_xi_from_matrices(big_l: np.ndarray, big_p: np.ndarray, theta: float,
     """Evaluate (ln_xi, spec_value) from assembled kernel matrices.
 
     L and P must be finite square matrices of one order; L is read as
-    antisymmetric and P as symmetric.  The inputs are left unchanged.
+    antisymmetric and P as symmetric.  Each is taken as a block-Toeplitz
+    matrix with one block and evaluated as ``ln_xi`` evaluates its lag
+    blocks.  The inputs are left unchanged.
     """
     check_theta(theta)
-    big_l, big_p = np.asarray(big_l), np.asarray(big_p)
+    big_l = np.asarray(big_l, dtype=float)
+    big_p = np.asarray(big_p, dtype=float)
     if not (big_p.ndim == 2 and big_p.shape[0] == big_p.shape[1] >= 1
             and big_l.shape == big_p.shape):
         raise NumericalError(
@@ -333,8 +342,7 @@ def ln_xi_from_matrices(big_l: np.ndarray, big_p: np.ndarray, theta: float,
         raise NumericalError("L and P must be finite")
     if theta == 0.0:
         return 0.0, 0.0
-    y = None if classical else _syrk(big_l, theta * theta)
-    return _ln_xi_consuming(y, np.array(big_p, dtype=float, order="C"), theta)
+    return _ln_xi_consuming(big_l[None], big_p[None], theta, classical)
 
 
 #: Row strip height of the products and updates written back in place,
@@ -370,17 +378,6 @@ def _mirror_upper(out: np.ndarray) -> None:
         block = out[s, s]
         np.copyto(block, block.T, where=np.tri(*block.shape, -1, dtype=bool))
         out[s.stop:, s] = out[s, s.stop:].T
-
-
-def _syrk(mat: np.ndarray, alpha: float) -> np.ndarray:
-    """alpha * mat' mat as a new C-ordered array.
-
-    BLAS syrk computes one triangle, about half the work of a general
-    product, reading a C-ordered ``mat`` as the Fortran-ordered mat'.
-    """
-    out = dsyrk(alpha, mat.T, lower=1).T
-    _mirror_upper(out)
-    return out
 
 
 def _rebuild(out: np.ndarray, first: np.ndarray, g: np.ndarray,
@@ -436,33 +433,24 @@ def _gram(lam_blocks: np.ndarray, theta: float):
 
 class _Term(NamedTuple):
     """A symmetric matrix of the series and the generators (g, h) of its
-    block-shift displacement mat[n:, n:] - mat[:-n, :-n] = g h', or None
-    when its products are formed densely."""
+    block-shift displacement mat[n:, n:] - mat[:-n, :-n] = g h'."""
 
     mat: np.ndarray
-    gen: tuple[np.ndarray, np.ndarray] | None
+    gen: tuple[np.ndarray, np.ndarray]
 
 
 def _product(a: _Term, b: _Term, in_place: bool = False) -> _Term:
     """The product of the commuting symmetric a and b, as a new term or
-    written over a.
-
-    Dense terms take syrk for a square, a gemm otherwise, and a gemm per
-    row strip in place.  Terms with generators take the displacement of
-    C = AB (Kailath, Kung and Morf 1979):
+    written over a, from the displacement of C = AB (Kailath, Kung and
+    Morf 1979):
 
         C[n:, n:] - C[:-n, :-n] = A[n:, :n] B[:n, n:] - A[:-n, -n:] B[-n:, :-n]
                                   + G_A (H_A' B[n:, n:]) + (A[:-n, :-n] G_B) H_B',
 
     so C is its first block row and a displacement of rank r_A + r_B + 2n,
-    O((r_A + r_B + n) dim^2) work in all.
+    O((r_A + r_B + n) dim^2) work in all.  With one block (n = dim) the
+    first block row is one gemm and the displacement is empty.
     """
-    if a.gen is None:
-        if not in_place:
-            return _Term(_syrk(a.mat, 1.0) if a is b else a.mat @ b.mat, None)
-        for s in _strips(a.mat.shape[0]):
-            a.mat[s] = a.mat[s] @ b.mat
-        return a
     am, bm = a.mat, b.mat
     (ga, ha), (gb, hb) = a.gen, b.gen
     n = am.shape[0] - ga.shape[0]
@@ -475,10 +463,8 @@ def _product(a: _Term, b: _Term, in_place: bool = False) -> _Term:
     return _Term(out, (g, h))
 
 
-def _gen_sum(terms) -> tuple[np.ndarray, np.ndarray] | None:
+def _gen_sum(terms) -> tuple[np.ndarray, np.ndarray]:
     """Generators of sum_k c_k M_k from the (c_k, M_k) pairs' own."""
-    if terms[0][1].gen is None:
-        return None
     return (np.concatenate([c * t.gen[0] for c, t in terms], axis=1),
             np.concatenate([t.gen[1] for _, t in terms], axis=1))
 
@@ -500,45 +486,42 @@ def _factor_feasible(sym: np.ndarray, theta: float) -> np.ndarray:
             "I - theta P K lost positive definiteness", theta=theta) from None
 
 
-def _ln_xi_consuming(y: np.ndarray | None, big_p: np.ndarray | _BlockToeplitz,
-                     theta: float, gen=None):
-    """(ln_xi, spec_value) from Y = theta^2 L'L (None for the classical
-    route) and P, dense or a ``_BlockToeplitz``; ``gen`` are the
-    generators of Y's block-shift displacement, when it has them.
+def _ln_xi_consuming(lam_blocks: np.ndarray, p_blocks: np.ndarray,
+                     theta: float, classical: bool):
+    """(ln_xi, spec_value) from the lag blocks of L and P, each read as a
+    block-Toeplitz matrix; the classical route ignores L's.  The blocks
+    are left unchanged.
 
-    Y and a dense P are overwritten.  On the classical route I - theta P
-    and its Cholesky factor take the place of P, which a
-    ``_BlockToeplitz`` assembles after the feasibility margin.  Otherwise
-    Q, Q - theta P and its Cholesky factor take the place of the series'
-    Y^3, and P is kept for the feasibility margin.
+    Each matrix of full order is made here and then overwritten in place.
+    On the classical route I - theta P and its Cholesky factor take the
+    place of P, assembled after the feasibility margin.  Otherwise Q,
+    Q - theta P and its Cholesky factor take the place of the series'
+    Y^3, and P's lag stack is made after the series, so that a one-block
+    P's copy is not alive beside Y, W and Y^3.
     """
-    dim = big_p.shape[0]
-    structured = isinstance(big_p, _BlockToeplitz)
-    if y is None:
+    if classical:
+        big_p = _BlockToeplitz(p_blocks)
         spec_value = theta * _lambda_max(big_p)
         if spec_value >= 1.0:
             raise FeasibilityError(
                 f"theta * lam_max(P K) = {spec_value:g} >= 1", theta=theta)
-        big_p = big_p.assemble() if structured else big_p
-        big_p *= -theta
-        big_p.flat[::dim + 1] += 1.0
-        return -0.5 * _ln_det(_factor_feasible(big_p, theta)), float(spec_value)
-    sym, ln_det_sinhc = _coth_and_ln_det_sinhc(y, gen)
-    if structured:
-        big_p.subtract_from(sym, theta)
-    else:
-        for s in _strips(dim):
-            sym[s] -= theta * big_p[s]
+        sym = big_p.assemble()
+        sym *= -theta
+        sym.flat[::sym.shape[0] + 1] += 1.0
+        return -0.5 * _ln_det(_factor_feasible(sym, theta)), float(spec_value)
+    sym, ln_det_sinhc = _coth_and_ln_det_sinhc(*_gram(lam_blocks, theta))
+    big_p = _BlockToeplitz(p_blocks)
+    big_p.subtract_from(sym, theta)
     chol = _factor_feasible(sym, theta)
     mu = _lambda_max(big_p, chol)
     return (-0.5 * (_ln_det(chol) + ln_det_sinhc),
             float(theta * mu / (1.0 + theta * mu)))
 
 
-def _coth_and_ln_det_sinhc(y: np.ndarray, gen=None):
+def _coth_and_ln_det_sinhc(y: np.ndarray, gen: tuple[np.ndarray, np.ndarray]):
     """Q = q(Y) and ln det sinhc(sqrt Y) for a symmetric positive
     semidefinite Y, which is scaled in place and restored; ``gen`` are
-    the generators of Y's block-shift displacement, when it has them.
+    the generators of Y's block-shift displacement.
 
     Y is divided by 4^s until the certified bound ||Y||_inf on its
     spectrum is at most ``_SERIES_BOUND``; s halving steps then undo the
@@ -556,8 +539,7 @@ def _coth_and_ln_det_sinhc(y: np.ndarray, gen=None):
         halvings += 1
     if halvings:
         y *= 0.25 ** halvings
-        if gen is not None:
-            gen = (gen[0] * 0.25 ** halvings, gen[1])
+        gen = (gen[0] * 0.25 ** halvings, gen[1])
     q, ln_det_sinhc = _series(_Term(y, gen), bound)
     if halvings:
         factor = np.empty_like(q)
@@ -579,7 +561,7 @@ def _series(y: _Term, bound: float):
     spectrum in [0, bound], bound <= ``_SERIES_BOUND``; Y is left
     unchanged.  The log-det takes degree 6, q the least degree, 3, 5 or
     7, that the bound allows.  Every product is ``_product``'s, from
-    generators when Y has them."""
+    the generators of its factors."""
     dim = y.mat.shape[0]
     w = _product(y, y)
     cube = _product(y, w)
@@ -627,24 +609,17 @@ def convergence_study(ss: StateSpace, theta: float, horizons,
     if not horizons:
         raise NumericalError("empty horizon list")
     check_theta(theta)
-    for t in horizons:
-        if not 0.0 < t < math.inf:
-            raise NumericalError(f"horizon must be positive and finite, got {t:g}")
-        n_grid = int(round(t * n_per_unit_time))
-        if n_grid < MIN_CELLS:
-            raise NumericalError(f"need at least {MIN_CELLS} time cells, "
-                                 f"got {n_grid} at horizon {t:g}")
-        if ss.n * n_grid > max_dim:
-            raise SizeError(f"discretization order {ss.n * n_grid} at horizon "
-                            f"{t:g} exceeds the guard {max_dim}")
+    # round() refuses a non-finite horizon, which _check_grid reports
+    n_grids = [int(round(t * n_per_unit_time)) if math.isfinite(t) else 0
+               for t in horizons]
+    for t, n_grid in zip(horizons, n_grids):
+        _check_grid(ss, t, n_grid, max_dim, MIN_CELLS)
     if len(set(horizons)) < len(horizons):
         raise NumericalError(f"repeated horizon in {horizons}: the 1/T fit "
                              "needs distinct horizons")
-    estimates = [
-        ln_xi(ss, theta, horizon=t, n_grid=int(round(t * n_per_unit_time)),
-              max_dim=max_dim, classical=classical)
-        for t in horizons
-    ]
+    estimates = [ln_xi(ss, theta, horizon=t, n_grid=n_grid, max_dim=max_dim,
+                       classical=classical)
+                 for t, n_grid in zip(horizons, n_grids)]
     rates = np.array([e.per_time_rate for e in estimates])
     ts = np.array([e.horizon for e in estimates], dtype=float)
     if len(estimates) == 1:

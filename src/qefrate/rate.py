@@ -384,48 +384,36 @@ def small_theta_expansion(ss: StateSpace, theta: float,
     return v + (theta ** 2 / (4.0 * math.pi)) * corr
 
 
-def _cos_sinc_series(m: np.ndarray):
-    """cos(M) and sinc(M) of a general square matrix.
-
-    Scaled truncated Taylor series in M^2 followed by double-angle
-    recursion: cos(2X) = 2 cos(X)^2 - I and sinc(2X) = sinc(X) cos(X).
-    """
-    norm = np.linalg.norm(m, 1)
-    if not np.isfinite(norm):
-        raise NumericalError("matrix argument of cos/sinc is not finite")
-    k = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
-    if k > 60:
-        raise NumericalError("matrix argument too large for the scaled series")
-    x = m / (2.0 ** k)
-    x2 = x @ x
-    eye = np.eye(m.shape[0], dtype=complex)
-    cos_x = eye.copy()
-    sinc_x = eye.copy()
-    term = eye.copy()
-    for j in range(1, 13):
-        term = term @ x2 * (-1.0)
-        cos_x = cos_x + term / math.factorial(2 * j)
-        sinc_x = sinc_x + term / math.factorial(2 * j + 1)
-    for _ in range(k):
-        sinc_x = sinc_x @ cos_x
-        cos_x = 2.0 * cos_x @ cos_x - eye
-    return cos_x, sinc_x
-
-
 def contour_e(ss: StateSpace, s: complex, theta: float) -> np.ndarray:
     """Analytic continuation E_theta(s) of the log-det matrix off the axis.
 
     Uses the rational continuations Gamma(s) = F(s) F(-s)' and
     Mho(s) = F(s) J F(-s)', which restrict to Phi and Psi on the imaginary
-    axis, and evaluates cos and sinc of the (generally non-normal) matrix
-    theta * Mho(s) by a scaled Taylor series.
+    axis.  cos M and sinc M of the (generally non-normal) M = theta Mho(s)
+    are the top blocks of one matrix exponential,
+
+        exp [[0, I], [-M^2, 0]] = [[cos M, sinc M], [-M sin M, cos M]].
+
+    Raises NumericalError when the result is not finite.
     """
+    check_theta(theta)
+    # imported here: scipy.linalg costs every import of the package
+    from scipy.linalg import expm
     f_pos = transfer(ss, s)
     f_neg = transfer(ss, -s)
     gamma = f_pos @ f_neg.T
-    mho = f_pos @ ss.j @ f_neg.T
-    cos_m, sinc_m = _cos_sinc_series(theta * mho)
-    return cos_m - theta * gamma @ sinc_m
+    n = ss.n
+    generator = np.zeros((2 * n, 2 * n), dtype=complex)
+    generator[:n, n:] = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = theta * (f_pos @ ss.j @ f_neg.T)
+        generator[n:, :n] = -(m @ m)
+        trig = expm(generator)
+        e_mat = trig[:n, :n] - theta * gamma @ trig[:n, n:]
+    if not np.isfinite(e_mat).all():
+        raise NumericalError(
+            f"E_theta(s) is not finite at s = {s}, theta = {theta:g}")
+    return e_mat
 
 
 def _refine_inf(objective, grid: np.ndarray, values: np.ndarray) -> float:

@@ -202,6 +202,24 @@ class TestLnXi:
         assert order == 1600
         assert peak < 4.5 * order ** 2 * 8
 
+    @pytest.mark.parametrize("classical", [False, True],
+                             ids=["quantum", "classical"])
+    def test_working_set_from_matrices(self, twomode, theta0, classical):
+        # one block: Y, W and Y^3 beside a gemm's output during the series,
+        # and P's lag stack (a copy of P) with its complex spectrum beside
+        # the Cholesky factor, or beside P assembled on the classical route
+        # (4.03 and 4.00 matrices measured at order 1600)
+        import scipy.sparse.linalg  # noqa: F401  (loaded by ln_xi)
+        big_l, big_p = q.discretize_kernels(twomode, 10.0, 400)
+        tracemalloc.start()
+        try:
+            ln_xi_from_matrices(big_l, big_p, 0.5 * theta0, classical=classical)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert big_p.shape[0] == 1600
+        assert peak < 4.25 * big_p.size * 8
+
     def test_working_set_classical(self, twomode, theta0):
         # P alone is assembled and overwritten in place (1.03 matrices
         # measured at order 1600)
@@ -303,6 +321,27 @@ def random_lag_blocks(rng, n, n_grid):
     return rng.normal(size=(n_grid, n, n)) * decay
 
 
+def check_products_match_gemm(lam_blocks, big_l):
+    """Y = 0.09 L'L, W = Y^2, Y^3 and one Horner product Y^3 W, formed by
+    ``_gram`` and ``_product`` from L's lag blocks, are exactly symmetric
+    and within 1e-13 of plain gemm products of L."""
+    y = horizon._Term(*horizon._gram(lam_blocks, 0.3))
+    y_ref = 0.09 * big_l.T @ big_l
+    w = horizon._product(y, y)
+    cube = horizon._product(y, w)
+    w_ref = y_ref @ y_ref
+    cube_ref = y_ref @ w_ref
+    for term, ref in ((y, y_ref), (w, w_ref), (cube, cube_ref)):
+        assert np.array_equal(term.mat, term.mat.T)
+        assert np.max(np.abs(term.mat - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # one Horner product, written over its left factor
+    horner = horizon._product(cube, w, in_place=True)
+    ref = cube_ref @ w_ref
+    assert horner.mat is cube.mat
+    assert np.array_equal(horner.mat, horner.mat.T)
+    assert np.max(np.abs(horner.mat - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestStructured:
     """ln_xi's block-Toeplitz route: Y, W, Y^3 and Horner's products from
     displacement generators, products with P by FFT, no dense L or P."""
@@ -313,22 +352,17 @@ class TestStructured:
         n_grid = 67
         lam_blocks = random_lag_blocks(rng, n, n_grid)
         lam_blocks[0] = 0.5 * (lam_blocks[0] - lam_blocks[0].T)
-        big_l = horizon._assemble(horizon._lags(lam_blocks, antisymmetric=True))
-        y = horizon._Term(*horizon._gram(lam_blocks, 0.3))
-        y_ref = 0.09 * big_l.T @ big_l
-        w = horizon._product(y, y)
-        cube = horizon._product(y, w)
-        w_ref = y_ref @ y_ref
-        cube_ref = y_ref @ w_ref
-        for term, ref in ((y, y_ref), (w, w_ref), (cube, cube_ref)):
-            assert np.array_equal(term.mat, term.mat.T)
-            assert np.max(np.abs(term.mat - ref)) <= 1e-13 * np.max(np.abs(ref))
-        # one Horner product, written over its left factor
-        horner = horizon._product(cube, w, in_place=True)
-        ref = cube_ref @ w_ref
-        assert horner.mat is cube.mat
-        assert np.array_equal(horner.mat, horner.mat.T)
-        assert np.max(np.abs(horner.mat - ref)) <= 1e-13 * np.max(np.abs(ref))
+        check_products_match_gemm(
+            lam_blocks,
+            horizon._assemble(horizon._lags(lam_blocks, antisymmetric=True)))
+
+    def test_one_block_products_match_gemm(self):
+        # ln_xi_from_matrices reads an arbitrary L as one block, whose
+        # displacement is empty: each product is its first block row
+        rng = np.random.default_rng(37)
+        g = rng.normal(size=(37, 37))
+        big_l = 0.5 * (g - g.T)
+        check_products_match_gemm(big_l[None], big_l)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_fft_product_matches_assembled(self, n):
@@ -445,9 +479,11 @@ class TestSeries:
 
     @pytest.mark.parametrize("top", [1e-4, 0.04, 3.0, 1e3])
     def test_diagonal_matches_scalar_functions(self, top):
-        # a diagonal Y commutes exactly with every step, halvings included
+        # a diagonal Y commutes exactly with every step, halvings included;
+        # as one block its displacement is empty
         y = np.linspace(0.0, top, 64)
-        q_mat, ln_det = horizon._coth_and_ln_det_sinhc(np.diag(y))
+        no_gen = (np.empty((0, 0)), np.empty((0, 0)))
+        q_mat, ln_det = horizon._coth_and_ln_det_sinhc(np.diag(y), no_gen)
         x = np.sqrt(y)
         expected_q = 1.0 / np.asarray(tanhc(x))
         expected_ln_det = math.fsum(np.log(np.asarray(sinhc(x))))
@@ -470,9 +506,11 @@ class TestConvergence:
         (0.04, [2.0, 0.1], NumericalError,
          "at least 8 time cells, got 4 at horizon 0.1"),
         (0.04, [], NumericalError, "empty horizon list"),
-        (0.04, [2.0, 2.0], NumericalError, "repeated horizon")],
+        (0.04, [2.0, 2.0], NumericalError, "repeated horizon"),
+        (0.04, [2.0, math.nan], NumericalError,
+         "horizon must be positive and finite, got nan")],
         ids=["theta-nan", "theta-negative", "too-few-cells", "empty",
-             "repeated"])
+             "repeated", "horizon-nan"])
     def test_inputs_checked_before_any_evaluation(self, twomode, monkeypatch,
                                                   theta, horizons, error,
                                                   message):

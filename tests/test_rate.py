@@ -11,7 +11,7 @@ import pytest
 import qefrate as q
 from qefrate import rate
 from qefrate._funcs import apply_herm, hermitize, lncosh, minimize_bounded, tanhc
-from qefrate.errors import FeasibilityError, ParameterError
+from qefrate.errors import FeasibilityError, NumericalError, ParameterError
 from qefrate.model import BJ2
 from qefrate.rate import log_det_d
 
@@ -399,6 +399,11 @@ class TestContourE:
         assert np.array_equal(q.contour_e(twomode, 2.0 + 1.0j, 0.0),
                               np.eye(twomode.n).astype(complex))
 
+    def test_overflow_raises(self, twomode):
+        # cos and sinc of theta Mho overflow: an error, not NaN entries
+        with pytest.raises(NumericalError, match="not finite"):
+            q.contour_e(twomode, 1.0 + 2.0j, 1e6)
+
 
 @pytest.fixture(scope="module")
 def bound_cfg():
@@ -516,6 +521,7 @@ THETA_ENTRY_POINTS = {
     "frequency_profile": lambda ss, cfg, th: q.frequency_profile(
         q.sample_grid(ss, cfg.lambdas()), th),
     "ln_xi": lambda ss, cfg, th: q.ln_xi(ss, th, horizon=1.0, n_grid=8),
+    "contour_e": lambda ss, cfg, th: q.contour_e(ss, 1.0 + 2.0j, th),
 }
 
 
