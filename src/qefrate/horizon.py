@@ -41,13 +41,10 @@ numbers B_2k); both series alternate with decreasing terms for small y,
 so the first term left out bounds the remainder.  The bound
 b = ||Y||_inf >= lam_max(Y) decides how often Y is divided by 4 to bring
 it below Y* = 0.05, where ln sinhc to degree 6 is within 2e-15 of each
-term (Higham, Functions of Matrices, 2008, ch. 4-5).  With W = Y^2 and
-Y^3 the traces Tr Y^k, k <= 6, are Frobenius products.  Q follows by
-Horner's rule in W with coefficients linear in Y, the first step taken
-elementwise from Y^3 (Paterson and Stockmeyer 1973), to the least
-degree, 3, 5 or 7, whose remainder at b is below 2^-53: no further
-product up to b = 8.5e-4, one up to 0.019 and two above.  Each halving
-step undoes one division by 4 with
+term (Higham, Functions of Matrices, 2008, ch. 4-5).  The log-det takes
+sum_k s_k Tr Y^k to degree 6, and Q = sum_k q_k Y^k the least degree, 3,
+5 or 7, whose remainder at b is below 2^-53: 3 up to b = 8.5e-4, 5 up to
+0.019 and 7 above.  Each halving step undoes one division by 4 with
 
     q(4y) = q(y) + y / q(y),   ln sinhc(2x) = 2 ln sinhc(x) + ln q(x^2),
 
@@ -75,27 +72,33 @@ so C is its first block row plus a displacement of rank r_A + r_B + 2n,
 O((r_A + r_B + n) (nN)^2) work instead of O((nN)^3) (Kailath, Kung and
 Morf 1979; Kailath and Sayed 1995).  Y = theta^2 L'L comes from the lag
 blocks, with generators of rank 2n from L's first and last block rows.
-W, Y^3 and each Horner product carry their generators (ranks 24, 40 and
-104 on the two-mode model), and each is rebuilt one block row at a time,
+Each power Y^k = Y Y^(k-1) takes the rule's generators (ranks 8, 24, ...,
+104 on the two-mode model), and the blocks of Y^(k-1) they read are rows
+of the Krylov block Y^(k-1) [E_0, E_last, [0; H_Y]], E_0 and E_last the
+first and last n columns of I: one product of the dense Y with a few
+dozen columns takes a power on, and Y is its one full matrix.  Tr Y^k is
+N Tr C_00 plus the traces of the displacement's diagonal blocks, each
+weighted by the block rows below it.  The H's nest, that of Y^(k-1) being
+the trailing columns of that of Y^k, so Q - q_0 I has generators of the
+top degree's rank.  It is rebuilt once, one block row at a time,
 C[i+1, i+1:] = C[i, i:-1] + the displacement's row, its upper triangle
-mirrored.  Products with P are FFT convolutions with its lag stack, and
-Q - theta P reads P through a strided view of it.  With one block the
-displacement is empty, so Y is one gemm from the lag blocks, each
-product's first block row is the whole product (one gemm, then the
-mirror), and the lag stack of P is P itself.  The halving steps are
-dense on both entry points.
+mirrored, and q_0 is added on the diagonal after.  Products with P are
+FFT convolutions with its lag stack, and Q - theta P reads P through a
+strided view of it.  With one block the displacement is empty, so Y is
+one gemm from the lag blocks, each power a full gemm written over the
+last, and P its own lag stack, multiplied in real arithmetic.  The
+halving steps are dense on both entry points.
 
 Each matrix of order n*N is allocated once and overwritten in place
-after that: Horner's steps write Q over Y^3, and Q - theta P and its
-Cholesky factor take the place of Q.  On ``ln_xi``'s quantum route at
-most three such matrices are alive at once: Y, W and Y^3 during the
-series, or Y, Q and the Cholesky factor of Q during the halving steps.
-Their generators and one strip of displacement add about 0.45 of a
-matrix at order 1600.  At order 3200 (82 MB each) that is a peak of
-about 265 MB.  The classical route holds P alone.  With one block a
-product's first block row is a full matrix beside its factors, and P's
-lag stack is a copy of P, so ``ln_xi_from_matrices`` holds about four
-matrices beside its inputs on either route.
+after that: Q is rebuilt over Y, and Q - theta P and its Cholesky factor
+take the place of Q.  On ``ln_xi``'s quantum route one such matrix is
+alive at a time, Y during the series, or three, Y, Q and the Cholesky
+factor of Q, during the halving steps.  The generators and one strip of
+displacement add 0.44 of a matrix at order 1600 and 0.22 at order 3200,
+a peak of 100 MB there (82 MB a matrix).  The classical route holds P
+alone.  With one block a power and Q's first block row are full
+matrices beside Y, so ``ln_xi_from_matrices`` holds about three matrices
+beside its inputs on the quantum route and one on the classical.
 """
 
 from __future__ import annotations
@@ -103,7 +106,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -164,7 +166,10 @@ def _kernel_blocks(ss: StateSpace, horizon: float, n_grid: int):
 
 def _lags(blocks: np.ndarray, antisymmetric: bool) -> np.ndarray:
     """The lag stack [-+B_{N-1}', ..., -+B_1', B_0, B_1, ..., B_{N-1}]:
-    the kernel blocks with the exact mirror on negative lags."""
+    the kernel blocks with the exact mirror on negative lags, or the one
+    block itself, uncopied."""
+    if len(blocks) == 1:
+        return blocks
     mirrored = np.swapaxes(blocks[:0:-1], 1, 2)
     return np.concatenate([-mirrored if antisymmetric else mirrored, blocks])
 
@@ -212,6 +217,10 @@ class _BlockToeplitz:
         return np.fft.rfft(self.lags, self._fft_len, axis=0)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        if self.n_grid == 1:
+            # the one block is the matrix: a length-1 FFT would only make
+            # a complex copy of it
+            return self.lags[0] @ v
         spectrum = np.fft.rfft(np.reshape(v, (self.n_grid, self.n)),
                                self._fft_len, axis=0)
         conv = np.fft.irfft((self._lag_spectrum @ spectrum[..., None])[..., 0],
@@ -360,10 +369,10 @@ _Q = (1.0, 1 / 3, -1 / 45, 2 / 945, -1 / 4725, 2 / 93555, -1382 / 638512875,
       4 / 18243225, -3617 / 162820783125)
 #: ... and of ln sinhc(sqrt y), s_k = q_k/(2k), for k = 1..6
 _S = (1 / 6, -1 / 180, 1 / 2835, -1 / 37800, 1 / 467775, -691 / 3831077250)
-#: Largest spectral bound at which q to degree 2h + 3 (h products in
-#: Horner's rule) leaves a remainder |q_2h+4| b^(2h+4) below 2^-53, for
-#: h = 0, 1; degree 7 leaves 1e-18 at ``_SERIES_BOUND``.
-_HORNER_BOUNDS = tuple((2.0 ** -53 / abs(_Q[2 * h + 4])) ** (1.0 / (2 * h + 4))
+#: Largest spectral bound at which q to degree 2h + 3 leaves a remainder
+#: |q_2h+4| b^(2h+4) below 2^-53, for h = 0, 1; degree 7 leaves 1e-18 at
+#: ``_SERIES_BOUND``.
+_DEGREE_BOUNDS = tuple((2.0 ** -53 / abs(_Q[2 * h + 4])) ** (1.0 / (2 * h + 4))
                        for h in (0, 1))
 
 
@@ -431,42 +440,51 @@ def _gram(lam_blocks: np.ndarray, theta: float):
     return y, (g, h)
 
 
-class _Term(NamedTuple):
-    """A symmetric matrix of the series and the generators (g, h) of its
-    block-shift displacement mat[n:, n:] - mat[:-n, :-n] = g h'."""
-
-    mat: np.ndarray
-    gen: tuple[np.ndarray, np.ndarray]
-
-
-def _product(a: _Term, b: _Term, in_place: bool = False) -> _Term:
-    """The product of the commuting symmetric a and b, as a new term or
-    written over a, from the displacement of C = AB (Kailath, Kung and
-    Morf 1979):
-
-        C[n:, n:] - C[:-n, :-n] = A[n:, :n] B[:n, n:] - A[:-n, -n:] B[-n:, :-n]
-                                  + G_A (H_A' B[n:, n:]) + (A[:-n, :-n] G_B) H_B',
-
-    so C is its first block row and a displacement of rank r_A + r_B + 2n,
-    O((r_A + r_B + n) dim^2) work in all.  With one block (n = dim) the
-    first block row is one gemm and the displacement is empty.
+def _powers(y: np.ndarray, gen: tuple[np.ndarray, np.ndarray], top: int):
+    """Yield the powers Y^k, k = 1..top, of the symmetric Y, each as its
+    first block column Y^k E_0, read before the next power overwrites it,
+    and the generators (g, h) of its displacement, from the dense Y and
+    its generators ``gen`` = (g_1, h_1).  With X = Y^(k-1) [E_0, E_last,
+    [0; h_1]], the Krylov block, and one product of Y with [X, g_(k-1)]:
+        g_k = [Y[n:, :n], -Y[:-n, -n:], g_1, Y[:-n, :-n] g_(k-1)],
+        h_k = [X[n:, :n], X[:-n, n:2n], X[n:, 2n:], h_(k-1)].
+    With one block E_last = E_0 = I and X is the power itself.
     """
-    am, bm = a.mat, b.mat
-    (ga, ha), (gb, hb) = a.gen, b.gen
-    n = am.shape[0] - ga.shape[0]
-    first = am[:n] @ bm
-    g = np.concatenate([am[n:, :n], -am[:-n, -n:], ga, am[:-n, :-n] @ gb],
-                       axis=1)
-    h = np.concatenate([bm[n:, :n], bm[:-n, -n:], bm[n:, n:] @ ha, hb], axis=1)
-    out = am if in_place else np.empty_like(am)
-    _rebuild(out, first, g, h)
-    return _Term(out, (g, h))
+    g, h = gen
+    dim = y.shape[0]
+    n = dim - g.shape[0]
+    if n == dim:
+        x, g, h = y.copy(), np.empty((0, 0)), np.empty((0, 0))
+    else:
+        x = np.concatenate([y[:, :n], y[:, -n:], y[:, n:] @ h], axis=1)
+        head = np.concatenate([y[n:, :n], -y[:-n, -n:], g], axis=1)
+    width = x.shape[1]
+    for k in range(1, top + 1):
+        if k > 1 and n == dim:
+            _times(y, x)
+        elif k > 1:
+            h = np.concatenate([x[n:, :n], x[:-n, n:2 * n], x[n:, 2 * n:], h],
+                               axis=1)
+            rhs = np.concatenate([x, np.pad(g, ((0, n), (0, 0)))], axis=1)
+            _times(y, rhs)
+            x = rhs[:, :width]
+            g = np.concatenate([head, rhs[:-n, width:]], axis=1)
+        yield x[:, :n], g, h
 
 
-def _gen_sum(terms) -> tuple[np.ndarray, np.ndarray]:
-    """Generators of sum_k c_k M_k from the (c_k, M_k) pairs' own."""
-    return (np.concatenate([c * t.gen[0] for c, t in terms], axis=1),
-            np.concatenate([t.gen[1] for _, t in terms], axis=1))
+def _times(y: np.ndarray, x: np.ndarray) -> None:
+    """Write y @ x over x, one column strip at a time."""
+    for s in _strips(x.shape[1]):
+        x[:, s] = y @ x[:, s]
+
+
+def _trace(first: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
+    """Tr C from its first block row and displacement generators: block i
+    of C's diagonal is C_00 + sum_(j<i) (g h')_jj, summed over N blocks."""
+    n, dim = first.shape
+    weights = np.repeat(np.arange(dim // n - 1, 0, -1.0), n)
+    return float(dim // n * np.trace(first[:, :n])
+                 + weights @ np.einsum("ij,ij->i", g, h))
 
 
 def _ln_det(chol: np.ndarray) -> float:
@@ -495,12 +513,10 @@ def _ln_xi_consuming(lam_blocks: np.ndarray, p_blocks: np.ndarray,
     Each matrix of full order is made here and then overwritten in place.
     On the classical route I - theta P and its Cholesky factor take the
     place of P, assembled after the feasibility margin.  Otherwise Q,
-    Q - theta P and its Cholesky factor take the place of the series'
-    Y^3, and P's lag stack is made after the series, so that a one-block
-    P's copy is not alive beside Y, W and Y^3.
+    Q - theta P and its Cholesky factor take the place of Y.
     """
+    big_p = _BlockToeplitz(p_blocks)
     if classical:
-        big_p = _BlockToeplitz(p_blocks)
         spec_value = theta * _lambda_max(big_p)
         if spec_value >= 1.0:
             raise FeasibilityError(
@@ -510,7 +526,6 @@ def _ln_xi_consuming(lam_blocks: np.ndarray, p_blocks: np.ndarray,
         sym.flat[::sym.shape[0] + 1] += 1.0
         return -0.5 * _ln_det(_factor_feasible(sym, theta)), float(spec_value)
     sym, ln_det_sinhc = _coth_and_ln_det_sinhc(*_gram(lam_blocks, theta))
-    big_p = _BlockToeplitz(p_blocks)
     big_p.subtract_from(sym, theta)
     chol = _factor_feasible(sym, theta)
     mu = _lambda_max(big_p, chol)
@@ -520,12 +535,13 @@ def _ln_xi_consuming(lam_blocks: np.ndarray, p_blocks: np.ndarray,
 
 def _coth_and_ln_det_sinhc(y: np.ndarray, gen: tuple[np.ndarray, np.ndarray]):
     """Q = q(Y) and ln det sinhc(sqrt Y) for a symmetric positive
-    semidefinite Y, which is scaled in place and restored; ``gen`` are
-    the generators of Y's block-shift displacement.
+    semidefinite Y, whose buffer is used up; ``gen`` are the generators
+    of Y's block-shift displacement.
 
     Y is divided by 4^s until the certified bound ||Y||_inf on its
-    spectrum is at most ``_SERIES_BOUND``; s halving steps then undo the
-    scaling.
+    spectrum is at most ``_SERIES_BOUND``, where the series run on
+    ``_powers``.  Q is rebuilt over Y, or beside it when s halving steps
+    then undo the scaling.
     """
     dim = y.shape[0]
     bound = max(float(np.abs(y[s]).sum(axis=1).max()) for s in _strips(dim))
@@ -540,7 +556,28 @@ def _coth_and_ln_det_sinhc(y: np.ndarray, gen: tuple[np.ndarray, np.ndarray]):
     if halvings:
         y *= 0.25 ** halvings
         gen = (gen[0] * 0.25 ** halvings, gen[1])
-    q, ln_det_sinhc = _series(_Term(y, gen), bound)
+    degree = 3 + 2 * sum(bound > limit for limit in _DEGREE_BOUNDS)
+    traces = []
+    for k, (col, g, h) in enumerate(_powers(y, gen, max(len(_S), degree)),
+                                    start=1):
+        if k <= len(_S):
+            traces.append(_trace(col.T, g, h))
+        if k == 1:
+            q_col, q_g = _Q[1] * col, _Q[1] * g
+        elif k <= degree:
+            for s in _strips(dim):
+                q_col[s] += _Q[k] * col[s]
+            # h_(k-1) trails h_k, so the lower powers' g pad on the left
+            pad = ((0, 0), (g.shape[1] - q_g.shape[1], 0))
+            q_g = _Q[k] * g + np.pad(q_g, pad)
+        if k == degree:
+            q_h = h
+    ln_det_sinhc = math.fsum(c * t for c, t in zip(_S, traces))
+    q = np.empty_like(y) if halvings else y
+    _rebuild(q, q_col.T, q_g, q_h)
+    # added after the rebuild: carried through its row recurrence, q_0
+    # would add its rounding to the diagonal at every block row
+    q.flat[::dim + 1] += _Q[0]
     if halvings:
         factor = np.empty_like(q)
         for _ in range(halvings):
@@ -554,43 +591,6 @@ def _coth_and_ln_det_sinhc(y: np.ndarray, gen: tuple[np.ndarray, np.ndarray]):
                 q[s] += cho_solve((chol, False), y[s].T, check_finite=False).T
             y *= 4.0
     return q, ln_det_sinhc
-
-
-def _series(y: _Term, bound: float):
-    """q(Y) and Tr ln sinhc(sqrt Y) by their Taylor series, for Y with
-    spectrum in [0, bound], bound <= ``_SERIES_BOUND``; Y is left
-    unchanged.  The log-det takes degree 6, q the least degree, 3, 5 or
-    7, that the bound allows.  Every product is ``_product``'s, from
-    the generators of its factors."""
-    dim = y.mat.shape[0]
-    w = _product(y, y)
-    cube = _product(y, w)
-    traces = (np.trace(y.mat), np.vdot(y.mat, y.mat), np.vdot(y.mat, w.mat),
-              np.vdot(w.mat, w.mat), np.vdot(w.mat, cube.mat),
-              np.vdot(cube.mat, cube.mat))
-    ln_det_sinhc = math.fsum(c * t for c, t in zip(_S, traces))
-    # Horner in W with coefficients c_j = q_2j + q_2j+1 Y: to degree
-    # 2h + 3, q(Y) = c_0 + W (c_1 + ... W (c_h + W c_h+1)), whose
-    # innermost W c_h+1 is q_2h+2 W + q_2h+3 Y^3, taken elementwise; each
-    # product with W overwrites its left factor.  The identity added on
-    # the diagonal has no displacement.
-    steps = sum(bound > limit for limit in _HORNER_BOUNDS)
-    top = 2 * steps
-    for s in _strips(dim):
-        strip = cube.mat[s]
-        strip *= _Q[top + 3]
-        strip += _Q[top + 2] * w.mat[s]
-        strip += _Q[top + 1] * y.mat[s]
-    cube.mat.flat[::dim + 1] += _Q[top]
-    cube = _Term(cube.mat, _gen_sum([(_Q[top + 3], cube), (_Q[top + 2], w),
-                                     (_Q[top + 1], y)]))
-    for j in reversed(range(steps)):
-        cube = _product(cube, w, in_place=True)
-        for s in _strips(dim):
-            cube.mat[s] += _Q[2 * j + 1] * y.mat[s]
-        cube.mat.flat[::dim + 1] += _Q[2 * j]
-        cube = _Term(cube.mat, _gen_sum([(1.0, cube), (_Q[2 * j + 1], y)]))
-    return cube.mat, ln_det_sinhc
 
 
 def convergence_study(ss: StateSpace, theta: float, horizons,

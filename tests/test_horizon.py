@@ -187,28 +187,36 @@ class TestLnXi:
         assert np.array_equal(big_l, l_before)
         assert np.array_equal(big_p, p_before)
 
-    def test_working_set(self, twomode, theta0):
+    def test_working_set(self, random_models):
         # numpy reports its buffers to tracemalloc; the peak counts the
-        # full-size matrices alive at once, the eigensolver's workspace
-        # included (four measured at order 1600)
+        # full-size matrices alive at once.  On the halving path Y, Q and
+        # the factor of Q are alive beside a strip of Q^-1 Y (3.30
+        # matrices measured at order 1600)
         import scipy.sparse.linalg  # noqa: F401  (loaded by ln_xi)
+        ss = random_models[1]
+        theta = 0.5 * q.theta_threshold(ss, q.QuadratureConfig.for_system(ss))
+        big_l, _ = q.discretize_kernels(ss, 8.0, 800)
+        bound = theta ** 2 * np.abs(big_l.T @ big_l).sum(axis=1).max()
+        assert bound > horizon._SERIES_BOUND
+        del big_l
         tracemalloc.start()
         try:
-            est = q.ln_xi(twomode, 0.5 * theta0, horizon=10.0, n_grid=400)
+            q.ln_xi(ss, theta, horizon=8.0, n_grid=800)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        order = twomode.n * est.n_grid
+        order = ss.n * 800
         assert order == 1600
-        assert peak < 4.5 * order ** 2 * 8
+        assert peak < 3.5 * order ** 2 * 8
 
-    @pytest.mark.parametrize("classical", [False, True],
+    @pytest.mark.parametrize("classical, matrices",
+                             [(False, 3.4), (True, 1.25)],
                              ids=["quantum", "classical"])
-    def test_working_set_from_matrices(self, twomode, theta0, classical):
-        # one block: Y, W and Y^3 beside a gemm's output during the series,
-        # and P's lag stack (a copy of P) with its complex spectrum beside
-        # the Cholesky factor, or beside P assembled on the classical route
-        # (4.03 and 4.00 matrices measured at order 1600)
+    def test_working_set_from_matrices(self, twomode, theta0, classical,
+                                       matrices):
+        # one block: Y, its power and Q's first block row, each a full
+        # matrix, during the series (3.16 measured at order 1600); on the
+        # classical route P assembled alone (1.00 measured)
         import scipy.sparse.linalg  # noqa: F401  (loaded by ln_xi)
         big_l, big_p = q.discretize_kernels(twomode, 10.0, 400)
         tracemalloc.start()
@@ -218,7 +226,7 @@ class TestLnXi:
         finally:
             tracemalloc.stop()
         assert big_p.shape[0] == 1600
-        assert peak < 4.25 * big_p.size * 8
+        assert peak < matrices * big_p.size * 8
 
     def test_working_set_classical(self, twomode, theta0):
         # P alone is assembled and overwritten in place (1.03 matrices
@@ -322,29 +330,29 @@ def random_lag_blocks(rng, n, n_grid):
 
 
 def check_products_match_gemm(lam_blocks, big_l):
-    """Y = 0.09 L'L, W = Y^2, Y^3 and one Horner product Y^3 W, formed by
-    ``_gram`` and ``_product`` from L's lag blocks, are exactly symmetric
-    and within 1e-13 of plain gemm products of L."""
-    y = horizon._Term(*horizon._gram(lam_blocks, 0.3))
+    """The powers Y^k, k = 1..7, of Y = 0.09 L'L, formed by ``_gram`` and
+    ``_powers`` from L's lag blocks and rebuilt from their first block
+    rows and generators, are exactly symmetric and within 1e-13 of plain
+    gemm powers; the trace formula gives their traces to 1e-13."""
+    y, gen = horizon._gram(lam_blocks, 0.3)
     y_ref = 0.09 * big_l.T @ big_l
-    w = horizon._product(y, y)
-    cube = horizon._product(y, w)
-    w_ref = y_ref @ y_ref
-    cube_ref = y_ref @ w_ref
-    for term, ref in ((y, y_ref), (w, w_ref), (cube, cube_ref)):
-        assert np.array_equal(term.mat, term.mat.T)
-        assert np.max(np.abs(term.mat - ref)) <= 1e-13 * np.max(np.abs(ref))
-    # one Horner product, written over its left factor
-    horner = horizon._product(cube, w, in_place=True)
-    ref = cube_ref @ w_ref
-    assert horner.mat is cube.mat
-    assert np.array_equal(horner.mat, horner.mat.T)
-    assert np.max(np.abs(horner.mat - ref)) <= 1e-13 * np.max(np.abs(ref))
+    ref = np.eye(len(y_ref))
+    out = np.empty_like(y_ref)
+    k = 0
+    for k, (col, g, h) in enumerate(horizon._powers(y, gen, 7), start=1):
+        ref = y_ref @ ref
+        horizon._rebuild(out, col.T, g, h)
+        assert np.array_equal(out, out.T)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        expected = np.trace(ref)
+        assert abs(horizon._trace(col.T, g, h) - expected) \
+            <= 1e-13 * abs(expected)
+    assert k == 7
 
 
 class TestStructured:
-    """ln_xi's block-Toeplitz route: Y, W, Y^3 and Horner's products from
-    displacement generators, products with P by FFT, no dense L or P."""
+    """ln_xi's block-Toeplitz route: the powers of Y from displacement
+    generators, products with P by FFT, no dense L or P."""
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_displacement_products_match_gemm(self, n):
@@ -358,7 +366,7 @@ class TestStructured:
 
     def test_one_block_products_match_gemm(self):
         # ln_xi_from_matrices reads an arbitrary L as one block, whose
-        # displacement is empty: each product is its first block row
+        # displacement is empty: each power is its first block row
         rng = np.random.default_rng(37)
         g = rng.normal(size=(37, 37))
         big_l = 0.5 * (g - g.T)
@@ -405,6 +413,17 @@ class TestStructured:
         assert abs(est.ln_xi - value) <= 1e-13 * abs(value)
         assert abs(est.spec_value - spec) <= 1e-13 * spec
 
+    def test_halving_path_matches_eigh_reference(self, random_models):
+        # one halving step (see the test above), against the real
+        # symmetric eigensolve of L'L on the assembled matrices
+        ss = random_models[1]
+        theta = 0.5 * q.theta_threshold(ss, q.QuadratureConfig.for_system(ss))
+        est = q.ln_xi(ss, theta, 6.0, 300)
+        expected, expected_spec = gram_eigh_reference(
+            *q.discretize_kernels(ss, 6.0, 300), theta)
+        assert abs(est.ln_xi - expected) <= 1e-12 * abs(expected)
+        assert abs(est.spec_value - expected_spec) <= 1e-12
+
     def test_zero_theta_builds_nothing(self, twomode, monkeypatch):
         def refuse(*args):
             raise AssertionError("evaluated at theta = 0")
@@ -419,9 +438,9 @@ class TestStructured:
             ln_xi_from_matrices(np.eye(3), np.eye(4), 0.0)
 
     def test_working_set_structured(self, twomode, theta0):
-        # Y, W and Y^3 during the series, with their generators and one
-        # strip of displacement; P is never assembled (3.45 matrices
-        # measured at order 1600)
+        # Y alone is a full matrix during the series, and Q is rebuilt
+        # over it; P is never assembled (1.44 matrices measured at order
+        # 1600)
         import scipy.sparse.linalg  # noqa: F401  (loaded by ln_xi)
         tracemalloc.start()
         try:
@@ -431,7 +450,7 @@ class TestStructured:
             tracemalloc.stop()
         order = twomode.n * est.n_grid
         assert order == 1600
-        assert peak < 3.6 * order ** 2 * 8
+        assert peak < 1.6 * order ** 2 * 8
 
     @pytest.mark.parametrize("frac", [0.1, 0.5])
     def test_classical_richardson_hits_exact_reference(self, twomode, theta0,
@@ -464,7 +483,7 @@ class TestSeries:
 
     @pytest.mark.parametrize("steps", [0, 1, 2])
     def test_q_against_tanhc_to_its_bound(self, steps):
-        bound = (*horizon._HORNER_BOUNDS, horizon._SERIES_BOUND)[steps]
+        bound = (*horizon._DEGREE_BOUNDS, horizon._SERIES_BOUND)[steps]
         y = np.linspace(0.0, bound, 201)
         degree = 2 * steps + 3
         series = sum(horizon._Q[k] * y ** k for k in range(degree + 1))
