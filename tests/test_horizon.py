@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_triangular
+from scipy.linalg.lapack import dtfttr
 
 import qefrate as q
 from qefrate import horizon
@@ -189,10 +190,10 @@ class TestLnXi:
 
     def test_working_set(self, random_models):
         # numpy reports its buffers to tracemalloc; the peak counts the
-        # full-size matrices alive at once.  On the halving path Y, Q and
-        # the factor of Q are alive beside a strip of Q^-1 Y (3.30
-        # matrices measured at order 1600)
-        import scipy.sparse.linalg  # noqa: F401  (loaded by ln_xi)
+        # full-size matrices alive at once.  On the halving path the dense
+        # Y, the packed Q and the packed factor of Q, half a matrix each,
+        # are alive beside a strip of Q^-1 Y (2.18 matrices measured at
+        # order 1600)
         ss = random_models[1]
         theta = 0.5 * q.theta_threshold(ss, q.QuadratureConfig.for_system(ss))
         big_l, _ = q.discretize_kernels(ss, 8.0, 800)
@@ -207,17 +208,17 @@ class TestLnXi:
             tracemalloc.stop()
         order = ss.n * 800
         assert order == 1600
-        assert peak < 3.5 * order ** 2 * 8
+        assert peak < 2.3 * order ** 2 * 8
 
     @pytest.mark.parametrize("classical, matrices",
-                             [(False, 3.4), (True, 1.25)],
+                             [(False, 2.5), (True, 0.65)],
                              ids=["quantum", "classical"])
     def test_working_set_from_matrices(self, twomode, theta0, classical,
                                        matrices):
-        # one block: Y, its power and Q's first block row, each a full
-        # matrix, during the series (3.16 measured at order 1600); on the
-        # classical route P assembled alone (1.00 measured)
-        import scipy.sparse.linalg  # noqa: F401  (loaded by ln_xi)
+        # one block: Y and Y^2, each a full matrix, and column strips of
+        # Y^3 during the series, Q then written over Y^2 (2.39 measured at
+        # order 1600); on the classical route packed I - theta P alone,
+        # written from strips of P (0.59 measured)
         big_l, big_p = q.discretize_kernels(twomode, 10.0, 400)
         tracemalloc.start()
         try:
@@ -229,9 +230,8 @@ class TestLnXi:
         assert peak < matrices * big_p.size * 8
 
     def test_working_set_classical(self, twomode, theta0):
-        # P alone is assembled and overwritten in place (1.03 matrices
-        # measured at order 1600)
-        import scipy.sparse.linalg  # noqa: F401  (loaded by ln_xi)
+        # packed I - theta P, half a matrix, written from strips of P,
+        # which is never assembled (0.62 matrices measured at order 1600)
         tracemalloc.start()
         try:
             est = q.ln_xi(twomode, 0.5 * theta0, horizon=10.0, n_grid=400,
@@ -241,7 +241,7 @@ class TestLnXi:
             tracemalloc.stop()
         order = twomode.n * est.n_grid
         assert order == 1600
-        assert peak < 1.25 * order ** 2 * 8
+        assert peak < 0.7 * order ** 2 * 8
 
     @pytest.mark.parametrize("shapes, bad", [
         (((3, 3), (4, 4)), None), (((4, 4), (3, 3)), None),
@@ -273,7 +273,8 @@ class TestLnXi:
             ln_xi_from_matrices(big_l, np.eye(7), 1.0)
 
     def test_spec_value_on_arpack_path(self, twomode, theta0):
-        # above order 1200 the margin comes from ARPACK on R^-T P R^-1
+        # order 1280, above the order up to which the margin was once
+        # dense; it comes from Lanczos on F^-1 P F^-T, F the packed factor
         theta = 0.5 * theta0
         big_l, big_p = q.discretize_kernels(twomode, 8.0, 320)
         assert big_p.shape[0] == 1280
@@ -329,25 +330,58 @@ def random_lag_blocks(rng, n, n_grid):
     return rng.normal(size=(n_grid, n, n)) * decay
 
 
+def unpack(sym, factor=False):
+    """The symmetric matrix a packed ``sym`` holds, assembled from its lower
+    triangle with ``dtfttr``, or with ``factor`` that lower triangle alone
+    (the Cholesky factor once ``sym.factor()`` has run); an odd order
+    drops the padding."""
+    k = sym.buf.shape[0]
+    full, info = dtfttr(2 * k, sym.buf.reshape(-1, order="F"), transr="T",
+                        uplo="L")
+    assert info == 0
+    lower = np.tril(full)[:sym.dim, :sym.dim]
+    return lower if factor else lower + np.tril(lower, -1).T
+
+
 def check_products_match_gemm(lam_blocks, big_l):
-    """The powers Y^k, k = 1..7, of Y = 0.09 L'L, formed by ``_gram`` and
-    ``_powers`` from L's lag blocks and rebuilt from their first block
-    rows and generators, are exactly symmetric and within 1e-13 of plain
-    gemm powers; the trace formula gives their traces to 1e-13."""
-    y, gen = horizon._gram(lam_blocks, 0.3)
+    """Y = 0.09 L'L from ``_gram`` and, with more than one block, its
+    powers Y^k, k = 1..7, from ``_powers`` on FFT products with L, each
+    assembled from its first block row and generators, are exactly
+    symmetric and within 1e-13 of plain gemm powers, and the trace
+    formula gives their traces to 1e-13.  ``_series`` at degree 7 gives
+    Tr Y^k, k = 1..6, and Q - I = sum_k q_k Y^k to 1e-13 on either
+    route."""
+    first, g, h = horizon._gram(lam_blocks, 0.3)
+    op = _BlockToeplitz(lam_blocks, antisymmetric=True)
+
+    def times_y(x):
+        return -0.09 * (op @ (op @ x))
+
     y_ref = 0.09 * big_l.T @ big_l
-    ref = np.eye(len(y_ref))
-    out = np.empty_like(y_ref)
+    refs = [y_ref]
+    for _ in range(6):
+        refs.append(y_ref @ refs[-1])
+    out = horizon._dense(first.copy(), g, h)
+    assert np.array_equal(out, out.T)
+    assert np.max(np.abs(out - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
     k = 0
-    for k, (col, g, h) in enumerate(horizon._powers(y, gen, 7), start=1):
-        ref = y_ref @ ref
-        horizon._rebuild(out, col.T, g, h)
-        assert np.array_equal(out, out.T)
-        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-        expected = np.trace(ref)
-        assert abs(horizon._trace(col.T, g, h) - expected) \
-            <= 1e-13 * abs(expected)
-    assert k == 7
+    if first.shape[0] < first.shape[1]:
+        for k, (col, gk, hk) in enumerate(
+                horizon._powers(times_y, first, g, h, 7), start=1):
+            ref = refs[k - 1]
+            out = horizon._dense(col.T, gk, hk)
+            assert np.array_equal(out, out.T)
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+            expected = np.trace(ref)
+            assert abs(horizon._trace(col.T, gk, hk) - expected) \
+                <= 1e-13 * abs(expected)
+        assert k == 7
+    q_first, q_g, q_h, traces = horizon._series((first, g, h), times_y, 7)
+    q_ref = sum(horizon._Q[k] * ref for k, ref in enumerate(refs, start=1))
+    q_mat = horizon._dense(q_first, q_g, q_h)
+    assert np.max(np.abs(q_mat - q_ref)) <= 1e-13 * np.max(np.abs(q_ref))
+    expected = [np.trace(ref) for ref in refs[:6]]
+    assert np.allclose(traces, expected, rtol=1e-13, atol=0.0)
 
 
 class TestStructured:
@@ -391,7 +425,7 @@ class TestStructured:
     def test_matches_dense_matrices(self, twomode, theta0, frac, t_n,
                                     classical):
         # N - 1 = 80 and 329 block rows of displacement: neither is a
-        # multiple of the 64-block-row rebuild strip
+        # multiple of the 32-block-row strip
         t, n_grid = t_n
         theta = frac * theta0
         est = q.ln_xi(twomode, theta, t, n_grid, classical=classical)
@@ -438,10 +472,9 @@ class TestStructured:
             ln_xi_from_matrices(np.eye(3), np.eye(4), 0.0)
 
     def test_working_set_structured(self, twomode, theta0):
-        # Y alone is a full matrix during the series, and Q is rebuilt
-        # over it; P is never assembled (1.44 matrices measured at order
-        # 1600)
-        import scipy.sparse.linalg  # noqa: F401  (loaded by ln_xi)
+        # no full matrix: Y and its powers are first block rows and
+        # generators, and packed Q - theta P, half a matrix, is written
+        # from strips of them (0.79 matrices measured at order 1600)
         tracemalloc.start()
         try:
             est = q.ln_xi(twomode, 0.5 * theta0, horizon=10.0, n_grid=400)
@@ -450,7 +483,7 @@ class TestStructured:
             tracemalloc.stop()
         order = twomode.n * est.n_grid
         assert order == 1600
-        assert peak < 1.6 * order ** 2 * 8
+        assert peak < 0.85 * order ** 2 * 8
 
     @pytest.mark.parametrize("frac", [0.1, 0.5])
     def test_classical_richardson_hits_exact_reference(self, twomode, theta0,
@@ -463,6 +496,103 @@ class TestStructured:
                                 classical=True).ln_xi for n in (200, 400))
         exact = riccati_ln_xi_classical(twomode, theta, 5.0)
         assert abs((4.0 * fine - coarse) / 3.0 - exact) <= 1e-7 * exact
+
+
+def packed_gram_plus_identity(case):
+    """I + 0.09 L'L packed from its first block row and generators, and
+    assembled by gemm, for the lag blocks of ``case``: the two-mode
+    model's at N = 81 (order 324) or one random antisymmetric block of
+    order 37, which packs as [[M, 0], [0, 1]] of order 38; and the first
+    block row and generators of 0.09 L'L."""
+    if case == "structured-324":
+        lam_blocks, _ = _kernel_blocks(q.two_mode_example(), 4.0, 81)
+        big_l = horizon._assemble(
+            horizon._lags(lam_blocks, antisymmetric=True))
+    else:
+        g = np.random.default_rng(37).normal(size=(37, 37))
+        big_l = 0.5 * (g - g.T)
+        lam_blocks = big_l[None]
+    gram = horizon._gram(lam_blocks, 0.3)
+    sym = horizon._Packed(len(big_l))
+    sym.add(*gram)
+    sym.add_diagonal(1.0)
+    return sym, np.eye(len(big_l)) + 0.09 * big_l.T @ big_l, gram
+
+
+class TestPacked:
+    """Q - theta P in rectangular full packed storage: the strip writer,
+    dpftrf, the split solves and the Lanczos margin on them."""
+
+    @pytest.mark.parametrize("case", ["structured-324", "one-block-37"])
+    def test_write_factor_and_solves_match_dense(self, case):
+        sym, dense, gram = packed_gram_plus_identity(case)
+        dim = len(dense)
+        k = sym.buf.shape[0]
+        if case == "structured-324":
+            # 128-column strips: the second, [128, 256), straddles k = 162
+            assert any(j0 < k < j0 + s.shape[1]
+                       for j0, s in horizon._lower_strips(*gram))
+        else:
+            assert (dim, k) == (37, 19)
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(unpack(sym) - dense)) <= 1e-14 * scale
+        ln_det = sym.factor()
+        chol = np.linalg.cholesky(dense)
+        assert np.max(np.abs(unpack(sym, factor=True) - chol)) \
+            <= 1e-13 * np.max(np.abs(chol))
+        assert abs(ln_det - np.linalg.slogdet(dense)[1]) <= 1e-13 * abs(ln_det)
+        rng = np.random.default_rng(dim)
+        v = rng.normal(size=dim)
+        for trans in (False, True):
+            expected = solve_triangular(chol, v, lower=True,
+                                        trans="T" if trans else "N")
+            assert np.max(np.abs(sym.solve(v, trans) - expected)) \
+                <= 1e-13 * np.max(np.abs(expected))
+        rhs = rng.normal(size=(dim, 5))
+        expected = np.linalg.solve(dense, rhs)
+        assert np.max(np.abs(sym.cho_solve(rhs) - expected)) \
+            <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("classical", [False, True],
+                             ids=["quantum", "classical"])
+    def test_lambda_max_matches_eigvalsh(self, twomode, theta0, classical):
+        # order 324, against the assembled F^-1 P F^-T (or P) of the
+        # packed factor F of Q - theta P
+        theta = 0.5 * theta0
+        lam_blocks, p_blocks = _kernel_blocks(twomode, 4.0, 81)
+        big_p = _BlockToeplitz(p_blocks)
+        dense_p = horizon._assemble(big_p.lags)
+        if classical:
+            chol, expected = None, np.linalg.eigvalsh(dense_p)[-1]
+        else:
+            chol, _ = horizon._coth_and_ln_det_sinhc(
+                lam_blocks, big_p.first_row(), theta)
+            chol.factor()
+            factor = unpack(chol, factor=True)
+            half = solve_triangular(factor, dense_p, lower=True)
+            expected = np.linalg.eigvalsh(
+                solve_triangular(factor, half.T, lower=True))[-1]
+        mu = horizon._lambda_max(big_p, chol)
+        assert abs(mu - expected) <= 1e-13 * expected
+
+    def test_lanczos_exhausts_one_block_of_order_7(self, monkeypatch):
+        # the Krylov space of the ones vector is the whole space: the
+        # Ritz solve runs at each of the 7 steps, the last one exact
+        rng = np.random.default_rng(7)
+        g = rng.normal(size=(7, 7))
+        big_p = g @ g.T
+        calls = []
+        ritz = horizon.eigh_tridiagonal
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return ritz(*args, **kwargs)
+
+        monkeypatch.setattr(horizon, "eigh_tridiagonal", counted)
+        mu = horizon._lambda_max(_BlockToeplitz(big_p[None]))
+        assert calls == list(range(1, 8))
+        expected = np.linalg.eigvalsh(big_p)[-1]
+        assert abs(mu - expected) <= 1e-13 * expected
 
 
 class TestSeries:
@@ -499,10 +629,12 @@ class TestSeries:
     @pytest.mark.parametrize("top", [1e-4, 0.04, 3.0, 1e3])
     def test_diagonal_matches_scalar_functions(self, top):
         # a diagonal Y commutes exactly with every step, halvings included;
-        # as one block its displacement is empty
+        # as one block its displacement is empty, and Q comes back packed
         y = np.linspace(0.0, top, 64)
-        no_gen = (np.empty((0, 0)), np.empty((0, 0)))
-        q_mat, ln_det = horizon._coth_and_ln_det_sinhc(np.diag(y), no_gen)
+        sym, ln_det = horizon._coth_and_ln_det_sinhc(
+            np.diag(np.sqrt(y))[None], np.zeros((64, 64)), 1.0)
+        q_mat = unpack(sym)
+        y = np.diag(horizon._gram(np.diag(np.sqrt(y))[None], 1.0)[0])
         x = np.sqrt(y)
         expected_q = 1.0 / np.asarray(tanhc(x))
         expected_ln_det = math.fsum(np.log(np.asarray(sinhc(x))))
