@@ -18,34 +18,47 @@ from .errors import FeasibilityError, ParameterError
 _SERIES_CUT = 1e-4
 
 
-def sinhc(x: np.ndarray | float) -> np.ndarray | float:
-    """sinh(x)/x with the removable singularity filled by its series."""
+def _quotient(num, x, series):
+    """num(x)/x, with series(x*x) in its place where |x| < _SERIES_CUT.
+
+    The series is evaluated only at those entries, and the guarded
+    quotient only when there are any.
+    """
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_CUT
+    if not small.any():
+        out = num(x) / x
+        return out if out.ndim else float(out)
+    if not x.ndim:
+        return float(series(x * x))
     xs = np.where(small, 1.0, x)
-    x2 = x * x
-    out = np.where(small, 1.0 + x2 / 6.0 + x2 * x2 / 120.0, np.sinh(xs) / xs)
-    return out if out.ndim else float(out)
+    out = num(xs) / xs
+    x_small = x[small]
+    out[small] = series(x_small * x_small)
+    return out
+
+
+def sinhc(x: np.ndarray | float) -> np.ndarray | float:
+    """sinh(x)/x with the removable singularity filled by its series."""
+    return _quotient(np.sinh, x, lambda x2: 1.0 + x2 / 6.0 + x2 * x2 / 120.0)
 
 
 def tanhc(x: np.ndarray | float) -> np.ndarray | float:
     """tanh(x)/x, valued in (0, 1] on the reals."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SERIES_CUT
-    xs = np.where(small, 1.0, x)
-    x2 = x * x
-    out = np.where(small, 1.0 - x2 / 3.0 + 2.0 * x2 * x2 / 15.0,
-                   np.tanh(xs) / xs)
-    return out if out.ndim else float(out)
+    return _quotient(np.tanh, x,
+                     lambda x2: 1.0 - x2 / 3.0 + 2.0 * x2 * x2 / 15.0)
 
 
 def lncosh(x: np.ndarray | float) -> np.ndarray | float:
     """log(cosh(x)) without overflow for large |x| and to full relative
-    precision for small |x|, as log1p(2 sinh(x/2)^2)."""
+    precision for small |x|, as log1p(2 sinh(x/2)^2) below |x| = 1.  The
+    large-|x| form is evaluated only when some |x| reaches 1."""
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
-    small = np.log1p(2.0 * np.sinh(0.5 * np.minimum(a, 1.0)) ** 2)
-    out = np.where(a < 1.0, small, a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0))
+    out = np.log1p(2.0 * np.sinh(0.5 * np.minimum(a, 1.0)) ** 2)
+    big = a >= 1.0
+    if big.any():
+        out = np.where(big, a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0), out)
     return out if out.ndim else float(out)
 
 
@@ -109,25 +122,39 @@ _MAX_EVALS = 500
 
 
 def minimize_bounded(func: Callable[[float], float], lo: float, hi: float,
-                     xatol: float) -> tuple[float, float]:
+                     xatol: float, start=None) -> tuple[float, float]:
     """Minimize a scalar function on [lo, hi]; returns (x, func(x)).
 
     Brent's method (Algorithms for Minimization without Derivatives, 1973,
     ch. 5): parabolic interpolation through the three best points, with a
     golden-section step whenever the parabola's minimum falls outside the
     bracket or does not halve the step before last.  No point closer than
-    sqrt(eps) |x| + xatol/3 to one already evaluated is tried.  The
-    iterates are those of ``scipy.optimize.fminbound``.  ``func`` may
-    return inf, which the search treats as a wall.
+    sqrt(eps) |x| + xatol/3 to one already evaluated is tried.  ``func``
+    may return inf, which the search treats as a wall.
+
+    ``start`` holds one to three (x, f) pairs the caller has evaluated,
+    the best of them in [lo, hi]; the others may lie outside.  The search
+    opens with the parabola through them, the bracket width standing in
+    for the steps before, and returns the best pair when no evaluation
+    beats it.  One pair gives no parabola, so the first step is golden.
+    Without ``start`` the search opens at the golden-section point of
+    [lo, hi], and its iterates are those of ``scipy.optimize.fminbound``.
     """
     a, b = float(lo), float(hi)
     if not (math.isfinite(a) and math.isfinite(b)) or a > b:
         raise ValueError("bounds must be finite with lo <= hi")
+    evals = 0
+    if start is None:
+        x = a + _GOLDEN * (b - a)
+        start, evals = [(x, func(x))], 1
+    known = sorted(((float(p), float(f)) for p, f in start),
+                   key=lambda pf: pf[1])
+    known += known[-1:] * (3 - len(known))
     # x best so far, w second best, v the previous w
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = func(x)
-    step = last = 0.0
-    evals = 1
+    (x, fx), (w, fw), (v, fv) = known[:3]
+    if not a <= x <= b:
+        raise ValueError("the best start point must lie in [lo, hi]")
+    step = last = b - a
     mid = 0.5 * (a + b)
     tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
     tol2 = 2.0 * tol1

@@ -171,13 +171,14 @@ class QuadratureConfig:
         if values.shape != nodes.shape:
             raise ParameterError(f"{values.shape[0]} samples for a rule of "
                                  f"{len(nodes)} nodes")
-        per_panel = (diffs * values).reshape(-1, PANEL_NODES).sum(axis=1)
+        per_panel = (diffs.reshape(-1, PANEL_NODES)
+                     * values.reshape(-1, PANEL_NODES)).sum(axis=1)
         tail = float(np.dot(weights[-PANEL_NODES:], values[-PANEL_NODES:]))
         return HalfLine(value=weighted_sum(weights, values), tail=tail,
-                        error=float(np.sum(np.abs(per_panel))))
+                        error=float(np.abs(per_panel).sum()))
 
 
 def weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:
     """Order-independent compensated sum of weights * values."""
-    return math.fsum(np.asarray(weights, dtype=float)
-                     * np.asarray(values, dtype=float))
+    return math.fsum((np.asarray(weights, dtype=float)
+                      * np.asarray(values, dtype=float)).tolist())

@@ -36,7 +36,11 @@ the exponential tail / worst-case cost bounds built on top of Upsilon.
 Every entry point that takes a model samples its spectrum through
 ``qefrate.spectral.grid_for``, once per model and rule, and theta0 is
 computed once per model; the ``*_from_grid`` functions take a grid the
-caller sampled.
+caller sampled.  Per theta, ``upsilon_from_grid`` evaluates tanhc(theta w)
+once for the log-determinant and the margin, the small-theta expansion
+reads the grid's cached eigenvalues of Phi and diagonal of Psi^2, and
+the bounds refine their grid infimum by a bounded search started from
+the grid values around it.
 """
 
 from __future__ import annotations
@@ -74,6 +78,9 @@ _THETA0_SLOT = "_theta0"
 #: iteration for theta0 made no step.
 POLISH_DEPTH = 1e-6
 
+#: Spacing of doubles at one.
+_EPS = float(np.finfo(float).eps)
+
 #: Relative slack below the exact lam_max(M) at the node of the largest
 #: bound max_i r_i^2 lam_max(Phi) that a node's bound must reach for the
 #: feasibility margin to eigensolve it; it covers rounding in the bound.
@@ -110,11 +117,12 @@ def _neg_log_factor(eigs: np.ndarray, theta: float, lambdas: np.ndarray):
     FeasibilityError, naming the first offending frequency, when a factor
     loses positivity.
     """
-    factors = 1.0 - theta * eigs
-    bad = np.nonzero(np.min(factors, axis=-1) <= 0.0)[0]
-    if bad.size:
-        _raise_infeasible(theta, lambdas[bad[0]], theta * eigs[bad[0], -1])
-    return -np.sum(np.log1p(-theta * eigs), axis=-1)
+    top = theta * eigs[:, -1]
+    if (top >= 1.0).any():
+        bad = int(np.flatnonzero(top >= 1.0)[0])
+        _raise_infeasible(theta, lambdas[bad], top[bad])
+    terms = eigs * -theta
+    return -np.log1p(terms, out=terms).sum(axis=-1)
 
 
 def _raise_infeasible(theta: float, lam: float, margin: float):
@@ -123,14 +131,23 @@ def _raise_infeasible(theta: float, lam: float, margin: float):
         f"{lam:g} (margin {margin:g} >= 1)", theta=theta, lam=float(lam))
 
 
+def _sqrt_tanc(grid: SpectralGrid, theta: float) -> np.ndarray:
+    """r = sqrt(tanhc(theta w)) with the node axis last, shape
+    (n, n_freq): the diagonal of sqrt(tanc(theta Psi)) in the eigenbasis
+    of H at every node."""
+    r = tanhc(theta * grid.h_eigvals_t)
+    return np.sqrt(r, out=r)
+
+
 def _scaled_phi(grid: SpectralGrid, r: np.ndarray, nodes) -> np.ndarray:
     """M = sqrt(tanc) Phi sqrt(tanc) at ``nodes`` in the eigenbasis of H:
-    ``grid.phi_rot`` scaled by r_i r_j, r = sqrt(tanhc(theta w))."""
-    rn = r[nodes]
+    ``grid.phi_rot`` scaled by r_i r_j, r from ``_sqrt_tanc``."""
+    rn = r[:, nodes].T
     return grid.phi_rot[nodes] * (rn[..., :, None] * rn[..., None, :])
 
 
-def _neg_log_det(grid: SpectralGrid, theta: float) -> np.ndarray:
+def _neg_log_det(grid: SpectralGrid, theta: float,
+                 r: np.ndarray | None = None) -> np.ndarray:
     """-ln det D_theta over the mesh via the Hermitian split.
 
     The second factor I - theta M is factored as L D L* one pivot column
@@ -138,43 +155,41 @@ def _neg_log_det(grid: SpectralGrid, theta: float) -> np.ndarray:
     every operation runs along the frequency stack): with S = -theta M,
     pivot k is 1 + e, e = Re S_kk, contributing -log1p(e), and the Schur
     update is S[k+1:, k+1:] -= c c* / (1 + e) for the column c below the
-    pivot.  Keeping e apart from the 1 keeps the relative accuracy of
-    log1p at small theta.  A nonpositive pivot means I - theta M is not
-    positive definite there; such pivots are pinned to one so the sweep
-    finishes, and FeasibilityError then names the lowest failing
-    frequency with its margin from one eigensolve.
+    pivot, c* read from row k, which holds it to rounding.  Keeping e
+    apart from the 1 keeps the relative accuracy of log1p at small theta.
+    A pivot at or below zero means I - theta M is not positive definite
+    at that node; nodes never mix, so the sweep finishes for the others,
+    and FeasibilityError then names the lowest failing frequency with
+    its margin from one eigensolve.  ``r`` is ``_sqrt_tanc(grid, theta)``
+    when the caller has it.
     """
     n_freq = len(grid.lambdas)
     if theta == 0.0:
         return np.zeros(n_freq)
-    x = theta * grid.h_eigh[0]
-    r = np.sqrt(np.asarray(tanhc(x)))
-    rt = r.T
-    s = np.moveaxis(grid.phi_rot, 0, -1) * (-theta * (rt[:, None] * rt[None]))
+    if r is None:
+        r = _sqrt_tanc(grid, theta)
+    scale = r[:, None] * r[None]
+    scale *= -theta
+    s = grid.phi_rot_t * scale
     n = len(s)
-    piv = np.empty((n, n_freq))
-    failed = np.zeros(n_freq, dtype=bool)
-    for k in range(n):
-        e = s[k, k].real
-        bad = e <= -1.0
-        if bad.any():
-            failed |= bad
-            e = np.where(bad, 0.0, e)
-        piv[k] = e
-        if k + 1 < n:
-            col = s[k + 1:, k]
-            s[k + 1:, k + 1:] -= (col * (1.0 / (1.0 + e)))[:, None] \
-                * np.conj(col)[None]
-    if failed.any():
-        j = int(np.flatnonzero(failed)[0])
+    # a failed node's later pivots may overflow; they are never used
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            col = s[k + 1:, k] / (1.0 + s[k, k].real)
+            s[k + 1:, k + 1:] -= col[:, None] * s[k, k + 1:][None]
+    piv = s.reshape(n * n, n_freq)[::n + 1].real
+    if (piv <= -1.0).any():
+        j = int(np.flatnonzero(np.any(piv <= -1.0, axis=0))[0])
         peak = np.linalg.eigvalsh(_scaled_phi(grid, r, j))[-1]
         _raise_infeasible(theta, grid.lambdas[j], theta * peak)
-    return -np.sum(np.log1p(piv), axis=0) \
-        - np.sum(np.asarray(lncosh(x)), axis=-1)
+    np.log1p(piv, out=piv)
+    piv += lncosh(theta * grid.h_eigvals_t)
+    return -piv.sum(axis=0)
 
 
-def _margin(grid: SpectralGrid, theta: float) -> float:
-    """Feasibility margin theta * max over the mesh of lam_max(M).
+def _margin(grid: SpectralGrid, theta: float, r: np.ndarray) -> float:
+    """Feasibility margin theta * max over the mesh of lam_max(M), with
+    r = ``_sqrt_tanc(grid, theta)``.
 
     Exact without eigensolving the whole stack: lam_max(M) is at most
     max_i r_i^2 * lam_max(Phi), so only the nodes whose bound reaches the
@@ -183,9 +198,7 @@ def _margin(grid: SpectralGrid, theta: float) -> float:
     """
     if theta == 0.0:
         return 0.0
-    r2 = np.asarray(tanhc(theta * grid.h_eigh[0]))
-    r = np.sqrt(r2)
-    bound = np.max(r2, axis=-1) * grid.phi_eigvals[:, -1]
+    bound = np.max(r, axis=0) ** 2 * grid.phi_eigvals[:, -1]
     top = int(np.argmax(bound))
     peak = float(np.linalg.eigvalsh(_scaled_phi(grid, r, top))[-1])
     cands = bound >= peak - MARGIN_SLACK * abs(peak)
@@ -196,12 +209,13 @@ def _margin(grid: SpectralGrid, theta: float) -> float:
     return theta * peak
 
 
-def _upsilon_quad(grid: SpectralGrid, theta: float,
-                  cfg: QuadratureConfig) -> HalfLine:
+def _upsilon_quad(grid: SpectralGrid, theta: float, cfg: QuadratureConfig,
+                  r: np.ndarray | None = None) -> HalfLine:
     """Upsilon(theta) with its tail part and error estimate: the integral
-    of -ln det D_theta over [0, inf), divided by 2 pi."""
+    of -ln det D_theta over [0, inf), divided by 2 pi.  ``r`` is
+    ``_sqrt_tanc(grid, theta)`` when the caller has it."""
     check_theta(theta)
-    return _over_2pi(cfg.half_line(_neg_log_det(grid, theta)))
+    return _over_2pi(cfg.half_line(_neg_log_det(grid, theta, r)))
 
 
 def _classical_from_grid(grid: SpectralGrid, theta: float,
@@ -250,7 +264,9 @@ def upsilon_from_grid(grid: SpectralGrid, theta: float,
     flagged unconverged when the Gauss-Kronrod error estimate of either
     integral exceeds ``QUAD_AGREEMENT`` times its value.
     """
-    quad = _upsilon_quad(grid, theta, cfg)
+    check_theta(theta)
+    r = _sqrt_tanc(grid, theta)
+    quad = _upsilon_quad(grid, theta, cfg, r)
     converged = _converged(quad)
     try:
         cl = _classical_from_grid(grid, theta, cfg)
@@ -259,7 +275,7 @@ def upsilon_from_grid(grid: SpectralGrid, theta: float,
     except FeasibilityError:
         v = math.nan
     return RateResult(theta=float(theta), upsilon=quad.value,
-                      classical_v=v, margin=_margin(grid, theta),
+                      classical_v=v, margin=_margin(grid, theta, r),
                       tail_contrib=quad.tail,
                       n_freq=len(grid.lambdas), converged=converged,
                       quad_error=quad.error)
@@ -312,7 +328,8 @@ def theta_threshold(ss: StateSpace, cfg: QuadratureConfig) -> float:
     imaginary-axis eigenvalues of a Hamiltonian matrix, and the bound moves
     to the largest value at the midpoints between them, until no crossing
     is left above it.  A bounded scalar maximization inside the crossing
-    interval around the peak then settles the value to rounding.
+    interval around the peak, started from the iteration's best point,
+    then settles the value to rounding.
     """
     theta0 = vars(ss).get(_THETA0_SLOT)
     if theta0 is None:
@@ -328,26 +345,47 @@ def _phi_sup(ss: StateSpace) -> float:
     best_lam, best = float(cands[k]), peaks[k]
     bracket = None
     for _ in range(50):
-        w = _crossings(ss, best * (1.0 + LEVEL_STEP))
+        level = best * (1.0 + LEVEL_STEP)
+        w = _crossings(ss, level)
         pairs = [(lo, hi) for lo, hi in zip(w[:-1], w[1:]) if lo + hi >= 0.0]
         vals = [_phi_peak(ss, 0.5 * (lo + hi)) for lo, hi in pairs]
         if not vals or max(vals) <= best:
             break
         j = int(np.argmax(vals))
-        bracket, best = pairs[j], vals[j]
+        bracket, best, bracket_level = pairs[j], vals[j], level
         best_lam = 0.5 * (bracket[0] + bracket[1])
     if bracket is None:
         # the starting point was the peak to LEVEL_STEP: bracket it
-        w = _crossings(ss, best * (1.0 - POLISH_DEPTH))
+        bracket_level = best * (1.0 - POLISH_DEPTH)
+        w = _crossings(ss, bracket_level)
         i = int(np.searchsorted(w, best_lam))
         if 0 < i < len(w):
             bracket = (w[i - 1], w[i])
     if bracket is not None:
-        _, f_min = minimize_bounded(lambda lam: -_phi_peak(ss, lam),
-                                    float(bracket[0]), float(bracket[1]),
-                                    xatol=1e-12)
+        lo, hi = float(bracket[0]), float(bracket[1])
+        _, f_min = minimize_bounded(
+            lambda lam: -_phi_peak(ss, lam), lo, hi,
+            xatol=_peak_xatol(hi - lo, bracket_level, best),
+            start=[(best_lam, -best)])
         best = max(best, -float(f_min))
     return best
+
+
+def _peak_xatol(width: float, level: float, best: float) -> float:
+    """Distance from the peak of lam_max(Phi) within which its value is
+    settled to rounding, on a bracket of ``width`` whose ends cross
+    ``level`` and whose best value so far is ``best``.
+
+    Near its peak f* the function is f* - k (lam - lam*)^2, so a point
+    delta from the peak holds f* to d (2 delta / width)^2 relative, d the
+    bracket's relative depth (f* - level) / f*.  f* is taken as
+    best * (1 + LEVEL_STEP), where the level-set iteration found no
+    higher midpoint, and d is at least LEVEL_STEP, the finest depth the
+    crossings resolve.  A peak at lam = 0 has no scale of its own in lam,
+    so this width-relative tolerance is what ends the search there.
+    """
+    depth = max(1.0 - level / (best * (1.0 + LEVEL_STEP)), LEVEL_STEP)
+    return 0.5 * width * math.sqrt(_EPS / depth)
 
 
 def lqg_rate(ss: StateSpace) -> float:
@@ -370,16 +408,17 @@ def small_theta_expansion(ss: StateSpace, theta: float,
                                        (I - theta Phi / 3) Psi^2) d lambda,
 
     whose integrand is real and nonpositive, so the expansion always sits
-    below the classical value.
+    below the classical value.  In the eigenbasis of Phi the trace is
+    sum_i (1 - theta phi_i / 3) / (1 - theta phi_i) * d_i with the cached
+    nonpositive d_i of ``SpectralGrid.phi_psi_sq``, so a further theta
+    costs elementwise work only.
     """
     check_theta(theta)
     grid = grid_for(ss, cfg)
     v = _classical_from_grid(grid, theta, cfg).value
-    eye = np.eye(ss.n)
-    psi_sq = grid.psi @ grid.psi
-    resolvent = np.linalg.solve(eye - theta * grid.phi,
-                                eye - (theta / 3.0) * grid.phi)
-    corr_vals = np.real(np.trace(resolvent @ psi_sq, axis1=1, axis2=2))
+    phi_w, d = grid.phi_psi_sq
+    tp = theta * phi_w
+    corr_vals = np.sum((1.0 - tp / 3.0) / (1.0 - tp) * d, axis=-1)
     corr = cfg.half_line(corr_vals).value
     return v + (theta ** 2 / (4.0 * math.pi)) * corr
 
@@ -417,14 +456,25 @@ def contour_e(ss: StateSpace, s: complex, theta: float) -> np.ndarray:
 
 
 def _refine_inf(objective, grid: np.ndarray, values: np.ndarray) -> float:
-    """Grid infimum with one bounded Brent refinement around the best node."""
+    """Grid infimum refined by one bounded search around the best node.
+
+    The search runs between the best node's neighbours (to its one
+    neighbour at an end of the grid) and starts from the parabola through
+    the best node and the two nodes nearest it, values the grid already
+    holds.
+    """
+    order = np.argsort(grid, kind="stable")
+    grid, values = grid[order], values[order]
     k = int(np.argmin(values))
     best = float(values[k])
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
     if hi > lo:
+        first = min(max(k - 1, 0), max(len(grid) - 3, 0))
+        near = slice(first, first + 3)
         _, f_min = minimize_bounded(objective, float(lo), float(hi),
-                                    xatol=1e-10)
+                                    xatol=1e-10,
+                                    start=zip(grid[near], values[near]))
         if np.isfinite(f_min):
             best = min(best, float(f_min))
     return best

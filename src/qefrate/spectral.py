@@ -28,9 +28,20 @@ theta*Psi over the whole stack from the cached eig(H).
 Every theta-independent step is done once per model and quadrature rule.
 ``grid_for`` samples the model's spectral grid on the rule's nodes the
 first time it is asked for and keeps it on the (immutable) model; the
-grid in turn caches eig(H), eig(Phi) and Phi in the eigenbasis of H, so a
-further risk parameter costs only the scalar functions of theta*w and one
-stacked L D L* factorization (``qefrate.rate``).
+grid in turn caches eig(H) (its eigenvalues also node-last), eig(Phi),
+Phi in the eigenbasis of H and, once the small-theta expansion is asked
+for, the eigenvalues of Phi with the diagonal of Psi^2 in their
+eigenbasis.  A further risk parameter then costs elementwise work on
+(n, n_freq) arrays (``qefrate.rate``):
+
+* Upsilon: one pass of tanhc and lncosh over theta*w, one stacked
+  L D L* factorization, and eigensolves of the few nodes that can hold
+  the feasibility margin;
+* the small-theta expansion: a ratio of the Phi eigenvalues times the
+  cached diagonal, summed;
+* the tail and worst-case bounds: Upsilon on their grid, then a few more
+  values from a parabolic search started on the grid's three best-placed
+  samples.
 """
 
 from __future__ import annotations
@@ -57,10 +68,10 @@ class SpectralGrid:
 
     ``phi``, ``psi`` and ``h`` have shape (n_freq, n, n).
 
-    The theta-independent eigendecompositions ``h_eigh`` and
-    ``phi_eigvals``, and ``phi_rot``, are computed on first use and cached
-    on the instance; ``dataclasses.replace`` builds a new instance with
-    empty caches.
+    The theta-independent eigendecompositions ``h_eigh``,
+    ``phi_eigvals`` and ``phi_psi_sq``, and ``h_eigvals_t``, ``phi_rot``
+    and ``phi_rot_t``, are computed on first use and cached on the instance;
+    ``dataclasses.replace`` builds a new instance with empty caches.
     """
 
     lambdas: np.ndarray
@@ -72,6 +83,13 @@ class SpectralGrid:
     def h_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Stacked eigenpairs (w, v) of the Hermitian H = i Psi."""
         return np.linalg.eigh(self.h)
+
+    @cached_property
+    def h_eigvals_t(self) -> np.ndarray:
+        """Eigenvalues w of H, shape (n, n_freq): contiguous with the node
+        axis last, the layout of the per-theta scalar functions of theta*w
+        and of the sweep over ``phi_rot``."""
+        return np.ascontiguousarray(self.h_eigh[0].T)
 
     @cached_property
     def phi_rot(self) -> np.ndarray:
@@ -90,9 +108,28 @@ class SpectralGrid:
                            -1, 0)
 
     @cached_property
+    def phi_rot_t(self) -> np.ndarray:
+        """``phi_rot`` with the node axis last, shape (n, n, n_freq): a
+        contiguous view, the layout of the per-theta sweep."""
+        return np.moveaxis(self.phi_rot, 0, -1)
+
+    @cached_property
     def phi_eigvals(self) -> np.ndarray:
         """Stacked ascending eigenvalues of Phi."""
         return np.linalg.eigvalsh(self.phi)
+
+    @cached_property
+    def phi_psi_sq(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked eigenvalues phi_i of Phi, with d_i = (U* Psi^2 U)_ii for
+        the eigenvectors U of Phi.
+
+        Psi is skew-Hermitian, so d_i = -|Psi u_i|^2 is real and
+        nonpositive, and Tr(f(Phi) Psi^2) = sum_i f(phi_i) d_i for any
+        scalar function f.  Solved for eigenvectors only here, so that a
+        grid used for Upsilon alone pays for eigenvalues only.
+        """
+        phi_w, u = np.linalg.eigh(self.phi)
+        return phi_w, -np.sum(np.abs(self.psi @ u) ** 2, axis=-2)
 
     def trig(self, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacked cos, sinc and tanc of theta*Psi, in that order.

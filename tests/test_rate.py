@@ -14,6 +14,7 @@ from qefrate._funcs import apply_herm, hermitize, lncosh, minimize_bounded, tanh
 from qefrate.errors import FeasibilityError, NumericalError, ParameterError
 from qefrate.model import BJ2
 from qefrate.rate import log_det_d
+from qefrate.spectral import grid_for
 
 from conftest import (SURROGATE_A, SURROGATE_G, make_random_model,
                       single_mode, surrogate_v_closed)
@@ -111,27 +112,33 @@ def stacked_kernel(grid: q.SpectralGrid, theta: float) -> np.ndarray:
     return grid.phi_rot * (r[:, :, None] * r[:, None, :])
 
 
+@pytest.fixture(scope="module")
+def sized_models():
+    """Three random stable models of each state dimension 2, 4 and 6,
+    each with its default rule and theta0."""
+    rng = np.random.default_rng(20261018)
+    out = []
+    for n in (2, 4, 6):
+        drawn = 0
+        while drawn < 3:
+            ss = make_random_model(rng, n)
+            if ss is None:
+                continue
+            cfg = q.QuadratureConfig.for_system(ss)
+            out.append((ss, cfg, q.theta_threshold(ss, cfg)))
+            drawn += 1
+    return out
+
+
 class TestStackedFactor:
     """The pivot-column LDL* of I - theta M over the whole frequency stack
     and the bounded search for the feasibility margin."""
 
     @pytest.fixture(scope="class")
-    def sized_grids(self):
-        """Three random stable models of each state dimension 2, 4 and 6,
-        each with its default rule, sampled grid and theta0."""
-        rng = np.random.default_rng(20261018)
-        out = []
-        for n in (2, 4, 6):
-            drawn = 0
-            while drawn < 3:
-                ss = make_random_model(rng, n)
-                if ss is None:
-                    continue
-                cfg = q.QuadratureConfig.for_system(ss)
-                out.append((q.sample_grid(ss, cfg.lambdas()), cfg,
-                            q.theta_threshold(ss, cfg)))
-                drawn += 1
-        return out
+    def sized_grids(self, sized_models):
+        """The sized models' sampled grids, each with its rule and theta0."""
+        return [(q.sample_grid(ss, cfg.lambdas()), cfg, theta0)
+                for ss, cfg, theta0 in sized_models]
 
     @pytest.mark.parametrize("frac", [1e-8, 0.1, 0.5, 0.9, 0.999])
     def test_matches_eigensolve_with_exact_margin(self, sized_grids, frac):
@@ -319,6 +326,22 @@ class TestThetaThreshold:
         assert q.theta_threshold(surrogate, cfg) == pytest.approx(expected,
                                                                   rel=1e-10)
 
+    def test_peak_at_zero_polished_in_few_evaluations(self, cfg_coarse,
+                                                      monkeypatch):
+        # the surrogate's lam_max(Phi) = g^2 / (a^2 + lam^2) peaks at
+        # lam = 0, flat to rounding there: the polish stops once the value
+        # is settled, not after closing in on an abscissa to 1e-12
+        calls = []
+        peak = rate._phi_peak
+        monkeypatch.setattr(rate, "_phi_peak",
+                            lambda ss, lam: calls.append(lam) or peak(ss, lam))
+        fresh = q.from_state_space(-SURROGATE_A * np.eye(2),
+                                   SURROGATE_G * np.eye(2), np.eye(2))
+        expected = SURROGATE_A ** 2 / SURROGATE_G ** 2
+        assert q.theta_threshold(fresh, cfg_coarse) == pytest.approx(
+            expected, rel=1e-14)
+        assert len(calls) <= 20
+
     def test_memoized_per_model(self, cfg_coarse, monkeypatch):
         calls = []
         original = rate._phi_sup
@@ -374,6 +397,79 @@ class TestSmallThetaExpansion:
     def test_above_threshold_raises(self, twomode, cfg_coarse, theta0):
         with pytest.raises(FeasibilityError):
             q.small_theta_expansion(twomode, 1.1 * theta0, cfg_coarse)
+
+
+def expansion_reference(ss: q.StateSpace, theta: float,
+                        cfg: q.QuadratureConfig) -> float:
+    """The small-theta expansion with its correction integrand formed by a
+    stacked solve, Tr((I - theta Phi)^-1 (I - theta Phi / 3) Psi^2)."""
+    grid = grid_for(ss, cfg)
+    eye = np.eye(ss.n)
+    resolvent = np.linalg.solve(eye - theta * grid.phi,
+                                eye - (theta / 3.0) * grid.phi)
+    corr = np.real(np.trace(resolvent @ grid.psi @ grid.psi,
+                            axis1=1, axis2=2))
+    return q.classical_v(ss, theta, cfg) \
+        + theta ** 2 / (4.0 * math.pi) * cfg.half_line(corr).value
+
+
+class TestPerThetaCost:
+    """A further theta on a cached grid costs elementwise work, the L D L*
+    sweep and a few bounded-search evaluations."""
+
+    FRACS = (1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 0.5, 0.9)
+
+    def test_expansion_matches_stacked_solve(self, twomode, cfg_full, theta0,
+                                             sized_models):
+        cases = [(twomode, cfg_full, theta0)] + list(sized_models)
+        assert {ss.n for ss, _, _ in cases} >= {2, 4, 6}
+        for ss, cfg, th0 in cases:
+            for frac in self.FRACS:
+                ref = expansion_reference(ss, frac * th0, cfg)
+                got = q.small_theta_expansion(ss, frac * th0, cfg)
+                assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    def test_expansion_weights_are_nonpositive(self, grid_full):
+        phi_w, d = grid_full.phi_psi_sq
+        assert phi_w.shape == d.shape
+        assert np.all(d <= 0.0)
+
+    def test_further_theta_solves_nothing(self, cfg_full, monkeypatch):
+        ss = q.two_mode_example()
+        theta0 = q.theta_threshold(ss, cfg_full)
+        q.upsilon(ss, 0.3 * theta0, cfg_full)
+        q.small_theta_expansion(ss, theta0 / 16.0, cfg_full)
+        calls = []
+
+        def counting(name, func):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+            return wrapped
+
+        for name in ("solve", "eigh"):
+            monkeypatch.setattr(np.linalg, name,
+                                counting(name, getattr(np.linalg, name)))
+        q.upsilon(ss, 0.6 * theta0, cfg_full)
+        q.small_theta_expansion(ss, theta0 / 8.0, cfg_full)
+        assert calls == []
+
+    def test_bounds_refine_in_few_evaluations(self, twomode, cfg_full, theta0,
+                                              monkeypatch):
+        calls = []
+        quad = rate._upsilon_quad
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(rate, "_upsilon_quad", counting)
+        grid = np.linspace(0.05, 0.95, 10) * theta0
+        q.tail_bound(twomode, 1.5 * q.lqg_rate(twomode), grid, cfg_full)
+        assert len(calls) <= len(grid) + 8
+        calls.clear()
+        q.worst_case_lqg_bound(twomode, 0.05, grid, cfg_full)
+        assert len(calls) <= len(grid) + 10
 
 
 class TestContourE:
@@ -559,19 +655,50 @@ class TestBoundedMinimizer:
         with pytest.raises(ValueError):
             minimize_bounded(abs, 0.0, math.nan, 1e-8)
 
+    @pytest.mark.parametrize("func, lo, hi, xatol", [
+        (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-10),
+        (lambda x: math.exp(x) - 2.0 * x, 0.0, 2.0, 1e-12),
+        (lambda x: math.inf if x > 0.7 else -x * (1.0 - x), 0.0, 1.0, 1e-10),
+        (lambda x: x, 2.0, 5.0, 1e-6),
+    ], ids=["quadratic", "exponential", "wall", "monotone"])
+    @pytest.mark.parametrize("at", [(0.3, 0.5, 0.7), (0.0, 0.25, 0.5),
+                                    (1.0, 0.6, 1.2), (0.5,)],
+                             ids=["inside", "from-lo", "past-hi", "one"])
+    def test_warm_start_reaches_scipy_minimum(self, func, lo, hi, xatol, at):
+        # start pairs at fractions of the bracket; at an end of a grid the
+        # third pair lies outside the bracket
+        start = [(lo + t * (hi - lo), func(lo + t * (hi - lo))) for t in at]
+        x, fx = minimize_bounded(func, lo, hi, xatol, start=start)
+        ref_x, ref_f = scipy_bounded(func, lo, hi, xatol)
+        assert lo <= x <= hi and fx == func(x)
+        assert fx <= ref_f + 1e-12 * max(1.0, abs(ref_f))
+        assert abs(x - ref_x) <= 4.0 * xatol + 1e-7 * abs(ref_x)
+
+    def test_warm_start_best_pair_in_bracket(self):
+        with pytest.raises(ValueError):
+            minimize_bounded(abs, 1.0, 2.0, 1e-8,
+                             start=[(0.0, 0.0), (1.5, 1.5)])
+
     def test_threshold_and_bounds_match_scipy_path(self, bound_cfg,
                                                    monkeypatch):
-        def answers():
-            # fresh models: theta0 is memoized on the model
-            ss = q.two_mode_example()
-            theta0 = q.theta_threshold(ss, bound_cfg)
-            grid = np.linspace(0.05, 0.95, 10) * theta0
-            return (theta0, q.theta_threshold(single_mode(1e-3), bound_cfg),
-                    q.tail_bound(ss, 1.5 * q.lqg_rate(ss), grid, bound_cfg),
-                    q.worst_case_lqg_bound(ss, 0.05, grid, bound_cfg))
+        # every warm-started search against scipy's bounded Brent, started
+        # cold on the same bracket
+        searches = []
 
-        ours = answers()
-        monkeypatch.setattr(rate, "minimize_bounded", scipy_bounded)
-        reference = answers()
-        for a, b in zip(ours, reference):
-            assert a == pytest.approx(b, rel=1e-12)
+        def recording(func, lo, hi, xatol, start=None):
+            found = minimize_bounded(func, lo, hi, xatol, start=start)
+            searches.append((func, lo, hi, xatol, found[1]))
+            return found
+
+        monkeypatch.setattr(rate, "minimize_bounded", recording)
+        # fresh models: theta0 is memoized on the model
+        ss = q.two_mode_example()
+        theta0 = q.theta_threshold(ss, bound_cfg)
+        q.theta_threshold(single_mode(1e-3), bound_cfg)
+        grid = np.linspace(0.05, 0.95, 10) * theta0
+        q.tail_bound(ss, 1.5 * q.lqg_rate(ss), grid, bound_cfg)
+        q.worst_case_lqg_bound(ss, 0.05, grid, bound_cfg)
+        assert len(searches) == 4
+        for func, lo, hi, xatol, f_min in searches:
+            reference = scipy_bounded(func, lo, hi, min(xatol, 1e-12))[1]
+            assert f_min == pytest.approx(reference, rel=1e-12)
