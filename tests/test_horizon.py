@@ -72,9 +72,15 @@ class TestDiscretizeKernels:
 
     @pytest.mark.parametrize("t_n", [(2.0, 16), (7.0, 40)])
     def test_matches_blockwise_definition(self, twomode, t_n):
-        # block (j, k) is the lag-(j - k) kernel block, mirrored below zero
+        # block (j, k) is the lag-(j - k) kernel block, mirrored below zero;
+        # P's block m >= 1 is c A_d^(m-1) b for the realization (A_d, c, b)
         t, n_grid = t_n
-        lam_blocks, p_blocks = _kernel_blocks(twomode, t, n_grid)
+        lam_blocks, p_blocks, (step, c, b) = _kernel_blocks(twomode, t,
+                                                             n_grid)
+        for m in range(1, n_grid):
+            realized = c @ np.linalg.matrix_power(step, m - 1) @ b
+            assert np.max(np.abs(p_blocks[m] - realized)) \
+                <= 1e-14 * np.max(np.abs(p_blocks[1]))
         n = twomode.n
         ref_l = np.empty((n * n_grid, n * n_grid))
         ref_p = np.empty_like(ref_l)
@@ -230,8 +236,9 @@ class TestLnXi:
         assert peak < matrices * big_p.size * 8
 
     def test_working_set_classical(self, twomode, theta0):
-        # packed I - theta P, half a matrix, written from strips of P,
-        # which is never assembled (0.62 matrices measured at order 1600)
+        # no full-order array: the pivots are n x n, and the largest
+        # buffers are the margin's Lanczos vectors (0.097 matrices
+        # measured at order 1600)
         tracemalloc.start()
         try:
             est = q.ln_xi(twomode, 0.5 * theta0, horizon=10.0, n_grid=400,
@@ -241,7 +248,65 @@ class TestLnXi:
             tracemalloc.stop()
         order = twomode.n * est.n_grid
         assert order == 1600
-        assert peak < 0.7 * order ** 2 * 8
+        assert peak < 0.12 * order ** 2 * 8
+
+    def test_classical_factors_n_pivots_and_packs_nothing(self, twomode,
+                                                          theta0,
+                                                          monkeypatch):
+        def refuse(*args):
+            raise AssertionError("packed storage on the classical route")
+
+        pivots = []
+        eig = horizon.dsyev
+
+        def counted(a, **kwargs):
+            pivots.append(a.shape)
+            return eig(a, **kwargs)
+
+        monkeypatch.setattr(horizon, "_Packed", refuse)
+        monkeypatch.setattr(horizon, "dsyev", counted)
+        q.ln_xi(twomode, 0.5 * theta0, horizon=10.0, n_grid=400,
+                classical=True)
+        assert pivots == [(twomode.n, twomode.n)] * 400
+
+    def test_classical_matches_dense_log1p_reference(self, twomode, theta0):
+        # the pivots' log-dets are sums of log1p over the eigenvalues of
+        # E_k; taken as logs of Cholesky diagonals instead they were
+        # 1.2e-14 off at 0.1 theta0
+        _, big_p = q.discretize_kernels(twomode, 10.0, 400)
+        eigs = np.linalg.eigvalsh(big_p)
+        for frac in (0.1, 0.5, 0.9):
+            theta = frac * theta0
+            expected = -0.5 * math.fsum(np.log1p(-theta * eigs))
+            est = q.ln_xi(twomode, theta, horizon=10.0, n_grid=400,
+                          classical=True)
+            assert abs(est.ln_xi - expected) <= 2e-15 * abs(expected)
+
+    def test_classical_matches_dense_on_random_models(self, random_models):
+        draws = ([ss for ss in random_models if ss.n == 2][:3]
+                 + [ss for ss in random_models if ss.n == 4][:3])
+        for ss in draws:
+            theta0 = q.theta_threshold(ss, q.QuadratureConfig.for_system(ss))
+            n_grid = 800 // ss.n
+            _, big_p = q.discretize_kernels(ss, 4.0, n_grid)
+            eigs = np.linalg.eigvalsh(big_p)
+            for frac in (0.5, 0.9):
+                theta = frac * theta0
+                expected = -0.5 * math.fsum(np.log1p(-theta * eigs))
+                est = q.ln_xi(ss, theta, horizon=4.0, n_grid=n_grid,
+                              classical=True)
+                assert abs(est.ln_xi - expected) <= 1e-13 * abs(expected)
+
+    def test_classical_infeasible_theta_raises(self, twomode):
+        _, big_p = q.discretize_kernels(twomode, 4.0, 80)
+        theta = 1.05 / np.linalg.eigvalsh(big_p)[-1]
+        with pytest.raises(FeasibilityError,
+                           match=r"theta \* lam_max\(P K\) = 1.05 >= 1"):
+            q.ln_xi(twomode, theta, horizon=4.0, n_grid=80, classical=True)
+        # the recursion's own test: a pivot that is not positive definite
+        _, p_blocks, realization = _kernel_blocks(twomode, 4.0, 80)
+        with pytest.raises(FeasibilityError, match="positive definiteness"):
+            horizon._riccati_ln_det(p_blocks[0], realization, theta, 80)
 
     @pytest.mark.parametrize("shapes, bad", [
         (((3, 3), (4, 4)), None), (((4, 4), (3, 3)), None),
@@ -505,7 +570,7 @@ def packed_gram_plus_identity(case):
     order 37, which packs as [[M, 0], [0, 1]] of order 38; and the first
     block row and generators of 0.09 L'L."""
     if case == "structured-324":
-        lam_blocks, _ = _kernel_blocks(q.two_mode_example(), 4.0, 81)
+        lam_blocks, _, _ = _kernel_blocks(q.two_mode_example(), 4.0, 81)
         big_l = horizon._assemble(
             horizon._lags(lam_blocks, antisymmetric=True))
     else:
@@ -559,7 +624,7 @@ class TestPacked:
         # order 324, against the assembled F^-1 P F^-T (or P) of the
         # packed factor F of Q - theta P
         theta = 0.5 * theta0
-        lam_blocks, p_blocks = _kernel_blocks(twomode, 4.0, 81)
+        lam_blocks, p_blocks, _ = _kernel_blocks(twomode, 4.0, 81)
         big_p = _BlockToeplitz(p_blocks)
         dense_p = horizon._assemble(big_p.lags)
         if classical:
@@ -659,9 +724,12 @@ class TestConvergence:
         (0.04, [], NumericalError, "empty horizon list"),
         (0.04, [2.0, 2.0], NumericalError, "repeated horizon"),
         (0.04, [2.0, math.nan], NumericalError,
-         "horizon must be positive and finite, got nan")],
+         "horizon must be positive and finite, got nan"),
+        (0.04, [4.0, 2.01], NumericalError,
+         "horizon 2.01 is 80.4 cells of width 1/40, not a whole number; "
+         "the nearest whole-cell horizons are 2 and 2.025")],
         ids=["theta-nan", "theta-negative", "too-few-cells", "empty",
-             "repeated", "horizon-nan"])
+             "repeated", "horizon-nan", "not-whole-cells"])
     def test_inputs_checked_before_any_evaluation(self, twomode, monkeypatch,
                                                   theta, horizons, error,
                                                   message):

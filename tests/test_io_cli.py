@@ -198,6 +198,22 @@ class TestCliExitCodes:
         assert calls == []
         assert not out.exists()
 
+    def test_horizon_of_whole_cells_only_exits_4(self, runner, tmp_path,
+                                                  monkeypatch):
+        # T = 2.01 at dt = 0.025 is 80.4 cells: rounded, it would run at
+        # dt = 0.025125 under a manifest that says 0.025
+        calls = []
+        monkeypatch.setattr(q.horizon, "ln_xi",
+                            lambda *a, **k: calls.append(a))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["horizon", "--theta", "0.02",
+                                      "--horizons", "2.01,4", "--dt", "0.025",
+                                      "--out", str(out)])
+        assert result.exit_code == 4
+        assert "nearest whole-cell horizons are 2 and 2.025" in result.stderr
+        assert calls == []
+        assert not out.exists()
+
     def test_horizon_step_must_divide_unit_time(self, runner, tmp_path):
         out = tmp_path / "out"
         result = runner.invoke(main, ["horizon", "--theta", "0.02",
