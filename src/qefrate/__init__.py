@@ -14,7 +14,7 @@ from .homotopy import (HomotopyTrace, d_second_derivative_check,
                        rate_by_homotopy, rate_by_homotopy_from_grid,
                        u_direct, u_ode_step)
 from .horizon import (ConvergenceStudy, HorizonEstimate, convergence_study,
-                      discretize_kernels, ln_xi, ln_xi_from_matrices)
+                      discretize_kernels, ln_xi)
 from .io import load_model, write_csv, write_summary
 from .model import (KernelSample, OqhoParams, StateSpace, build_j_matrix,
                     from_state_space, kernel_at, realize)
@@ -52,7 +52,7 @@ __all__ = [
     "rate_by_homotopy_from_grid", "d_second_derivative_check",
     # horizon
     "HorizonEstimate", "ConvergenceStudy", "discretize_kernels", "ln_xi",
-    "ln_xi_from_matrices", "convergence_study",
+    "convergence_study",
     # one-mode closed forms
     "OneModeParams", "extract_mu", "onemode_drift", "ab_functions",
     "onemode_trig",

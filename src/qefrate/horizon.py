@@ -1,4 +1,4 @@
-"""Finite-horizon oracle for the exponential cost via dense discretization.
+"""Finite-horizon oracle for the exponential cost by midpoint collocation.
 
 The commutator and covariance kernels generate integral operators on the
 time interval [0, T].  Midpoint collocation with N cells turns them into
@@ -36,8 +36,7 @@ mu / (1 - theta mu) are those of F^-1 P F^-T, so the feasibility margin
 is theta * lam_max(P K) = theta mu' / (1 + theta mu') for the largest
 mu'.  Lanczos with full reorthogonalization finds it (ARPACK's stopping
 test at tol = 0), each step two triangular solves with F and one product
-with P; on the two-mode model at order 3200 it takes 71, 57 and 33 steps
-at 0.1, 0.5 and 0.9 theta0, where ARPACK took 91, 71 and 41.
+with P.
 
 Both q and ln sinhc(sqrt .) are analytic for |y| < pi^2, with Taylor
 coefficients q_k = 4^k B_2k / (2k)! and s_k = q_k / (2k) (Bernoulli
@@ -60,15 +59,13 @@ refused: on random L of orders 7 and 40, Q is within 1e-14 of q(Y)
 it is 0.013 on the two-mode model and at most 0.37 on forty seeded
 random models (1.2 at 0.9 theta0).
 
-L and P are block Toeplitz: block (j, k) is the kernel at lag j - k.
-Both entry points hand their lag blocks to one evaluator: ``ln_xi`` the
-kernel blocks, and ``ln_xi_from_matrices`` the arbitrary L and P of order
-d, each read as a block-Toeplitz matrix with one d x d block.  Neither L
-nor P is ever assembled, and Y = theta^2 L'L is not formed either: a
-product with Y is -theta^2 L (L X), two FFT convolutions with L's lag
-stack, and a product with P one with P's.  A product of such matrices has
-a low-rank block-shift displacement.  With A[n:, n:] - A[:-n, :-n] =
-G_A H_A', the product C = AB satisfies
+L and P are block Toeplitz: block (j, k) is the kernel at lag j - k, and
+``ln_xi`` holds each as its N lag blocks.  Neither L nor P is ever
+assembled, and Y = theta^2 L'L is not formed either: a product with Y is
+-theta^2 L (L X), two FFT convolutions with L's lag stack, and a product
+with P one with P's.  A product of such matrices has a low-rank
+block-shift displacement.  With A[n:, n:] - A[:-n, :-n] = G_A H_A', the
+product C = AB satisfies
 
     C[n:, n:] - C[:-n, :-n] = A[n:, :n] B[:n, n:] - A[:-n, -n:] B[-n:, :-n]
                               + G_A (H_A' B[n:, n:]) + (A[:-n, :-n] G_B) H_B',
@@ -92,25 +89,19 @@ displacement formed and dropped in turn; they give the bound ||Y||_inf,
 packed Q - theta P (q_0 is added on its diagonal after them) and, only
 for halving steps, the dense Y.
 
-Q - theta P, and I - theta P on the classical route of
-``ln_xi_from_matrices``, is held only as its lower triangle in rectangular
-full packed storage (``_Packed``), d(d+1)/2 words, and factored there by
+Q - theta P is held only as its lower triangle in rectangular full
+packed storage (``_Packed``), d(d+1)/2 words, and factored there by
 ``dpftrf`` at full-storage speed (Gustavson, Wasniewski, Dongarra and
-Langou 2010).  Its three blocks are contiguous k x k arrays, k = d/2, so
-the margin's solves run on them uncopied; an odd order, which only
-``ln_xi_from_matrices`` sees, is held as [[M, 0], [0, 1]].  On ``ln_xi``
-the quantum route's working set is that half matrix, one strip and the
-generators: 0.64 of a matrix at order 3200 (53 MB, 82 MB a matrix) and
-0.79 at order 1600.  The halving steps hold the dense Y beside packed Q
-and its packed factor, about two matrices.  With one block Y is dense,
-Y^2 the one power formed, Tr Y^4..Y^6 are Frobenius products of Y^2 and
-of the column strips of Y^3, and Q is written over Y^2 below the
-diagonal, so ``ln_xi_from_matrices`` holds about 2.4 matrices beside its
-inputs on the quantum route and 0.6 on the classical.
+Langou 2010).  The order d = nN is even, since n is, and the three blocks
+are contiguous k x k arrays, k = d/2, so the margin's solves run on them
+uncopied.  The quantum route's working set is that half matrix, one strip
+and the generators: 0.64 of a matrix at order 3200 (53 MB, 82 MB a
+matrix) and 0.79 at order 1600.  The halving steps hold the dense Y
+beside packed Q and its packed factor, about two matrices.
 
-The classical route of ``ln_xi``, -1/2 ln det(I - theta P), needs no
-matrix of full order.  P is the covariance of the sampled Gauss-Markov
-state: with A_d = exp(dt A), its block (j, k), j > k, is
+The classical route, -1/2 ln det(I - theta P), needs no matrix of full
+order.  P is the covariance of the sampled Gauss-Markov state: with
+A_d = exp(dt A), its block (j, k), j > k, is
 S A_d^(j-k) Sigma S dt = c A_d^(j-k-1) b for c = S A_d and b = Sigma S dt.
 With C = -theta c, I - theta P has diagonal blocks I - theta D_0, D_0 the
 zero-lag block, and blocks C A_d^(j-k-1) b below them, so its block
@@ -121,8 +112,8 @@ Pi_0 = 0, for k = 0..N-1,
     E_k = theta D_0 + C Pi_k C',   D_k = I - E_k,   R_k = b - A_d Pi_k C',
     Pi_(k+1) = A_d Pi_k A_d' + R_k D_k^-1 R_k',
 
-and ln det(I - theta P) = sum_k ln det D_k, in O(N n^3) work where the
-packed factor took O((nN)^3).  ln det D_k is the sum of log1p(-w) over
+and ln det(I - theta P) = sum_k ln det D_k, in O(N n^3) work where a
+factor of I - theta P itself takes O((nN)^3).  ln det D_k is the sum of log1p(-w) over
 the eigenvalues w of E_k, which keeps the digits 1 - w drops: on the
 two-mode model at order 1600 the value is within 2.1e-16 (relative) of
 a dense eigvalsh/log1p reference at 0.1, 0.5 and 0.9 theta0, where logs
@@ -163,7 +154,7 @@ from .errors import FeasibilityError, NumericalError, SizeError
 from .model import StateSpace
 
 __all__ = ["HorizonEstimate", "ConvergenceStudy", "discretize_kernels",
-           "ln_xi", "ln_xi_from_matrices", "convergence_study"]
+           "ln_xi", "convergence_study"]
 
 #: Matrices of order above this guard are refused unless the caller
 #: raises the limit explicitly.
@@ -192,10 +183,13 @@ class ConvergenceStudy:
     extrapolated_rate: float
 
 
-def _kernel_blocks(ss: StateSpace, horizon: float, n_grid: int):
+def _kernel_blocks(ss: StateSpace, horizon: float, n_grid: int,
+                   classical: bool = False):
     """Stacks S exp(m dt A) X S * dt for m = 0..N-1, X in {Theta, Sigma},
     and the realization (A_d, S A_d, Sigma S dt) of the second: with
-    A_d = exp(dt A), its block m >= 1 is (S A_d) A_d^(m-1) (Sigma S dt)."""
+    A_d = exp(dt A), its block m >= 1 is (S A_d) A_d^(m-1) (Sigma S dt).
+    With ``classical`` the first stack, which that route never reads, is
+    None."""
     dt = horizon / n_grid
     step = expm(dt * ss.a)
     powers = np.empty((n_grid, ss.n, ss.n))
@@ -203,20 +197,20 @@ def _kernel_blocks(ss: StateSpace, horizon: float, n_grid: int):
     for m in range(1, n_grid):
         powers[m] = powers[m - 1] @ step
     s = ss.s_half
-    lam_blocks = np.einsum("ij,mjk,kl->mil", s, powers @ ss.theta_ccr, s) * dt
+    lam_blocks = None
+    if not classical:
+        lam_blocks = np.einsum("ij,mjk,kl->mil", s, powers @ ss.theta_ccr,
+                               s) * dt
+        # zero-lag blocks carry the kernel symmetry exactly
+        lam_blocks[0] = 0.5 * (lam_blocks[0] - lam_blocks[0].T)
     p_blocks = np.einsum("ij,mjk,kl->mil", s, powers @ ss.sigma, s) * dt
-    # zero-lag blocks carry the kernel symmetry exactly
-    lam_blocks[0] = 0.5 * (lam_blocks[0] - lam_blocks[0].T)
     p_blocks[0] = 0.5 * (p_blocks[0] + p_blocks[0].T)
     return lam_blocks, p_blocks, (step, s @ step, ss.sigma @ s * dt)
 
 
 def _lags(blocks: np.ndarray, antisymmetric: bool) -> np.ndarray:
     """The lag stack [-+B_{N-1}', ..., -+B_1', B_0, B_1, ..., B_{N-1}]:
-    the kernel blocks with the exact mirror on negative lags, or the one
-    block itself, uncopied."""
-    if len(blocks) == 1:
-        return blocks
+    the kernel blocks with the exact mirror on negative lags."""
     mirrored = np.swapaxes(blocks[:0:-1], 1, 2)
     return np.concatenate([-mirrored if antisymmetric else mirrored, blocks])
 
@@ -262,8 +256,7 @@ class _BlockToeplitz:
     B_{-d} = -B_d' (``antisymmetric``).
 
     A product with a vector or a block of columns is one FFT convolution
-    with the lag stack, whose spectrum is computed on the first product;
-    with one block, the block is the matrix and multiplies vectors only.
+    with the lag stack, whose spectrum is computed on the first product.
     """
 
     def __init__(self, blocks: np.ndarray, antisymmetric: bool = False):
@@ -277,11 +270,6 @@ class _BlockToeplitz:
         return np.fft.rfft(self.lags, self._fft_len, axis=0)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if self.n_grid == 1:
-            # the one block is the matrix, and only the margin multiplies
-            # by it, a vector at a time: a length-1 FFT would only make a
-            # complex copy of it, and scipy's BLAS runs the solves between
-            return dgemv(1.0, self.lags[0].T, x, trans=1)
         spectrum = np.fft.rfft(np.reshape(x, (self.n_grid, self.n, -1)),
                                self._fft_len, axis=0)
         conv = np.fft.irfft(self._lag_spectrum @ spectrum, self._fft_len,
@@ -290,7 +278,7 @@ class _BlockToeplitz:
 
     def first_row(self) -> np.ndarray:
         """The first block row [B_0, B_{-1}, ..., B_{1-N}], of shape
-        (n, nN); with one block the block itself, uncopied."""
+        (n, nN)."""
         return (self.lags[self.n_grid - 1::-1].transpose(1, 0, 2)
                 .reshape(self.n, -1))
 
@@ -381,34 +369,10 @@ def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
         value = spec_value = 0.0
     else:
         value, spec_value = _ln_xi_consuming(
-            *_kernel_blocks(ss, horizon, n_grid), theta, classical)
+            *_kernel_blocks(ss, horizon, n_grid, classical), theta, classical)
     return HorizonEstimate(horizon=float(horizon), n_grid=int(n_grid),
                            ln_xi=value, per_time_rate=value / horizon,
                            spec_value=spec_value)
-
-
-def ln_xi_from_matrices(big_l: np.ndarray, big_p: np.ndarray, theta: float,
-                        classical: bool = False):
-    """Evaluate (ln_xi, spec_value) from assembled kernel matrices.
-
-    L and P must be finite square matrices of one order; L is read as
-    antisymmetric and P as symmetric.  Each is taken as a block-Toeplitz
-    matrix with one block and evaluated as ``ln_xi`` evaluates its lag
-    blocks.  The inputs are left unchanged.
-    """
-    check_theta(theta)
-    big_l = np.ascontiguousarray(big_l, dtype=float)
-    big_p = np.ascontiguousarray(big_p, dtype=float)
-    if not (big_p.ndim == 2 and big_p.shape[0] == big_p.shape[1] >= 1
-            and big_l.shape == big_p.shape):
-        raise NumericalError(
-            f"L and P must be square matrices of one order, got shapes "
-            f"{big_l.shape} and {big_p.shape}")
-    if not (np.isfinite(big_l).all() and np.isfinite(big_p).all()):
-        raise NumericalError("L and P must be finite")
-    if theta == 0.0:
-        return 0.0, 0.0
-    return _ln_xi_consuming(big_l[None], big_p[None], None, theta, classical)
 
 
 #: Column strip width of the lower triangles generated, packed and solved.
@@ -436,47 +400,36 @@ _DEGREE_BOUNDS = tuple((2.0 ** -53 / abs(_Q[2 * h + 4])) ** (1.0 / (2 * h + 4))
 _LANCZOS_TOL = 2.0 ** -53
 
 
-def _strips(dim: int):
-    return [slice(i, i + _STRIP) for i in range(0, dim, _STRIP)]
-
-
 class _Packed:
     """Symmetric matrix A of order d held as its lower triangle in LAPACK's
     rectangular full packed format with transr='T', uplo='L' (Gustavson,
     Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 2010).
 
-    For even d = 2k and A = [[A11, A21'], [A21, A22]], the buffer is one
-    Fortran (k, d + 1) array, d(d + 1)/2 words, of three contiguous k x k
-    blocks: columns [0, k) hold A22 in their lower triangle, columns
-    [1, k + 1) hold A11' in their upper triangle and columns [k + 1, d + 1)
-    hold A21'.  An odd order d is held as [[A, 0], [0, 1]] of order d + 1,
-    which leaves the log-det unchanged; vectors keep their d entries.
-    ``factor`` writes the lower Cholesky factor F of A over A in place.
+    For the even order d = 2k and A = [[A11, A21'], [A21, A22]], the
+    buffer is one Fortran (k, d + 1) array, d(d + 1)/2 words, of three
+    contiguous k x k blocks: columns [0, k) hold A22 in their lower
+    triangle, columns [1, k + 1) hold A11' in their upper triangle and
+    columns [k + 1, d + 1) hold A21'.  ``factor`` writes the lower
+    Cholesky factor F of A over A in place.
     """
 
     def __init__(self, dim: int, buf: np.ndarray | None = None):
         self.dim = dim
-        if buf is None:
-            k = (dim + 1) // 2
-            buf = np.zeros((k, 2 * k + 1), order="F")
-            if dim % 2:
-                buf[k - 1, k - 1] = 1.0
-        self.buf = buf
+        self.buf = (np.zeros((dim // 2, dim + 1), order="F") if buf is None
+                    else buf)
 
     def copy(self) -> _Packed:
         return _Packed(self.dim, self.buf.copy(order="F"))
 
-    def add_lower(self, j0: int, strip: np.ndarray, scale: float = 1.0):
-        """Add ``scale`` times the strip A[j0:, j0:j1] on and below A's
-        diagonal; entries of ``strip`` above it are not read."""
+    def add_lower(self, j0: int, strip: np.ndarray):
+        """Add the strip A[j0:, j0:j1] on and below A's diagonal; entries
+        of ``strip`` above it are not read."""
         k = self.buf.shape[0]
         j1 = j0 + strip.shape[1]
         if j0 < k < j1:
-            self.add_lower(j0, strip[:, :k - j0], scale)
-            self.add_lower(k, strip[k - j0:, k - j0:], scale)
+            self.add_lower(j0, strip[:, :k - j0])
+            self.add_lower(k, strip[k - j0:, k - j0:])
             return
-        if scale != 1.0:
-            strip = scale * strip
         w = j1 - j0
         top, below = np.tril(strip[:w]), strip[w:]
         if j1 <= k:  # A11 and A21: A[i, j] is buf[j, i + 1]
@@ -486,36 +439,30 @@ class _Packed:
             self.buf[j0 - k:j1 - k, j0 - k:j1 - k] += top
             self.buf[j1 - k:self.dim - k, j0 - k:j1 - k] += below
 
-    def add(self, first: np.ndarray, g: np.ndarray, h: np.ndarray,
-            scale: float = 1.0) -> None:
-        """Add ``scale`` times the symmetric matrix with first block row
-        ``first`` and displacement generators (g, h), strip by strip."""
-        if scale != 1.0 and first.shape[0] < first.shape[1]:
-            # scaled in the rows the strips are made from
-            first, g, scale = scale * first, scale * g, 1.0
+    def add(self, first: np.ndarray, g: np.ndarray, h: np.ndarray) -> None:
+        """Add the symmetric matrix with first block row ``first`` and
+        displacement generators (g, h), strip by strip."""
         for j0, strip in _lower_strips(first, g, h):
-            self.add_lower(j0, strip, scale)
+            self.add_lower(j0, strip)
 
-    def _diagonal_index(self):
-        k = self.buf.shape[0]
-        return np.arange(k), np.arange(self.dim - k)
+    def _diagonal(self):
+        """Index arrays of A's diagonal: A11's in the buffer's columns
+        [1, k + 1), then A22's in columns [0, k)."""
+        i = np.arange(self.buf.shape[0])
+        return (i, i + 1), (i, i)
 
     def add_diagonal(self, value: float) -> None:
-        top, bottom = self._diagonal_index()
-        self.buf[top, top + 1] += value
-        self.buf[bottom, bottom] += value
+        for index in self._diagonal():
+            self.buf[index] += value
 
     def factor(self) -> float:
         """Write the lower Cholesky factor F over A, by ``dpftrf`` in place,
         and return ln det A; LinAlgError if A is not positive definite."""
-        k = self.buf.shape[0]
-        _, info = dpftrf(2 * k, self.buf.reshape(-1, order="F"), transr="T",
-                         uplo="L", overwrite_a=1)
+        _, info = dpftrf(self.dim, self.buf.reshape(-1, order="F"),
+                         transr="T", uplo="L", overwrite_a=1)
         if info:
             raise np.linalg.LinAlgError("not positive definite")
-        top, bottom = self._diagonal_index()
-        diag = np.concatenate([self.buf[top, top + 1],
-                               self.buf[bottom, bottom]])
+        diag = np.concatenate([self.buf[index] for index in self._diagonal()])
         return 2.0 * math.fsum(np.log(diag))
 
     def solve(self, b: np.ndarray, trans: bool = False) -> np.ndarray:
@@ -527,8 +474,7 @@ class _Packed:
         k = self.buf.shape[0]
         f22, f11t, f21t = (self.buf[:, :k], self.buf[:, 1:k + 1],
                            self.buf[:, k + 1:])
-        x = np.zeros(2 * k)
-        x[:self.dim] = b
+        x = np.array(b, dtype=float)
         x1, x2 = x[:k], x[k:]
         if trans:
             dtrsv(f22, x2, lower=1, trans=1, overwrite_x=1)
@@ -538,17 +484,15 @@ class _Packed:
             dtrsv(f11t, x1, lower=0, trans=1, overwrite_x=1)
             dgemv(-1.0, f21t, x1, beta=1.0, y=x2, trans=1, overwrite_y=1)
             dtrsv(f22, x2, lower=1, trans=0, overwrite_x=1)
-        return x[:self.dim]
+        return x
 
     def cho_solve(self, b: np.ndarray) -> np.ndarray:
         """A^-1 b for a matrix b of d rows, from the factor held here, by
         ``dpftrs``: the same split solves, on many columns at once."""
-        k = self.buf.shape[0]
-        rhs = np.zeros((2 * k, b.shape[1]), order="F")
-        rhs[:self.dim] = b
-        x, _ = dpftrs(2 * k, self.buf.reshape(-1, order="F"), rhs,
-                      transr="T", uplo="L", overwrite_b=1)
-        return x[:self.dim]
+        x, _ = dpftrs(self.dim, self.buf.reshape(-1, order="F"),
+                      np.array(b, dtype=float, order="F"), transr="T",
+                      uplo="L", overwrite_b=1)
+        return x
 
 
 def _lower_strips(first: np.ndarray, g: np.ndarray, h: np.ndarray):
@@ -561,14 +505,9 @@ def _lower_strips(first: np.ndarray, g: np.ndarray, h: np.ndarray):
     C[(k-1)n:kn, (k-1)n:-n] plus (g h')[(k-1)n:kn, (k-1)n:], and g h' is
     formed one strip at a time.  Entries above C's diagonal are left
     unspecified, and all strips share one buffer, so each is valid until
-    the next is asked for.  With one block the strips are views of
-    ``first``, which is C.
+    the next is asked for.
     """
     n, dim = first.shape
-    if n == dim:
-        for s in _strips(dim):
-            yield s.start, first[s.start:, s]
-        return
     width = max(1, _STRIP // n) * n
     rows = np.empty((width, dim))
     row = first
@@ -611,10 +550,9 @@ def _inf_norm(first: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
 
 
 def _dense(first: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The symmetric C of ``_lower_strips`` as a full matrix, written in
-    place over ``first`` with one block, where ``first`` is C."""
-    n, dim = first.shape
-    out = first if n == dim else np.empty((dim, dim))
+    """The symmetric C of ``_lower_strips`` as a full matrix."""
+    dim = first.shape[1]
+    out = np.empty((dim, dim))
     for j0, strip in _lower_strips(first, g, h):
         s = slice(j0, j0 + strip.shape[1])
         # the strip's transpose is the upper triangle's row strip; its top
@@ -629,8 +567,7 @@ def _dense(first: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _gram(lam_blocks: np.ndarray, theta: float):
     """The first block row of Y = theta^2 L'L, for the antisymmetric
     block-Toeplitz L of the commutator blocks B_m, and the generators
-    (g, h) of its displacement Y[n:, n:] - Y[:-n, :-n] = g h'; with one
-    block the first block row is Y and the generators are empty.
+    (g, h) of its displacement Y[n:, n:] - Y[:-n, :-n] = g h'.
 
     Block k of Y's first block row is theta^2 sum_m B_m' L[m, k], and
     block column k of L is a contiguous window of the lag stack.  With
@@ -691,36 +628,6 @@ def _trace(first: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
                  + weights @ np.einsum("ij,ij->i", g, h))
 
 
-def _one_block_series(y: np.ndarray, degree: int):
-    """Q - q_0 I = sum_(k=1..degree) q_k Y^k for the dense symmetric Y,
-    written over Y^2 on and below the diagonal, and Tr Y^k, k = 1..6.
-
-    Y^2 is the one power formed.  Each column strip of Y^3 = Y Y^2 gives
-    its share of Tr Y^5 and Tr Y^6, and Q - q_0 I = q_1 Y + q_2 Y^2 +
-    q_3 Y^3 + Y^2 Z, Z = sum_(k>=4) q_k Y^(k-2), takes the strip's rows on
-    and below the diagonal from one product of Y^2 with Z's strip (and,
-    at degree 7, two more with Y for Z's Y^4 and Y^5).  The columns of Y^2
-    right of the strip are still whole, so its rows come from them.
-    """
-    y2 = y @ y
-    traces = [np.trace(y), np.vdot(y, y), np.vdot(y, y2), np.vdot(y2, y2),
-              0.0, 0.0]
-    for s in _strips(len(y)):
-        j0 = s.start
-        y3 = y @ y2[:, s]
-        traces[4] += np.vdot(y2[:, s], y3)
-        traces[5] += np.vdot(y3, y3)
-        lower = _Q[1] * y[j0:, s] + _Q[2] * y2[j0:, s] + _Q[3] * y3[j0:]
-        if degree > 3:
-            z = _Q[4] * y2[:, s] + _Q[5] * y3
-            if degree == 7:
-                y4 = y @ y3
-                z += _Q[6] * y4 + _Q[7] * (y @ y4)
-            lower += y2[:, j0:].T @ z
-        y2[j0:, s] = lower
-    return y2, [float(t) for t in traces]
-
-
 def _series(gram, times_y, degree: int):
     """Q - q_0 I = sum_(k=1..degree) q_k Y^k as its first block row and
     generators, and the traces Tr Y^k, k = 1..6, for Y = ``gram``'s first
@@ -728,13 +635,9 @@ def _series(gram, times_y, degree: int):
 
     The H's of ``_powers`` nest, that of Y^(k-1) being the trailing
     columns of that of Y^k, so Q - q_0 I has the top degree's h and the
-    sum of the g's, the lower powers' padded on the left.  With one block
-    the series are dense (``_one_block_series``).
+    sum of the g's, the lower powers' padded on the left.
     """
     first, g, h = gram
-    if first.shape[0] == first.shape[1]:
-        q_first, traces = _one_block_series(first, degree)
-        return q_first, g, h, traces
     traces = []
     for k, (col, g, h) in enumerate(_powers(times_y, first, g, h,
                                             max(len(_S), degree)), start=1):
@@ -799,32 +702,23 @@ def _riccati_ln_det(d0: np.ndarray, realization, theta: float,
 def _ln_xi_consuming(lam_blocks: np.ndarray, p_blocks: np.ndarray,
                      realization, theta: float, classical: bool):
     """(ln_xi, spec_value) from the lag blocks of L and P, each read as a
-    block-Toeplitz matrix; the classical route ignores L's.  The blocks
-    are left unchanged.
+    block-Toeplitz matrix of even order.  The blocks are left unchanged.
 
-    Q - theta P is written once into packed storage and factored there,
-    and the feasibility margin runs on that factor and on products with P
-    by FFT.  On the classical route the margin is theta lam_max(P), and
+    On the quantum route Q - theta P is written once into packed storage
+    and factored there, and the feasibility margin runs on that factor
+    and on products with P by FFT.  The classical route reads neither L's
+    blocks nor packed storage: its margin is theta lam_max(P), and
     ln det(I - theta P) comes from the recursion on P's ``realization``
-    (A_d, c, b) of ``_kernel_blocks``, or, when it is None (one block),
-    from packed I - theta P.
+    (A_d, c, b) of ``_kernel_blocks``, which the quantum route ignores.
     """
     big_p = _BlockToeplitz(p_blocks)
-    dim = big_p.shape[0]
     if classical:
         spec_value = theta * _lambda_max(big_p)
         if spec_value >= 1.0:
             raise FeasibilityError(
                 f"theta * lam_max(P K) = {spec_value:g} >= 1", theta=theta)
-        if realization is None:
-            sym = _Packed(dim)
-            no_gen = np.empty((dim - big_p.n, 0))
-            sym.add(big_p.first_row(), no_gen, no_gen, -theta)
-            sym.add_diagonal(1.0)
-            ln_det = _factor_feasible(sym, theta)
-        else:
-            ln_det = _riccati_ln_det(p_blocks[0], realization, theta,
-                                     len(p_blocks))
+        ln_det = _riccati_ln_det(p_blocks[0], realization, theta,
+                                 len(p_blocks))
         return -0.5 * ln_det, float(spec_value)
     sym, ln_det_sinhc = _coth_and_ln_det_sinhc(lam_blocks, big_p.first_row(),
                                                theta)
@@ -840,7 +734,7 @@ def _coth_and_ln_det_sinhc(lam_blocks: np.ndarray, p_first: np.ndarray,
     Y = theta^2 L'L and L, P the block-Toeplitz matrices of the lag blocks
     ``lam_blocks`` and of the first block row ``p_first``.  Y is held as
     its first block row and generators (``_gram``) and applied as
-    -theta^2 L (L x) by FFT, or is dense with one block.
+    -theta^2 L (L x) by FFT.
 
     Y is divided by 4^s until the certified bound ||Y||_inf on its
     spectrum is at most ``_SERIES_BOUND``, where the series run, and Q is
@@ -870,28 +764,26 @@ def _coth_and_ln_det_sinhc(lam_blocks: np.ndarray, p_first: np.ndarray,
         lambda x: (-scale * theta * theta) * (big_l @ (big_l @ x)), degree)
     ln_det_sinhc = math.fsum(c * t for c, t in zip(_S, traces))
     if not halvings:
-        del first  # with one block, Y
-        for s in _strips(len(q_first)):
-            q_first[s] -= theta * p_first[s]
+        q_first -= theta * p_first
     sym = _Packed(dim)
     sym.add(q_first, q_g, q_h)
     # added after the strips: carried through their recurrence, q_0 would
     # add its rounding to the diagonal at every block column
     sym.add_diagonal(_Q[0])
     if halvings:
-        del q_first
         y = _dense(first, g, h)
         for _ in range(halvings):
             # q(4y) = q + y/q and ln sinhc(2x) = 2 ln sinhc(x) + ln q(x^2)
             factor = sym.copy()
             ln_det_sinhc = 2.0 * ln_det_sinhc + factor.factor()
-            for s in _strips(dim):
+            for j0 in range(0, dim, _STRIP):
                 # Q^-1 Y is symmetric: its column strip from Y's row strip
-                sym.add_lower(s.start, factor.cho_solve(y[s].T)[s.start:])
+                rows = y[j0:j0 + _STRIP]
+                sym.add_lower(j0, factor.cho_solve(rows.T)[j0:])
             y *= 4.0
         del y, factor
         no_gen = np.empty((dim - n, 0))
-        sym.add(p_first, no_gen, no_gen, -theta)
+        sym.add(-theta * p_first, no_gen, no_gen)
     return sym, ln_det_sinhc
 
 

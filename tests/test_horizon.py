@@ -15,7 +15,7 @@ import qefrate as q
 from qefrate import horizon
 from qefrate._funcs import lncosh, sinhc, tanhc
 from qefrate.errors import FeasibilityError, NumericalError, SizeError
-from qefrate.horizon import _BlockToeplitz, _kernel_blocks, ln_xi_from_matrices
+from qefrate.horizon import _BlockToeplitz, _kernel_blocks
 
 from conftest import SURROGATE_A, SURROGATE_G, surrogate_v_closed
 
@@ -143,6 +143,8 @@ class TestLnXi:
             q.ln_xi(twomode, 40.0 * theta0, horizon=6.0, n_grid=120)
 
     def test_time_reversal_invariance(self, twomode, theta0):
+        # the dense reference on the time-reversed matrices agrees with
+        # ln_xi on the kernel's own lag blocks
         theta = 0.4 * theta0
         big_l, big_p = q.discretize_kernels(twomode, 5.0, 100)
         n = twomode.n
@@ -150,15 +152,14 @@ class TestLnXi:
         idx = (perm[:, None] * n + np.arange(n)[None, :]).ravel()
         l_rev = big_l[np.ix_(idx, idx)]
         p_rev = big_p[np.ix_(idx, idx)]
-        a = ln_xi_from_matrices(big_l, big_p, theta)[0]
-        b = ln_xi_from_matrices(l_rev, p_rev, theta)[0]
+        a = q.ln_xi(twomode, theta, 5.0, 100).ln_xi
+        b = gram_eigh_reference(l_rev, p_rev, theta)[0]
         assert abs(a - b) < 1e-9 * max(1.0, abs(a))
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf])
     def test_non_finite_theta_raises(self, twomode, theta):
-        big_l, big_p = q.discretize_kernels(twomode, 2.0, 16)
         with pytest.raises(FeasibilityError, match="must be finite"):
-            ln_xi_from_matrices(big_l, big_p, theta)
+            q.ln_xi(twomode, theta, 2.0, 16)
 
     @pytest.mark.parametrize("case", ["twomode", "random_odd_order",
                                       "twomode_near_threshold",
@@ -167,32 +168,37 @@ class TestLnXi:
         if case.startswith("twomode"):
             big_l, big_p = q.discretize_kernels(twomode, 4.0, 80)
             theta = (0.9 if case.endswith("threshold") else 0.5) * theta0
+            est = q.ln_xi(twomode, theta, 4.0, 80)
+            value, spec = est.ln_xi, est.spec_value
         else:
-            # odd order: a zero eigenvalue besides the +-i omega pairs
+            # random lag blocks of order 2, whatever the ids say:
+            # ||theta^2 L'L||_inf = 50.6 with N = 8, five halving steps,
+            # and 1568 with N = 20 and L tripled, eight
+            n_grid = 20 if case.endswith("scaled") else 8
             rng = np.random.default_rng(7)
-            g = rng.normal(size=(7, 7))
-            big_l = 0.5 * (g - g.T)
-            h = rng.normal(size=(7, 3))
-            big_p = h @ h.T
-            theta = 1.0
-            # tanhc <= 1, so theta * lam_max(P K) <= 0.8
-            big_p *= 0.8 / np.linalg.eigvalsh(big_p)[-1]
+            lam_blocks = random_lag_blocks(rng, 2, n_grid)
+            lam_blocks[0] = 0.5 * (lam_blocks[0] - lam_blocks[0].T)
+            p_blocks = random_lag_blocks(rng, 2, n_grid)
+            p_blocks[0] = 0.5 * (p_blocks[0] + p_blocks[0].T)
             if case.endswith("scaled"):
-                # ||theta^2 L'L||_inf = 744: seven halving steps
-                big_l *= 10.0
+                lam_blocks *= 3.0
+            big_l = horizon._assemble(
+                horizon._lags(lam_blocks, antisymmetric=True))
+            big_p = horizon._assemble(
+                horizon._lags(p_blocks, antisymmetric=False))
+            # tanhc <= 1, so theta * lam_max(P K) <= 0.8
+            p_blocks *= 0.8 / np.linalg.eigvalsh(big_p)[-1]
+            big_p *= 0.8 / np.linalg.eigvalsh(big_p)[-1]
+            theta = 1.0
+            bound = np.abs(big_l.T @ big_l).sum(axis=1).max()
+            halvings = 8 if case.endswith("scaled") else 5
+            assert horizon._SERIES_BOUND * 4 ** (halvings - 1) < bound \
+                <= horizon._SERIES_BOUND * 4 ** halvings
+            value, spec = horizon._ln_xi_consuming(lam_blocks, p_blocks, None,
+                                                   theta, classical=False)
         expected, expected_spec = reference_ln_xi(big_l, big_p, theta)
-        value, spec = ln_xi_from_matrices(big_l, big_p, theta)
         assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
         assert abs(spec - expected_spec) <= 1e-12
-
-    @pytest.mark.parametrize("classical", [False, True])
-    def test_from_matrices_leaves_inputs_unchanged(self, twomode, theta0,
-                                                   classical):
-        big_l, big_p = q.discretize_kernels(twomode, 4.0, 80)
-        l_before, p_before = big_l.copy(), big_p.copy()
-        ln_xi_from_matrices(big_l, big_p, 0.5 * theta0, classical=classical)
-        assert np.array_equal(big_l, l_before)
-        assert np.array_equal(big_p, p_before)
 
     def test_working_set(self, random_models):
         # numpy reports its buffers to tracemalloc; the peak counts the
@@ -215,25 +221,6 @@ class TestLnXi:
         order = ss.n * 800
         assert order == 1600
         assert peak < 2.3 * order ** 2 * 8
-
-    @pytest.mark.parametrize("classical, matrices",
-                             [(False, 2.5), (True, 0.65)],
-                             ids=["quantum", "classical"])
-    def test_working_set_from_matrices(self, twomode, theta0, classical,
-                                       matrices):
-        # one block: Y and Y^2, each a full matrix, and column strips of
-        # Y^3 during the series, Q then written over Y^2 (2.39 measured at
-        # order 1600); on the classical route packed I - theta P alone,
-        # written from strips of P (0.59 measured)
-        big_l, big_p = q.discretize_kernels(twomode, 10.0, 400)
-        tracemalloc.start()
-        try:
-            ln_xi_from_matrices(big_l, big_p, 0.5 * theta0, classical=classical)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert big_p.shape[0] == 1600
-        assert peak < matrices * big_p.size * 8
 
     def test_working_set_classical(self, twomode, theta0):
         # no full-order array: the pivots are n x n, and the largest
@@ -308,34 +295,15 @@ class TestLnXi:
         with pytest.raises(FeasibilityError, match="positive definiteness"):
             horizon._riccati_ln_det(p_blocks[0], realization, theta, 80)
 
-    @pytest.mark.parametrize("shapes, bad", [
-        (((3, 3), (4, 4)), None), (((4, 4), (3, 3)), None),
-        (((3, 4), (3, 4)), None), (((4,), (4,)), None),
-        (((0, 0), (0, 0)), None), (((4, 4), (4, 4)), ("l", math.nan)),
-        (((4, 4), (4, 4)), ("p", math.inf))],
-        ids=["orders-differ", "orders-differ-l-larger", "not-square",
-             "not-a-matrix", "empty", "l-nan", "p-inf"])
-    @pytest.mark.parametrize("classical", [False, True])
-    def test_from_matrices_checks_inputs(self, monkeypatch, shapes, bad,
-                                         classical):
-        big_l, big_p = (np.ones(shape) for shape in shapes)
-        if bad is not None:
-            (big_l if bad[0] == "l" else big_p)[1, 2] = bad[1]
-        calls = []
-        monkeypatch.setattr(horizon, "_ln_xi_consuming",
-                            lambda *a: calls.append(a))
-        with pytest.raises(NumericalError, match="L and P must be"):
-            ln_xi_from_matrices(big_l, big_p, 0.1, classical=classical)
-        assert calls == []
+    def test_refuses_bound_beyond_halving_range(self, twomode, monkeypatch):
+        # ||theta^2 L'L||_inf = 61145 on two-mode at theta = 100, refused
+        # before anything is packed or factored
+        def refuse(*args):
+            raise AssertionError("packed storage past the bound check")
 
-    def test_refuses_bound_beyond_halving_range(self):
-        # ||L'L||_inf = 7.4e6, where the halving steps would put ln_xi
-        # 6e-5 (relative) and the margin 0.04 off
-        rng = np.random.default_rng(7)
-        g = rng.normal(size=(7, 7))
-        big_l = 500.0 * (g - g.T)
+        monkeypatch.setattr(horizon, "_Packed", refuse)
         with pytest.raises(NumericalError, match="exceeds 10000"):
-            ln_xi_from_matrices(big_l, np.eye(7), 1.0)
+            q.ln_xi(twomode, 100.0, horizon=4.0, n_grid=80)
 
     def test_spec_value_on_arpack_path(self, twomode, theta0):
         # order 1280, above the order up to which the margin was once
@@ -344,9 +312,9 @@ class TestLnXi:
         big_l, big_p = q.discretize_kernels(twomode, 8.0, 320)
         assert big_p.shape[0] == 1280
         expected, expected_spec = gram_eigh_reference(big_l, big_p, theta)
-        value, spec = ln_xi_from_matrices(big_l, big_p, theta)
-        assert abs(value - expected) <= 1e-12 * abs(expected)
-        assert abs(spec - expected_spec) <= 1e-12
+        est = q.ln_xi(twomode, theta, 8.0, 320)
+        assert abs(est.ln_xi - expected) <= 1e-12 * abs(expected)
+        assert abs(est.spec_value - expected_spec) <= 1e-12
 
     def test_requires_enough_cells(self, twomode):
         with pytest.raises(NumericalError):
@@ -398,24 +366,21 @@ def random_lag_blocks(rng, n, n_grid):
 def unpack(sym, factor=False):
     """The symmetric matrix a packed ``sym`` holds, assembled from its lower
     triangle with ``dtfttr``, or with ``factor`` that lower triangle alone
-    (the Cholesky factor once ``sym.factor()`` has run); an odd order
-    drops the padding."""
-    k = sym.buf.shape[0]
-    full, info = dtfttr(2 * k, sym.buf.reshape(-1, order="F"), transr="T",
+    (the Cholesky factor once ``sym.factor()`` has run)."""
+    full, info = dtfttr(sym.dim, sym.buf.reshape(-1, order="F"), transr="T",
                         uplo="L")
     assert info == 0
-    lower = np.tril(full)[:sym.dim, :sym.dim]
+    lower = np.tril(full)
     return lower if factor else lower + np.tril(lower, -1).T
 
 
 def check_products_match_gemm(lam_blocks, big_l):
-    """Y = 0.09 L'L from ``_gram`` and, with more than one block, its
-    powers Y^k, k = 1..7, from ``_powers`` on FFT products with L, each
-    assembled from its first block row and generators, are exactly
-    symmetric and within 1e-13 of plain gemm powers, and the trace
-    formula gives their traces to 1e-13.  ``_series`` at degree 7 gives
-    Tr Y^k, k = 1..6, and Q - I = sum_k q_k Y^k to 1e-13 on either
-    route."""
+    """Y = 0.09 L'L from ``_gram`` and its powers Y^k, k = 1..7, from
+    ``_powers`` on FFT products with L, each assembled from its first
+    block row and generators, are exactly symmetric and within 1e-13 of
+    plain gemm powers, and the trace formula gives their traces to 1e-13.
+    ``_series`` at degree 7 gives Tr Y^k, k = 1..6, and Q - I =
+    sum_k q_k Y^k to 1e-13."""
     first, g, h = horizon._gram(lam_blocks, 0.3)
     op = _BlockToeplitz(lam_blocks, antisymmetric=True)
 
@@ -430,17 +395,16 @@ def check_products_match_gemm(lam_blocks, big_l):
     assert np.array_equal(out, out.T)
     assert np.max(np.abs(out - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
     k = 0
-    if first.shape[0] < first.shape[1]:
-        for k, (col, gk, hk) in enumerate(
-                horizon._powers(times_y, first, g, h, 7), start=1):
-            ref = refs[k - 1]
-            out = horizon._dense(col.T, gk, hk)
-            assert np.array_equal(out, out.T)
-            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-            expected = np.trace(ref)
-            assert abs(horizon._trace(col.T, gk, hk) - expected) \
-                <= 1e-13 * abs(expected)
-        assert k == 7
+    for k, (col, gk, hk) in enumerate(
+            horizon._powers(times_y, first, g, h, 7), start=1):
+        ref = refs[k - 1]
+        out = horizon._dense(col.T, gk, hk)
+        assert np.array_equal(out, out.T)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        expected = np.trace(ref)
+        assert abs(horizon._trace(col.T, gk, hk) - expected) \
+            <= 1e-13 * abs(expected)
+    assert k == 7
     q_first, q_g, q_h, traces = horizon._series((first, g, h), times_y, 7)
     q_ref = sum(horizon._Q[k] * ref for k, ref in enumerate(refs, start=1))
     q_mat = horizon._dense(q_first, q_g, q_h)
@@ -463,14 +427,6 @@ class TestStructured:
             lam_blocks,
             horizon._assemble(horizon._lags(lam_blocks, antisymmetric=True)))
 
-    def test_one_block_products_match_gemm(self):
-        # ln_xi_from_matrices reads an arbitrary L as one block, whose
-        # displacement is empty: each power is its first block row
-        rng = np.random.default_rng(37)
-        g = rng.normal(size=(37, 37))
-        big_l = 0.5 * (g - g.T)
-        check_products_match_gemm(big_l[None], big_l)
-
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_fft_product_matches_assembled(self, n):
         rng = np.random.default_rng(10 + n)
@@ -490,13 +446,18 @@ class TestStructured:
     def test_matches_dense_matrices(self, twomode, theta0, frac, t_n,
                                     classical):
         # N - 1 = 80 and 329 block rows of displacement: neither is a
-        # multiple of the 32-block-row strip
+        # multiple of the 32-block-row strip.  The references are dense:
+        # the eigensolve of L'L, or -1/2 sum log1p(-theta eig P)
         t, n_grid = t_n
         theta = frac * theta0
         est = q.ln_xi(twomode, theta, t, n_grid, classical=classical)
-        value, spec = ln_xi_from_matrices(*q.discretize_kernels(twomode, t,
-                                                                 n_grid),
-                                          theta, classical=classical)
+        big_l, big_p = q.discretize_kernels(twomode, t, n_grid)
+        if classical:
+            eigs = np.linalg.eigvalsh(big_p)
+            value = -0.5 * math.fsum(np.log1p(-theta * eigs))
+            spec = theta * eigs[-1]
+        else:
+            value, spec = gram_eigh_reference(big_l, big_p, theta)
         assert abs(est.ln_xi - value) <= 1e-13 * abs(value)
         assert abs(est.spec_value - spec) <= 1e-13 * spec
 
@@ -508,17 +469,17 @@ class TestStructured:
         bound = theta ** 2 * np.abs(big_l.T @ big_l).sum(axis=1).max()
         assert horizon._SERIES_BOUND < bound <= 4 * horizon._SERIES_BOUND
         est = q.ln_xi(ss, theta, 6.0, 300)
-        value, spec = ln_xi_from_matrices(big_l, big_p, theta)
+        value, spec = gram_eigh_reference(big_l, big_p, theta)
         assert abs(est.ln_xi - value) <= 1e-13 * abs(value)
         assert abs(est.spec_value - spec) <= 1e-13 * spec
 
     def test_halving_path_matches_eigh_reference(self, random_models):
-        # one halving step (see the test above), against the real
-        # symmetric eigensolve of L'L on the assembled matrices
+        # one halving step (see the test above), against the complex
+        # Hermitian eigensolve of iL on the assembled matrices
         ss = random_models[1]
         theta = 0.5 * q.theta_threshold(ss, q.QuadratureConfig.for_system(ss))
         est = q.ln_xi(ss, theta, 6.0, 300)
-        expected, expected_spec = gram_eigh_reference(
+        expected, expected_spec = reference_ln_xi(
             *q.discretize_kernels(ss, 6.0, 300), theta)
         assert abs(est.ln_xi - expected) <= 1e-12 * abs(expected)
         assert abs(est.spec_value - expected_spec) <= 1e-12
@@ -530,11 +491,8 @@ class TestStructured:
         monkeypatch.setattr(horizon, "_ln_xi_consuming", refuse)
         est = q.ln_xi(twomode, 0.0, horizon=10.0, n_grid=400)
         assert (est.ln_xi, est.spec_value) == (0.0, 0.0)
-        assert ln_xi_from_matrices(np.eye(4), np.eye(4), 0.0) == (0.0, 0.0)
         with pytest.raises(NumericalError, match="horizon must be positive"):
             q.ln_xi(twomode, 0.0, horizon=-1.0, n_grid=400)
-        with pytest.raises(NumericalError, match="L and P must be"):
-            ln_xi_from_matrices(np.eye(3), np.eye(4), 0.0)
 
     def test_working_set_structured(self, twomode, theta0):
         # no full matrix: Y and its powers are first block rows and
@@ -563,20 +521,12 @@ class TestStructured:
         assert abs((4.0 * fine - coarse) / 3.0 - exact) <= 1e-7 * exact
 
 
-def packed_gram_plus_identity(case):
+def packed_gram_plus_identity():
     """I + 0.09 L'L packed from its first block row and generators, and
-    assembled by gemm, for the lag blocks of ``case``: the two-mode
-    model's at N = 81 (order 324) or one random antisymmetric block of
-    order 37, which packs as [[M, 0], [0, 1]] of order 38; and the first
-    block row and generators of 0.09 L'L."""
-    if case == "structured-324":
-        lam_blocks, _, _ = _kernel_blocks(q.two_mode_example(), 4.0, 81)
-        big_l = horizon._assemble(
-            horizon._lags(lam_blocks, antisymmetric=True))
-    else:
-        g = np.random.default_rng(37).normal(size=(37, 37))
-        big_l = 0.5 * (g - g.T)
-        lam_blocks = big_l[None]
+    assembled by gemm, for the two-mode model's lag blocks at N = 81
+    (order 324); and the first block row and generators of 0.09 L'L."""
+    lam_blocks, _, _ = _kernel_blocks(q.two_mode_example(), 4.0, 81)
+    big_l = horizon._assemble(horizon._lags(lam_blocks, antisymmetric=True))
     gram = horizon._gram(lam_blocks, 0.3)
     sym = horizon._Packed(len(big_l))
     sym.add(*gram)
@@ -588,17 +538,14 @@ class TestPacked:
     """Q - theta P in rectangular full packed storage: the strip writer,
     dpftrf, the split solves and the Lanczos margin on them."""
 
-    @pytest.mark.parametrize("case", ["structured-324", "one-block-37"])
+    @pytest.mark.parametrize("case", ["structured-324"])
     def test_write_factor_and_solves_match_dense(self, case):
-        sym, dense, gram = packed_gram_plus_identity(case)
+        sym, dense, gram = packed_gram_plus_identity()
         dim = len(dense)
         k = sym.buf.shape[0]
-        if case == "structured-324":
-            # 128-column strips: the second, [128, 256), straddles k = 162
-            assert any(j0 < k < j0 + s.shape[1]
-                       for j0, s in horizon._lower_strips(*gram))
-        else:
-            assert (dim, k) == (37, 19)
+        # 128-column strips: the second, [128, 256), straddles k = 162
+        assert any(j0 < k < j0 + s.shape[1]
+                   for j0, s in horizon._lower_strips(*gram))
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(unpack(sym) - dense)) <= 1e-14 * scale
         ln_det = sym.factor()
@@ -693,13 +640,17 @@ class TestSeries:
 
     @pytest.mark.parametrize("top", [1e-4, 0.04, 3.0, 1e3])
     def test_diagonal_matches_scalar_functions(self, top):
-        # a diagonal Y commutes exactly with every step, halvings included;
-        # as one block its displacement is empty, and Q comes back packed
-        y = np.linspace(0.0, top, 64)
+        # a diagonal Y commutes exactly with every step, halvings included.
+        # L is one antisymmetric block (N = 1) of 2 x 2 rotations by
+        # sqrt(y_i), so Y = L'L is diagonal, its displacement is empty and
+        # the length-1 FFT products are exact: Q comes back diagonal
+        block = np.zeros((64, 64))
+        block[0::2, 1::2] = np.diag(np.sqrt(np.linspace(0.0, top, 32)))
+        block[1::2, 0::2] = -block[0::2, 1::2]
         sym, ln_det = horizon._coth_and_ln_det_sinhc(
-            np.diag(np.sqrt(y))[None], np.zeros((64, 64)), 1.0)
+            block[None], np.zeros((64, 64)), 1.0)
         q_mat = unpack(sym)
-        y = np.diag(horizon._gram(np.diag(np.sqrt(y))[None], 1.0)[0])
+        y = np.diag(horizon._gram(block[None], 1.0)[0])
         x = np.sqrt(y)
         expected_q = 1.0 / np.asarray(tanhc(x))
         expected_ln_det = math.fsum(np.log(np.asarray(sinhc(x))))
