@@ -1,5 +1,6 @@
-"""Scalar special functions, small dense linear-algebra helpers, a
-bounded scalar minimizer and the domain check of the risk parameter.
+"""Scalar special functions, symmetric parts and the root of a positive
+definite matrix, a bounded scalar minimizer and the domain check of the
+risk parameter.
 
 The hyperbolic ratio functions sinhc(x) = sinh(x)/x and tanhc(x) = tanh(x)/x
 are extended by 1 at x = 0 and switch to short series below |x| = 1e-4,
@@ -16,6 +17,9 @@ import numpy as np
 from .errors import FeasibilityError, ParameterError
 
 _SERIES_CUT = 1e-4
+#: ``sqrtm_spd`` refuses a smallest eigenvalue at or below this fraction
+#: of the largest.
+_PD_FLOOR = 1e-12
 
 
 def _quotient(num, x, series):
@@ -82,30 +86,18 @@ def skew_hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m - np.conj(np.swapaxes(m, -1, -2)))
 
 
-def sqrtm_spd(m: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+def sqrtm_spd(m: np.ndarray) -> np.ndarray:
     """Symmetric square root of a symmetric positive definite matrix.
 
-    Rejects matrices whose smallest eigenvalue falls below ``floor`` times
-    the largest, since downstream formulas require a nonsingular root.
+    Rejects matrices whose smallest eigenvalue falls below ``_PD_FLOOR``
+    times the largest, since downstream formulas require a nonsingular
+    root.
     """
     w, v = np.linalg.eigh(symmetrize(m))
-    if w[0] <= floor * max(w[-1], 0.0):
+    if w[0] <= _PD_FLOOR * max(w[-1], 0.0):
         raise ParameterError(
             f"matrix is not positive definite: eigenvalue range [{w[0]:g}, {w[-1]:g}]")
     return symmetrize((v * np.sqrt(w)) @ v.T)
-
-
-def solve_ale(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve the algebraic Lyapunov equation A X + X A' + Q = 0.
-
-    Dense Kronecker vectorization; the state dimensions here are small
-    enough that the O(n^6) solve is immaterial.  The solution inherits
-    the (anti)symmetry of Q through uniqueness.
-    """
-    n = a.shape[0]
-    lhs = np.kron(np.eye(n), a) + np.kron(a, np.eye(n))
-    x = np.linalg.solve(lhs, -q.reshape(-1, order="F"))
-    return x.reshape((n, n), order="F")
 
 
 def apply_herm(func_of_eig: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -680,7 +680,9 @@ def _riccati_ln_det(d0: np.ndarray, realization, theta: float,
     products with Pi_k come from one stacked [C; A] Pi_k [C; A]', and
     each E_k from its eigendecomposition V diag(w) V', which gives
     ln det D_k as the sum of log1p(-w) and D_k^-1 = V diag(1/(1-w)) V'.
-    An eigenvalue w >= 1 is a pivot that is not positive definite.
+    An eigenvalue w >= 1 is a pivot that is not positive definite.  Once
+    Pi_(k+1) equals Pi_k bit for bit, every later step would repeat step
+    k, so its eigenvalues fill the remaining rows.
     """
     step, c, b = realization
     n = len(step)
@@ -695,7 +697,11 @@ def _riccati_ln_det(d0: np.ndarray, realization, theta: float,
             raise _infeasible(theta)
         eigs[k] = w
         rv = (b - prod[n:, :n]) @ v
-        pi = prod[n:, n:] + (rv / (1.0 - w)) @ rv.T
+        pi_next = prod[n:, n:] + (rv / (1.0 - w)) @ rv.T
+        if np.array_equal(pi_next, pi):
+            eigs[k + 1:] = w
+            break
+        pi = pi_next
     return math.fsum(np.log1p(-eigs).ravel())
 
 

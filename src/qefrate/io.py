@@ -23,40 +23,29 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError
-from .model import OqhoParams, StateSpace, from_state_space, realize
+from .model import (OqhoParams, StateSpace, _as_matrix, from_state_space,
+                    realize)
 
 __all__ = ["load_model", "write_csv", "write_summary", "validate_summary"]
 
 
-def _matrix(obj, key: str) -> np.ndarray:
-    try:
-        arr = np.array(obj[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"field {key!r} is not a numeric matrix") from exc
-    if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-        raise ParameterError(f"field {key!r} must be a finite 2-d array")
-    return arr
-
-
 def load_model(path: str | Path) -> StateSpace:
-    """Load and validate a model file, in either supported schema."""
+    """Load and validate a model file, in either supported schema.  A
+    direct realization's ``theta``, if present, must be a matrix."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ParameterError("model file must contain a JSON object")
-    if "A" in data:
-        theta = _matrix(data, "theta") if "theta" in data else None
-        return from_state_space(_matrix(data, "A"), _matrix(data, "B"),
-                                _matrix(data, "Pi"), theta_ccr=theta)
-    required = {"theta", "R", "M", "Pi"}
+    required = {"A", "B", "Pi"} if "A" in data else {"theta", "R", "M", "Pi"}
     if not required.issubset(data):
         missing = sorted(required - set(data))
         raise ParameterError(f"model file missing fields: {missing}")
-    params = OqhoParams(theta_ccr=_matrix(data, "theta"),
-                        energy=_matrix(data, "R"),
-                        coupling=_matrix(data, "M"),
-                        weight=_matrix(data, "Pi"))
-    return realize(params)
+    if "A" in data:
+        theta = _as_matrix(data["theta"], "theta") if "theta" in data else None
+        return from_state_space(data["A"], data["B"], data["Pi"],
+                                theta_ccr=theta)
+    return realize(OqhoParams(theta_ccr=data["theta"], energy=data["R"],
+                              coupling=data["M"], weight=data["Pi"]))
 
 
 def _cell(value) -> str:

@@ -20,13 +20,13 @@ P(-tau) = P(tau)'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
-from ._funcs import solve_ale, sqrtm_spd, symmetrize
+from ._funcs import sqrtm_spd, symmetrize
 from .errors import (DegeneracyError, DimensionError, NumericalError,
                      ParameterError, StabilityError)
 
@@ -34,8 +34,8 @@ from .errors import (DegeneracyError, DimensionError, NumericalError,
 #: commutation block.
 BJ2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-#: Default relative tolerance for the realizability and covariance residuals.
-DEFAULT_RESIDUAL_TOL = 1e-10
+#: Relative tolerance of the realizability and covariance residuals.
+RESIDUAL_TOL = 1e-10
 
 #: Drift eigenvalues must satisfy Re < -HURWITZ_MARGIN * ||A||.
 HURWITZ_MARGIN = 1e-9
@@ -53,12 +53,23 @@ def build_j_matrix(m: int) -> np.ndarray:
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
+    """``x`` as a finite 2-d float array: the coercion of every input matrix."""
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name} is not a numeric matrix") from exc
     if a.ndim != 2:
         raise DimensionError(f"{name} must be a matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise ParameterError(f"{name} contains non-finite entries")
     return a
+
+
+def _check_orders(n: int, m: int) -> None:
+    """Require even state and field dimensions n, m >= 2."""
+    for size, what in ((n, "state"), (m, "field")):
+        if size < 2 or size % 2:
+            raise DimensionError(f"{what} dimension must be even and >= 2, got {size}")
 
 
 @dataclass(frozen=True)
@@ -95,10 +106,7 @@ class OqhoParams:
         if m_mat.shape[1] != n:
             raise DimensionError("coupling must have one column per system "
                                  "variable")
-        if n < 2 or n % 2:
-            raise DimensionError(f"state dimension must be even and >= 2, got {n}")
-        if m < 2 or m % 2:
-            raise DimensionError(f"field dimension must be even and >= 2, got {m}")
+        _check_orders(n, m)
         scale = np.linalg.norm(th)
         if np.linalg.norm(th + th.T) > 1e-12 * max(scale, 1.0):
             raise ParameterError("theta_ccr must be antisymmetric")
@@ -124,10 +132,12 @@ class OqhoParams:
 class StateSpace:
     """Validated realization of a stable oscillator driven by vacuum fields.
 
-    The matrices are read-only copies of the ones passed in, so results
-    cached on the instance (its drift spectrum, spectral grid and theta0,
-    see ``qefrate.spectral.grid_for``) cannot go stale;
-    ``dataclasses.replace`` builds a new instance with no cache.
+    Built by ``realize`` or ``from_state_space``, which check every
+    residual against ``RESIDUAL_TOL``.  The matrices are read-only copies
+    of the ones passed in, so results cached on the instance (its drift
+    spectrum, spectral grid and theta0, see ``qefrate.spectral.grid_for``)
+    cannot go stale; ``dataclasses.replace`` builds a new instance with
+    no cache.
     """
 
     a: np.ndarray
@@ -137,7 +147,6 @@ class StateSpace:
     s_half: np.ndarray
     sigma: np.ndarray
     theta_ccr: np.ndarray
-    residual_tol: float = field(default=DEFAULT_RESIDUAL_TOL, repr=False)
 
     def __post_init__(self):
         for f in ("a", "b", "j", "weight", "s_half", "sigma", "theta_ccr"):
@@ -213,32 +222,33 @@ def _check_noise_rank(b: np.ndarray, j: np.ndarray) -> None:
         raise DegeneracyError("det(B J B') = 0: commutator kernel degenerate")
 
 
-def _validated(a, b, j, pi, theta, residual_tol: float,
-               pd_floor: float, eig: np.ndarray | None = None) -> StateSpace:
-    if eig is None:
-        eig = _check_hurwitz(a)
+def _validated(a, b, j, pi, theta) -> StateSpace:
+    """The checked model; a ``theta`` of None is solved for on a Hurwitz A."""
+    eig = _check_hurwitz(a)
     _check_noise_rank(b, j)
-    s = sqrtm_spd(pi, floor=pd_floor)
-    sigma = symmetrize(solve_ale(a, b @ b.T))
+    if theta is None:
+        theta = solve_continuous_lyapunov(a, -(b @ j @ b.T))
+        theta = 0.5 * (theta - theta.T)
+    s = sqrtm_spd(pi)
+    sigma = symmetrize(solve_continuous_lyapunov(a, -(b @ b.T)))
     ss = StateSpace(a=a, b=b, j=j, weight=pi, s_half=s, sigma=sigma,
-                    theta_ccr=theta, residual_tol=residual_tol)
+                    theta_ccr=theta)
     # the spectrum of the drift just checked: the cached_property's slot
     vars(ss)["drift_eigenvalues"] = eig
     scale = 1.0 + np.linalg.norm(a) * np.linalg.norm(theta)
-    if ss.pr_residual() > residual_tol * scale:
+    if ss.pr_residual() > RESIDUAL_TOL * scale:
         raise ParameterError(
             f"realizability residual {ss.pr_residual():.3e} exceeds tolerance; "
             "drift, input and commutation matrices are inconsistent")
     sig_scale = 1.0 + np.linalg.norm(a) * np.linalg.norm(sigma)
-    if ss.sigma_residual() > residual_tol * sig_scale:
+    if ss.sigma_residual() > RESIDUAL_TOL * sig_scale:
         raise NumericalError("covariance equation residual check failed")
     if np.min(np.linalg.eigvalsh(sigma)) < -1e-10 * max(np.linalg.norm(sigma), 1.0):
         raise ParameterError("invariant covariance is not positive semidefinite")
     return ss
 
 
-def realize(params: OqhoParams, residual_tol: float = DEFAULT_RESIDUAL_TOL,
-            pd_floor: float = 1e-12) -> StateSpace:
+def realize(params: OqhoParams) -> StateSpace:
     """Build the state-space realization from physical parameters.
 
     The drift and input matrices are
@@ -246,8 +256,9 @@ def realize(params: OqhoParams, residual_tol: float = DEFAULT_RESIDUAL_TOL,
         A = 2 Theta (R + M' J M),      B = 2 Theta M',
 
     which satisfy the realizability identity by construction.  The cost
-    weight root and the invariant covariance are computed and all
-    structural invariants verified.
+    weight root and the invariant covariance (Bartels-Stewart, by
+    ``scipy.linalg.solve_continuous_lyapunov``) are computed and both
+    residuals checked against ``RESIDUAL_TOL``.
 
     Raises
     ------
@@ -256,25 +267,26 @@ def realize(params: OqhoParams, residual_tol: float = DEFAULT_RESIDUAL_TOL,
     DegeneracyError
         If det(B J B') = 0.
     ParameterError
-        If the weight is not positive definite or residuals fail.
+        If the weight is not positive definite, Sigma is not positive
+        semidefinite or the realizability residual fails.
+    NumericalError
+        If the covariance residual fails.
     """
     j = build_j_matrix(params.m)
     a = 2.0 * params.theta_ccr @ (params.energy
                                   + params.coupling.T @ j @ params.coupling)
     b = 2.0 * params.theta_ccr @ params.coupling.T
-    return _validated(a, b, j, params.weight, params.theta_ccr,
-                      residual_tol, pd_floor)
+    return _validated(a, b, j, params.weight, params.theta_ccr)
 
 
-def from_state_space(a, b, weight, theta_ccr=None,
-                     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-                     pd_floor: float = 1e-12) -> StateSpace:
+def from_state_space(a, b, weight, theta_ccr=None) -> StateSpace:
     """Build a validated model from a stable (A, B, Pi) triple.
 
     When ``theta_ccr`` is omitted it is recovered as the unique solution of
     A Theta + Theta A' + B J B' = 0, which exists for Hurwitz A and is
-    automatically antisymmetric.  When it is supplied, the same identity is
-    enforced as a consistency check rather than silently re-derived.
+    antisymmetric; it comes from Sigma's solver, antisymmetrized.  When it
+    is supplied, the same identity is enforced as a consistency check
+    rather than silently re-derived.  The checks are those of ``realize``.
     """
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
@@ -282,19 +294,9 @@ def from_state_space(a, b, weight, theta_ccr=None,
     n = a.shape[0]
     if a.shape != (n, n) or b.shape[0] != n or pi.shape != (n, n):
         raise DimensionError("inconsistent dimensions for (A, B, Pi)")
-    if n < 2 or n % 2:
-        raise DimensionError(f"state dimension must be even and >= 2, got {n}")
-    m = b.shape[1]
-    if m < 2 or m % 2:
-        raise DimensionError(f"field dimension must be even and >= 2, got {m}")
-    j = build_j_matrix(m)
-    eig = _check_hurwitz(a)
-    if theta_ccr is None:
-        theta = solve_ale(a, b @ j @ b.T)
-        theta = 0.5 * (theta - theta.T)
-    else:
-        theta = _as_matrix(theta_ccr, "theta_ccr")
-    return _validated(a, b, j, pi, theta, residual_tol, pd_floor, eig)
+    _check_orders(n, b.shape[1])
+    theta = None if theta_ccr is None else _as_matrix(theta_ccr, "theta_ccr")
+    return _validated(a, b, build_j_matrix(b.shape[1]), pi, theta)
 
 
 def kernel_at(ss: StateSpace, tau: float) -> KernelSample:

@@ -37,6 +37,10 @@ __all__ = ["OneModeParams", "extract_mu", "onemode_drift", "ab_functions",
            "onemode_trig", "poles", "residue_at", "to_state_space",
            "random_params", "generic_deviation"]
 
+#: Radius and node count of the circle on which ``residue_at`` integrates.
+RESIDUE_RADIUS = 1e-3
+RESIDUE_NODES = 64
+
 
 @dataclass(frozen=True)
 class OneModeParams:
@@ -128,17 +132,16 @@ def onemode_trig(mu: float, nu: float, s, theta):
     return _split(ca * cb, -sa * sb), _split(sa * cb, ca * sb)
 
 
-def residue_at(mu: float, nu: float, pole: complex, radius: float = 1e-3,
-               nodes: int = 64) -> np.ndarray:
+def residue_at(mu: float, nu: float, pole: complex) -> np.ndarray:
     """Residue of Mho at a pole by trapezoid quadrature on a small circle.
 
     The trapezoid rule is spectrally accurate on the circle; the returned
     2x2 matrix is singular at each of the four poles.
     """
-    angles = 2.0 * np.pi * np.arange(nodes) / nodes
-    points = pole + radius * np.exp(1j * angles)
+    angles = 2.0 * np.pi * np.arange(RESIDUE_NODES) / RESIDUE_NODES
+    points = pole + RESIDUE_RADIUS * np.exp(1j * angles)
     terms = _mho(mu, nu, points) * (points - pole)[:, None, None]
-    return terms.sum(axis=0) / nodes
+    return terms.sum(axis=0) / RESIDUE_NODES
 
 
 def to_state_space(params: OneModeParams) -> StateSpace:

@@ -117,6 +117,28 @@ def make_random_model(rng: np.random.Generator, n: int | None = None):
         return None
 
 
+def passive_params(rng: np.random.Generator, n: int,
+                   active: float = 0.0) -> q.OqhoParams:
+    """A passive oscillator of n/2 modes and m = n channels, stable by
+    design: in complex form its drift is -i Omega - C*C/2, Hurwitz when
+    (Omega, C) is observable.  Hermitian Omega = X + iY and C enter in
+    the channel pairing of ``build_j_matrix`` as R = [[X, -Y], [Y, X]]
+    and M = [[Re C, -Im C], [Im C, Re C]]; ``active`` scales a random
+    symmetric perturbation of R and a random one of M."""
+    h = n // 2
+    g = rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h))
+    omega = 0.5 * (g + g.conj().T)
+    c = rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h))
+    r = np.block([[omega.real, -omega.imag], [omega.imag, omega.real]])
+    m_mat = np.block([[c.real, -c.imag], [c.imag, c.real]])
+    d = rng.normal(size=(n, n))
+    r = r + active * 0.5 * (d + d.T)
+    m_mat = m_mat + active * rng.normal(size=(n, n))
+    gpi = rng.normal(size=(n, n))
+    return q.OqhoParams(theta_ccr=0.5 * build_j_matrix(n), energy=r,
+                        coupling=m_mat, weight=gpi @ gpi.T / n + np.eye(n))
+
+
 @pytest.fixture(scope="session")
 def random_models() -> list[q.StateSpace]:
     """Exactly 50 random stable models, deterministic across runs."""

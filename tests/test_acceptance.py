@@ -236,8 +236,8 @@ def test_criterion_10_invariant_suites(random_models):
             failures.append((idx, "hopf-cole"))
         dd_scale = max(1.0, float(np.linalg.norm(sample.phi[0]))
                        * float(np.linalg.norm(sample.psi[0] @ sample.psi[0])))
-        if d_second_derivative_check(sample, 0.5 * theta_half,
-                                     d_theta=1e-4) > 1e-6 * dd_scale:
+        if (d_second_derivative_check(sample, 0.5 * theta_half)
+                > 1e-6 * dd_scale):
             failures.append((idx, "second-derivative"))
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 300.0

@@ -253,15 +253,15 @@ class TestRateByHomotopy:
 class TestSecondDerivativeStructure:
     def test_residual_small_at_zero(self, twomode):
         s = q.sample_grid(twomode, [1.5])
-        assert d_second_derivative_check(s, 0.0, d_theta=1e-4) < 1e-6
+        assert d_second_derivative_check(s, 0.0) < 1e-6
 
     def test_residual_small_at_random_sample(self, twomode, theta0):
         s = q.sample_grid(twomode, [3.1])
-        assert d_second_derivative_check(s, 0.4 * theta0, d_theta=1e-4) < 1e-6
+        assert d_second_derivative_check(s, 0.4 * theta0) < 1e-6
 
     def test_vanishing_commutator_leaves_noise(self, twomode):
         # D is then linear in theta; the residual is pure differencing
-        # roundoff, of order machine epsilon / d_theta^2
+        # roundoff, of order machine epsilon / D2_STEP^2
         s = q.sample_grid(twomode, [3.1])
         zeroed = dataclasses.replace(s, psi=0.0 * s.psi, h=0.0 * s.h)
-        assert d_second_derivative_check(zeroed, 0.03, d_theta=1e-4) < 1e-7
+        assert d_second_derivative_check(zeroed, 0.03) < 1e-7

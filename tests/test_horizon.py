@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.linalg import expm, solve_triangular
-from scipy.linalg.lapack import dtfttr
+from scipy.linalg.lapack import dsyev, dtfttr
 
 import qefrate as q
 from qefrate import horizon
@@ -35,6 +35,24 @@ def reference_ln_xi(big_l, big_p, theta):
     assert abs(sign - 1.0) < 1e-12
     spec = theta * np.linalg.eigvalsh(root_k @ big_p @ root_k)[-1]
     return -0.5 * (math.fsum(np.log(np.cosh(x))) + ln_det), spec
+
+
+def riccati_ln_det_every_step(d0, realization, theta, n_grid):
+    """ln det(I - theta P) by the pivot recursion of
+    ``horizon._riccati_ln_det`` run for all ``n_grid`` steps, with no stop
+    at a fixed point of Pi_k (reference)."""
+    step, c, b = realization
+    n = len(step)
+    stacked = np.concatenate([-theta * c, step])
+    pi = np.zeros((n, n))
+    eigs = []
+    for _ in range(n_grid):
+        prod = stacked @ pi @ stacked.T
+        w, v, _ = dsyev(theta * d0 + prod[:n, :n], lower=1)
+        eigs.append(w)
+        rv = (b - prod[n:, :n]) @ v
+        pi = prod[n:, n:] + (rv / (1.0 - w)) @ rv.T
+    return math.fsum(np.log1p(-np.array(eigs)).ravel())
 
 
 def gram_eigh_reference(big_l, big_p, theta):
@@ -294,6 +312,29 @@ class TestLnXi:
         _, p_blocks, realization = _kernel_blocks(twomode, 4.0, 80)
         with pytest.raises(FeasibilityError, match="positive definiteness"):
             horizon._riccati_ln_det(p_blocks[0], realization, theta, 80)
+
+    @pytest.mark.parametrize("frac, n_grid", [(0.1, 400), (0.1, 1600),
+                                              (0.5, 800)])
+    def test_riccati_stops_at_fixed_point(self, twomode, theta0, monkeypatch,
+                                          frac, n_grid):
+        # dt = 1/40; Pi_k repeats itself bit for bit before the last cell
+        # in each case (at steps 326, 326 and 466 when measured; where
+        # depends on rounding)
+        theta = frac * theta0
+        _, p_blocks, realization = _kernel_blocks(twomode, n_grid / 40, n_grid)
+        expected = riccati_ln_det_every_step(p_blocks[0], realization, theta,
+                                             n_grid)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return dsyev(*args, **kwargs)
+
+        monkeypatch.setattr(horizon, "dsyev", counted)
+        ln_det = horizon._riccati_ln_det(p_blocks[0], realization, theta,
+                                         n_grid)
+        assert ln_det.hex() == expected.hex()
+        assert len(calls) < n_grid
 
     def test_refuses_bound_beyond_halving_range(self, twomode, monkeypatch):
         # ||theta^2 L'L||_inf = 61145 on two-mode at theta = 100, refused

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 import qefrate as q
 from qefrate import io as qio
 from qefrate.cli import main
-from qefrate.errors import ParameterError
+from qefrate.errors import ModelError, ParameterError
 from qefrate.io import load_model, validate_summary, write_csv, write_summary
 from qefrate.twomode import TWO_MODE_A, TWO_MODE_B, TWO_MODE_WEIGHT
 
@@ -68,6 +68,20 @@ class TestLoadModel:
             "A": [["x", 0.0], [0.0, "y"]], "B": np.eye(2).tolist(),
             "Pi": np.eye(2).tolist()})
         with pytest.raises(ParameterError):
+            load_model(path)
+
+    def test_missing_direct_field(self, tmp_path):
+        path = write_model(tmp_path / "bad.json", {
+            "A": (-np.eye(2)).tolist(), "Pi": np.eye(2).tolist()})
+        with pytest.raises(ParameterError, match=r"missing fields: \['B'\]"):
+            load_model(path)
+
+    def test_null_theta_is_not_recovery(self, tmp_path):
+        # an explicit null must not mean "recover Theta"
+        path = write_model(tmp_path / "bad.json", {
+            "A": (-np.eye(2)).tolist(), "B": np.eye(2).tolist(),
+            "Pi": np.eye(2).tolist(), "theta": None})
+        with pytest.raises(ModelError, match="theta"):
             load_model(path)
 
 
@@ -130,6 +144,21 @@ class TestCliExitCodes:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2
         assert "Hurwitz" in result.output
+
+    @pytest.mark.parametrize("payload", [
+        {"A": [[-1.0, 0.0], [0.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+         "Pi": [[1.0, 0.0], [0.0, 1.0]]},
+        {"A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+         "Pi": [[1.0, 0.0], [0.0, 1.0]], "theta": None},
+        {"theta": [[0.0, "x"], [-0.5, 0.0]], "R": [[1.0, 0.0], [0.0, 1.0]],
+         "M": [[1.0, 0.0], [0.0, 0.5]], "Pi": [[1.0, 0.0], [0.0, 1.0]]}],
+        ids=["ragged", "null-theta", "text-entry"])
+    def test_validate_bad_field_exits_2(self, runner, tmp_path, payload):
+        path = write_model(tmp_path / "bad.json", payload)
+        result = runner.invoke(main, ["validate", "--model", path,
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "validation failure" in result.output
 
     def test_validate_zero_input_exits_2(self, runner, tmp_path):
         path = write_model(tmp_path / "degenerate.json", {

@@ -12,6 +12,8 @@ from qefrate.errors import (DegeneracyError, DimensionError, ParameterError,
                             StabilityError)
 from qefrate.model import BJ2, build_j_matrix
 
+from conftest import passive_params
+
 
 def expm_series(m: np.ndarray, terms: int = 60) -> np.ndarray:
     """Brute-force Taylor series of the matrix exponential (test oracle)."""
@@ -165,6 +167,76 @@ class TestFromStateSpace:
         assert np.allclose(twomode.s_half @ twomode.s_half, twomode.weight,
                            atol=1e-12)
         assert np.array_equal(twomode.s_half, twomode.s_half.T)
+
+
+def kron_lyapunov(a: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
+    """X with A X + X A' + Q = 0 from the n^2 x n^2 Kronecker system
+    (test reference for the library's Bartels-Stewart solve)."""
+    n = a.shape[0]
+    lhs = np.kron(np.eye(n), a) + np.kron(a, np.eye(n))
+    x = np.linalg.solve(lhs, -q_mat.reshape(-1, order="F"))
+    return x.reshape((n, n), order="F")
+
+
+def normwise_gap(x: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+def relative_residual(a: np.ndarray, x: np.ndarray,
+                      q_mat: np.ndarray) -> float:
+    return float(np.linalg.norm(a @ x + x @ a.T + q_mat)
+                 / (np.linalg.norm(a) * np.linalg.norm(x)))
+
+
+class TestLyapunovSolutions:
+    def test_match_kronecker_reference(self, twomode, random_models):
+        for ss in [twomode, *random_models]:
+            noise = ss.b @ ss.j @ ss.b.T
+            sigma_ref = kron_lyapunov(ss.a, ss.b @ ss.b.T)
+            theta_ref = kron_lyapunov(ss.a, noise)
+            theta = q.from_state_space(ss.a, ss.b, ss.weight).theta_ccr
+            sigma_ref = 0.5 * (sigma_ref + sigma_ref.T)
+            theta_ref = 0.5 * (theta_ref - theta_ref.T)
+            assert normwise_gap(ss.sigma, sigma_ref) <= 1e-12
+            assert normwise_gap(theta, theta_ref) <= 1e-12
+            assert relative_residual(ss.a, ss.sigma, ss.b @ ss.b.T) <= 1e-14
+            assert relative_residual(ss.a, theta, noise) <= 1e-14
+
+    @pytest.mark.parametrize("active", [0.0, 0.1],
+                             ids=["passive", "perturbed"])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_large_passive_draws_validate(self, n, active):
+        params = passive_params(np.random.default_rng([n, int(10 * active)]),
+                                n, active)
+        ss = q.realize(params)
+        assert ss.n == n and ss.hurwitz_margin() > 0.0
+        # the recovered commutation matrix is the one the model was built on
+        back = q.from_state_space(ss.a, ss.b, ss.weight)
+        assert normwise_gap(back.theta_ccr, params.theta_ccr) <= 1e-12
+
+
+class TestCoercion:
+    # a JSON null entry reads as nan, which the finiteness check refuses
+    BAD = {"text": [["x", 1.0], [0.0, 1.0]], "ragged": [[1.0, 2.0], [3.0]],
+           "null-entry": [[None, 1.0], [0.0, 1.0]]}
+
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+    def test_from_state_space_raises_parameter_error(self, bad):
+        with pytest.raises(ParameterError):
+            q.from_state_space(bad, np.eye(2), np.eye(2))
+        with pytest.raises(ParameterError):
+            q.from_state_space(-np.eye(2), np.eye(2), np.eye(2),
+                               theta_ccr=bad)
+
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+    @pytest.mark.parametrize("field", ["theta_ccr", "energy", "coupling",
+                                       "weight"])
+    def test_oqho_params_raises_parameter_error(self, bad, field):
+        fields = dict(theta_ccr=0.5 * BJ2, energy=np.eye(2),
+                      coupling=np.diag([1.0, 0.5]), weight=np.eye(2))
+        fields[field] = bad
+        with pytest.raises(ParameterError):
+            q.OqhoParams(**fields)
 
 
 class TestDriftSpectrum:

@@ -229,7 +229,7 @@ class TestGridCache:
         cfg = q.QuadratureConfig(cutoff=100.0, step=0.25)
         q.upsilon(ss, 0.02, cfg)
         q.theta_threshold(ss, cfg)
-        twin = dataclasses.replace(ss, residual_tol=2.0 * ss.residual_tol)
+        twin = dataclasses.replace(ss)
         assert not {"_spectral_grid", "_theta0"} & set(vars(twin))
         q.upsilon(twin, 0.02, cfg)
         assert len(sampled) == 2
