@@ -129,14 +129,19 @@ def minimize_bounded(func: Callable[[float], float], lo: float, hi: float,
     opens with the parabola through them, the bracket width standing in
     for the steps before, and returns the best pair when no evaluation
     beats it.  One pair gives no parabola, so the first step is golden.
+    Only a strict improvement then replaces the best point: a tie narrows
+    the bracket like any worse point, so that at a minimum flat to
+    rounding the search does not follow rounding noise.
     Without ``start`` the search opens at the golden-section point of
-    [lo, hi], and its iterates are those of ``scipy.optimize.fminbound``.
+    [lo, hi], a tie replaces the best point, and its iterates are those
+    of ``scipy.optimize.fminbound``.
     """
     a, b = float(lo), float(hi)
+    cold = start is None
     if not (math.isfinite(a) and math.isfinite(b)) or a > b:
         raise ValueError("bounds must be finite with lo <= hi")
     evals = 0
-    if start is None:
+    if cold:
         x = a + _GOLDEN * (b - a)
         start, evals = [(x, func(x))], 1
     known = sorted(((float(p), float(f)) for p, f in start),
@@ -176,7 +181,7 @@ def minimize_bounded(func: Callable[[float], float], lo: float, hi: float,
         u = x + math.copysign(max(abs(step), tol1), step)
         fu = func(u)
         evals += 1
-        if fu <= fx:
+        if fu < fx or (cold and fu == fx):
             if u >= x:
                 a = x
             else:

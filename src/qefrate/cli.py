@@ -328,8 +328,7 @@ def bounds(run, alpha, eps, theta_points):
                                  param_hint="--eps")
     ss, cfg, theta0 = run.setup()
     theta_grid = np.linspace(0.05, 0.95, theta_points) * theta0
-    ups = (_feasible(rate_mod.upsilon, ss, float(t), cfg) for t in theta_grid)
-    status = _status(all(r is None or r.converged for r in ups))
+    status = _status(rate_mod.curve_converged(ss, theta_grid, cfg))
     if not alphas:
         alphas = [rate_mod.lqg_rate(ss) * f for f in (1.0, 1.5, 2.0)]
     if not epses:

@@ -39,8 +39,9 @@ computed once per model; the ``*_from_grid`` functions take a grid the
 caller sampled.  Per theta, ``upsilon_from_grid`` evaluates tanhc(theta w)
 once for the log-determinant and the margin, the small-theta expansion
 reads the grid's cached eigenvalues of Phi and diagonal of Psi^2, and
-the bounds refine their grid infimum by a bounded search started from
-the grid values around it.
+the bounds read Upsilon on their theta grid from a curve kept on the
+spectral grid, then refine the grid infimum by a bounded search started
+from the grid values around it.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ from .spectral import SpectralGrid, grid_for, transfer
 __all__ = [
     "RateResult", "log_det_d", "upsilon", "upsilon_from_grid", "classical_v",
     "theta_threshold", "lqg_rate", "small_theta_expansion", "contour_e",
-    "tail_bound", "worst_case_lqg_bound", "frequency_profile",
+    "tail_bound", "worst_case_lqg_bound", "curve_converged",
+    "frequency_profile",
 ]
 
 #: Gauss-Kronrod error estimate, relative to the integral, above which a
@@ -72,6 +74,9 @@ LEVEL_STEP = 1e-9
 
 #: Attribute of a ``StateSpace`` holding its memoized theta0.
 _THETA0_SLOT = "_theta0"
+
+#: Attribute of a ``SpectralGrid`` holding the bounds' kept Upsilon curve.
+_CURVE_SLOT = "_bounds_curve"
 
 #: Relative depth below the peak of the level set whose interval around
 #: the peak brackets the final bounded maximization when the level-set
@@ -486,12 +491,16 @@ def tail_bound(ss: StateSpace, alpha: float, theta_grid,
 
     Returns inf over the feasible part of ``theta_grid`` of
     Upsilon(theta) - alpha * theta, the large-deviations exponent for the
-    event that the time-averaged cost exceeds 2 * alpha.
+    event that the time-averaged cost exceeds 2 * alpha.  Upsilon on the
+    grid is read from the model's kept curve (``_feasible_curve``), so
+    only the refinement around the best node integrates anew once the
+    grid has been asked for.
     """
     if not 0.0 < alpha < math.inf:
         raise FeasibilityError("tail level alpha must be positive and finite")
     grid = grid_for(ss, cfg)
-    thetas, ups = _feasible_curve(grid, theta_grid, cfg)
+    thetas, quads = _feasible_curve(grid, theta_grid, cfg)
+    ups = np.array([quad.value for quad in quads])
 
     def objective(th: float) -> float:
         try:
@@ -508,13 +517,19 @@ def worst_case_lqg_bound(ss: StateSpace, eps: float, theta_grid,
 
     Returns 2 * inf over theta > 0 of (eps + Upsilon(theta)) / theta for
     uncertainty budget eps >= 0, evaluated on the grid with one
-    refinement.
+    refinement.  The grid values are the theta > 0 part of the model's
+    kept curve (``_feasible_curve``), shared with ``tail_bound``.
     """
     if not 0.0 <= eps < math.inf:
         raise FeasibilityError(
             "uncertainty budget eps must be finite and nonnegative")
     grid = grid_for(ss, cfg)
-    thetas, ups = _feasible_curve(grid, theta_grid, cfg, positive_only=True)
+    thetas, quads = _feasible_curve(grid, theta_grid, cfg)
+    positive = thetas > 0
+    if not positive.any():
+        raise FeasibilityError("no feasible risk parameter on the grid")
+    thetas = thetas[positive]
+    ups = np.array([quad.value for quad in quads])[positive]
 
     def objective(th: float) -> float:
         if th <= 0:
@@ -527,21 +542,60 @@ def worst_case_lqg_bound(ss: StateSpace, eps: float, theta_grid,
     return 2.0 * _refine_inf(objective, thetas, (eps + ups) / thetas)
 
 
-def _feasible_curve(grid: SpectralGrid, theta_grid, cfg: QuadratureConfig,
-                    positive_only: bool = False):
-    """Upsilon over the feasible subset of a theta grid."""
-    thetas, values = [], []
-    for th in np.asarray(theta_grid, dtype=float):
-        if positive_only and th <= 0:
-            continue
+def curve_converged(ss: StateSpace, theta_grid,
+                    cfg: QuadratureConfig) -> bool:
+    """Whether every feasible theta of ``theta_grid`` meets the quadrature
+    tolerance: the ``converged`` flag ``upsilon`` gives there, from the
+    error estimates of Upsilon and, where it is feasible, of V.
+
+    Upsilon's estimates are those of the kept curve the bounds read, so
+    a grid the bounds use is integrated once for both; a grid with no
+    feasible theta has nothing to flag.
+    """
+    grid = grid_for(ss, cfg)
+    try:
+        thetas, quads = _feasible_curve(grid, theta_grid, cfg)
+    except FeasibilityError:
+        return True
+    for theta, quad in zip(thetas, quads):
+        if not _converged(quad):
+            return False
         try:
-            values.append(_upsilon_quad(grid, th, cfg).value)
-            thetas.append(th)
+            if not _converged(_classical_from_grid(grid, theta, cfg)):
+                return False
         except FeasibilityError:
             continue
-    if not thetas:
+    return True
+
+
+def _feasible_curve(grid: SpectralGrid, theta_grid, cfg: QuadratureConfig):
+    """The feasible theta of a theta grid, in the grid's order, with their
+    Upsilon ``HalfLine``s.
+
+    Kept on the spectral grid, so per model and rule like ``grid_for``'s
+    grid: a theta grid with the same float64 values, bit for bit, reads
+    the kept curve, and another one replaces it.  Raises
+    FeasibilityError, on every call, when no theta of the grid is
+    feasible.
+    """
+    values = np.asarray(theta_grid, dtype=float)
+    key = (values.shape, values.tobytes())
+    kept = vars(grid).get(_CURVE_SLOT)
+    if kept is None or kept[0] != key:
+        thetas, quads = [], []
+        for th in values:
+            try:
+                quads.append(_upsilon_quad(grid, th, cfg))
+                thetas.append(th)
+            except FeasibilityError:
+                continue
+        thetas = np.asarray(thetas)
+        thetas.flags.writeable = False
+        kept = vars(grid)[_CURVE_SLOT] = (key, thetas, tuple(quads))
+    _, thetas, quads = kept
+    if not quads:
         raise FeasibilityError("no feasible risk parameter on the grid")
-    return np.asarray(thetas), np.asarray(values)
+    return thetas, quads
 
 
 def frequency_profile(grid: SpectralGrid, theta: float):

@@ -39,9 +39,10 @@ eigenbasis.  A further risk parameter then costs elementwise work on
   the feasibility margin;
 * the small-theta expansion: a ratio of the Phi eigenvalues times the
   cached diagonal, summed;
-* the tail and worst-case bounds: Upsilon on their grid, then a few more
-  values from a parabolic search started on the grid's three best-placed
-  samples.
+* the tail and worst-case bounds: Upsilon on their theta grid, integrated
+  once and kept on the grid for every later bound on the same theta
+  grid, then per bound a few more values from a parabolic search started
+  on the grid's three best-placed samples.
 """
 
 from __future__ import annotations
@@ -70,8 +71,10 @@ class SpectralGrid:
 
     The theta-independent eigendecompositions ``h_eigh``,
     ``phi_eigvals`` and ``phi_psi_sq``, and ``h_eigvals_t``, ``phi_rot``
-    and ``phi_rot_t``, are computed on first use and cached on the instance;
-    ``dataclasses.replace`` builds a new instance with empty caches.
+    and ``phi_rot_t``, are computed on first use and cached on the instance,
+    as is the bounds' Upsilon curve over their last theta grid
+    (``qefrate.rate``); ``dataclasses.replace`` builds a new instance with
+    empty caches.
     """
 
     lambdas: np.ndarray

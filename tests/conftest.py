@@ -1,7 +1,12 @@
 """Shared fixtures: the two-mode example, cheap meshes, surrogate models,
-and a deterministic pool of random stable models."""
+a deterministic pool of random stable models, and a loader for the
+benchmark's model generator."""
 
 from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,22 @@ from scipy.linalg import solve_continuous_are
 import qefrate as q
 from qefrate.errors import DegeneracyError, StabilityError
 from qefrate.model import BJ2, build_j_matrix
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def benchmark_module(name: str):
+    """A module of the benchmark directory, loaded from its file once."""
+    key = f"qefrate_bench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            key, BENCHMARKS / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up while the file executes
+        sys.modules[key] = module
+        spec.loader.exec_module(module)
+    return sys.modules[key]
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 import qefrate as q
 from qefrate import io as qio
+from qefrate import rate
 from qefrate.cli import main
 from qefrate.errors import ModelError, ParameterError
 from qefrate.io import load_model, validate_summary, write_csv, write_summary
@@ -438,6 +439,21 @@ class TestCliArtifacts:
         assert tails[0] == "alpha,bound,status"
         worst = (tmp_path / "worst_case_bounds.csv").read_text().splitlines()
         assert worst[0] == "eps,bound,status"
+
+    def test_bounds_integrate_each_grid_theta_once(self, runner, tmp_path,
+                                                   monkeypatch):
+        # status and all six bounds read one curve over the 30-point grid;
+        # the rest are the bounds' refinements (65 on two-mode)
+        calls = []
+        quad = rate._upsilon_quad
+        monkeypatch.setattr(rate, "_upsilon_quad", lambda grid, th, *args:
+                            calls.append(th) or quad(grid, th, *args))
+        result = runner.invoke(main, ["bounds", "--out", str(tmp_path)])
+        assert result.exit_code == 0
+        theta0 = q.theta_threshold(q.two_mode_example(), None)
+        grid = np.linspace(0.05, 0.95, 30) * theta0
+        assert [calls.count(t) for t in grid] == [1] * 30
+        assert len(calls) <= 30 + 65
 
     def test_bounds_flags_unconverged_grid(self, runner, tmp_path):
         # panels 7.5 wide miss the tolerance on the theta grid, as in sweep

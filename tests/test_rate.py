@@ -16,8 +16,8 @@ from qefrate.model import BJ2
 from qefrate.rate import log_det_d
 from qefrate.spectral import grid_for
 
-from conftest import (SURROGATE_A, SURROGATE_G, make_random_model,
-                      single_mode, surrogate_v_closed)
+from conftest import (SURROGATE_A, SURROGATE_G, benchmark_module,
+                      make_random_model, single_mode, surrogate_v_closed)
 
 
 def zero_psi(grid: q.SpectralGrid) -> q.SpectralGrid:
@@ -340,7 +340,20 @@ class TestThetaThreshold:
         expected = SURROGATE_A ** 2 / SURROGATE_G ** 2
         assert q.theta_threshold(fresh, cfg_coarse) == pytest.approx(
             expected, rel=1e-14)
-        assert len(calls) <= 20
+        assert len(calls) <= 7
+
+    def test_tie_at_peak_keeps_best_point(self, tmp_path, monkeypatch):
+        # a modelgen draw whose lam_max(Phi) peaks at lam = 0: a trial at
+        # 4.1e-9 ties the value there, and a tie that became the best point
+        # would send the search after rounding noise
+        ss = benchmark_module("modelgen").draw_models(2, 2, tmp_path)[0][1].ss
+        calls = []
+        peak = rate._phi_peak
+        monkeypatch.setattr(rate, "_phi_peak",
+                            lambda ss, lam: calls.append(lam) or peak(ss, lam))
+        theta0 = q.theta_threshold(ss, None)
+        assert theta0 == pytest.approx(1.0 / peak(ss, 0.0), rel=1e-15)
+        assert len(calls) <= 9
 
     def test_memoized_per_model(self, cfg_coarse, monkeypatch):
         calls = []
@@ -454,22 +467,151 @@ class TestPerThetaCost:
         q.small_theta_expansion(ss, theta0 / 8.0, cfg_full)
         assert calls == []
 
-    def test_bounds_refine_in_few_evaluations(self, twomode, cfg_full, theta0,
-                                              monkeypatch):
-        calls = []
-        quad = rate._upsilon_quad
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return quad(*args, **kwargs)
-
-        monkeypatch.setattr(rate, "_upsilon_quad", counting)
+    def test_bounds_refine_in_few_evaluations(self, cfg_full, theta0,
+                                              upsilon_calls):
+        # one fresh model per bound: a model keeps the curve of its grid
         grid = np.linspace(0.05, 0.95, 10) * theta0
-        q.tail_bound(twomode, 1.5 * q.lqg_rate(twomode), grid, cfg_full)
-        assert len(calls) <= len(grid) + 8
-        calls.clear()
-        q.worst_case_lqg_bound(twomode, 0.05, grid, cfg_full)
-        assert len(calls) <= len(grid) + 10
+        ss = q.two_mode_example()
+        q.tail_bound(ss, 1.5 * q.lqg_rate(ss), grid, cfg_full)
+        assert len(upsilon_calls) <= len(grid) + 8
+        upsilon_calls.clear()
+        q.worst_case_lqg_bound(q.two_mode_example(), 0.05, grid, cfg_full)
+        assert len(upsilon_calls) <= len(grid) + 10
+
+
+@pytest.fixture()
+def upsilon_calls(monkeypatch) -> list:
+    """The theta of every Upsilon integral, in call order."""
+    calls = []
+    quad = rate._upsilon_quad
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(rate, "_upsilon_quad", counting)
+    return calls
+
+
+class TestKeptCurve:
+    """The bounds read Upsilon on their theta grid from a curve kept on
+    the model's spectral grid.  Every test builds its own models: a kept
+    curve makes call counts depend on what ran before."""
+
+    @pytest.fixture()
+    def grid(self, theta0):
+        """twomode-curve's theta grid."""
+        return np.linspace(0.05, 0.95, 10) * theta0
+
+    def test_second_bound_evaluates_only_its_refinement(self, cfg_full, grid,
+                                                        upsilon_calls):
+        ss = q.two_mode_example()
+        q.tail_bound(ss, 1.5 * q.lqg_rate(ss), grid, cfg_full)
+        upsilon_calls.clear()
+        q.worst_case_lqg_bound(ss, 0.05, grid, cfg_full)
+        assert len(upsilon_calls) <= 10
+        assert not set(upsilon_calls) & set(grid)
+
+    def test_bounds_identical_to_fresh_model(self, cfg_full, grid):
+        ss = q.two_mode_example()
+        alpha = 1.5 * q.lqg_rate(ss)
+        tail = q.tail_bound(ss, alpha, grid, cfg_full)
+        worst = q.worst_case_lqg_bound(ss, 0.05, grid, cfg_full)
+        assert q.tail_bound(ss, alpha, grid, cfg_full) == tail
+        assert worst == q.worst_case_lqg_bound(q.two_mode_example(), 0.05,
+                                               grid, cfg_full)
+        assert tail == q.tail_bound(q.two_mode_example(), alpha, grid,
+                                    cfg_full)
+
+    def test_recomputes_for_another_theta_grid(self, cfg_full, grid,
+                                               upsilon_calls):
+        ss = q.two_mode_example()
+        q.tail_bound(ss, 1.5 * q.lqg_rate(ss), grid, cfg_full)
+        # the same values as a list read the curve
+        upsilon_calls.clear()
+        q.worst_case_lqg_bound(ss, 0.05, grid.tolist(), cfg_full)
+        assert not set(upsilon_calls) & set(grid)
+        # one value a bit off integrates the whole grid again
+        moved = grid.copy()
+        moved[3] = np.nextafter(moved[3], 1.0)
+        upsilon_calls.clear()
+        q.worst_case_lqg_bound(ss, 0.05, moved, cfg_full)
+        assert set(moved) <= set(upsilon_calls)
+        # ... and so does the first grid, which it replaced
+        upsilon_calls.clear()
+        q.worst_case_lqg_bound(ss, 0.05, grid, cfg_full)
+        assert set(grid) <= set(upsilon_calls)
+
+    def test_recomputes_for_another_rule(self, cfg_full, grid,
+                                         upsilon_calls):
+        ss = q.two_mode_example()
+        alpha = 1.5 * q.lqg_rate(ss)
+        q.tail_bound(ss, alpha, grid, cfg_full)
+        coarse = q.QuadratureConfig(cutoff=100.0, step=0.25)
+        upsilon_calls.clear()
+        q.tail_bound(ss, alpha, grid, coarse)
+        assert set(grid) <= set(upsilon_calls)
+        assert q.tail_bound(ss, alpha, grid, coarse) == q.tail_bound(
+            q.two_mode_example(), alpha, grid, coarse)
+
+    def test_keeps_feasible_subset_past_threshold(self, cfg_full, theta0,
+                                                  upsilon_calls):
+        # two-mode stays feasible a little past theta0, so the subset is
+        # the quantum one, not theta < theta0
+        wide = np.linspace(0.9, 1.1, 81) * theta0
+        feasible, ref = [], q.two_mode_example()
+        for th in wide:
+            try:
+                q.upsilon(ref, float(th), cfg_full)
+                feasible.append(th)
+            except FeasibilityError:
+                continue
+        assert theta0 < max(feasible) < wide[-1]
+        ss = q.two_mode_example()
+        grid = grid_for(ss, cfg_full)
+        upsilon_calls.clear()
+        thetas, quads = rate._feasible_curve(grid, wide, cfg_full)
+        assert thetas.tolist() == feasible
+        assert len(upsilon_calls) == len(wide)
+        upsilon_calls.clear()
+        again, _ = rate._feasible_curve(grid, wide, cfg_full)
+        assert again.tolist() == feasible and upsilon_calls == []
+        assert q.worst_case_lqg_bound(ss, 0.05, wide, cfg_full) == \
+            q.worst_case_lqg_bound(q.two_mode_example(), 0.05, wide,
+                                   cfg_full)
+
+    def test_no_feasible_theta_raises_every_call(self, cfg_full, theta0,
+                                                 upsilon_calls):
+        ss = q.two_mode_example()
+        for _ in range(2):
+            with pytest.raises(FeasibilityError, match="no feasible"):
+                q.tail_bound(ss, 1.0, [100.0 * theta0], cfg_full)
+            with pytest.raises(FeasibilityError, match="no feasible"):
+                q.worst_case_lqg_bound(ss, 0.0, [100.0 * theta0], cfg_full)
+        assert len(upsilon_calls) == 1
+        # theta = 0 is feasible but no worst-case node
+        with pytest.raises(FeasibilityError, match="no feasible"):
+            q.worst_case_lqg_bound(ss, 0.0, [0.0, 100.0 * theta0], cfg_full)
+
+    @pytest.mark.parametrize("step, fracs", [
+        (None, (0.05, 0.5, 0.95)),
+        (0.5, (0.05, 0.5, 0.95)),
+        (None, (0.5, 0.999, 1.003, 1.2)),
+        (None, (1.2, 1.5)),
+    ], ids=["converged", "coarse", "past-threshold", "none-feasible"])
+    def test_converged_as_upsilon_flags(self, theta0, step, fracs):
+        ss = q.two_mode_example()
+        cfg = q.QuadratureConfig.for_system(ss)
+        if step is not None:
+            cfg = q.QuadratureConfig(cutoff=cfg.cutoff, step=step)
+        thetas = np.array(fracs) * theta0
+        flags = []
+        for th in thetas:
+            try:
+                flags.append(q.upsilon(ss, float(th), cfg).converged)
+            except FeasibilityError:
+                continue
+        assert rate.curve_converged(ss, thetas, cfg) == all(flags)
 
 
 class TestContourE:
