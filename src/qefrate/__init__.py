@@ -10,21 +10,17 @@ from .errors import (DegeneracyError, DimensionError, FeasibilityError,
                      ModelError, NumericalError, ParameterError, QefError,
                      SingularityError, SizeError, StabilityError,
                      StructureError)
-from .homotopy import (HomotopyTrace, d_second_derivative_check,
-                       rate_by_homotopy, rate_by_homotopy_from_grid,
-                       u_direct, u_ode_step)
+from .homotopy import HomotopyTrace, rate_by_homotopy
 from .horizon import (ConvergenceStudy, HorizonEstimate, convergence_study,
                       discretize_kernels, ln_xi)
 from .io import load_model, write_csv, write_summary
-from .model import (KernelSample, OqhoParams, StateSpace, build_j_matrix,
-                    from_state_space, kernel_at, realize)
-from .onemode import (OneModeParams, ab_functions, extract_mu, onemode_drift,
-                      onemode_trig)
+from .model import (OqhoParams, StateSpace, build_j_matrix,
+                    from_state_space, realize)
+from .onemode import OneModeParams
 from .quadrature import QuadratureConfig
-from .rate import (RateResult, classical_v, contour_e, frequency_profile,
-                   log_det_d, lqg_rate, small_theta_expansion, tail_bound,
-                   theta_threshold, upsilon, upsilon_from_grid,
-                   worst_case_lqg_bound)
+from .rate import (RateResult, classical_v, frequency_profile, lqg_rate,
+                   small_theta_expansion, tail_bound, theta_threshold,
+                   upsilon, upsilon_from_grid, worst_case_lqg_bound)
 from .spectral import SpectralGrid, sample_grid, transfer
 from .twomode import two_mode_example
 
@@ -37,25 +33,23 @@ __all__ = [
     "DegeneracyError", "ParameterError", "StructureError",
     "FeasibilityError", "NumericalError", "SingularityError", "SizeError",
     # model
-    "OqhoParams", "StateSpace", "KernelSample", "build_j_matrix",
-    "realize", "from_state_space", "kernel_at",
+    "OqhoParams", "StateSpace", "build_j_matrix", "realize",
+    "from_state_space",
     # spectral
     "SpectralGrid", "transfer", "sample_grid",
     # quadrature
     "QuadratureConfig",
     # rate
-    "RateResult", "log_det_d", "upsilon", "upsilon_from_grid",
-    "classical_v", "theta_threshold", "lqg_rate", "small_theta_expansion",
-    "contour_e", "tail_bound", "worst_case_lqg_bound", "frequency_profile",
+    "RateResult", "upsilon", "upsilon_from_grid", "classical_v",
+    "theta_threshold", "lqg_rate", "small_theta_expansion", "tail_bound",
+    "worst_case_lqg_bound", "frequency_profile",
     # homotopy
-    "HomotopyTrace", "u_direct", "u_ode_step", "rate_by_homotopy",
-    "rate_by_homotopy_from_grid", "d_second_derivative_check",
+    "HomotopyTrace", "rate_by_homotopy",
     # horizon
     "HorizonEstimate", "ConvergenceStudy", "discretize_kernels", "ln_xi",
     "convergence_study",
     # one-mode closed forms
-    "OneModeParams", "extract_mu", "onemode_drift", "ab_functions",
-    "onemode_trig",
+    "OneModeParams",
     # io / examples
     "load_model", "write_csv", "write_summary", "two_mode_example",
 ]

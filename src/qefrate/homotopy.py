@@ -40,14 +40,11 @@ from .model import StateSpace
 from .quadrature import QuadratureConfig
 from .spectral import SpectralGrid, grid_for
 
-__all__ = ["HomotopyTrace", "u_direct", "u_ode_step", "rate_by_homotopy",
-           "rate_by_homotopy_from_grid", "d_second_derivative_check"]
+__all__ = ["HomotopyTrace", "rate_by_homotopy"]
 
 #: One RK4 step may not grow ||U|| by more than this factor; larger jumps
 #: indicate approach to the finite-escape (feasibility) boundary.
 GROWTH_GUARD = 10.0
-#: Step in theta of the central difference in ``d_second_derivative_check``.
-D2_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -212,12 +209,11 @@ def rate_by_homotopy(ss: StateSpace, theta_max: float, d_theta: float,
     Raises FeasibilityError if any frequency shows finite-time escape
     before theta_max.
     """
-    return rate_by_homotopy_from_grid(grid_for(ss, cfg), theta_max, d_theta,
-                                      cfg)
+    return _march(grid_for(ss, cfg), theta_max, d_theta, cfg)
 
 
-def rate_by_homotopy_from_grid(grid, theta_max: float, d_theta: float,
-                               cfg: QuadratureConfig) -> HomotopyTrace:
+def _march(grid: SpectralGrid, theta_max: float, d_theta: float,
+           cfg: QuadratureConfig) -> HomotopyTrace:
     """Riccati march over precomputed spectral stacks."""
     if not (0.0 <= theta_max < math.inf and 0.0 < d_theta < math.inf):
         raise FeasibilityError("theta_max and d_theta must be finite, "
@@ -240,22 +236,3 @@ def rate_by_homotopy_from_grid(grid, theta_max: float, d_theta: float,
     return HomotopyTrace(theta_grid=thetas, rate_derivative=derivs, rate=rate,
                          per_freq_u=st.u())
 
-
-def d_second_derivative_check(grid: SpectralGrid, theta: float) -> float:
-    """Largest residual over the grid's nodes of the linear structure
-    D'' = -D Psi^2.
-
-    D'' is a central finite difference of the log-det matrix in theta, of
-    step ``D2_STEP``, so the residual is dominated by the O(D2_STEP^2)
-    differencing error.
-    """
-    def d_mat(th: float) -> np.ndarray:
-        cos_tp, sinc_tp, _ = grid.trig(th)
-        return cos_tp - th * grid.phi @ sinc_tp
-
-    d0 = d_mat(theta)
-    d_plus = d_mat(theta + D2_STEP)
-    d_minus = d_mat(theta - D2_STEP)
-    second = (d_plus - 2.0 * d0 + d_minus) / D2_STEP ** 2
-    psi_sq = grid.psi @ grid.psi
-    return float(np.max(np.linalg.norm(second + d0 @ psi_sq, axis=(1, 2))))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg import solve_continuous_lyapunov
 
 from ._funcs import sqrtm_spd, symmetrize
 from .errors import (DegeneracyError, DimensionError, NumericalError,
@@ -191,15 +191,6 @@ class StateSpace:
         return float(np.trace(self.weight @ self.b @ self.b.T))
 
 
-@dataclass(frozen=True)
-class KernelSample:
-    """Commutator and covariance kernels evaluated at one time lag."""
-
-    tau: float
-    lambda_k: np.ndarray
-    p_k: np.ndarray
-
-
 def _eigvals(a: np.ndarray) -> np.ndarray:
     eig = np.linalg.eigvals(a)
     eig.flags.writeable = False
@@ -298,17 +289,3 @@ def from_state_space(a, b, weight, theta_ccr=None) -> StateSpace:
     theta = None if theta_ccr is None else _as_matrix(theta_ccr, "theta_ccr")
     return _validated(a, b, build_j_matrix(b.shape[1]), pi, theta)
 
-
-def kernel_at(ss: StateSpace, tau: float) -> KernelSample:
-    """Evaluate the commutator and covariance kernels at lag ``tau``.
-
-    The negative-lag branch is produced by mirroring the positive-lag
-    matrices, so the kernel symmetries hold exactly for paired lags.
-    """
-    s = ss.s_half
-    e = expm(abs(tau) * ss.a)
-    lam_pos = s @ e @ ss.theta_ccr @ s
-    p_pos = s @ e @ ss.sigma @ s
-    if tau >= 0:
-        return KernelSample(tau=float(tau), lambda_k=lam_pos, p_k=p_pos)
-    return KernelSample(tau=float(tau), lambda_k=-lam_pos.T, p_k=p_pos.T)

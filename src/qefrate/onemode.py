@@ -33,8 +33,7 @@ from .errors import DimensionError, ParameterError, SingularityError, StructureE
 from .model import BJ2, OqhoParams, StateSpace, build_j_matrix, realize
 from .spectral import sample_grid
 
-__all__ = ["OneModeParams", "extract_mu", "onemode_drift", "ab_functions",
-           "onemode_trig", "poles", "residue_at", "to_state_space",
+__all__ = ["OneModeParams", "poles", "residue_at", "to_state_space",
            "random_params", "generic_deviation"]
 
 #: Radius and node count of the circle on which ``residue_at`` integrates.

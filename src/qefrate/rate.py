@@ -13,8 +13,8 @@ is always computed through the two-factor Hermitian split
     ln det D = ln det cos(theta Psi)
              + ln det(I - theta sqrt(tanc) Phi sqrt(tanc)),
 
-whose factors have real spectra; the direct complex determinant is kept
-only as an assertion channel against branch-cut mistakes.  The second
+whose factors have real spectra; the tests keep the direct complex
+determinant as a check against branch-cut mistakes.  The second
 factor is formed in the eigenbasis of H = i Psi, where sqrt(tanc) is
 diagonal, so each theta scales the model's cached rotated Phi and
 factors I - theta M as L D L*, one pivot column at a time over the whole
@@ -30,8 +30,8 @@ The module also provides the classical entropy integral V(theta) obtained
 when the commutator spectrum is absent, the feasibility threshold
 theta0 = 1 / sup lam_max(Phi) (mesh-free, from the Hamiltonian matrix of
 the H-infinity norm), the mean-square (LQG) limit, the small-theta
-expansion, an analytic continuation E_theta(s) off the imaginary axis, and
-the exponential tail / worst-case cost bounds built on top of Upsilon.
+expansion, and the exponential tail / worst-case cost bounds built on top
+of Upsilon.
 
 Every entry point that takes a model samples its spectrum through
 ``qefrate.spectral.grid_for``, once per model and rule, and theta0 is
@@ -52,16 +52,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._funcs import check_theta, hermitize, lncosh, minimize_bounded, tanhc
-from .errors import FeasibilityError, NumericalError, ParameterError
+from .errors import FeasibilityError
 from .model import StateSpace
 from .quadrature import HalfLine, QuadratureConfig
 from .spectral import SpectralGrid, grid_for, transfer
 
 __all__ = [
-    "RateResult", "log_det_d", "upsilon", "upsilon_from_grid", "classical_v",
-    "theta_threshold", "lqg_rate", "small_theta_expansion", "contour_e",
-    "tail_bound", "worst_case_lqg_bound", "curve_converged",
-    "frequency_profile",
+    "RateResult", "upsilon", "upsilon_from_grid", "classical_v",
+    "theta_threshold", "lqg_rate", "small_theta_expansion", "tail_bound",
+    "worst_case_lqg_bound", "curve_converged", "frequency_profile",
 ]
 
 #: Gauss-Kronrod error estimate, relative to the integral, above which a
@@ -90,10 +89,6 @@ _EPS = float(np.finfo(float).eps)
 #: bound max_i r_i^2 lam_max(Phi) that a node's bound must reach for the
 #: feasibility margin to eigensolve it; it covers rounding in the bound.
 MARGIN_SLACK = 1e-12
-
-#: Largest phase of the complex determinant's sign that ``log_det_d``
-#: accepts as real.
-PHASE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -234,31 +229,6 @@ def _over_2pi(quad: HalfLine) -> HalfLine:
     return HalfLine(*(x / (2.0 * math.pi) for x in quad))
 
 
-def log_det_d(grid: SpectralGrid, theta: float) -> float:
-    """ln det D_theta at the one node of a one-node grid.
-
-    Evaluated on the Hermitian split; the direct complex determinant is
-    computed as well, from the same eigenbasis of H, and its phase
-    asserted below ``PHASE_TOL``.  The value is even in both the frequency
-    and the commutator sign, so a negative node is conjugated back first
-    and evaluates identically.
-    """
-    check_theta(theta)
-    if len(grid.lambdas) != 1:
-        raise ParameterError(
-            f"log_det_d takes a one-node grid, got {len(grid.lambdas)} nodes")
-    if grid.lambdas[0] < 0:
-        grid = SpectralGrid(lambdas=-grid.lambdas, phi=np.conj(grid.phi),
-                            psi=np.conj(grid.psi), h=-np.conj(grid.h))
-    value = -float(_neg_log_det(grid, theta)[0])
-    cos_tp, sinc_tp, _ = grid.trig(theta)
-    sign, _ = np.linalg.slogdet(cos_tp[0] - theta * grid.phi[0] @ sinc_tp[0])
-    if abs(np.angle(sign)) > PHASE_TOL:
-        raise NumericalError(
-            f"complex log-det drifted off the real axis: Im = {np.angle(sign):g}")
-    return value
-
-
 def upsilon_from_grid(grid: SpectralGrid, theta: float,
                       cfg: QuadratureConfig) -> RateResult:
     """Growth rate from spectral stacks sampled at ``cfg.lambdas()``.
@@ -344,10 +314,13 @@ def theta_threshold(ss: StateSpace, cfg: QuadratureConfig) -> float:
 
 def _phi_sup(ss: StateSpace) -> float:
     """sup over frequency of lam_max(Phi), by the level-set iteration."""
-    cands = np.concatenate([[0.0], np.abs(ss.drift_eigenvalues.imag)])
+    # lam = 0 and each drift resonance once: a real eigenvalue repeats 0
+    # and a conjugate pair its frequency
+    cands = list(dict.fromkeys(
+        [0.0, *np.abs(ss.drift_eigenvalues.imag).tolist()]))
     peaks = [_phi_peak(ss, lam) for lam in cands]
     k = int(np.argmax(peaks))
-    best_lam, best = float(cands[k]), peaks[k]
+    best_lam, best = cands[k], peaks[k]
     bracket = None
     for _ in range(50):
         level = best * (1.0 + LEVEL_STEP)
@@ -426,38 +399,6 @@ def small_theta_expansion(ss: StateSpace, theta: float,
     corr_vals = np.sum((1.0 - tp / 3.0) / (1.0 - tp) * d, axis=-1)
     corr = cfg.half_line(corr_vals).value
     return v + (theta ** 2 / (4.0 * math.pi)) * corr
-
-
-def contour_e(ss: StateSpace, s: complex, theta: float) -> np.ndarray:
-    """Analytic continuation E_theta(s) of the log-det matrix off the axis.
-
-    Uses the rational continuations Gamma(s) = F(s) F(-s)' and
-    Mho(s) = F(s) J F(-s)', which restrict to Phi and Psi on the imaginary
-    axis.  cos M and sinc M of the (generally non-normal) M = theta Mho(s)
-    are the top blocks of one matrix exponential,
-
-        exp [[0, I], [-M^2, 0]] = [[cos M, sinc M], [-M sin M, cos M]].
-
-    Raises NumericalError when the result is not finite.
-    """
-    check_theta(theta)
-    # imported here: scipy.linalg costs every import of the package
-    from scipy.linalg import expm
-    f_pos = transfer(ss, s)
-    f_neg = transfer(ss, -s)
-    gamma = f_pos @ f_neg.T
-    n = ss.n
-    generator = np.zeros((2 * n, 2 * n), dtype=complex)
-    generator[:n, n:] = np.eye(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = theta * (f_pos @ ss.j @ f_neg.T)
-        generator[n:, :n] = -(m @ m)
-        trig = expm(generator)
-        e_mat = trig[:n, :n] - theta * gamma @ trig[:n, n:]
-    if not np.isfinite(e_mat).all():
-        raise NumericalError(
-            f"E_theta(s) is not finite at s = {s}, theta = {theta:g}")
-    return e_mat
 
 
 def _refine_inf(objective, grid: np.ndarray, values: np.ndarray) -> float:

@@ -1,20 +1,25 @@
 """Shared fixtures: the two-mode example, cheap meshes, surrogate models,
-a deterministic pool of random stable models, and a loader for the
-benchmark's model generator."""
+a deterministic pool of random stable models, a loader for the
+benchmark's model generator, and the independent references the tests
+compare the library against."""
 
 from __future__ import annotations
 
 import importlib.util
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import expm, solve_continuous_are
 
 import qefrate as q
-from qefrate.errors import DegeneracyError, StabilityError
+from qefrate._funcs import check_theta
+from qefrate.errors import (DegeneracyError, NumericalError, ParameterError,
+                            StabilityError)
 from qefrate.model import BJ2, build_j_matrix
+from qefrate.rate import _neg_log_det
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -76,6 +81,114 @@ def care_v(ss: q.StateSpace, theta: float) -> float:
     solution of A'X + XA + Pi + theta X B B' X = 0 (R = -I/theta)."""
     x = solve_continuous_are(ss.a, ss.b, ss.weight, -np.eye(ss.m) / theta)
     return 0.5 * theta * float(np.trace(ss.b.T @ x @ ss.b))
+
+
+#: Largest phase of the complex determinant's sign that ``log_det_d``
+#: accepts as real.
+PHASE_TOL = 1e-8
+
+
+def log_det_d(grid: q.SpectralGrid, theta: float) -> float:
+    """ln det D_theta at the one node of a one-node grid.
+
+    Evaluated on the library's Hermitian split; the direct complex
+    determinant is computed as well, from the same eigenbasis of H, and
+    its phase asserted below ``PHASE_TOL``.  The value is even in both the
+    frequency and the commutator sign, so a negative node is conjugated
+    back first and evaluates identically.
+    """
+    check_theta(theta)
+    if len(grid.lambdas) != 1:
+        raise ParameterError(
+            f"log_det_d takes a one-node grid, got {len(grid.lambdas)} nodes")
+    if grid.lambdas[0] < 0:
+        grid = q.SpectralGrid(lambdas=-grid.lambdas, phi=np.conj(grid.phi),
+                              psi=np.conj(grid.psi), h=-np.conj(grid.h))
+    value = -float(_neg_log_det(grid, theta)[0])
+    cos_tp, sinc_tp, _ = grid.trig(theta)
+    sign, _ = np.linalg.slogdet(cos_tp[0] - theta * grid.phi[0] @ sinc_tp[0])
+    if abs(np.angle(sign)) > PHASE_TOL:
+        raise NumericalError(
+            f"complex log-det drifted off the real axis: Im = {np.angle(sign):g}")
+    return value
+
+
+def contour_e(ss: q.StateSpace, s: complex, theta: float) -> np.ndarray:
+    """Analytic continuation E_theta(s) of the log-det matrix off the axis.
+
+    Uses the rational continuations Gamma(s) = F(s) F(-s)' and
+    Mho(s) = F(s) J F(-s)', which restrict to Phi and Psi on the imaginary
+    axis.  cos M and sinc M of the (generally non-normal) M = theta Mho(s)
+    are the top blocks of one matrix exponential,
+
+        exp [[0, I], [-M^2, 0]] = [[cos M, sinc M], [-M sin M, cos M]].
+
+    Raises NumericalError when the result is not finite.
+    """
+    check_theta(theta)
+    f_pos = q.transfer(ss, s)
+    f_neg = q.transfer(ss, -s)
+    gamma = f_pos @ f_neg.T
+    n = ss.n
+    generator = np.zeros((2 * n, 2 * n), dtype=complex)
+    generator[:n, n:] = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = theta * (f_pos @ ss.j @ f_neg.T)
+        generator[n:, :n] = -(m @ m)
+        trig = expm(generator)
+        e_mat = trig[:n, :n] - theta * gamma @ trig[:n, n:]
+    if not np.isfinite(e_mat).all():
+        raise NumericalError(
+            f"E_theta(s) is not finite at s = {s}, theta = {theta:g}")
+    return e_mat
+
+
+@dataclass(frozen=True)
+class KernelSample:
+    """Commutator and covariance kernels evaluated at one time lag."""
+
+    tau: float
+    lambda_k: np.ndarray
+    p_k: np.ndarray
+
+
+def kernel_at(ss: q.StateSpace, tau: float) -> KernelSample:
+    """Evaluate the commutator and covariance kernels at lag ``tau``.
+
+    The negative-lag branch is produced by mirroring the positive-lag
+    matrices, so the kernel symmetries hold exactly for paired lags.
+    """
+    s = ss.s_half
+    e = expm(abs(tau) * ss.a)
+    lam_pos = s @ e @ ss.theta_ccr @ s
+    p_pos = s @ e @ ss.sigma @ s
+    if tau >= 0:
+        return KernelSample(tau=float(tau), lambda_k=lam_pos, p_k=p_pos)
+    return KernelSample(tau=float(tau), lambda_k=-lam_pos.T, p_k=p_pos.T)
+
+
+#: Step in theta of the central difference in ``d_second_derivative_check``.
+D2_STEP = 1e-4
+
+
+def d_second_derivative_check(grid: q.SpectralGrid, theta: float) -> float:
+    """Largest residual over the grid's nodes of the linear structure
+    D'' = -D Psi^2.
+
+    D'' is a central finite difference of the log-det matrix in theta, of
+    step ``D2_STEP``, so the residual is dominated by the O(D2_STEP^2)
+    differencing error.
+    """
+    def d_mat(th: float) -> np.ndarray:
+        cos_tp, sinc_tp, _ = grid.trig(th)
+        return cos_tp - th * grid.phi @ sinc_tp
+
+    d0 = d_mat(theta)
+    d_plus = d_mat(theta + D2_STEP)
+    d_minus = d_mat(theta - D2_STEP)
+    second = (d_plus - 2.0 * d0 + d_minus) / D2_STEP ** 2
+    psi_sq = grid.psi @ grid.psi
+    return float(np.max(np.linalg.norm(second + d0 @ psi_sq, axis=(1, 2))))
 
 
 def single_mode(damping: float, freq: float = 1.0) -> q.StateSpace:

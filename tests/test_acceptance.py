@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import qefrate as q
-from qefrate.homotopy import d_second_derivative_check, u_direct, u_ode_step
-from qefrate.onemode import onemode_trig, poles, residue_at
+from qefrate.homotopy import u_direct, u_ode_step
+from qefrate.onemode import ab_functions, onemode_trig, poles, residue_at
 
-from conftest import SURROGATE_A, SURROGATE_G, surrogate_v_closed
+from conftest import (SURROGATE_A, SURROGATE_G, d_second_derivative_check,
+                      kernel_at, log_det_d, surrogate_v_closed)
 
 
 def report(num: int, ok: bool, detail: str, elapsed: float) -> None:
@@ -53,7 +54,7 @@ def test_criterion_03_high_frequency_asymptote(twomode, theta0):
     ratios = []
     for lam in np.geomspace(300.0, 1000.0, 15):
         sample = q.sample_grid(twomode, [lam])
-        ratios.append(-q.log_det_d(sample, theta) / (coeff / lam ** 2))
+        ratios.append(-log_det_d(sample, theta) / (coeff / lam ** 2))
     ratios = np.array(ratios)
     ok = np.all(ratios >= 0.98) and np.all(ratios <= 1.02)
     elapsed = time.monotonic() - start
@@ -167,7 +168,7 @@ def test_criterion_09_onemode_oracle(onemode_params, onemode_ss):
             - onemode_params.nu * BJ2
         f_closed = np.linalg.solve(lhs, root @ onemode_ss.b)
         worst = max(worst, float(np.max(np.abs(f_generic - f_closed))))
-        a, b = q.ab_functions(onemode_params.mu, onemode_params.nu, 1j * lam)
+        a, b = ab_functions(onemode_params.mu, onemode_params.nu, 1j * lam)
         worst = max(worst, float(np.max(np.abs(
             sample.psi - (a * np.eye(2) + b * BJ2)))))
         theta = 0.3 / (1.0 + abs(lam))
@@ -204,7 +205,7 @@ def test_criterion_10_invariant_suites(random_models):
         if ss.sigma_residual() > 1e-10 * sig_scale:
             failures.append((idx, "sigma-residual"))
         tau = float(rng.uniform(0.1, 2.0))
-        plus, minus = q.kernel_at(ss, tau), q.kernel_at(ss, -tau)
+        plus, minus = kernel_at(ss, tau), kernel_at(ss, -tau)
         if not (np.array_equal(minus.lambda_k, -plus.lambda_k.T)
                 and np.array_equal(minus.p_k, plus.p_k.T)):
             failures.append((idx, "kernel-symmetry"))

@@ -12,10 +12,10 @@ import qefrate as q
 from qefrate import homotopy
 from qefrate._funcs import hermitize
 from qefrate.errors import FeasibilityError
-from qefrate.homotopy import (d_second_derivative_check, rate_by_homotopy,
-                              rate_by_homotopy_from_grid, u_direct, u_ode_step)
+from qefrate.homotopy import _march, rate_by_homotopy, u_direct, u_ode_step
 
-from conftest import SURROGATE_A, SURROGATE_G, surrogate_v_closed
+from conftest import (SURROGATE_A, SURROGATE_G, d_second_derivative_check,
+                      surrogate_v_closed)
 
 
 def synthetic_sample(phi: np.ndarray, psi: np.ndarray,
@@ -204,8 +204,7 @@ class TestRateByHomotopy:
         classical = dataclasses.replace(grid, psi=0.0 * grid.psi,
                                         h=0.0 * grid.h)
         theta_end = 0.5 * SURROGATE_A ** 2 / SURROGATE_G ** 2
-        tr = rate_by_homotopy_from_grid(classical, theta_end,
-                                        theta_end / 200.0, cfg)
+        tr = _march(classical, theta_end, theta_end / 200.0, cfg)
         exact = surrogate_v_closed(theta_end)
         assert abs(tr.rate[-1] - exact) < 1e-6 * exact
 
@@ -221,7 +220,7 @@ class TestRateByHomotopy:
         cfg = q.QuadratureConfig(cutoff=10.0, step=0.0025)
         grid = q.sample_grid(twomode, cfg.lambdas())
         with pytest.raises(FeasibilityError) as err:
-            rate_by_homotopy_from_grid(grid, 40.0 * theta0, 0.4 * theta0, cfg)
+            _march(grid, 40.0 * theta0, 0.4 * theta0, cfg)
         assert err.value.lam is not None
         ref = reference_march(grid, 40.0 * theta0, 0.4 * theta0, cfg)
         assert isinstance(ref, FeasibilityError)
@@ -230,8 +229,7 @@ class TestRateByHomotopy:
     def test_matches_complex_reference(self, twomode, theta0):
         cfg = q.QuadratureConfig(cutoff=100.0, step=0.025)
         grid = q.sample_grid(twomode, cfg.lambdas())
-        tr = rate_by_homotopy_from_grid(grid, 0.9 * theta0, 0.01 * theta0,
-                                        cfg)
+        tr = _march(grid, 0.9 * theta0, 0.01 * theta0, cfg)
         rate, derivs, u = reference_march(grid, 0.9 * theta0, 0.01 * theta0, cfg)
         np.testing.assert_allclose(tr.rate, rate, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(tr.rate_derivative, derivs, rtol=1e-13,
@@ -243,7 +241,7 @@ class TestRateByHomotopy:
         cfg = q.QuadratureConfig(cutoff=100.0, step=0.02)
         grid = q.sample_grid(surrogate, cfg.lambdas())
         theta_end = 0.6 * SURROGATE_A ** 2 / SURROGATE_G ** 2
-        tr = rate_by_homotopy_from_grid(grid, theta_end, theta_end / 100.0, cfg)
+        tr = _march(grid, theta_end, theta_end / 100.0, cfg)
         for k in range(10, 101, 30):
             direct = q.upsilon_from_grid(grid, float(tr.theta_grid[k]),
                                          cfg).upsilon

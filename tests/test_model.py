@@ -12,7 +12,7 @@ from qefrate.errors import (DegeneracyError, DimensionError, ParameterError,
                             StabilityError)
 from qefrate.model import BJ2, build_j_matrix
 
-from conftest import passive_params
+from conftest import kernel_at, passive_params
 
 
 def expm_series(m: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -277,20 +277,20 @@ class TestDriftSpectrum:
 
 class TestKernelAt:
     def test_zero_lag(self, twomode):
-        ks = q.kernel_at(twomode, 0.0)
+        ks = kernel_at(twomode, 0.0)
         s = twomode.s_half
         assert np.allclose(ks.lambda_k, s @ twomode.theta_ccr @ s, atol=1e-14)
         assert np.allclose(ks.p_k, s @ twomode.sigma @ s, atol=1e-14)
 
     @pytest.mark.parametrize("tau", [0.3, 1.0, 2.7])
     def test_mirror_symmetry_exact(self, twomode, tau):
-        plus = q.kernel_at(twomode, tau)
-        minus = q.kernel_at(twomode, -tau)
+        plus = kernel_at(twomode, tau)
+        minus = kernel_at(twomode, -tau)
         assert np.array_equal(minus.lambda_k, -plus.lambda_k.T)
         assert np.array_equal(minus.p_k, plus.p_k.T)
 
     def test_against_series_exponential(self, twomode):
-        ks = q.kernel_at(twomode, 1.0)
+        ks = kernel_at(twomode, 1.0)
         s = twomode.s_half
         e = expm_series(twomode.a)
         assert np.allclose(ks.p_k, s @ e @ twomode.sigma @ s, atol=1e-12)

@@ -13,16 +13,17 @@ from qefrate.cli import main
 from qefrate.errors import (DimensionError, ParameterError, SingularityError,
                             StructureError)
 from qefrate.model import BJ2, build_j_matrix
-from qefrate.onemode import (onemode_trig, poles, random_params, residue_at,
+from qefrate.onemode import (ab_functions, extract_mu, onemode_drift,
+                             onemode_trig, poles, random_params, residue_at,
                              to_state_space)
 
 
 class TestExtractMu:
     def test_identity_coupling(self):
-        assert q.extract_mu(np.eye(2), BJ2) == pytest.approx(1.0)
+        assert extract_mu(np.eye(2), BJ2) == pytest.approx(1.0)
 
     def test_quadratic_scaling(self):
-        assert q.extract_mu(2.5 * np.eye(2), BJ2) == pytest.approx(6.25)
+        assert extract_mu(2.5 * np.eye(2), BJ2) == pytest.approx(6.25)
 
     def test_projection_oracle(self):
         rng = np.random.default_rng(11)
@@ -34,24 +35,24 @@ class TestExtractMu:
             if mu_proj <= 0:
                 m = m @ np.diag([1.0, -1.0])
                 mu_proj = -mu_proj
-            assert q.extract_mu(m, j6) == pytest.approx(mu_proj, rel=1e-12)
+            assert extract_mu(m, j6) == pytest.approx(mu_proj, rel=1e-12)
 
     def test_structure_error_on_bad_j(self):
         with pytest.raises(StructureError):
-            q.extract_mu(np.eye(2), np.eye(2))
+            extract_mu(np.eye(2), np.eye(2))
 
     def test_nonpositive_mu_rejected(self):
         with pytest.raises(ParameterError):
-            q.extract_mu(np.diag([1.0, -1.0]), BJ2)
+            extract_mu(np.diag([1.0, -1.0]), BJ2)
 
     def test_wrong_width_rejected(self):
         with pytest.raises(DimensionError):
-            q.extract_mu(np.ones((4, 3)), build_j_matrix(4))
+            extract_mu(np.ones((4, 3)), build_j_matrix(4))
 
 
 class TestOnemodeDrift:
     def test_identity_energy(self):
-        a = q.onemode_drift(np.eye(2), 0.5)
+        a = onemode_drift(np.eye(2), 0.5)
         assert np.allclose(a, BJ2 - 0.5 * np.eye(2), atol=1e-12)
         eig = np.sort_complex(np.linalg.eigvals(a))
         assert np.allclose(eig, [-0.5 - 1.0j, -0.5 + 1.0j], atol=1e-12)
@@ -63,49 +64,49 @@ class TestOnemodeDrift:
             r = g @ g.T + 0.4 * np.eye(2)
             mu = float(rng.uniform(0.2, 2.0))
             nu = float(np.sqrt(np.linalg.det(r)))
-            eig = np.sort_complex(np.linalg.eigvals(q.onemode_drift(r, mu)))
+            eig = np.sort_complex(np.linalg.eigvals(onemode_drift(r, mu)))
             assert np.allclose(eig, [-mu - 1j * nu, -mu + 1j * nu], atol=1e-10)
 
     def test_consistent_with_realization(self, onemode_params, onemode_ss):
-        a = q.onemode_drift(onemode_params.r, onemode_params.mu)
+        a = onemode_drift(onemode_params.r, onemode_params.mu)
         assert np.allclose(a, onemode_ss.a, atol=1e-10)
 
     def test_rejects_indefinite_energy(self):
         with pytest.raises(ParameterError):
-            q.onemode_drift(np.diag([1.0, -1.0]), 0.5)
+            onemode_drift(np.diag([1.0, -1.0]), 0.5)
 
 
 class TestAbFunctions:
     def test_at_zero(self):
         mu, nu = 0.7, 1.3
-        a, b = q.ab_functions(mu, nu, 0.0)
+        a, b = ab_functions(mu, nu, 0.0)
         assert a == 0.0
         assert b == pytest.approx(mu * nu / (mu ** 2 + nu ** 2), rel=1e-12)
 
     def test_parity(self):
         mu, nu = 0.7, 1.3
         for s in [0.3 + 0.1j, 2.0j, -1.1 + 0.8j]:
-            a_p, b_p = q.ab_functions(mu, nu, s)
-            a_m, b_m = q.ab_functions(mu, nu, -s)
+            a_p, b_p = ab_functions(mu, nu, s)
+            a_m, b_m = ab_functions(mu, nu, -s)
             assert a_m == pytest.approx(-a_p, rel=1e-12)
             assert b_m == pytest.approx(b_p, rel=1e-12)
 
     def test_pole_guard(self):
         mu, nu = 0.7, 1.3
         with pytest.raises(SingularityError):
-            q.ab_functions(mu, nu, mu + 1j * nu)
+            ab_functions(mu, nu, mu + 1j * nu)
 
     def test_pole_guard_on_arrays(self):
         mu, nu = 0.7, 1.3
         with pytest.raises(SingularityError):
-            q.ab_functions(mu, nu, np.array([0.0, mu + 1j * nu]))
+            ab_functions(mu, nu, np.array([0.0, mu + 1j * nu]))
 
     def test_matches_generic_commutator_spectrum(self, onemode_params,
                                                  onemode_ss):
         for lam in [0.4, 1.9, 6.0]:
             sample = q.sample_grid(onemode_ss, [lam])
-            a, b = q.ab_functions(onemode_params.mu, onemode_params.nu,
-                                  1j * lam)
+            a, b = ab_functions(onemode_params.mu, onemode_params.nu,
+                                1j * lam)
             closed = a * np.eye(2) + b * BJ2
             assert np.max(np.abs(sample.psi - closed)) < 1e-10
 
@@ -135,8 +136,8 @@ class TestOnemodeTrig:
             sample = q.sample_grid(onemode_ss, [lam])
             cos_tp, sinc_tp, _ = sample.trig(theta)
             d_generic = cos_tp - theta * sample.phi @ sinc_tp
-            a, b = q.ab_functions(onemode_params.mu, onemode_params.nu,
-                                  1j * lam)
+            a, b = ab_functions(onemode_params.mu, onemode_params.nu,
+                                1j * lam)
             mho = a * np.eye(2) + b * BJ2
             cos_c, sin_c = onemode_trig(onemode_params.mu, onemode_params.nu,
                                         1j * lam, theta)
@@ -150,7 +151,7 @@ def residue_loop(mu, nu, pole, radius=1e-3, nodes=64):
     angles = 2.0 * np.pi * np.arange(nodes) / nodes
     acc = np.zeros((2, 2), dtype=complex)
     for z in pole + radius * np.exp(1j * angles):
-        a, b = q.ab_functions(mu, nu, z)
+        a, b = ab_functions(mu, nu, z)
         acc += (a * np.eye(2) + b * BJ2) * (z - pole)
     return acc / nodes
 
@@ -186,7 +187,7 @@ def per_sample_check(seed: int, samples: int = 100) -> dict:
     dev_psi = dev_trig = 0.0
     for lam in rng.uniform(-8.0, 8.0, size=samples):
         sample = q.sample_grid(ss, [lam])
-        a, b = q.ab_functions(params.mu, params.nu, 1j * lam)
+        a, b = ab_functions(params.mu, params.nu, 1j * lam)
         closed = a * np.eye(2) + b * BJ2
         dev_psi = max(dev_psi, float(np.max(np.abs(sample.psi - closed))))
         theta = 0.3 / (1.0 + abs(float(lam)))

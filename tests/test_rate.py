@@ -13,11 +13,11 @@ from qefrate import rate
 from qefrate._funcs import apply_herm, hermitize, lncosh, minimize_bounded, tanhc
 from qefrate.errors import FeasibilityError, NumericalError, ParameterError
 from qefrate.model import BJ2
-from qefrate.rate import log_det_d
 from qefrate.spectral import grid_for
 
 from conftest import (SURROGATE_A, SURROGATE_G, benchmark_module,
-                      make_random_model, single_mode, surrogate_v_closed)
+                      contour_e, log_det_d, make_random_model, single_mode,
+                      surrogate_v_closed)
 
 
 def zero_psi(grid: q.SpectralGrid) -> q.SpectralGrid:
@@ -308,6 +308,16 @@ class TestClassicalV:
             q.classical_v(twomode, 1.05 * theta0, cfg_coarse)
 
 
+def recorded_peaks(monkeypatch) -> list:
+    """The frequencies at which ``rate._phi_peak`` is evaluated from now on,
+    in call order."""
+    calls = []
+    peak = rate._phi_peak
+    monkeypatch.setattr(rate, "_phi_peak",
+                        lambda ss, lam: calls.append(lam) or peak(ss, lam))
+    return calls
+
+
 class TestThetaThreshold:
     def test_twomode_value(self, theta0):
         assert abs(theta0 - 0.0908) < 2e-4
@@ -330,27 +340,36 @@ class TestThetaThreshold:
                                                       monkeypatch):
         # the surrogate's lam_max(Phi) = g^2 / (a^2 + lam^2) peaks at
         # lam = 0, flat to rounding there: the polish stops once the value
-        # is settled, not after closing in on an abscissa to 1e-12
-        calls = []
-        peak = rate._phi_peak
-        monkeypatch.setattr(rate, "_phi_peak",
-                            lambda ss, lam: calls.append(lam) or peak(ss, lam))
+        # is settled, not after closing in on an abscissa to 1e-12; both
+        # real drift eigenvalues list lam = 0 again, evaluated once
+        calls = recorded_peaks(monkeypatch)
         fresh = q.from_state_space(-SURROGATE_A * np.eye(2),
                                    SURROGATE_G * np.eye(2), np.eye(2))
         expected = SURROGATE_A ** 2 / SURROGATE_G ** 2
         assert q.theta_threshold(fresh, cfg_coarse) == pytest.approx(
             expected, rel=1e-14)
         assert len(calls) <= 7
+        assert calls.count(0.0) == 1
+
+    def test_each_start_frequency_evaluated_once(self, monkeypatch):
+        # the starts, lam = 0 and |Im mu| for each drift eigenvalue mu, come
+        # first; two-mode's two conjugate pairs list each frequency twice.
+        # The level-set iteration may come back to lam = 0 later, as the
+        # midpoint of a crossing pair +-w
+        ss = q.two_mode_example()
+        calls = recorded_peaks(monkeypatch)
+        q.theta_threshold(ss, None)
+        starts = {0.0, *np.abs(ss.drift_eigenvalues.imag).tolist()}
+        assert len(starts) == 3
+        assert sorted(calls[:3]) == sorted(starts)
 
     def test_tie_at_peak_keeps_best_point(self, tmp_path, monkeypatch):
         # a modelgen draw whose lam_max(Phi) peaks at lam = 0: a trial at
         # 4.1e-9 ties the value there, and a tie that became the best point
         # would send the search after rounding noise
         ss = benchmark_module("modelgen").draw_models(2, 2, tmp_path)[0][1].ss
-        calls = []
         peak = rate._phi_peak
-        monkeypatch.setattr(rate, "_phi_peak",
-                            lambda ss, lam: calls.append(lam) or peak(ss, lam))
+        calls = recorded_peaks(monkeypatch)
         theta0 = q.theta_threshold(ss, None)
         assert theta0 == pytest.approx(1.0 / peak(ss, 0.0), rel=1e-15)
         assert len(calls) <= 9
@@ -618,7 +637,7 @@ class TestContourE:
     def test_restricts_to_log_det_matrix(self, twomode, theta0):
         theta = 0.5 * theta0
         for lam in [0.9, 3.7, 11.0]:
-            e_mat = q.contour_e(twomode, 1j * lam, theta)
+            e_mat = contour_e(twomode, 1j * lam, theta)
             s = q.sample_grid(twomode, [lam])
             cos_tp, sinc_tp, _ = s.trig(theta)
             d_mat = cos_tp[0] - theta * s.phi[0] @ sinc_tp[0]
@@ -627,20 +646,20 @@ class TestContourE:
     def test_large_s_limit(self, twomode, theta0):
         theta = 0.5 * theta0
         s_pt = 4000.0 + 3000.0j
-        e_mat = q.contour_e(twomode, s_pt, theta)
+        e_mat = contour_e(twomode, s_pt, theta)
         target = theta * twomode.s_half @ twomode.b @ twomode.b.T \
             @ twomode.s_half
         approx = s_pt ** 2 * (e_mat - np.eye(twomode.n))
         assert np.max(np.abs(approx - target)) < 2e-3 * np.max(np.abs(target))
 
     def test_zero_theta_is_identity(self, twomode):
-        assert np.array_equal(q.contour_e(twomode, 2.0 + 1.0j, 0.0),
+        assert np.array_equal(contour_e(twomode, 2.0 + 1.0j, 0.0),
                               np.eye(twomode.n).astype(complex))
 
     def test_overflow_raises(self, twomode):
         # cos and sinc of theta Mho overflow: an error, not NaN entries
         with pytest.raises(NumericalError, match="not finite"):
-            q.contour_e(twomode, 1.0 + 2.0j, 1e6)
+            contour_e(twomode, 1.0 + 2.0j, 1e6)
 
 
 @pytest.fixture(scope="module")
@@ -759,7 +778,7 @@ THETA_ENTRY_POINTS = {
     "frequency_profile": lambda ss, cfg, th: q.frequency_profile(
         q.sample_grid(ss, cfg.lambdas()), th),
     "ln_xi": lambda ss, cfg, th: q.ln_xi(ss, th, horizon=1.0, n_grid=8),
-    "contour_e": lambda ss, cfg, th: q.contour_e(ss, 1.0 + 2.0j, th),
+    "contour_e": lambda ss, cfg, th: contour_e(ss, 1.0 + 2.0j, th),
 }
 
 
