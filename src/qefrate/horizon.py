@@ -44,10 +44,14 @@ numbers B_2k); both series alternate with decreasing terms for small y,
 so the first term left out bounds the remainder.  The bound
 b = ||Y||_inf >= lam_max(Y) decides how often Y is divided by 4 to bring
 it below Y* = 0.05, where ln sinhc to degree 6 is within 2e-15 of each
-term (Higham, Functions of Matrices, 2008, ch. 4-5).  The log-det takes
-sum_k s_k Tr Y^k to degree 6, and Q = sum_k q_k Y^k the least degree, 3,
-5 or 7, whose remainder at b is below 2^-53: 3 up to b = 8.5e-4, 5 up to
-0.019 and 7 above.  Each halving step undoes one division by 4 with
+term (Higham, Functions of Matrices, 2008, ch. 4-5).  Q = sum_k q_k Y^k
+takes the least degree, 3, 5 or 7, whose remainder at b is below 2^-53:
+3 up to b = 8.5e-4, 5 up to 0.019 and 7 above.  The log-det takes
+sum_k s_k Tr Y^k to the least degree K >= Q's at which the first term
+left out is certified below 2^-53 of the sum, and to 6 at most: the
+terms alternate and decrease, and Tr Y^(K+1) <= b Tr Y^K, so
+|s_(K+1)| b Tr Y^K bounds the remainder.  Each halving step undoes one
+division by 4 with
 
     q(4y) = q(y) + y / q(y),   ln sinhc(2x) = 2 ln sinhc(x) + ln q(x^2),
 
@@ -74,20 +78,23 @@ so C is its first block row plus a displacement of rank r_A + r_B + 2n
 (Kailath, Kung and Morf 1979; Kailath and Sayed 1995).  Y's first block
 row comes from the lag blocks, and its generators, of rank 2n, from L's
 first and last block rows.  Each power Y^k = Y Y^(k-1) takes the rule's
-generators (ranks 8, 24, ..., 104 on the two-mode model), and the blocks
-of Y^(k-1) they read are rows of the Krylov block Y^(k-1) [E_0, E_last,
-[0; H_Y]], E_0 and E_last the first and last n columns of I: one product
-of Y with a few dozen columns takes a power on.  Tr Y^k is N Tr C_00 plus
-the traces of the displacement's diagonal blocks, each weighted by the
-block rows below it.  The H's nest, that of Y^(k-1) being the trailing
-columns of that of Y^k, so Q - q_0 I has generators of the top degree's
-rank, and P, whose displacement is zero, leaves them unchanged in
-Q - theta P.  From a first block row and generators, the strips of the
-lower triangle, C[j0:, j0:j1], come one block row at a time,
-C[i+1, i+1:] = C[i, i:-1] plus the displacement's row, each strip of the
-displacement formed and dropped in turn; they give the bound ||Y||_inf,
-packed Q - theta P (q_0 is added on its diagonal after them) and, only
-for halving steps, the dense Y.
+generators, of rank (4k - 2)n (8, 24, 40, ... on the two-mode model),
+and the blocks of Y^(k-1) they read are rows of the Krylov block
+Y^(k-1) [E_0, E_last, [0; H_Y]], E_0 and E_last the first and last n
+columns of I.  The G of Y^k is a fixed head beside Y[:-n, :-n] G_(k-1),
+all of which but Y[:-n, :-n] times G_(k-1)'s last two chunks is among
+G_(k-1)'s chunks already, so one product of Y with 10n columns, the
+Krylov block and those two chunks, takes a power on.  Tr Y^k is
+N Tr C_00 plus the traces of the displacement's diagonal blocks, each
+weighted by the block rows below it.  The H's nest, that of Y^(k-1)
+being the trailing columns of that of Y^k, so Q - q_0 I has generators
+of the top degree's rank, and P, whose displacement is zero, leaves
+them unchanged in Q - theta P.  From a first block row and generators,
+the strips of the lower triangle, C[j0:, j0:j1], come one block row at
+a time, C[i+1, i+1:] = C[i, i:-1] plus the displacement's row, each
+strip of the displacement formed and dropped in turn; they give the
+bound ||Y||_inf, packed Q - theta P (q_0 is added on its diagonal after
+them) and, only for halving steps, the dense Y.
 
 Q - theta P is held only as its lower triangle in rectangular full
 packed storage (``_Packed``), d(d+1)/2 words, and factored there by
@@ -596,26 +603,45 @@ def _powers(times_y, first: np.ndarray, g: np.ndarray, h: np.ndarray,
     first block column Y^k E_0 and the generators (g, h) of its
     displacement, with Y of first block row ``first`` and generators
     (g_1, h_1) applied only through ``times_y``.  With X = Y^(k-1) [E_0,
-    E_last, [0; h_1]], the Krylov block, and one product of Y with
-    [X, g_(k-1)]:
-        g_k = [Y[n:, :n], -Y[:-n, -n:], g_1, Y[:-n, :-n] g_(k-1)],
-        h_k = [X[n:, :n], X[:-n, n:2n], X[n:, 2n:], h_(k-1)].
+    E_last, [0; h_1]], the Krylov block, Y' = Y[:-n, :-n] and
+    head = [Y[n:, :n], -Y[:-n, -n:], g_1]:
+        g_k = [head, Y' g_(k-1)] = [head, Y' head, ..., Y'^(k-2) head,
+                                    Y'^(k-1) g_1],
+        h_k = [X[n:, :n], X[:-n, n:2n], X[n:, 2n:], h_(k-1)],
+    both of rank (4k - 2)n.  Of Y' g_(k-1) only Y' times the last two
+    chunks of g_(k-1) is new, so each power is one product of Y with X
+    and those chunks: 4n, 6n, then 10n columns.  The g's and h's are the
+    leading and trailing columns of two buffers of the top rank, written
+    once; each g is valid until the next power is asked for, whose new
+    chunks overwrite its last one.
     """
     n, dim = first.shape
+    rank = g.shape[1]
     start = np.zeros((dim, 2 * n + h.shape[1]))
     start[:n, :n] = start[-n:, n:2 * n] = np.eye(n)
     start[n:, 2 * n:] = h
     x = times_y(start)
-    head = np.concatenate([x[n:, :n], -x[:-n, n:2 * n], g], axis=1)
     width = x.shape[1]
+    gs, hs = np.empty((2, dim - n, (top - 1) * width + rank))
+    np.concatenate([x[n:, :n], -x[:-n, n:2 * n], g], axis=1,
+                   out=gs[:, :width])
+    hs[:, -rank:] = h
     for k in range(1, top + 1):
         if k > 1:
-            h = np.concatenate([x[n:, :n], x[:-n, n:2 * n], x[n:, 2 * n:], h],
-                               axis=1)
-            prod = times_y(np.concatenate([x, np.pad(g, ((0, n), (0, 0)))],
-                                          axis=1))
+            r = (k - 1) * width + rank
+            np.concatenate([x[n:, :n], x[:-n, n:2 * n], x[n:, 2 * n:]],
+                           axis=1, out=hs[:, -r:width - r])
+            # Y [X, [c; 0]] for c the last two chunks of g_(k-1), all of
+            # g_1 at k = 2: c's zero last block row makes the top rows of
+            # the product Y' c
+            last = g[:, -(width + rank):]
+            block = np.zeros((dim, width + last.shape[1]))
+            block[:, :width] = x
+            block[:-n, width:] = last
+            prod = times_y(block)
             x = prod[:, :width]
-            g = np.concatenate([head, prod[:-n, width:]], axis=1)
+            gs[:, r - last.shape[1]:r] = prod[:-n, width:]
+            g, h = gs[:, :r], hs[:, -r:]
         yield x[:, :n], g, h
 
 
@@ -628,29 +654,43 @@ def _trace(first: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
                  + weights @ np.einsum("ij,ij->i", g, h))
 
 
-def _series(gram, times_y, degree: int):
+def _series(gram, times_y, degree: int, bound: float):
     """Q - q_0 I = sum_(k=1..degree) q_k Y^k as its first block row and
-    generators, and the traces Tr Y^k, k = 1..6, for Y = ``gram``'s first
-    block row and generators, applied by ``times_y``.
+    generators, and the traces Tr Y^k, k = 1..K, for Y = ``gram``'s first
+    block row and generators, applied by ``times_y``, and b = ``bound`` >=
+    lam_max(Y), at most ``_SERIES_BOUND``.
+
+    K is the least degree >= ``degree`` at which the first term left out
+    of sum_k s_k Tr Y^k is certified below 2^-53 of the sum, or 6.  The
+    s_k alternate in sign and |s_(k+1) / s_k| < 1 / pi^2, so, with
+    Tr Y^(K+1) <= b Tr Y^K for the positive semidefinite Y, the terms
+    decrease and |s_(K+1)| b Tr Y^K bounds the remainder (Leibniz).
 
     The H's of ``_powers`` nest, that of Y^(k-1) being the trailing
     columns of that of Y^k, so Q - q_0 I has the top degree's h and the
-    sum of the g's, the lower powers' padded on the left.
+    sum of the g's, each added into the trailing columns of one buffer of
+    the top degree's rank.
     """
     first, g, h = gram
+    n = len(first)
     traces = []
     for k, (col, g, h) in enumerate(_powers(times_y, first, g, h,
                                             max(len(_S), degree)), start=1):
         if k <= len(_S):
             traces.append(_trace(col.T, g, h))
         if k == 1:
-            q_col, q_g = _Q[1] * col, _Q[1] * g
+            q_col = _Q[1] * col
+            q_g = np.zeros((len(g), (4 * degree - 2) * n))
+            q_g[:, -g.shape[1]:] = _Q[1] * g
         elif k <= degree:
             q_col += _Q[k] * col
-            pad = ((0, 0), (g.shape[1] - q_g.shape[1], 0))
-            q_g = _Q[k] * g + np.pad(q_g, pad)
+            q_g[:, -g.shape[1]:] += _Q[k] * g
         if k == degree:
-            q_h = h
+            q_h = h.copy()
+        if degree <= k < len(_S):
+            total = math.fsum(c * t for c, t in zip(_S, traces))
+            if abs(_S[k]) * bound * abs(traces[-1]) <= 2.0 ** -53 * abs(total):
+                break
     return q_col.T, q_g, q_h, traces
 
 
@@ -765,9 +805,20 @@ def _coth_and_ln_det_sinhc(lam_blocks: np.ndarray, p_first: np.ndarray,
         first *= scale
         g = g * scale
     degree = 3 + 2 * sum(bound > limit for limit in _DEGREE_BOUNDS)
-    q_first, q_g, q_h, traces = _series(
-        (first, g, h),
-        lambda x: (-scale * theta * theta) * (big_l @ (big_l @ x)), degree)
+
+    def times_y(x):
+        # 4n columns at a time: the FFT products' temporaries, about eight
+        # times the columns they transform, then fit in the heap that the
+        # packing's strips take next; 10n at once raised the peak resident
+        # memory of ln_xi at orders 1600 and 3200 in turn by 2 MB
+        out = np.empty_like(x)
+        for j in range(0, x.shape[1], 4 * n):
+            out[:, j:j + 4 * n] = big_l @ (big_l @ x[:, j:j + 4 * n])
+        out *= -scale * theta * theta
+        return out
+
+    q_first, q_g, q_h, traces = _series((first, g, h), times_y, degree,
+                                        bound)
     ln_det_sinhc = math.fsum(c * t for c, t in zip(_S, traces))
     if not halvings:
         q_first -= theta * p_first

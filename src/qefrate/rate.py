@@ -313,20 +313,27 @@ def theta_threshold(ss: StateSpace, cfg: QuadratureConfig) -> float:
 
 
 def _phi_sup(ss: StateSpace) -> float:
-    """sup over frequency of lam_max(Phi), by the level-set iteration."""
-    # lam = 0 and each drift resonance once: a real eigenvalue repeats 0
-    # and a conjugate pair its frequency
-    cands = list(dict.fromkeys(
-        [0.0, *np.abs(ss.drift_eigenvalues.imag).tolist()]))
-    peaks = [_phi_peak(ss, lam) for lam in cands]
-    k = int(np.argmax(peaks))
-    best_lam, best = cands[k], peaks[k]
+    """sup over frequency of lam_max(Phi), by the level-set iteration.
+    Each frequency is evaluated once: a real drift eigenvalue repeats
+    lam = 0 and a conjugate pair its frequency, and a crossing pair
+    (-w, w) has its midpoint at 0 again."""
+    peaks = {}
+
+    def peak(lam: float) -> float:
+        if lam not in peaks:
+            peaks[lam] = _phi_peak(ss, lam)
+        return peaks[lam]
+
+    # lam = 0 and the drift resonances, the first of equal peaks winning
+    for lam in [0.0, *np.abs(ss.drift_eigenvalues.imag).tolist()]:
+        peak(lam)
+    best_lam, best = max(peaks.items(), key=lambda item: item[1])
     bracket = None
     for _ in range(50):
         level = best * (1.0 + LEVEL_STEP)
         w = _crossings(ss, level)
         pairs = [(lo, hi) for lo, hi in zip(w[:-1], w[1:]) if lo + hi >= 0.0]
-        vals = [_phi_peak(ss, 0.5 * (lo + hi)) for lo, hi in pairs]
+        vals = [peak(0.5 * (lo + hi)) for lo, hi in pairs]
         if not vals or max(vals) <= best:
             break
         j = int(np.argmax(vals))
@@ -342,7 +349,7 @@ def _phi_sup(ss: StateSpace) -> float:
     if bracket is not None:
         lo, hi = float(bracket[0]), float(bracket[1])
         _, f_min = minimize_bounded(
-            lambda lam: -_phi_peak(ss, lam), lo, hi,
+            lambda lam: -peak(lam), lo, hi,
             xatol=_peak_xatol(hi - lo, bracket_level, best),
             start=[(best_lam, -best)])
         best = max(best, -float(f_min))

@@ -421,11 +421,15 @@ def check_products_match_gemm(lam_blocks, big_l):
     block row and generators, are exactly symmetric and within 1e-13 of
     plain gemm powers, and the trace formula gives their traces to 1e-13.
     ``_series`` at degree 7 gives Tr Y^k, k = 1..6, and Q - I =
-    sum_k q_k Y^k to 1e-13."""
+    sum_k q_k Y^k to 1e-13.  Both multiply Y by the Krylov block and the
+    newest generator chunks only: 4n, 6n, then 10n columns a product."""
     first, g, h = horizon._gram(lam_blocks, 0.3)
+    n = first.shape[0]
     op = _BlockToeplitz(lam_blocks, antisymmetric=True)
+    widths = []
 
     def times_y(x):
+        widths.append(x.shape[1])
         return -0.09 * (op @ (op @ x))
 
     y_ref = 0.09 * big_l.T @ big_l
@@ -446,7 +450,11 @@ def check_products_match_gemm(lam_blocks, big_l):
         assert abs(horizon._trace(col.T, gk, hk) - expected) \
             <= 1e-13 * abs(expected)
     assert k == 7
-    q_first, q_g, q_h, traces = horizon._series((first, g, h), times_y, 7)
+    assert widths == [4 * n, 6 * n] + [10 * n] * 5
+    widths.clear()
+    q_first, q_g, q_h, traces = horizon._series(
+        (first, g, h), times_y, 7, horizon._inf_norm(first, g, h))
+    assert widths == [4 * n, 6 * n] + [10 * n] * 5
     q_ref = sum(horizon._Q[k] * ref for k, ref in enumerate(refs, start=1))
     q_mat = horizon._dense(q_first, q_g, q_h)
     assert np.max(np.abs(q_mat - q_ref)) <= 1e-13 * np.max(np.abs(q_ref))
@@ -678,6 +686,45 @@ class TestSeries:
         series = sum(c * y ** k for k, c in enumerate(horizon._S, start=1))
         expected = np.log(np.asarray(sinhc(np.sqrt(y))))
         assert np.max(np.abs(series - expected)) <= 2 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("target, degree, kept",
+                             [(5e-4, 3, 4), (0.049, 7, 6)])
+    def test_traces_stop_at_certified_remainder(self, target, degree, kept):
+        # Tr ln sinhc(sqrt Y) against the eigenvalues of the assembled Y.
+        # At b = 5e-4 two of the six trace powers are left out; just below
+        # the series bound all six run, as Q's degree 7 needs its powers
+        rng = np.random.default_rng(1)
+        n, n_grid = 2, 60
+        lam_blocks = random_lag_blocks(rng, n, n_grid)
+        lam_blocks[0] = 0.5 * (lam_blocks[0] - lam_blocks[0].T)
+        theta = math.sqrt(
+            target / horizon._inf_norm(*horizon._gram(lam_blocks, 1.0)))
+        _, ln_det = horizon._coth_and_ln_det_sinhc(
+            lam_blocks, np.zeros((n, n * n_grid)), theta)
+        big_l = horizon._assemble(
+            horizon._lags(lam_blocks, antisymmetric=True))
+        y = np.abs(np.linalg.eigvalsh(theta ** 2 * (big_l.T @ big_l)))
+        # ln sinhc(sqrt y) to full relative precision: log1p of sinhc's
+        # Taylor series less its leading 1
+        expected = math.fsum(np.log1p(
+            sum(y ** k / math.factorial(2 * k + 1) for k in range(1, 13))))
+        assert abs(ln_det - expected) <= 1e-14 * expected
+
+        first, g, h = horizon._gram(lam_blocks, theta)
+        bound = horizon._inf_norm(first, g, h)
+        assert 3 + 2 * sum(bound > limit for limit in horizon._DEGREE_BOUNDS) \
+            == degree
+        op = _BlockToeplitz(lam_blocks, antisymmetric=True)
+        *_, traces = horizon._series(
+            (first, g, h), lambda x: -theta ** 2 * (op @ (op @ x)), degree,
+            bound)
+        assert len(traces) == kept
+        total = math.fsum(c * t for c, t in zip(horizon._S, traces))
+        assert total == ln_det
+        # the first term left out, s_(K+1) Tr Y^(K+1) <= |s_(K+1)| b Tr Y^K,
+        # with s_7 = q_7 / 14 past the six coefficients kept
+        s_next = (*horizon._S, horizon._Q[7] / 14)[kept]
+        assert abs(s_next) * bound * traces[-1] <= 2.0 ** -53 * abs(total)
 
     @pytest.mark.parametrize("top", [1e-4, 0.04, 3.0, 1e3])
     def test_diagonal_matches_scalar_functions(self, top):

@@ -353,15 +353,29 @@ class TestThetaThreshold:
 
     def test_each_start_frequency_evaluated_once(self, monkeypatch):
         # the starts, lam = 0 and |Im mu| for each drift eigenvalue mu, come
-        # first; two-mode's two conjugate pairs list each frequency twice.
-        # The level-set iteration may come back to lam = 0 later, as the
-        # midpoint of a crossing pair +-w
+        # first; two-mode's two conjugate pairs list each frequency twice
         ss = q.two_mode_example()
         calls = recorded_peaks(monkeypatch)
         q.theta_threshold(ss, None)
         starts = {0.0, *np.abs(ss.drift_eigenvalues.imag).tolist()}
         assert len(starts) == 3
         assert sorted(calls[:3]) == sorted(starts)
+
+    def test_no_frequency_evaluated_twice(self, tmp_path, monkeypatch):
+        # the level-set iteration comes back to lam = 0 as the midpoint of
+        # each crossing pair +-w, twice on two-mode, and the polish may
+        # come back to a point it or the iteration has tried: each is
+        # evaluated once
+        models = [q.two_mode_example(),
+                  *(md.ss for md in benchmark_module("modelgen").draw_models(
+                      2, 5, tmp_path)[0])]
+        calls = recorded_peaks(monkeypatch)
+        for ss in models:
+            calls.clear()
+            q.theta_threshold(ss, None)
+            assert len(set(calls)) == len(calls)
+            if ss is models[0]:
+                assert len(calls) == 9
 
     def test_tie_at_peak_keeps_best_point(self, tmp_path, monkeypatch):
         # a modelgen draw whose lam_max(Phi) peaks at lam = 0: a trial at
