@@ -173,13 +173,18 @@ MIN_CELLS = 8
 
 @dataclass(frozen=True)
 class HorizonEstimate:
-    """Finite-horizon cost evaluation at one (T, N) cell."""
+    """Finite-horizon cost evaluation at one (T, N) cell.  The per-time
+    rate is computed from ``ln_xi`` and ``horizon``, not stored."""
 
     horizon: float
     n_grid: int
     ln_xi: float
-    per_time_rate: float
     spec_value: float
+
+    @property
+    def per_time_rate(self) -> float:
+        """(ln Xi)/T, the finite-horizon estimate of the growth rate."""
+        return self.ln_xi / self.horizon
 
 
 @dataclass(frozen=True)
@@ -378,8 +383,7 @@ def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
         value, spec_value = _ln_xi_consuming(
             *_kernel_blocks(ss, horizon, n_grid, classical), theta, classical)
     return HorizonEstimate(horizon=float(horizon), n_grid=int(n_grid),
-                           ln_xi=value, per_time_rate=value / horizon,
-                           spec_value=spec_value)
+                           ln_xi=value, spec_value=spec_value)
 
 
 #: Column strip width of the lower triangles generated, packed and solved.
@@ -571,19 +575,20 @@ def _dense(first: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram(lam_blocks: np.ndarray, theta: float):
+def _gram(big_l: _BlockToeplitz, theta: float):
     """The first block row of Y = theta^2 L'L, for the antisymmetric
-    block-Toeplitz L of the commutator blocks B_m, and the generators
-    (g, h) of its displacement Y[n:, n:] - Y[:-n, :-n] = g h'.
+    block-Toeplitz L = ``big_l`` of the commutator blocks B_m, and the
+    generators (g, h) of its displacement Y[n:, n:] - Y[:-n, :-n] = g h'.
 
     Block k of Y's first block row is theta^2 sum_m B_m' L[m, k], and
     block column k of L is a contiguous window of the lag stack.  With
     U = L[:n, n:]' and V = L[-n:, :-n]', from L's first and last block
     rows, the displacement is theta^2 (U U' - V V').
     """
-    n_grid, n = lam_blocks.shape[:2]
+    n_grid, n = big_l.n_grid, big_l.n
     dim = n * n_grid
-    stack = _lags(lam_blocks, antisymmetric=True).reshape(-1, n)
+    lam_blocks = big_l.lags[n_grid - 1:]
+    stack = big_l.lags.reshape(-1, n)
     s0, s1 = stack.strides
     columns = as_strided(stack[(n_grid - 1) * n:], shape=(n_grid, dim, n),
                          strides=(-n * s0, s0, s1), writeable=False)
@@ -788,8 +793,8 @@ def _coth_and_ln_det_sinhc(lam_blocks: np.ndarray, p_first: np.ndarray,
     steps then undo the scaling on the dense Y, and theta P is subtracted
     after them; without them it is subtracted from Q's first block row.
     """
-    first, g, h = _gram(lam_blocks, theta)
     big_l = _BlockToeplitz(lam_blocks, antisymmetric=True)
+    first, g, h = _gram(big_l, theta)
     n, dim = first.shape
     bound = _inf_norm(first, g, h)
     if not bound <= _MAX_BOUND:

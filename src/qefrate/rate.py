@@ -170,7 +170,7 @@ def _neg_log_det(grid: SpectralGrid, theta: float,
         r = _sqrt_tanc(grid, theta)
     scale = r[:, None] * r[None]
     scale *= -theta
-    s = grid.phi_rot_t * scale
+    s = grid.phi_rot.transpose(1, 2, 0) * scale  # node axis last
     n = len(s)
     # a failed node's later pivots may overflow; they are never used
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -22,7 +22,9 @@ Hermitian by construction.
 a single frequency being a one-node grid.  ``sample_grid`` samples |lambda|
 and obtains negative frequencies by the reality symmetries
 Phi(-lambda) = conj Phi(lambda) and Psi(-lambda) = conj Psi(lambda), so
-they hold exactly.  ``SpectralGrid.trig`` evaluates cos, sinc and tanc of
+they hold exactly.  The grid stores Phi and Psi only; H = i Psi is formed
+when its eigendecomposition is first asked for, so it always matches the
+Psi it holds.  ``SpectralGrid.trig`` evaluates cos, sinc and tanc of
 theta*Psi over the whole stack from the cached eig(H).
 
 Every theta-independent step is done once per model and quadrature rule.
@@ -67,11 +69,12 @@ _GRID_SLOT = "_spectral_grid"
 class SpectralGrid:
     """Stacked spectral samples over a frequency mesh.
 
-    ``phi``, ``psi`` and ``h`` have shape (n_freq, n, n).
+    ``phi`` and ``psi`` have shape (n_freq, n, n); the Hermitian
+    H = i Psi is not stored but formed for its eigendecomposition.
 
     The theta-independent eigendecompositions ``h_eigh``,
-    ``phi_eigvals`` and ``phi_psi_sq``, and ``h_eigvals_t``, ``phi_rot``
-    and ``phi_rot_t``, are computed on first use and cached on the instance,
+    ``phi_eigvals`` and ``phi_psi_sq``, and ``h_eigvals_t`` and
+    ``phi_rot``, are computed on first use and cached on the instance,
     as is the bounds' Upsilon curve over their last theta grid
     (``qefrate.rate``); ``dataclasses.replace`` builds a new instance with
     empty caches.
@@ -80,12 +83,11 @@ class SpectralGrid:
     lambdas: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    h: np.ndarray
 
     @cached_property
     def h_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Stacked eigenpairs (w, v) of the Hermitian H = i Psi."""
-        return np.linalg.eigh(self.h)
+        return np.linalg.eigh(1j * self.psi)
 
     @cached_property
     def h_eigvals_t(self) -> np.ndarray:
@@ -109,12 +111,6 @@ class SpectralGrid:
         rot = hermitize(np.conj(np.swapaxes(v, -1, -2)) @ self.phi @ v)
         return np.moveaxis(np.ascontiguousarray(np.moveaxis(rot, 0, -1)),
                            -1, 0)
-
-    @cached_property
-    def phi_rot_t(self) -> np.ndarray:
-        """``phi_rot`` with the node axis last, shape (n, n, n_freq): a
-        contiguous view, the layout of the per-theta sweep."""
-        return np.moveaxis(self.phi_rot, 0, -1)
 
     @cached_property
     def phi_eigvals(self) -> np.ndarray:
@@ -162,9 +158,8 @@ def transfer(ss: StateSpace, v: complex) -> np.ndarray:
 def sample_grid(ss: StateSpace, lambdas) -> SpectralGrid:
     """Vectorized spectral pair over a frequency mesh.
 
-    Each node is sampled at |lambda|; a negative node stores conj Phi,
-    conj Psi and -conj H of that sample, so the reality symmetries hold
-    exactly.
+    Each node is sampled at |lambda|; a negative node stores conj Phi and
+    conj Psi of that sample, so the reality symmetries hold exactly.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     n = ss.n
@@ -175,13 +170,11 @@ def sample_grid(ss: StateSpace, lambdas) -> SpectralGrid:
     fh = np.conj(np.swapaxes(f, 1, 2))
     phi = hermitize(f @ fh)
     psi = skew_hermitize(f @ ss.j @ fh)
-    h = hermitize(1j * psi)
     neg = lambdas < 0
     if neg.any():
         phi[neg] = np.conj(phi[neg])
         psi[neg] = np.conj(psi[neg])
-        h[neg] = -np.conj(h[neg])
-    return SpectralGrid(lambdas=lambdas, phi=phi, psi=psi, h=h)
+    return SpectralGrid(lambdas=lambdas, phi=phi, psi=psi)
 
 
 def grid_for(ss: StateSpace, cfg: QuadratureConfig) -> SpectralGrid:

@@ -103,7 +103,7 @@ def log_det_d(grid: q.SpectralGrid, theta: float) -> float:
             f"log_det_d takes a one-node grid, got {len(grid.lambdas)} nodes")
     if grid.lambdas[0] < 0:
         grid = q.SpectralGrid(lambdas=-grid.lambdas, phi=np.conj(grid.phi),
-                              psi=np.conj(grid.psi), h=-np.conj(grid.h))
+                              psi=np.conj(grid.psi))
     value = -float(_neg_log_det(grid, theta)[0])
     cos_tp, sinc_tp, _ = grid.trig(theta)
     sign, _ = np.linalg.slogdet(cos_tp[0] - theta * grid.phi[0] @ sinc_tp[0])

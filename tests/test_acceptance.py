@@ -115,7 +115,7 @@ def test_criterion_07_classical_reduction(twomode, cfg_coarse, surrogate,
                                           theta0):
     start = time.monotonic()
     grid = q.sample_grid(twomode, cfg_coarse.lambdas())
-    classical = dataclasses.replace(grid, psi=0.0 * grid.psi, h=0.0 * grid.h)
+    classical = dataclasses.replace(grid, psi=0.0 * grid.psi)
     devs = []
     for theta in [0.25 * theta0, 0.5 * theta0, 0.75 * theta0]:
         forced = q.upsilon_from_grid(classical, theta, cfg_coarse).upsilon
@@ -216,7 +216,8 @@ def test_criterion_10_invariant_suites(random_models):
             failures.append((idx, "phi-psd"))
         if not np.array_equal(sample.psi[0], -sample.psi[0].conj().T):
             failures.append((idx, "psi-skew-hermitian"))
-        if not np.array_equal(sample.h[0], sample.h[0].conj().T):
+        h = 1j * sample.psi[0]
+        if not np.array_equal(h, h.conj().T):
             failures.append((idx, "h-hermitian"))
         grid = q.sample_grid(ss, probe_cfg.lambdas())
         theta_half = 0.5 / float(np.max(grid.phi_eigvals[:, -1]))

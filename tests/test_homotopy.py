@@ -22,7 +22,7 @@ def synthetic_sample(phi: np.ndarray, psi: np.ndarray,
                      lam: float = 1.0) -> q.SpectralGrid:
     """A one-node grid holding the given Phi and Psi."""
     return q.SpectralGrid(lambdas=np.array([lam]), phi=phi[None],
-                          psi=psi[None], h=hermitize(1j * psi)[None])
+                          psi=psi[None])
 
 
 def reference_march(grid, theta_max, d_theta, cfg):
@@ -70,7 +70,7 @@ class TestUDirect:
 
     def test_classical_resolvent_form(self, twomode):
         s = q.sample_grid(twomode, [1.9])
-        zero = dataclasses.replace(s, psi=0.0 * s.psi, h=0.0 * s.h)
+        zero = dataclasses.replace(s, psi=0.0 * s.psi)
         theta = 0.05
         expected = np.linalg.solve(np.eye(twomode.n) - theta * s.phi, s.phi)
         assert np.max(np.abs(u_direct(zero, theta) - expected)) < 1e-10
@@ -89,9 +89,8 @@ class TestUDirect:
     def test_singular_node_named(self):
         # D = I - theta Phi vanishes at the second node only
         phi = np.stack([0.5 * np.eye(2), np.eye(2)]).astype(complex)
-        zero = np.zeros_like(phi)
         grid = q.SpectralGrid(lambdas=np.array([1.0, 2.0]), phi=phi,
-                              psi=zero, h=zero)
+                              psi=np.zeros_like(phi))
         with pytest.raises(FeasibilityError) as err:
             u_direct(grid, 1.0)
         assert err.value.lam == 2.0
@@ -201,8 +200,7 @@ class TestRateByHomotopy:
     def test_classical_surrogate_matches_closed_form(self, surrogate):
         cfg = q.QuadratureConfig.for_system(surrogate)
         grid = q.sample_grid(surrogate, cfg.lambdas())
-        classical = dataclasses.replace(grid, psi=0.0 * grid.psi,
-                                        h=0.0 * grid.h)
+        classical = dataclasses.replace(grid, psi=0.0 * grid.psi)
         theta_end = 0.5 * SURROGATE_A ** 2 / SURROGATE_G ** 2
         tr = _march(classical, theta_end, theta_end / 200.0, cfg)
         exact = surrogate_v_closed(theta_end)
@@ -261,5 +259,5 @@ class TestSecondDerivativeStructure:
         # D is then linear in theta; the residual is pure differencing
         # roundoff, of order machine epsilon / D2_STEP^2
         s = q.sample_grid(twomode, [3.1])
-        zeroed = dataclasses.replace(s, psi=0.0 * s.psi, h=0.0 * s.h)
+        zeroed = dataclasses.replace(s, psi=0.0 * s.psi)
         assert d_second_derivative_check(zeroed, 0.03) < 1e-7

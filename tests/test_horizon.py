@@ -423,9 +423,9 @@ def check_products_match_gemm(lam_blocks, big_l):
     ``_series`` at degree 7 gives Tr Y^k, k = 1..6, and Q - I =
     sum_k q_k Y^k to 1e-13.  Both multiply Y by the Krylov block and the
     newest generator chunks only: 4n, 6n, then 10n columns a product."""
-    first, g, h = horizon._gram(lam_blocks, 0.3)
-    n = first.shape[0]
     op = _BlockToeplitz(lam_blocks, antisymmetric=True)
+    first, g, h = horizon._gram(op, 0.3)
+    n = first.shape[0]
     widths = []
 
     def times_y(x):
@@ -576,7 +576,7 @@ def packed_gram_plus_identity():
     (order 324); and the first block row and generators of 0.09 L'L."""
     lam_blocks, _, _ = _kernel_blocks(q.two_mode_example(), 4.0, 81)
     big_l = horizon._assemble(horizon._lags(lam_blocks, antisymmetric=True))
-    gram = horizon._gram(lam_blocks, 0.3)
+    gram = horizon._gram(_BlockToeplitz(lam_blocks, antisymmetric=True), 0.3)
     sym = horizon._Packed(len(big_l))
     sym.add(*gram)
     sym.add_diagonal(1.0)
@@ -697,8 +697,8 @@ class TestSeries:
         n, n_grid = 2, 60
         lam_blocks = random_lag_blocks(rng, n, n_grid)
         lam_blocks[0] = 0.5 * (lam_blocks[0] - lam_blocks[0].T)
-        theta = math.sqrt(
-            target / horizon._inf_norm(*horizon._gram(lam_blocks, 1.0)))
+        op = _BlockToeplitz(lam_blocks, antisymmetric=True)
+        theta = math.sqrt(target / horizon._inf_norm(*horizon._gram(op, 1.0)))
         _, ln_det = horizon._coth_and_ln_det_sinhc(
             lam_blocks, np.zeros((n, n * n_grid)), theta)
         big_l = horizon._assemble(
@@ -710,11 +710,10 @@ class TestSeries:
             sum(y ** k / math.factorial(2 * k + 1) for k in range(1, 13))))
         assert abs(ln_det - expected) <= 1e-14 * expected
 
-        first, g, h = horizon._gram(lam_blocks, theta)
+        first, g, h = horizon._gram(op, theta)
         bound = horizon._inf_norm(first, g, h)
         assert 3 + 2 * sum(bound > limit for limit in horizon._DEGREE_BOUNDS) \
             == degree
-        op = _BlockToeplitz(lam_blocks, antisymmetric=True)
         *_, traces = horizon._series(
             (first, g, h), lambda x: -theta ** 2 * (op @ (op @ x)), degree,
             bound)
@@ -738,7 +737,8 @@ class TestSeries:
         sym, ln_det = horizon._coth_and_ln_det_sinhc(
             block[None], np.zeros((64, 64)), 1.0)
         q_mat = unpack(sym)
-        y = np.diag(horizon._gram(block[None], 1.0)[0])
+        y = np.diag(horizon._gram(
+            _BlockToeplitz(block[None], antisymmetric=True), 1.0)[0])
         x = np.sqrt(y)
         expected_q = 1.0 / np.asarray(tanhc(x))
         expected_ln_det = math.fsum(np.log(np.asarray(sinhc(x))))

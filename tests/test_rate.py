@@ -22,7 +22,7 @@ from conftest import (SURROGATE_A, SURROGATE_G, benchmark_module,
 
 def zero_psi(grid: q.SpectralGrid) -> q.SpectralGrid:
     """Commutative twin of a spectral grid (commutator spectrum dropped)."""
-    return dataclasses.replace(grid, psi=0.0 * grid.psi, h=0.0 * grid.h)
+    return dataclasses.replace(grid, psi=0.0 * grid.psi)
 
 
 class TestLogDetD:
@@ -202,7 +202,7 @@ class TestStackedFactor:
         phi = np.array([np.diag([0.5, 2.0]), np.diag([2.0, 0.5])],
                        dtype=complex)
         grid = q.SpectralGrid(lambdas=np.array([1.0, 2.0]), phi=phi,
-                              psi=np.zeros_like(phi), h=np.zeros_like(phi))
+                              psi=np.zeros_like(phi))
         assert np.array_equal(grid.phi_rot, phi)
         with pytest.raises(FeasibilityError) as err:
             rate._neg_log_det(grid, 1.0)
@@ -260,6 +260,15 @@ class TestUpsilon:
         assert "phi_eigvals" not in vars(zeroed)
         assert np.array_equal(zeroed.h_eigh[0], np.zeros_like(used.h_eigh[0]))
         assert np.array_equal(zeroed.phi_eigvals, used.phi_eigvals)
+
+    def test_replaced_psi_leaves_no_commutator(self, grid_full, cfg_full,
+                                               theta0):
+        # the grid stores Psi alone, so replacing it drops the commutator
+        # everywhere: Upsilon is then the classical value V
+        res = q.upsilon_from_grid(
+            dataclasses.replace(grid_full, psi=np.zeros_like(grid_full.psi)),
+            0.5 * theta0, cfg_full)
+        assert abs(res.upsilon - res.classical_v) <= 1e-14 * res.classical_v
 
     def test_mesh_halving_stability(self, twomode, theta0):
         base = q.QuadratureConfig(cutoff=100.0, step=0.01)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import qefrate as q
 
 PUBLIC = [
@@ -39,3 +43,40 @@ def test_public_surface():
     assert q.__all__ == PUBLIC
     assert [name for name in PUBLIC if not hasattr(q, name)] == []
     assert [name for name in RETIRED if hasattr(q, name)] == []
+
+
+def test_result_fields_hold_no_derived_values():
+    # H = i Psi and the per-time rate ln_xi / horizon are computed from
+    # the stored fields, so a dataclasses.replace cannot leave them stale
+    assert [f.name for f in dataclasses.fields(q.SpectralGrid)] \
+        == ["lambdas", "phi", "psi"]
+    assert [f.name for f in dataclasses.fields(q.HorizonEstimate)] \
+        == ["horizon", "n_grid", "ln_xi", "spec_value"]
+
+
+def test_no_unused_imports():
+    # a name a module imports but never reads.  horizon keeps cholesky and
+    # hessenberg bound: benchmarks/spans.py traces them there, and they go
+    # when that binding does (ROADMAP item 7)
+    allowed = {("horizon", "cholesky"), ("horizon", "hessenberg")}
+    unused = []
+    for path in sorted(Path(q.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read and name not in exported \
+                            and (path.stem, name) not in allowed:
+                        unused.append(f"{path.stem}: {name}")
+    assert unused == []
