@@ -189,10 +189,21 @@ class HorizonEstimate:
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """Horizon sweep at fixed time step with a 1/T extrapolation."""
+    """Horizon sweep at fixed time step; its 1/T extrapolation is derived."""
 
-    estimates: list[HorizonEstimate]
-    extrapolated_rate: float
+    estimates: tuple[HorizonEstimate, ...]
+
+    @cached_property
+    def extrapolated_rate(self) -> float:
+        """Intercept of the least-squares fit a + b/T to the per-time
+        rates (see ``convergence_study``); one estimate is its own."""
+        rates = np.array([e.per_time_rate for e in self.estimates])
+        if len(rates) == 1:
+            return float(rates[0])
+        ts = np.array([e.horizon for e in self.estimates], dtype=float)
+        design = np.column_stack([np.ones_like(ts), 1.0 / ts])
+        coef, *_ = np.linalg.lstsq(design, rates, rcond=None)
+        return float(coef[0])
 
 
 def _kernel_blocks(ss: StateSpace, horizon: float, n_grid: int,
@@ -884,15 +895,7 @@ def convergence_study(ss: StateSpace, theta: float, horizons,
     if len(set(horizons)) < len(horizons):
         raise NumericalError(f"repeated horizon in {horizons}: the 1/T fit "
                              "needs distinct horizons")
-    estimates = [ln_xi(ss, theta, horizon=t, n_grid=n_grid, max_dim=max_dim,
-                       classical=classical)
-                 for t, n_grid in zip(horizons, n_grids)]
-    rates = np.array([e.per_time_rate for e in estimates])
-    ts = np.array([e.horizon for e in estimates], dtype=float)
-    if len(estimates) == 1:
-        extrapolated = float(rates[0])
-    else:
-        design = np.column_stack([np.ones_like(ts), 1.0 / ts])
-        coef, *_ = np.linalg.lstsq(design, rates, rcond=None)
-        extrapolated = float(coef[0])
-    return ConvergenceStudy(estimates=estimates, extrapolated_rate=extrapolated)
+    estimates = tuple(ln_xi(ss, theta, horizon=t, n_grid=n_grid,
+                            max_dim=max_dim, classical=classical)
+                      for t, n_grid in zip(horizons, n_grids))
+    return ConvergenceStudy(estimates=estimates)

@@ -2,10 +2,10 @@
 
 A model is specified either physically, by a commutation matrix, an energy
 matrix and a field-coupling matrix, or directly by a stable drift/input
-pair.  Either way the result is an immutable :class:`StateSpace` carrying
-the drift A, input matrix B, the field commutation structure J, the cost
-weight and its symmetric root, the invariant covariance, and the system
-commutation matrix, all validated on construction.
+pair.  Either way the result is an immutable :class:`StateSpace` of the
+drift A, input matrix B, cost weight Pi and system commutation matrix
+Theta, validated on construction; the field commutation structure J, the
+weight root S = sqrt(Pi) and the invariant covariance Sigma derive from them.
 
 Key structural facts used throughout:
 
@@ -21,7 +21,7 @@ P(-tau) = P(tau)'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
@@ -41,15 +41,22 @@ RESIDUAL_TOL = 1e-10
 HURWITZ_MARGIN = 1e-9
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+@lru_cache(maxsize=None)
 def build_j_matrix(m: int) -> np.ndarray:
     """Commutation structure matrix of an m-channel bosonic field.
 
     Returns the orthogonal antisymmetric matrix kron(BJ2, I_{m/2}), which
-    squares to -I_m and pairs channel k with channel k + m/2.
+    squares to -I_m and pairs channel k with channel k + m/2: one shared
+    read-only array per channel count.
     """
     if m < 2 or m % 2:
         raise DimensionError(f"channel count must be even and >= 2, got {m}")
-    return np.kron(BJ2, np.eye(m // 2))
+    return _read_only(np.kron(BJ2, np.eye(m // 2)))
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -130,29 +137,77 @@ class OqhoParams:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Validated realization of a stable oscillator driven by vacuum fields.
+    """Stable oscillator driven by vacuum fields, fixed by its drift A,
+    input B, cost weight Pi and commutation matrix Theta.
 
-    Built by ``realize`` or ``from_state_space``, which check every
-    residual against ``RESIDUAL_TOL``.  The matrices are read-only copies
-    of the ones passed in, so results cached on the instance (its drift
-    spectrum, spectral grid and theta0, see ``qefrate.spectral.grid_for``)
-    cannot go stale; ``dataclasses.replace`` builds a new instance with
-    no cache.
+    Every instance validates itself, whether made by ``realize``,
+    ``from_state_space``, a direct call or ``dataclasses.replace`` (which
+    keeps the old Theta unless given ``theta_ccr=None``).  A Theta of None
+    is recovered as the unique solution of A Theta + Theta A' + B J B' = 0,
+    antisymmetric for Hurwitz A; a given one is checked against it, not
+    re-derived.  J, S = sqrt(Pi) and Sigma are derived from the four fields
+    and cached, like the drift spectrum, grid and theta0 (see
+    ``qefrate.spectral.grid_for``); the arrays are read-only copies, so
+    nothing cached can go stale.
+
+    Raises
+    ------
+    DimensionError
+        If the orders are inconsistent, odd or below 2.
+    StabilityError
+        If A is not Hurwitz.
+    DegeneracyError
+        If det(B J B') = 0.
+    ParameterError
+        If an entry is not finite, Pi is not positive definite, Sigma is
+        not positive semidefinite or the realizability residual fails.
+    NumericalError
+        If the covariance residual fails.  Residuals are checked against
+        ``RESIDUAL_TOL``.
     """
 
     a: np.ndarray
     b: np.ndarray
-    j: np.ndarray
     weight: np.ndarray
-    s_half: np.ndarray
-    sigma: np.ndarray
-    theta_ccr: np.ndarray
+    theta_ccr: np.ndarray | None = None
 
     def __post_init__(self):
-        for f in ("a", "b", "j", "weight", "s_half", "sigma", "theta_ccr"):
-            arr = np.array(getattr(self, f))
-            arr.flags.writeable = False
-            object.__setattr__(self, f, arr)
+        a = _as_matrix(self.a, "a")
+        b = _as_matrix(self.b, "b")
+        pi = _as_matrix(self.weight, "weight")
+        n = a.shape[0]
+        if a.shape != (n, n) or b.shape[0] != n or pi.shape != (n, n):
+            raise DimensionError("inconsistent dimensions for (A, B, Pi)")
+        _check_orders(n, b.shape[1])
+        theta = (None if self.theta_ccr is None
+                 else _as_matrix(self.theta_ccr, "theta_ccr"))
+        if theta is not None and theta.shape != (n, n):
+            raise DimensionError("theta_ccr must be square of the order of A")
+        for name, value in (("a", a), ("b", b), ("weight", pi)):
+            object.__setattr__(self, name, _read_only(np.array(value)))
+        margin = HURWITZ_MARGIN * max(np.linalg.norm(a, 2), 1e-300)
+        if np.max(np.real(self.drift_eigenvalues)) >= -margin:
+            raise StabilityError("drift matrix is not Hurwitz")
+        bjb = b @ self.j @ b.T
+        sv = np.linalg.svd(bjb, compute_uv=False)
+        if sv[-1] <= 1e-10 * max(sv[0], 1e-300):
+            raise DegeneracyError("det(B J B') = 0: commutator kernel degenerate")
+        if theta is None:
+            theta = solve_continuous_lyapunov(a, -bjb)
+            theta = 0.5 * (theta - theta.T)
+        object.__setattr__(self, "theta_ccr", _read_only(np.array(theta)))
+        self.s_half  # rejects a weight that is not positive definite
+        scale = 1.0 + np.linalg.norm(a) * np.linalg.norm(theta)
+        if self.pr_residual() > RESIDUAL_TOL * scale:
+            raise ParameterError(
+                f"realizability residual {self.pr_residual():.3e} exceeds tolerance; "
+                "drift, input and commutation matrices are inconsistent")
+        sigma = self.sigma
+        sig_scale = 1.0 + np.linalg.norm(a) * np.linalg.norm(sigma)
+        if self.sigma_residual() > RESIDUAL_TOL * sig_scale:
+            raise NumericalError("covariance equation residual check failed")
+        if np.min(np.linalg.eigvalsh(sigma)) < -1e-10 * max(np.linalg.norm(sigma), 1.0):
+            raise ParameterError("invariant covariance is not positive semidefinite")
 
     @property
     def n(self) -> int:
@@ -163,9 +218,26 @@ class StateSpace:
         return self.b.shape[1]
 
     @cached_property
+    def j(self) -> np.ndarray:
+        """Commutation structure matrix of the m-channel field."""
+        return build_j_matrix(self.m)
+
+    @cached_property
+    def s_half(self) -> np.ndarray:
+        """Symmetric root S of the cost weight (read-only)."""
+        return _read_only(sqrtm_spd(self.weight))
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """Invariant covariance, A Sigma + Sigma A' + B B' = 0, solved by
+        Bartels-Stewart (read-only)."""
+        return _read_only(symmetrize(
+            solve_continuous_lyapunov(self.a, -(self.b @ self.b.T))))
+
+    @cached_property
     def drift_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the drift A, solved once per model (read-only)."""
-        return _eigvals(self.a)
+        return _read_only(np.linalg.eigvals(self.a))
 
     def pr_residual(self) -> float:
         """Frobenius norm of A Theta + Theta A' + B J B'."""
@@ -191,54 +263,6 @@ class StateSpace:
         return float(np.trace(self.weight @ self.b @ self.b.T))
 
 
-def _eigvals(a: np.ndarray) -> np.ndarray:
-    eig = np.linalg.eigvals(a)
-    eig.flags.writeable = False
-    return eig
-
-
-def _check_hurwitz(a: np.ndarray) -> np.ndarray:
-    """Reject a drift that is not Hurwitz; returns its eigenvalues."""
-    eig = _eigvals(a)
-    margin = HURWITZ_MARGIN * max(np.linalg.norm(a, 2), 1e-300)
-    if np.max(np.real(eig)) >= -margin:
-        raise StabilityError("drift matrix is not Hurwitz")
-    return eig
-
-
-def _check_noise_rank(b: np.ndarray, j: np.ndarray) -> None:
-    bjb = b @ j @ b.T
-    sv = np.linalg.svd(bjb, compute_uv=False)
-    if sv[-1] <= 1e-10 * max(sv[0], 1e-300):
-        raise DegeneracyError("det(B J B') = 0: commutator kernel degenerate")
-
-
-def _validated(a, b, j, pi, theta) -> StateSpace:
-    """The checked model; a ``theta`` of None is solved for on a Hurwitz A."""
-    eig = _check_hurwitz(a)
-    _check_noise_rank(b, j)
-    if theta is None:
-        theta = solve_continuous_lyapunov(a, -(b @ j @ b.T))
-        theta = 0.5 * (theta - theta.T)
-    s = sqrtm_spd(pi)
-    sigma = symmetrize(solve_continuous_lyapunov(a, -(b @ b.T)))
-    ss = StateSpace(a=a, b=b, j=j, weight=pi, s_half=s, sigma=sigma,
-                    theta_ccr=theta)
-    # the spectrum of the drift just checked: the cached_property's slot
-    vars(ss)["drift_eigenvalues"] = eig
-    scale = 1.0 + np.linalg.norm(a) * np.linalg.norm(theta)
-    if ss.pr_residual() > RESIDUAL_TOL * scale:
-        raise ParameterError(
-            f"realizability residual {ss.pr_residual():.3e} exceeds tolerance; "
-            "drift, input and commutation matrices are inconsistent")
-    sig_scale = 1.0 + np.linalg.norm(a) * np.linalg.norm(sigma)
-    if ss.sigma_residual() > RESIDUAL_TOL * sig_scale:
-        raise NumericalError("covariance equation residual check failed")
-    if np.min(np.linalg.eigvalsh(sigma)) < -1e-10 * max(np.linalg.norm(sigma), 1.0):
-        raise ParameterError("invariant covariance is not positive semidefinite")
-    return ss
-
-
 def realize(params: OqhoParams) -> StateSpace:
     """Build the state-space realization from physical parameters.
 
@@ -246,46 +270,17 @@ def realize(params: OqhoParams) -> StateSpace:
 
         A = 2 Theta (R + M' J M),      B = 2 Theta M',
 
-    which satisfy the realizability identity by construction.  The cost
-    weight root and the invariant covariance (Bartels-Stewart, by
-    ``scipy.linalg.solve_continuous_lyapunov``) are computed and both
-    residuals checked against ``RESIDUAL_TOL``.
-
-    Raises
-    ------
-    StabilityError
-        If A is not Hurwitz.
-    DegeneracyError
-        If det(B J B') = 0.
-    ParameterError
-        If the weight is not positive definite, Sigma is not positive
-        semidefinite or the realizability residual fails.
-    NumericalError
-        If the covariance residual fails.
+    which satisfy the realizability identity by construction; the model
+    is ``StateSpace(A, B, Pi, Theta)``, with its checks and exceptions.
     """
     j = build_j_matrix(params.m)
     a = 2.0 * params.theta_ccr @ (params.energy
                                   + params.coupling.T @ j @ params.coupling)
     b = 2.0 * params.theta_ccr @ params.coupling.T
-    return _validated(a, b, j, params.weight, params.theta_ccr)
+    return StateSpace(a, b, params.weight, params.theta_ccr)
 
 
 def from_state_space(a, b, weight, theta_ccr=None) -> StateSpace:
-    """Build a validated model from a stable (A, B, Pi) triple.
-
-    When ``theta_ccr`` is omitted it is recovered as the unique solution of
-    A Theta + Theta A' + B J B' = 0, which exists for Hurwitz A and is
-    antisymmetric; it comes from Sigma's solver, antisymmetrized.  When it
-    is supplied, the same identity is enforced as a consistency check
-    rather than silently re-derived.  The checks are those of ``realize``.
-    """
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    pi = _as_matrix(weight, "weight")
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape[0] != n or pi.shape != (n, n):
-        raise DimensionError("inconsistent dimensions for (A, B, Pi)")
-    _check_orders(n, b.shape[1])
-    theta = None if theta_ccr is None else _as_matrix(theta_ccr, "theta_ccr")
-    return _validated(a, b, build_j_matrix(b.shape[1]), pi, theta)
-
+    """The validated model of a stable (A, B, Pi) triple, Theta recovered
+    when omitted: ``StateSpace(a, b, weight, theta_ccr)``."""
+    return StateSpace(a, b, weight, theta_ccr)

@@ -30,7 +30,8 @@ import numpy as np
 
 from ._funcs import sqrtm_spd
 from .errors import DimensionError, ParameterError, SingularityError, StructureError
-from .model import BJ2, OqhoParams, StateSpace, build_j_matrix, realize
+from .model import (BJ2, OqhoParams, StateSpace, _as_matrix, build_j_matrix,
+                    realize)
 from .spectral import sample_grid
 
 __all__ = ["OneModeParams", "poles", "residue_at", "to_state_space",
@@ -52,8 +53,8 @@ class OneModeParams:
 
     @classmethod
     def from_matrices(cls, r: np.ndarray, m_mat: np.ndarray) -> "OneModeParams":
-        r = np.asarray(r, dtype=float)
-        m_mat = np.asarray(m_mat, dtype=float)
+        r = _as_matrix(r, "energy")
+        m_mat = _as_matrix(m_mat, "coupling")
         if r.shape != (2, 2):
             raise DimensionError("energy matrix must be 2x2")
         if np.any(np.linalg.eigvalsh(0.5 * (r + r.T)) <= 0):

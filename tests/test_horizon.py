@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -754,6 +755,20 @@ class TestConvergence:
         study = q.convergence_study(twomode, 0.3 * theta0, [5.0],
                                     n_per_unit_time=20)
         assert study.extrapolated_rate == study.estimates[0].per_time_rate
+
+    def test_extrapolation_follows_replaced_estimates(self):
+        # rates exactly 2 + 3/T extrapolate to 2; replacing the estimates
+        # gives a study that fits them anew
+        def study(intercept):
+            return q.ConvergenceStudy(estimates=tuple(
+                q.HorizonEstimate(horizon=t, n_grid=8,
+                                  ln_xi=(intercept + 3.0 / t) * t,
+                                  spec_value=0.0)
+                for t in (2.0, 4.0, 8.0)))
+        first = study(2.0)
+        assert abs(first.extrapolated_rate - 2.0) < 1e-14
+        moved = dataclasses.replace(first, estimates=study(5.0).estimates)
+        assert abs(moved.extrapolated_rate - 5.0) < 1e-14
 
     @pytest.mark.parametrize("theta, horizons, error, message", [
         (math.nan, [2.0, 4.0], FeasibilityError, "must be finite"),

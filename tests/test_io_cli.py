@@ -152,8 +152,11 @@ class TestCliExitCodes:
         {"A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
          "Pi": [[1.0, 0.0], [0.0, 1.0]], "theta": None},
         {"theta": [[0.0, "x"], [-0.5, 0.0]], "R": [[1.0, 0.0], [0.0, 1.0]],
-         "M": [[1.0, 0.0], [0.0, 0.5]], "Pi": [[1.0, 0.0], [0.0, 1.0]]}],
-        ids=["ragged", "null-theta", "text-entry"])
+         "M": [[1.0, 0.0], [0.0, 0.5]], "Pi": [[1.0, 0.0], [0.0, 1.0]]},
+        {"A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+         "Pi": [[1.0, 0.0], [0.0, 1.0]], "theta": np.kron(
+             [[0.0, 0.5], [-0.5, 0.0]], np.eye(2)).tolist()}],
+        ids=["ragged", "null-theta", "text-entry", "theta-wrong-order"])
     def test_validate_bad_field_exits_2(self, runner, tmp_path, payload):
         path = write_model(tmp_path / "bad.json", payload)
         result = runner.invoke(main, ["validate", "--model", path,

@@ -147,6 +147,11 @@ class TestFromStateSpace:
         with pytest.raises(DegeneracyError):
             q.from_state_space(-np.eye(2), np.zeros((2, 2)), np.eye(2))
 
+    def test_rejects_theta_of_wrong_order(self, twomode):
+        with pytest.raises(DimensionError):
+            q.from_state_space(twomode.a, twomode.b, twomode.weight,
+                               theta_ccr=0.5 * BJ2)
+
     def test_rejects_inconsistent_theta(self, twomode):
         with pytest.raises(ParameterError):
             q.from_state_space(twomode.a, twomode.b, twomode.weight,
@@ -265,14 +270,53 @@ class TestDriftSpectrum:
         # the level-set search solves 2n x 2n Hamiltonians, never A again
         assert orders.count(ss.n) == 1
 
-    def test_read_only_and_dropped_by_replace(self, twomode):
+    def test_read_only_and_solved_anew_by_replace(self, twomode):
         eig = twomode.drift_eigenvalues
         assert np.array_equal(eig, np.linalg.eigvals(twomode.a))
         with pytest.raises(ValueError):
             eig[0] = 0.0
+        # the twin validates itself, which solves its own drift spectrum
         twin = dataclasses.replace(twomode)
-        assert "drift_eigenvalues" not in vars(twin)
+        assert twin.drift_eigenvalues is not eig
         assert np.array_equal(twin.drift_eigenvalues, eig)
+        with pytest.raises(ValueError):
+            twin.drift_eigenvalues[0] = 0.0
+
+
+class TestReplace:
+    """``dataclasses.replace`` validates the new model and derives J, S and
+    Sigma from its own fields, as every other constructor does."""
+
+    def test_new_weight_rederives_root(self, twomode):
+        twice = 2.0 * twomode.weight
+        replaced = dataclasses.replace(twomode, weight=twice)
+        built = q.from_state_space(twomode.a, twomode.b, twice)
+        answers = []
+        for ss in (replaced, built):
+            cfg = q.QuadratureConfig.for_system(ss)
+            theta0 = q.theta_threshold(ss, cfg)
+            answers.append((theta0, q.upsilon(ss, 0.25 * theta0, cfg).upsilon,
+                            q.lqg_rate(ss)))
+        assert [float(x).hex() for x in answers[0]] \
+            == [float(x).hex() for x in answers[1]]
+
+    def test_new_drift_keeps_theta_and_is_refused(self, twomode):
+        with pytest.raises(ParameterError):
+            dataclasses.replace(twomode, a=twomode.a - 0.5 * np.eye(4))
+
+    def test_new_drift_with_theta_recovered(self, twomode):
+        a = twomode.a - 0.5 * np.eye(4)
+        replaced = dataclasses.replace(twomode, a=a, theta_ccr=None)
+        built = q.from_state_space(a, twomode.b, twomode.weight)
+        for name in ("a", "b", "weight", "theta_ccr", "sigma", "s_half", "j"):
+            assert getattr(replaced, name).tobytes() \
+                == getattr(built, name).tobytes(), name
+
+    def test_direct_and_replaced_models_check_stability(self, twomode):
+        with pytest.raises(StabilityError):
+            q.StateSpace(np.eye(2), np.eye(2), np.eye(2))
+        with pytest.raises(StabilityError):
+            dataclasses.replace(twomode, a=-twomode.a)
 
 
 class TestKernelAt:

@@ -45,6 +45,13 @@ class TestExtractMu:
         with pytest.raises(ParameterError):
             extract_mu(np.diag([1.0, -1.0]), BJ2)
 
+    @pytest.mark.parametrize("field", ["r", "m_mat"])
+    def test_non_numeric_entry_rejected(self, field):
+        mats = {"r": np.eye(2), "m_mat": np.eye(2)}
+        mats[field] = [["x", 0.0], [0.0, 1.0]]
+        with pytest.raises(ParameterError, match="not a numeric matrix"):
+            q.OneModeParams.from_matrices(**mats)
+
     def test_wrong_width_rejected(self):
         with pytest.raises(DimensionError):
             extract_mu(np.ones((4, 3)), build_j_matrix(4))

@@ -11,7 +11,8 @@ import pytest
 import qefrate as q
 from qefrate import rate
 from qefrate._funcs import apply_herm, hermitize, lncosh, minimize_bounded, tanhc
-from qefrate.errors import FeasibilityError, NumericalError, ParameterError
+from qefrate.errors import (DegeneracyError, FeasibilityError, NumericalError,
+                            ParameterError)
 from qefrate.model import BJ2
 from qefrate.spectral import grid_for
 
@@ -409,11 +410,18 @@ class TestThetaThreshold:
 
 
 class TestLqgRate:
-    def test_zero_input_gives_zero(self):
-        ss = q.StateSpace(a=-np.eye(2), b=np.zeros((2, 2)), j=BJ2,
-                          weight=np.eye(2), s_half=np.eye(2),
-                          sigma=np.zeros((2, 2)), theta_ccr=0.5 * BJ2)
-        assert q.lqg_rate(ss) == 0.0
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6])
+    def test_quadratic_in_input(self, twomode, eps):
+        # Sigma, and with it the rate, is quadratic in B; a zero input is
+        # refused by every constructor, so the limit is taken by scaling
+        scaled = q.from_state_space(twomode.a, eps * twomode.b, twomode.weight)
+        assert abs(q.lqg_rate(scaled) / (eps ** 2 * q.lqg_rate(twomode))
+                   - 1.0) < 1e-12
+
+    def test_zero_input_refused(self):
+        with pytest.raises(DegeneracyError):
+            q.StateSpace(a=-np.eye(2), b=np.zeros((2, 2)), weight=np.eye(2),
+                         theta_ccr=0.5 * BJ2)
 
     def test_matches_trace_quadrature(self, twomode, grid_full, cfg_full):
         # mean-square rate is the half-line trace integral over 2 pi

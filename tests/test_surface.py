@@ -46,12 +46,17 @@ def test_public_surface():
 
 
 def test_result_fields_hold_no_derived_values():
-    # H = i Psi and the per-time rate ln_xi / horizon are computed from
-    # the stored fields, so a dataclasses.replace cannot leave them stale
+    # H = i Psi, the per-time rate ln_xi / horizon, the 1/T extrapolation
+    # and a model's J, sqrt(Pi) and Sigma are computed from the stored
+    # fields, so a dataclasses.replace cannot leave them stale
     assert [f.name for f in dataclasses.fields(q.SpectralGrid)] \
         == ["lambdas", "phi", "psi"]
     assert [f.name for f in dataclasses.fields(q.HorizonEstimate)] \
         == ["horizon", "n_grid", "ln_xi", "spec_value"]
+    assert [f.name for f in dataclasses.fields(q.ConvergenceStudy)] \
+        == ["estimates"]
+    assert [f.name for f in dataclasses.fields(q.StateSpace)] \
+        == ["a", "b", "weight", "theta_ccr"]
 
 
 def test_no_unused_imports():
@@ -80,3 +85,30 @@ def test_no_unused_imports():
                             and (path.stem, name) not in allowed:
                         unused.append(f"{path.stem}: {name}")
     assert unused == []
+
+
+def test_no_dead_private_names():
+    # a module-level private function, class or constant that no module
+    # of the package reads: what a refactor leaves behind
+    defined, read = [], set()
+    for path in sorted(Path(q.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(path.stem, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined
+    assert [f"{stem}: {name}" for stem, name in defined
+            if name not in read] == []
