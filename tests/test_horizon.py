@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -748,6 +750,35 @@ class TestSeries:
         assert np.count_nonzero(q_mat - np.diag(np.diag(q_mat))) == 0
         assert abs(ln_det - expected_ln_det) \
             <= 1e-14 * max(1.0, abs(expected_ln_det))
+
+
+FROZEN = json.loads((Path(__file__).resolve().parent
+                     / "horizon_values.json").read_text())
+
+
+class TestFrozenValues:
+    """``ln_xi`` and ``spec_value`` against the values that
+    ``tests/make_horizon_values.py`` froze: two-mode at orders 1600 to
+    6400 and the first eight random models, ten of whose quantum cases
+    take halving steps, quantum and classical."""
+
+    @pytest.mark.parametrize(
+        "record", FROZEN,
+        ids=[f"{r['model']}-{r['fraction']}-T{r['horizon']:g}"
+             f"{'-classical' * r['classical']}" for r in FROZEN])
+    def test_matches_frozen_values(self, twomode, random_models, record):
+        name = record["model"]
+        ss = (twomode if name == "two_mode"
+              else random_models[int(name.split("_")[1])])
+        theta = float.fromhex(record["theta"])
+        theta0 = q.theta_threshold(ss, q.QuadratureConfig.for_system(ss))
+        assert theta == record["fraction"] * theta0
+        n_grid = record["n_grid"]
+        est = q.ln_xi(ss, theta, record["horizon"], n_grid,
+                      max_dim=ss.n * n_grid, classical=record["classical"])
+        for key in ("ln_xi", "spec_value"):
+            expected = float.fromhex(record[key])
+            assert abs(getattr(est, key) - expected) <= 1e-13 * abs(expected)
 
 
 class TestConvergence:
