@@ -93,18 +93,46 @@ them unchanged in Q - theta P.  From a first block row and generators,
 the strips of the lower triangle, C[j0:, j0:j1], come one block row at
 a time, C[i+1, i+1:] = C[i, i:-1] plus the displacement's row, each
 strip of the displacement formed and dropped in turn; they give the
-bound ||Y||_inf, packed Q - theta P (q_0 is added on its diagonal after
-them) and, only for halving steps, the dense Y.
+bound ||Y||_inf and, in one walk, Q - theta P as the hierarchical matrix
+below.
 
-Q - theta P is held only as its lower triangle in rectangular full
-packed storage (``_Packed``), d(d+1)/2 words, and factored there by
-``dpftrf`` at full-storage speed (Gustavson, Wasniewski, Dongarra and
-Langou 2010).  The order d = nN is even, since n is, and the three blocks
-are contiguous k x k arrays, k = d/2, so the margin's solves run on them
-uncopied.  The quantum route's working set is that half matrix, one strip
-and the generators: 0.64 of a matrix at order 3200 (53 MB, 82 MB a
-matrix) and 0.79 at order 1600.  The halving steps hold the dense Y
-beside packed Q and its packed factor, about two matrices.
+Q - theta P is held as a HODLR matrix (``_Hodlr``: Ambikasaran and
+Darve, J. Sci. Comput. 57, 2013; Ambikasaran et al., IEEE TPAMI 38(2),
+2016, take log-dets and solves of covariance matrices in this form).
+Its indices are halved down to leaves of at most 200 (``_LEAF``), whose
+diagonal blocks are dense, and every off-diagonal block is held as u v'
+of low rank: 12 to 16 on the two-mode model (4n at most) and 6 to 14 on
+random models of orders 2 and 4, at orders 400 to 6400.  The walk
+sketches each off-diagonal block B as B Omega and Psi' B, Gaussian of a
+fixed seed, 24 and 36 columns wide, and compresses it by the stabilized
+generalized Nystrom formula (Nakatsukasa 2020), truncated at 2^-53 times
+a bound on the norm of the matrix taken during the walk
+(``_TRUNCATION``); a sketch that shows no singular value below that
+truncation is redone twice as wide.  q_0 is added on the leaves after the
+walk.  The Cholesky factor F is recursive.  In the order left subtree,
+split, right subtree, a leaf is factored densely, and an infeasible theta
+is a leaf factor that fails; a split with left factor F11 and block u v'
+gives F the block u w', w = F11^-1 v, and subtracts u (w'w) u' from its
+right subtree, recompressing each off-diagonal block it touches.  A solve
+with F or F' walks the same nodes, forward or back: a product with a
+leaf's inverse factor, or two with a split's thin factors, at each.  No
+array of d x d or d(d+1)/2 words is formed on the quantum route.  The
+working set is the series' generators, one strip, the leaves (about
+200 d words) and the sketches: 0.28 of a matrix at order 3200 (23 MB,
+82 MB a matrix) and 0.55 at order 1600, where the packed lower triangle
+that this form replaced took 0.64 and 0.79.  The halving steps keep Y, Q
+and the factor of Q as hierarchical matrices and sketch the next Q from
+column strips of Q + Q^-1 Y: 1.2 matrices at order 1600, where the dense
+Y and two packed triangles took 2.2.
+
+A sequential quasiseparable sweep would factor and solve in O(d r^2)
+too, but it visits the N cells one at a time in Python, at 5 us or more
+a cell: one margin solve at order 3200 would take 4 ms or more, against
+2.7 ms for the packed solve, and the margin takes 114 solves there.  The
+hierarchical form does each node's work in one or two BLAS calls, 31
+nodes at order 3200: the factor takes 26-35 ms there where the packed
+``dpftrf`` took 150-200 ms, and the margin 47-59 ms where it took
+230-330 ms.
 
 The classical route, -1/2 ln det(I - theta P), needs no matrix of full
 order.  P is the covariance of the sampled Gauss-Markov state: with
@@ -131,9 +159,9 @@ working set is the margin's Lanczos vectors: 0.097 of a matrix at order
 1600 and 0.088 at 3200.
 
 numpy and scipy may each load their own BLAS, each with its own threads
-that spin for a while after a threaded call.  The displacement products
-and the margin's products and solves therefore run on scipy's BLAS, as
-the packed factorization and solves do.  With the displacement products
+that spin for a while after a threaded call.  The displacement products,
+the sketches, the hierarchical factor and the margin's products and
+solves therefore run on scipy's BLAS.  With the displacement products
 on numpy's BLAS, quantum ``ln_xi`` on two cores took 0.37 s instead of
 0.18 s at order 1600 and 1.04 s instead of 0.83 s at order 3200, and with
 the margin's products on it the margin ran 2.5 times slower right after
@@ -148,13 +176,13 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-# cholesky and hessenberg stay bound: benchmarks/spans.py traces them
+# hessenberg stays bound: benchmarks/spans.py traces it
 from scipy.linalg import (cholesky, eigh_tridiagonal, expm,  # noqa: F401
-                          hessenberg)
+                          hessenberg, qr)
 # matrix products in the hot loops run on scipy's BLAS (see the module
 # docstring)
-from scipy.linalg.blas import dgemm, dgemv, dtrsv
-from scipy.linalg.lapack import dpftrf, dpftrs, dsyev
+from scipy.linalg.blas import ddot, dgemm, dgemv, dtrmm, dtrmv
+from scipy.linalg.lapack import dgesdd, dsyev, dtrtri
 
 from ._funcs import check_theta
 from .errors import FeasibilityError, NumericalError, SizeError
@@ -297,7 +325,9 @@ class _BlockToeplitz:
                                self._fft_len, axis=0)
         conv = np.fft.irfft(self._lag_spectrum @ spectrum, self._fft_len,
                             axis=0)
-        return conv[self.n_grid - 1:2 * self.n_grid - 1].reshape(np.shape(x))
+        # a copy: a view would keep the whole FFT-length buffer alive
+        return conv[self.n_grid - 1:2 * self.n_grid - 1].reshape(
+            np.shape(x)).copy()
 
     def first_row(self) -> np.ndarray:
         """The first block row [B_0, B_{-1}, ..., B_{1-N}], of shape
@@ -334,7 +364,7 @@ def discretize_kernels(ss: StateSpace, horizon: float, n_grid: int,
     return big_l, big_p
 
 
-def _lambda_max(mat: _BlockToeplitz, chol: _Packed | None = None) -> float:
+def _lambda_max(mat: _BlockToeplitz, chol: _Hodlr | None = None) -> float:
     """Largest eigenvalue of the symmetric ``mat``, or of F^-1 mat F^-T
     when ``chol`` holds the lower Cholesky factor F.
 
@@ -343,7 +373,7 @@ def _lambda_max(mat: _BlockToeplitz, chol: _Packed | None = None) -> float:
     value's residual bound beta_m |s_m| is at most eps times the value,
     ARPACK's test at tol = 0, or when the Krylov space is the whole space.
     Each step is one product with ``mat`` and, with ``chol``, two
-    triangular solves on the blocks of the packed factor.
+    solves with the hierarchical factor.
     """
     dim = mat.shape[0]
     basis = np.empty((min(dim, 32), dim))
@@ -377,9 +407,10 @@ def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
     the identity and the cosine factor disappears), which gives the
     moment-generating value -1/2 ln det(I - theta P) of the Gaussian
     quadratic form; this serves as the commutative cross-check.  Neither
-    L nor P is assembled, and, unless halving steps are needed, no matrix
-    of full order is allocated: Q - theta P is held in packed storage,
-    half a matrix, and on the classical route ln det(I - theta P) comes
+    L nor P is assembled, and no matrix of full order is allocated:
+    Q - theta P is held as a hierarchical matrix of dense leaves and
+    low-rank off-diagonal blocks, and on the classical route
+    ln det(I - theta P) comes
     from an n x n Riccati recursion over the N cells in O(N n^3) work,
     with no matrix of full order at all.  At theta = 0 the value is 0 and
     nothing is built.
@@ -397,7 +428,7 @@ def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
                            ln_xi=value, spec_value=spec_value)
 
 
-#: Column strip width of the lower triangles generated, packed and solved.
+#: Column strip width of the lower triangles generated and sketched.
 _STRIP = 128
 
 #: Bound on the spectrum of the scaled Y below which the series run.
@@ -417,104 +448,295 @@ _S = (1 / 6, -1 / 180, 1 / 2835, -1 / 37800, 1 / 467775, -691 / 3831077250)
 _DEGREE_BOUNDS = tuple((2.0 ** -53 / abs(_Q[2 * h + 4])) ** (1.0 / (2 * h + 4))
                        for h in (0, 1))
 
+#: Order up to which a diagonal block of a hierarchical matrix is a dense
+#: leaf; a larger one is halved.
+_LEAF = 200
+
+#: The off-diagonal blocks of a hierarchical matrix are truncated at this
+#: fraction of a bound on the norm of the whole matrix.
+_TRUNCATION = 2.0 ** -53
+
+#: Range-sketch width of an off-diagonal block, at first; the co-range
+#: sketch is half as wide again.
+_SKETCH = 24
+
+#: Seed of the sketches' Gaussian test matrices.
+_SKETCH_SEED = 20130801
+
 #: Lanczos stops when the Ritz residual bound is below this fraction of
 #: the Ritz value: ARPACK's tolerance at tol = 0, LAPACK's dlamch('E').
 _LANCZOS_TOL = 2.0 ** -53
 
 
-class _Packed:
-    """Symmetric matrix A of order d held as its lower triangle in LAPACK's
-    rectangular full packed format with transr='T', uplo='L' (Gustavson,
-    Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 2010).
+class _Node:
+    """A node of a HODLR tree over the indices [lo, hi): a leaf, whose
+    diagonal block A[lo:hi, lo:hi] is ``dense``, or a split at ``mid``,
+    whose lower off-diagonal block is A[mid:hi, lo:mid] = u v', with the
+    in-order positions ``left`` and ``right`` of its two subtrees."""
 
-    For the even order d = 2k and A = [[A11, A21'], [A21, A22]], the
-    buffer is one Fortran (k, d + 1) array, d(d + 1)/2 words, of three
-    contiguous k x k blocks: columns [0, k) hold A22 in their lower
-    triangle, columns [1, k + 1) hold A11' in their upper triangle and
-    columns [k + 1, d + 1) hold A21'.  ``factor`` writes the lower
-    Cholesky factor F of A over A in place.
+    __slots__ = ("lo", "mid", "hi", "depth", "dense", "u", "v", "left",
+                 "right")
+
+    def __init__(self, lo: int, hi: int, depth: int):
+        self.lo, self.hi, self.depth = lo, hi, depth
+        self.mid = self.dense = self.u = self.v = None
+        self.left = self.right = None
+
+
+def _tree(lo: int, hi: int, depth: int = 0,
+          nodes: list[_Node] | None = None) -> list[_Node]:
+    """The nodes of the partition of [lo, hi) halved down to leaves of at
+    most ``_LEAF`` indices, appended to ``nodes`` in order: left subtree,
+    node, right subtree."""
+    nodes = [] if nodes is None else nodes
+    node = _Node(lo, hi, depth)
+    if hi - lo <= _LEAF:
+        nodes.append(node)
+        return nodes
+    node.mid = (lo + hi) // 2
+    start = len(nodes)
+    _tree(lo, node.mid, depth + 1, nodes)
+    node.left = slice(start, len(nodes))
+    nodes.append(node)
+    _tree(node.mid, hi, depth + 1, nodes)
+    node.right = slice(node.left.stop + 1, len(nodes))
+    return nodes
+
+
+def _recompress(u: np.ndarray, v: np.ndarray, tol: float):
+    """(u', v') with u' v' = u v' up to the singular values of u v' at or
+    below ``tol``, which are dropped: QR of each factor and an SVD of the
+    small product of their triangles."""
+    qu, ru = qr(u, mode="economic", check_finite=False)
+    qv, rv = qr(v, mode="economic", check_finite=False)
+    a, s, bt, _ = dgesdd(dgemm(1.0, ru, rv, trans_b=1))
+    rank = int(np.count_nonzero(s > tol))
+    return (dgemm(1.0, qu, a[:, :rank] * s[:rank]),
+            dgemm(1.0, qv, bt[:rank], trans_b=1))
+
+
+class _Hodlr:
+    """Symmetric matrix A of order d in hierarchical off-diagonal low-rank
+    (HODLR) form (Ambikasaran and Darve, J. Sci. Comput. 57, 2013): the
+    indices are halved recursively down to leaves of at most ``_LEAF``,
+    each leaf's diagonal block is dense, and each split's off-diagonal
+    block is held as u v', truncated at ``tol``.
+
+    ``factor`` overwrites A with its lower Cholesky factor F: dense leaf
+    factors, and F[mid:hi, lo:mid] = u w' with w = F11^-1 v held in v.
+    The nodes are kept in order (left subtree, node, right subtree),
+    which is the order of a forward substitution with F.
     """
 
-    def __init__(self, dim: int, buf: np.ndarray | None = None):
-        self.dim = dim
-        self.buf = (np.zeros((dim // 2, dim + 1), order="F") if buf is None
-                    else buf)
+    def __init__(self, nodes: list[_Node], tol: float):
+        self.nodes = nodes
+        self.dim = nodes[-1].hi
+        self.tol = tol
 
-    def copy(self) -> _Packed:
-        return _Packed(self.dim, self.buf.copy(order="F"))
+    @classmethod
+    def from_strips(cls, dim: int, strips, diagonal: float = 0.0) -> _Hodlr:
+        """A = S + ``diagonal`` I from one walk of ``strips()``, which
+        yields (j0, S[j0:, j0:j1]) left to right, entries above the
+        diagonal unspecified.  Leaves are copied.  Each off-diagonal
+        block B is sketched as B Omega and Psi' B, with Gaussian Omega and
+        Psi of a fixed seed, and compressed by the stabilized generalized
+        Nystrom formula B = (B Omega) (Psi' B Omega)^+ (Psi' B), the
+        pseudo-inverse truncated at ``tol`` = ``_TRUNCATION`` times a norm
+        bound of A taken during the walk (Nakatsukasa, arXiv:2009.11392,
+        2020).  A sketch whose last singular value is above ``tol`` may
+        have missed part of B: the walk is redone with sketches twice as
+        wide.
+        """
+        width = _SKETCH
+        while True:
+            nodes = _tree(0, dim)
+            tol, psi = _sketch(nodes, strips(), width, diagonal)
+            if all(_compress(node, psi[node.mid:node.hi], tol)
+                   for node in nodes if node.mid is not None):
+                return cls(nodes, tol)
+            width *= 2
 
-    def add_lower(self, j0: int, strip: np.ndarray):
-        """Add the strip A[j0:, j0:j1] on and below A's diagonal; entries
-        of ``strip`` above it are not read."""
-        k = self.buf.shape[0]
-        j1 = j0 + strip.shape[1]
-        if j0 < k < j1:
-            self.add_lower(j0, strip[:, :k - j0])
-            self.add_lower(k, strip[k - j0:, k - j0:])
-            return
-        w = j1 - j0
-        top, below = np.tril(strip[:w]), strip[w:]
-        if j1 <= k:  # A11 and A21: A[i, j] is buf[j, i + 1]
-            self.buf[j0:j1, j0 + 1:j1 + 1] += top.T
-            self.buf[j0:j1, j1 + 1:self.dim + 1] += below.T
-        else:  # A22: A[i, j] is buf[i - k, j - k]
-            self.buf[j0 - k:j1 - k, j0 - k:j1 - k] += top
-            self.buf[j1 - k:self.dim - k, j0 - k:j1 - k] += below
+    def copy(self) -> _Hodlr:
+        nodes = []
+        for node in self.nodes:
+            twin = _Node(node.lo, node.hi, node.depth)
+            twin.mid, twin.left, twin.right = node.mid, node.left, node.right
+            if node.mid is None:
+                twin.dense = node.dense.copy(order="F")
+            else:
+                twin.u, twin.v = node.u.copy(order="F"), node.v.copy(order="F")
+            nodes.append(twin)
+        return _Hodlr(nodes, self.tol)
 
-    def add(self, first: np.ndarray, g: np.ndarray, h: np.ndarray) -> None:
-        """Add the symmetric matrix with first block row ``first`` and
-        displacement generators (g, h), strip by strip."""
-        for j0, strip in _lower_strips(first, g, h):
-            self.add_lower(j0, strip)
-
-    def _diagonal(self):
-        """Index arrays of A's diagonal: A11's in the buffer's columns
-        [1, k + 1), then A22's in columns [0, k)."""
-        i = np.arange(self.buf.shape[0])
-        return (i, i + 1), (i, i)
-
-    def add_diagonal(self, value: float) -> None:
-        for index in self._diagonal():
-            self.buf[index] += value
+    def columns(self, j0: int, j1: int) -> np.ndarray:
+        """The column strip A[:, j0:j1], assembled."""
+        out = np.empty((self.dim, j1 - j0), order="F")
+        for node in self.nodes:
+            lo, mid, hi = node.lo, node.mid, node.hi
+            if mid is None:
+                c0, c1 = max(lo, j0), min(hi, j1)
+                if c0 < c1:
+                    out[lo:hi, c0 - j0:c1 - j0] = node.dense[:, c0 - lo:c1 - lo]
+                continue
+            for rows, cols, a, b in (((mid, hi), (lo, mid), node.u, node.v),
+                                     ((lo, mid), (mid, hi), node.v, node.u)):
+                c0, c1 = max(cols[0], j0), min(cols[1], j1)
+                if c0 < c1:
+                    out[rows[0]:rows[1], c0 - j0:c1 - j0] = (
+                        dgemm(1.0, a, b[c0 - cols[0]:c1 - cols[0]],
+                              trans_b=1) if a.shape[1] else 0.0)
+        return out
 
     def factor(self) -> float:
-        """Write the lower Cholesky factor F over A, by ``dpftrf`` in place,
-        and return ln det A; LinAlgError if A is not positive definite."""
-        _, info = dpftrf(self.dim, self.buf.reshape(-1, order="F"),
-                         transr="T", uplo="L", overwrite_a=1)
-        if info:
-            raise np.linalg.LinAlgError("not positive definite")
-        diag = np.concatenate([self.buf[index] for index in self._diagonal()])
-        return 2.0 * math.fsum(np.log(diag))
+        """Factor A = F F' and return ln det A; LinAlgError if A is not
+        positive definite.
+
+        In node order, a leaf takes the dense Cholesky factor F_ii of its
+        block and keeps its inverse, and a split, its left subtree
+        factored as F11, sets w = F11^-1 v and subtracts the Schur term
+        (u w')(u w')' = u (w'w) u' from its right subtree before that is
+        factored: from each leaf's block, and from each split's
+        off-diagonal block, recompressed at ``tol``.
+        """
+        nodes, logs = self.nodes, []
+        for node in nodes:
+            if node.mid is None:
+                chol = cholesky(node.dense, lower=True, check_finite=False)
+                logs.append(np.log(chol.diagonal()))
+                node.dense, _ = dtrtri(chol, lower=1, overwrite_c=1)
+                continue
+            node.v = w = _sweep(nodes[node.left], node.v, node.lo, False)
+            if not w.shape[1]:
+                continue
+            gram = dgemm(1.0, w, w, trans_a=1)
+            for sub in nodes[node.right]:
+                z = node.u[sub.lo - node.mid:sub.hi - node.mid]
+                if sub.mid is None:
+                    sub.dense = dgemm(-1.0, dgemm(1.0, z, gram), z, beta=1.0,
+                                      c=sub.dense, trans_b=1, overwrite_c=1)
+                else:
+                    k = sub.mid - sub.lo
+                    sub.u, sub.v = _recompress(
+                        np.hstack([sub.u, dgemm(1.0, z[k:], gram)]),
+                        np.hstack([sub.v, -z[:k]]), self.tol)
+        return 2.0 * math.fsum(np.concatenate(logs))
 
     def solve(self, b: np.ndarray, trans: bool = False) -> np.ndarray:
-        """F^-1 b, or F^-T b with ``trans``, for a vector b of d entries and
-        the factor F held here, split over the three blocks:
-        y1 = F11^-1 b1, y2 = F22^-1 (b2 - F21 y1), or y2 = F22^-T b2,
-        y1 = F11^-T (b1 - F21' y2).  Each block is a contiguous k x k
-        array that ``dtrsv`` and ``dgemv`` take uncopied."""
-        k = self.buf.shape[0]
-        f22, f11t, f21t = (self.buf[:, :k], self.buf[:, 1:k + 1],
-                           self.buf[:, k + 1:])
-        x = np.array(b, dtype=float)
-        x1, x2 = x[:k], x[k:]
-        if trans:
-            dtrsv(f22, x2, lower=1, trans=1, overwrite_x=1)
-            dgemv(-1.0, f21t, x2, beta=1.0, y=x1, overwrite_y=1)
-            dtrsv(f11t, x1, lower=0, trans=0, overwrite_x=1)
-        else:
-            dtrsv(f11t, x1, lower=0, trans=1, overwrite_x=1)
-            dgemv(-1.0, f21t, x1, beta=1.0, y=x2, trans=1, overwrite_y=1)
-            dtrsv(f22, x2, lower=1, trans=0, overwrite_x=1)
-        return x
+        """F^-1 b, or F^-T b with ``trans``, for the factor F held here and
+        a vector or matrix b of d rows."""
+        return _sweep(self.nodes, b, 0, trans)
 
     def cho_solve(self, b: np.ndarray) -> np.ndarray:
-        """A^-1 b for a matrix b of d rows, from the factor held here, by
-        ``dpftrs``: the same split solves, on many columns at once."""
-        x, _ = dpftrs(self.dim, self.buf.reshape(-1, order="F"),
-                      np.array(b, dtype=float, order="F"), transr="T",
-                      uplo="L", overwrite_b=1)
-        return x
+        """A^-1 b = F^-T F^-1 b, from the factor held here."""
+        return self.solve(self.solve(b), trans=True)
+
+
+def _sweep(nodes: list[_Node], b: np.ndarray, base: int,
+           trans: bool) -> np.ndarray:
+    """F^-1 b, or F^-T b, for the factor F held by the factored ``nodes``
+    of one subtree, whose first index is ``base``, and a vector or matrix
+    b of as many rows: forward substitution in node order, back
+    substitution in reverse.  A leaf's step is a product with its
+    factor's inverse, a split's two products with its thin factors; a
+    vector takes the matrix-vector kernels, which cost half as much per
+    call."""
+    x = np.array(b, dtype=float, order="F")
+    t = int(trans)
+    if x.ndim == 1:
+        def tri(a, y):
+            return dtrmv(a, y, lower=1, trans=t)
+
+        def thin(a, c, y):  # a (c' y)
+            return dgemv(1.0, a, dgemv(1.0, c, y, trans=1))
+    else:
+        def tri(a, y):
+            return dtrmm(1.0, a, y, lower=1, trans_a=t)
+
+        def thin(a, c, y):
+            return dgemm(1.0, a, dgemm(1.0, c, y, trans_a=1))
+    for node in reversed(nodes) if trans else nodes:
+        lo, hi = node.lo - base, node.hi - base
+        if node.mid is None:
+            x[lo:hi] = tri(node.dense, x[lo:hi])
+        elif node.u.shape[1]:
+            mid = node.mid - base
+            if trans:  # x1 -= w (u' x2)
+                x[lo:mid] -= thin(node.v, node.u, x[mid:hi])
+            else:  # x2 -= u (w' x1)
+                x[mid:hi] -= thin(node.u, node.v, x[lo:mid])
+    return x
+
+
+def _sketch(nodes: list[_Node], strips, width: int, diagonal: float):
+    """Walk ``strips`` once into the ``nodes`` of a new tree: copy the
+    leaves' lower triangles, mirror them and add ``diagonal``, and give
+    each split the range sketch B Omega (in u) and co-range sketch Psi' B
+    (in v) of its off-diagonal block B, ``width`` and 1.5 ``width``
+    columns wide.  Return the truncation, ``_TRUNCATION`` times the norm
+    bound max_leaf ||A_ii||_inf + sum over depths of max ||B||_F, and
+    Psi."""
+    dim = nodes[-1].hi
+    wide = width + width // 2
+    rng = np.random.default_rng(_SKETCH_SEED)
+    # scaled so that x' Omega and Psi' x keep the norm of x on average
+    omega = rng.standard_normal((dim, width))
+    omega *= 1.0 / math.sqrt(width)
+    psi = rng.standard_normal((dim, wide))
+    psi *= 1.0 / math.sqrt(wide)
+    for node in nodes:
+        if node.mid is None:
+            node.dense = np.empty((node.hi - node.lo,) * 2, order="F")
+        else:
+            node.u = np.zeros((node.hi - node.mid, width), order="F")
+            node.v = np.empty((wide, node.mid - node.lo), order="F")
+    squares = [0.0] * len(nodes)
+    for j0, strip in strips:
+        j1 = j0 + strip.shape[1]
+        for i, node in enumerate(nodes):
+            lo, hi = node.lo, node.hi
+            c1 = min(hi if node.mid is None else node.mid, j1)
+            c0 = max(lo, j0)
+            if c0 >= c1:
+                continue
+            if node.mid is None:
+                node.dense[c0 - lo:, c0 - lo:c1 - lo] = \
+                    strip[c0 - j0:hi - j0, c0 - j0:c1 - j0]
+                continue
+            mid = node.mid
+            block = np.array(strip[mid - j0:hi - j0, c0 - j0:c1 - j0],
+                             order="F")
+            squares[i] += float(ddot(block.ravel("F"), block.ravel("F")))
+            dgemm(1.0, block, omega[c0:c1].T, beta=1.0, c=node.u,
+                  trans_b=1, overwrite_c=1)
+            node.v[:, c0 - lo:c1 - lo] = dgemm(1.0, psi[mid:hi].T, block)
+    leaf_norm, block_norms = 0.0, {}
+    for node, square in zip(nodes, squares):
+        if node.mid is None:
+            dense = node.dense
+            np.copyto(dense, dense.T,
+                      where=~np.tri(len(dense), dtype=bool))
+            dense[np.diag_indices_from(dense)] += diagonal
+            leaf_norm = max(leaf_norm, float(np.abs(dense).sum(axis=1).max()))
+        else:
+            block_norms[node.depth] = max(block_norms.get(node.depth, 0.0),
+                                          math.sqrt(square))
+    return _TRUNCATION * (leaf_norm + sum(block_norms.values())), psi
+
+
+def _compress(node: _Node, psi: np.ndarray, tol: float) -> bool:
+    """Replace the sketches B Omega and Psi' B of a split's block B by
+    factors u v' of B (``_Hodlr.from_strips``), given the rows ``psi`` of
+    Psi; False if the sketch was too narrow."""
+    sketch, co_sketch = node.u, node.v
+    a, s, bt, _ = dgesdd(dgemm(1.0, psi, sketch, trans_a=1))
+    # a sketch as wide as the block's least side spans it whatever its
+    # singular values
+    if s[-1] > tol and len(s) < min(node.hi - node.mid, node.mid - node.lo):
+        return False
+    rank = int(np.count_nonzero(s > tol))
+    node.u = dgemm(1.0, sketch, bt[:rank] / s[:rank, None], trans_b=1)
+    node.v = dgemm(1.0, co_sketch, a[:, :rank], trans_a=1)
+    return True
 
 
 def _lower_strips(first: np.ndarray, g: np.ndarray, h: np.ndarray):
@@ -569,21 +791,6 @@ def _inf_norm(first: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
         sums[j0:] += part.sum(axis=1)
         sums[j0:j0 + w] += part.sum(axis=0) - part.diagonal()
     return float(sums.max())
-
-
-def _dense(first: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The symmetric C of ``_lower_strips`` as a full matrix."""
-    dim = first.shape[1]
-    out = np.empty((dim, dim))
-    for j0, strip in _lower_strips(first, g, h):
-        s = slice(j0, j0 + strip.shape[1])
-        # the strip's transpose is the upper triangle's row strip; its top
-        # square and the columns below it take the mirror
-        out[s, j0:] = strip.T
-        block = out[s, s]
-        np.copyto(block, block.T, where=np.tri(*block.shape, -1, dtype=bool))
-        out[s.stop:, s] = out[s, s.stop:].T
-    return out
 
 
 def _gram(big_l: _BlockToeplitz, theta: float):
@@ -715,7 +922,7 @@ def _infeasible(theta: float) -> FeasibilityError:
                             theta=theta)
 
 
-def _factor_feasible(sym: _Packed, theta: float) -> float:
+def _factor_feasible(sym: _Hodlr, theta: float) -> float:
     """ln det of ``sym``, whose Cholesky factor is written over it."""
     try:
         return sym.factor()
@@ -766,10 +973,11 @@ def _ln_xi_consuming(lam_blocks: np.ndarray, p_blocks: np.ndarray,
     """(ln_xi, spec_value) from the lag blocks of L and P, each read as a
     block-Toeplitz matrix of even order.  The blocks are left unchanged.
 
-    On the quantum route Q - theta P is written once into packed storage
-    and factored there, and the feasibility margin runs on that factor
-    and on products with P by FFT.  The classical route reads neither L's
-    blocks nor packed storage: its margin is theta lam_max(P), and
+    On the quantum route Q - theta P is sketched once into a hierarchical
+    matrix and factored there, and the feasibility margin runs on that
+    factor and on products with P by FFT.  The classical route reads
+    neither L's blocks nor a hierarchical matrix: its margin is
+    theta lam_max(P), and
     ln det(I - theta P) comes from the recursion on P's ``realization``
     (A_d, c, b) of ``_kernel_blocks``, which the quantum route ignores.
     """
@@ -792,17 +1000,19 @@ def _ln_xi_consuming(lam_blocks: np.ndarray, p_blocks: np.ndarray,
 
 def _coth_and_ln_det_sinhc(lam_blocks: np.ndarray, p_first: np.ndarray,
                            theta: float):
-    """Q - theta P, packed, with Q = q(Y), and ln det sinhc(sqrt Y), for
-    Y = theta^2 L'L and L, P the block-Toeplitz matrices of the lag blocks
-    ``lam_blocks`` and of the first block row ``p_first``.  Y is held as
-    its first block row and generators (``_gram``) and applied as
-    -theta^2 L (L x) by FFT.
+    """Q - theta P as a hierarchical matrix, with Q = q(Y), and
+    ln det sinhc(sqrt Y), for Y = theta^2 L'L and L, P the block-Toeplitz
+    matrices of the lag blocks ``lam_blocks`` and of the first block row
+    ``p_first``.  Y is held as its first block row and generators
+    (``_gram``) and applied as -theta^2 L (L x) by FFT.
 
     Y is divided by 4^s until the certified bound ||Y||_inf on its
     spectrum is at most ``_SERIES_BOUND``, where the series run, and Q is
-    packed from their first block row and generators.  The s halving
-    steps then undo the scaling on the dense Y, and theta P is subtracted
-    after them; without them it is subtracted from Q's first block row.
+    sketched from the strips of their first block row and generators.
+    The s halving steps then undo the scaling on the hierarchical Y, each
+    sketching the next Q from column strips of Q + Q^-1 Y, and theta P is
+    subtracted on the last; without them it is subtracted from Q's first
+    block row.
     """
     big_l = _BlockToeplitz(lam_blocks, antisymmetric=True)
     first, g, h = _gram(big_l, theta)
@@ -825,8 +1035,8 @@ def _coth_and_ln_det_sinhc(lam_blocks: np.ndarray, p_first: np.ndarray,
     def times_y(x):
         # 4n columns at a time: the FFT products' temporaries, about eight
         # times the columns they transform, then fit in the heap that the
-        # packing's strips take next; 10n at once raised the peak resident
-        # memory of ln_xi at orders 1600 and 3200 in turn by 2 MB
+        # sketching walk's strips take next; 10n at once raised the peak
+        # resident memory of ln_xi at orders 1600 and 3200 in turn by 2 MB
         out = np.empty_like(x)
         for j in range(0, x.shape[1], 4 * n):
             out[:, j:j + 4 * n] = big_l @ (big_l @ x[:, j:j + 4 * n])
@@ -838,25 +1048,34 @@ def _coth_and_ln_det_sinhc(lam_blocks: np.ndarray, p_first: np.ndarray,
     ln_det_sinhc = math.fsum(c * t for c, t in zip(_S, traces))
     if not halvings:
         q_first -= theta * p_first
-    sym = _Packed(dim)
-    sym.add(q_first, q_g, q_h)
-    # added after the strips: carried through their recurrence, q_0 would
-    # add its rounding to the diagonal at every block column
-    sym.add_diagonal(_Q[0])
+    # q_0 is added on the leaves after the walk: carried through the
+    # strips' recurrence, it would add its rounding to the diagonal at
+    # every block column
+    sym = _Hodlr.from_strips(dim, lambda: _lower_strips(q_first, q_g, q_h),
+                             _Q[0])
     if halvings:
-        y = _dense(first, g, h)
-        for _ in range(halvings):
+        y = _Hodlr.from_strips(dim, lambda: _lower_strips(first, g, h))
+        no_gen = np.empty((dim - n, 0))
+        for step in range(halvings):
             # q(4y) = q + y/q and ln sinhc(2x) = 2 ln sinhc(x) + ln q(x^2)
             factor = sym.copy()
             ln_det_sinhc = 2.0 * ln_det_sinhc + factor.factor()
-            for j0 in range(0, dim, _STRIP):
-                # Q^-1 Y is symmetric: its column strip from Y's row strip
-                rows = y[j0:j0 + _STRIP]
-                sym.add_lower(j0, factor.cho_solve(rows.T)[j0:])
-            y *= 4.0
-        del y, factor
-        no_gen = np.empty((dim - n, 0))
-        sym.add(-theta * p_first, no_gen, no_gen)
+
+            def strips(sym=sym, factor=factor, step=step):
+                # Q^-1 Y is symmetric: its lower strips from the columns
+                # of Y, 4^step times the Y held; theta P is subtracted on
+                # the last step
+                for j0, p_strip in _lower_strips(-theta * p_first, no_gen,
+                                                 no_gen):
+                    j1 = j0 + p_strip.shape[1]
+                    strip = factor.cho_solve(y.columns(j0, j1))[j0:]
+                    strip *= 4.0 ** step
+                    strip += sym.columns(j0, j1)[j0:]
+                    if step == halvings - 1:
+                        strip += p_strip
+                    yield j0, strip
+
+            sym = _Hodlr.from_strips(dim, strips)
     return sym, ln_det_sinhc
 
 

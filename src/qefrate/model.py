@@ -135,10 +135,14 @@ class OqhoParams:
         return self.coupling.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
     """Stable oscillator driven by vacuum fields, fixed by its drift A,
     input B, cost weight Pi and commutation matrix Theta.
+
+    Models compare and hash by identity: what is cached on one (see below)
+    belongs to that object, and arrays have no single truth value to
+    compare fields by.
 
     Every instance validates itself, whether made by ``realize``,
     ``from_state_space``, a direct call or ``dataclasses.replace`` (which

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import tracemalloc
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import expm, solve_triangular
-from scipy.linalg.lapack import dsyev, dtfttr
+from scipy.linalg.lapack import dsyev
 
 import qefrate as q
 from qefrate import horizon
@@ -223,10 +224,10 @@ class TestLnXi:
 
     def test_working_set(self, random_models):
         # numpy reports its buffers to tracemalloc; the peak counts the
-        # full-size matrices alive at once.  On the halving path the dense
-        # Y, the packed Q and the packed factor of Q, half a matrix each,
-        # are alive beside a strip of Q^-1 Y (2.18 matrices measured at
-        # order 1600)
+        # full-size matrices alive at once.  On the halving path Y, Q and
+        # the factor of Q are hierarchical matrices, alive beside a column
+        # strip of Y, of Q and of Q^-1 Y and the sketches of the next Q
+        # (1.206 matrices measured at order 1600, bound 8 % above)
         ss = random_models[1]
         theta = 0.5 * q.theta_threshold(ss, q.QuadratureConfig.for_system(ss))
         big_l, _ = q.discretize_kernels(ss, 8.0, 800)
@@ -241,7 +242,24 @@ class TestLnXi:
             tracemalloc.stop()
         order = ss.n * 800
         assert order == 1600
-        assert peak < 2.3 * order ** 2 * 8
+        assert peak < 1.3 * order ** 2 * 8
+
+    def test_releases_its_memory_without_the_collector(self, twomode,
+                                                       theta0):
+        # nothing built for one call outlives it in a reference cycle,
+        # which would hold the hierarchical matrices until the cyclic
+        # collector ran: with the collector off, the call leaves almost
+        # nothing behind
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            q.ln_xi(twomode, 0.5 * theta0, horizon=10.0, n_grid=400)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 0.01 * 1600 ** 2 * 8
 
     def test_working_set_classical(self, twomode, theta0):
         # no full-order array: the pivots are n x n, and the largest
@@ -262,7 +280,8 @@ class TestLnXi:
                                                           theta0,
                                                           monkeypatch):
         def refuse(*args):
-            raise AssertionError("packed storage on the classical route")
+            raise AssertionError("a hierarchical matrix on the classical "
+                                 "route")
 
         pivots = []
         eig = horizon.dsyev
@@ -271,7 +290,7 @@ class TestLnXi:
             pivots.append(a.shape)
             return eig(a, **kwargs)
 
-        monkeypatch.setattr(horizon, "_Packed", refuse)
+        monkeypatch.setattr(horizon._Hodlr, "from_strips", refuse)
         monkeypatch.setattr(horizon, "dsyev", counted)
         q.ln_xi(twomode, 0.5 * theta0, horizon=10.0, n_grid=400,
                 classical=True)
@@ -341,17 +360,19 @@ class TestLnXi:
 
     def test_refuses_bound_beyond_halving_range(self, twomode, monkeypatch):
         # ||theta^2 L'L||_inf = 61145 on two-mode at theta = 100, refused
-        # before anything is packed or factored
+        # before any hierarchical matrix is built or factored
         def refuse(*args):
-            raise AssertionError("packed storage past the bound check")
+            raise AssertionError("a hierarchical matrix past the bound "
+                                 "check")
 
-        monkeypatch.setattr(horizon, "_Packed", refuse)
+        monkeypatch.setattr(horizon._Hodlr, "from_strips", refuse)
         with pytest.raises(NumericalError, match="exceeds 10000"):
             q.ln_xi(twomode, 100.0, horizon=4.0, n_grid=80)
 
     def test_spec_value_on_arpack_path(self, twomode, theta0):
         # order 1280, above the order up to which the margin was once
-        # dense; it comes from Lanczos on F^-1 P F^-T, F the packed factor
+        # dense; it comes from Lanczos on F^-1 P F^-T, F the hierarchical
+        # Cholesky factor
         theta = 0.5 * theta0
         big_l, big_p = q.discretize_kernels(twomode, 8.0, 320)
         assert big_p.shape[0] == 1280
@@ -407,15 +428,20 @@ def random_lag_blocks(rng, n, n_grid):
     return rng.normal(size=(n_grid, n, n)) * decay
 
 
-def unpack(sym, factor=False):
-    """The symmetric matrix a packed ``sym`` holds, assembled from its lower
-    triangle with ``dtfttr``, or with ``factor`` that lower triangle alone
-    (the Cholesky factor once ``sym.factor()`` has run)."""
-    full, info = dtfttr(sym.dim, sym.buf.reshape(-1, order="F"), transr="T",
-                        uplo="L")
-    assert info == 0
-    lower = np.tril(full)
-    return lower if factor else lower + np.tril(lower, -1).T
+def assemble(first, g, h):
+    """The symmetric C of ``horizon._lower_strips`` as a full matrix, from
+    its strips (reference)."""
+    dim = first.shape[1]
+    out = np.empty((dim, dim))
+    for j0, strip in horizon._lower_strips(first, g, h):
+        s = slice(j0, j0 + strip.shape[1])
+        # the strip's transpose is the upper triangle's row strip; its top
+        # square and the columns below it take the mirror
+        out[s, j0:] = strip.T
+        block = out[s, s]
+        np.copyto(block, block.T, where=np.tri(*block.shape, -1, dtype=bool))
+        out[s.stop:, s] = out[s, s.stop:].T
+    return out
 
 
 def check_products_match_gemm(lam_blocks, big_l):
@@ -439,14 +465,14 @@ def check_products_match_gemm(lam_blocks, big_l):
     refs = [y_ref]
     for _ in range(6):
         refs.append(y_ref @ refs[-1])
-    out = horizon._dense(first.copy(), g, h)
+    out = assemble(first.copy(), g, h)
     assert np.array_equal(out, out.T)
     assert np.max(np.abs(out - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
     k = 0
     for k, (col, gk, hk) in enumerate(
             horizon._powers(times_y, first, g, h, 7), start=1):
         ref = refs[k - 1]
-        out = horizon._dense(col.T, gk, hk)
+        out = assemble(col.T, gk, hk)
         assert np.array_equal(out, out.T)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
         expected = np.trace(ref)
@@ -459,7 +485,7 @@ def check_products_match_gemm(lam_blocks, big_l):
         (first, g, h), times_y, 7, horizon._inf_norm(first, g, h))
     assert widths == [4 * n, 6 * n] + [10 * n] * 5
     q_ref = sum(horizon._Q[k] * ref for k, ref in enumerate(refs, start=1))
-    q_mat = horizon._dense(q_first, q_g, q_h)
+    q_mat = assemble(q_first, q_g, q_h)
     assert np.max(np.abs(q_mat - q_ref)) <= 1e-13 * np.max(np.abs(q_ref))
     expected = [np.trace(ref) for ref in refs[:6]]
     assert np.allclose(traces, expected, rtol=1e-13, atol=0.0)
@@ -490,6 +516,23 @@ class TestStructured:
         expected = dense @ v
         assert np.max(np.abs(big_p @ v - expected)) \
             <= 1e-13 * np.max(np.abs(expected))
+
+    def test_fft_product_owns_its_memory(self):
+        # the product holds its N blocks, not the FFT-length buffer, about
+        # 2N blocks, that it was cut from
+        rng = np.random.default_rng(3)
+        op = _BlockToeplitz(random_lag_blocks(rng, 4, 800),
+                            antisymmetric=True)
+        x = rng.normal(size=(3200, 40))
+        op @ x  # the lag spectrum is computed on the first product
+        tracemalloc.start()
+        try:
+            out = op @ x
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x.shape and out.base is None
+        assert held <= 1.05 * out.nbytes
 
     @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("t_n", [(4.0, 81), (8.25, 330)],
@@ -548,8 +591,10 @@ class TestStructured:
 
     def test_working_set_structured(self, twomode, theta0):
         # no full matrix: Y and its powers are first block rows and
-        # generators, and packed Q - theta P, half a matrix, is written
-        # from strips of them (0.79 matrices measured at order 1600)
+        # generators, and Q - theta P is a hierarchical matrix sketched
+        # from strips of them: dense leaves of order 200, low-rank
+        # off-diagonal blocks (0.547 matrices measured at order 1600,
+        # bound 10 % above)
         tracemalloc.start()
         try:
             est = q.ln_xi(twomode, 0.5 * theta0, horizon=10.0, n_grid=400)
@@ -558,7 +603,21 @@ class TestStructured:
             tracemalloc.stop()
         order = twomode.n * est.n_grid
         assert order == 1600
-        assert peak < 0.85 * order ** 2 * 8
+        assert peak < 0.6 * order ** 2 * 8
+
+    def test_working_set_structured_order_3200(self, twomode, theta0):
+        # the leaves and sketches grow with the order, a matrix with its
+        # square: 0.282 matrices measured at order 3200 (23.1 MB), bound
+        # 6 % above
+        tracemalloc.start()
+        try:
+            est = q.ln_xi(twomode, 0.5 * theta0, horizon=20.0, n_grid=800)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        order = twomode.n * est.n_grid
+        assert order == 3200
+        assert peak < 0.3 * order ** 2 * 8
 
     @pytest.mark.parametrize("frac", [0.1, 0.5])
     def test_classical_richardson_hits_exact_reference(self, twomode, theta0,
@@ -573,37 +632,47 @@ class TestStructured:
         assert abs((4.0 * fine - coarse) / 3.0 - exact) <= 1e-7 * exact
 
 
-def packed_gram_plus_identity():
-    """I + 0.09 L'L packed from its first block row and generators, and
-    assembled by gemm, for the two-mode model's lag blocks at N = 81
-    (order 324); and the first block row and generators of 0.09 L'L."""
-    lam_blocks, _, _ = _kernel_blocks(q.two_mode_example(), 4.0, 81)
+def hodlr_gram_plus_identity(n_grid):
+    """I + 0.09 L'L as a hierarchical matrix from one walk of the strips
+    of its first block row and generators, and assembled by gemm, for the
+    two-mode model's lag blocks at N = ``n_grid`` and dt = 1/20 (order
+    4N); and the first block row and generators of 0.09 L'L."""
+    lam_blocks, _, _ = _kernel_blocks(q.two_mode_example(), n_grid / 20,
+                                      n_grid)
     big_l = horizon._assemble(horizon._lags(lam_blocks, antisymmetric=True))
     gram = horizon._gram(_BlockToeplitz(lam_blocks, antisymmetric=True), 0.3)
-    sym = horizon._Packed(len(big_l))
-    sym.add(*gram)
-    sym.add_diagonal(1.0)
+    sym = horizon._Hodlr.from_strips(len(big_l),
+                                     lambda: horizon._lower_strips(*gram),
+                                     1.0)
     return sym, np.eye(len(big_l)) + 0.09 * big_l.T @ big_l, gram
 
 
-class TestPacked:
-    """Q - theta P in rectangular full packed storage: the strip writer,
-    dpftrf, the split solves and the Lanczos margin on them."""
+class TestHodlr:
+    """Q - theta P as a hierarchical (HODLR) matrix: the sketching walk,
+    the recursive Cholesky factor, its solves and the Lanczos margin on
+    them."""
 
-    @pytest.mark.parametrize("case", ["structured-324"])
+    @pytest.mark.parametrize("case", ["structured-324", "structured-1000"])
     def test_write_factor_and_solves_match_dense(self, case):
-        sym, dense, gram = packed_gram_plus_identity()
+        # order 324: two leaves of 162; order 1000: eight leaves of 125
+        # under three levels of splits, whose Schur updates recompress
+        sym, dense, gram = hodlr_gram_plus_identity(int(case[11:]) // 4)
         dim = len(dense)
-        k = sym.buf.shape[0]
-        # 128-column strips: the second, [128, 256), straddles k = 162
-        assert any(j0 < k < j0 + s.shape[1]
-                   for j0, s in horizon._lower_strips(*gram))
+        splits = [node for node in sym.nodes if node.mid is not None]
+        assert len(splits) == (1 if dim == 324 else 7)
+        # 128-column strips straddle the splits
+        assert any(j0 < node.mid < j0 + s.shape[1]
+                   for j0, s in horizon._lower_strips(*gram)
+                   for node in splits)
+        assert max(node.u.shape[1] for node in splits) <= 16
         scale = np.max(np.abs(dense))
-        assert np.max(np.abs(unpack(sym) - dense)) <= 1e-14 * scale
+        assert np.max(np.abs(sym.columns(0, dim) - dense)) <= 1e-14 * scale
         ln_det = sym.factor()
         chol = np.linalg.cholesky(dense)
-        assert np.max(np.abs(unpack(sym, factor=True) - chol)) \
-            <= 1e-13 * np.max(np.abs(chol))
+        # F^-1 determines the factor F
+        inverse = solve_triangular(chol, np.eye(dim), lower=True)
+        assert np.max(np.abs(sym.solve(np.eye(dim)) - inverse)) \
+            <= 1e-13 * np.max(np.abs(inverse))
         assert abs(ln_det - np.linalg.slogdet(dense)[1]) <= 1e-13 * abs(ln_det)
         rng = np.random.default_rng(dim)
         v = rng.normal(size=dim)
@@ -617,11 +686,71 @@ class TestPacked:
         assert np.max(np.abs(sym.cho_solve(rhs) - expected)) \
             <= 1e-13 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("weight", [0.5, 1.5])
+    def test_indefinite_fails_at_a_leaf_after_its_updates(self, weight):
+        # A = I - (weight / d) 1 1' of order 1000 has eigenvalues 1 and
+        # 1 - weight; its leaves, of order 125, are positive definite.  At
+        # weight 1.5 the leading block of order k has the eigenvalue
+        # 1 - 1.5 k / 1000, first negative at k = 750: the factor fails
+        # at the sixth leaf, once the Schur updates have reached it
+        dim = 1000
+        dense = np.eye(dim) - weight / dim
+
+        def strips():
+            for j0 in range(0, dim, 128):
+                yield j0, dense[j0:, j0:j0 + 128]
+
+        sym = horizon._Hodlr.from_strips(dim, strips)
+        assert [node.hi - node.lo for node in sym.nodes
+                if node.mid is None] == [125] * 8
+        assert {node.u.shape[1] for node in sym.nodes
+                if node.mid is not None} == {1}
+        if weight < 1.0:
+            ln_det = sym.factor()
+            assert abs(ln_det - math.log(1.0 - weight)) <= 1e-13
+            return
+        leaves = []
+        cholesky = horizon.cholesky
+
+        def recorded(a, **kwargs):
+            leaves.append(len(a))
+            return cholesky(a, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(horizon, "cholesky", recorded)
+            with pytest.raises(np.linalg.LinAlgError):
+                sym.factor()
+        assert leaves == [125] * 6
+
+    def test_sketch_too_narrow_is_redone_wider(self, monkeypatch):
+        # a sketch of 4 columns cannot hold blocks of rank 8 or more: the
+        # walk is redone at 8, then 16 columns, and the matrix comes out
+        # as with the default width
+        widths = []
+        sketch = horizon._sketch
+
+        def recorded(nodes, strips, width, diagonal):
+            widths.append(width)
+            return sketch(nodes, strips, width, diagonal)
+
+        monkeypatch.setattr(horizon, "_sketch", recorded)
+        sym, dense, _ = hodlr_gram_plus_identity(250)
+        assert widths == [horizon._SKETCH]
+        widths.clear()
+        monkeypatch.setattr(horizon, "_SKETCH", 4)
+        narrow, _, _ = hodlr_gram_plus_identity(250)
+        assert widths[0] == 4 and widths == [4 * 2 ** k
+                                             for k in range(len(widths))]
+        assert len(widths) > 1
+        dim = len(dense)
+        assert np.max(np.abs(narrow.columns(0, dim) - dense)) \
+            <= 1e-14 * np.max(np.abs(dense))
+
     @pytest.mark.parametrize("classical", [False, True],
                              ids=["quantum", "classical"])
     def test_lambda_max_matches_eigvalsh(self, twomode, theta0, classical):
         # order 324, against the assembled F^-1 P F^-T (or P) of the
-        # packed factor F of Q - theta P
+        # dense Cholesky factor F of the assembled Q - theta P
         theta = 0.5 * theta0
         lam_blocks, p_blocks, _ = _kernel_blocks(twomode, 4.0, 81)
         big_p = _BlockToeplitz(p_blocks)
@@ -631,8 +760,8 @@ class TestPacked:
         else:
             chol, _ = horizon._coth_and_ln_det_sinhc(
                 lam_blocks, big_p.first_row(), theta)
+            factor = np.linalg.cholesky(chol.columns(0, chol.dim))
             chol.factor()
-            factor = unpack(chol, factor=True)
             half = solve_triangular(factor, dense_p, lower=True)
             expected = np.linalg.eigvalsh(
                 solve_triangular(factor, half.T, lower=True))[-1]
@@ -739,7 +868,7 @@ class TestSeries:
         block[1::2, 0::2] = -block[0::2, 1::2]
         sym, ln_det = horizon._coth_and_ln_det_sinhc(
             block[None], np.zeros((64, 64)), 1.0)
-        q_mat = unpack(sym)
+        q_mat = sym.columns(0, 64)
         y = np.diag(horizon._gram(
             _BlockToeplitz(block[None], antisymmetric=True), 1.0)[0])
         x = np.sqrt(y)

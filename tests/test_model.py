@@ -283,6 +283,19 @@ class TestDriftSpectrum:
             twin.drift_eigenvalues[0] = 0.0
 
 
+class TestIdentity:
+    """Models compare and hash by identity."""
+
+    def test_equal_fields_are_different_models(self, twomode):
+        assert (q.two_mode_example() == q.two_mode_example()) is False
+        assert (q.two_mode_example() != q.two_mode_example()) is True
+
+    def test_a_model_equals_itself_and_hashes(self, twomode):
+        assert twomode == twomode
+        assert hash(twomode) == hash(twomode)
+        assert {twomode: "two-mode"}[twomode] == "two-mode"
+
+
 class TestReplace:
     """``dataclasses.replace`` validates the new model and derives J, S and
     Sigma from its own fields, as every other constructor does."""
