@@ -101,8 +101,9 @@ Darve, J. Sci. Comput. 57, 2013; Ambikasaran et al., IEEE TPAMI 38(2),
 2016, take log-dets and solves of covariance matrices in this form).
 Its indices are halved down to leaves of at most 200 (``_LEAF``), whose
 diagonal blocks are dense, and every off-diagonal block is held as u v'
-of low rank: 12 to 16 on the two-mode model (4n at most) and 6 to 14 on
-random models of orders 2 and 4, at orders 400 to 6400.  The walk
+of low rank: 12 to 16 on the two-mode model and 4 to 14 on random
+models of orders 2 and 4, at orders 400 to 6400 (at most 4n in every
+case measured).  The walk
 sketches each off-diagonal block B as B Omega and Psi' B, Gaussian of a
 fixed seed, 24 and 36 columns wide, and compresses it by the stabilized
 generalized Nystrom formula (Nakatsukasa 2020), truncated at 2^-53 times
@@ -127,12 +128,12 @@ Y and two packed triangles took 2.2.
 
 A sequential quasiseparable sweep would factor and solve in O(d r^2)
 too, but it visits the N cells one at a time in Python, at 5 us or more
-a cell: one margin solve at order 3200 would take 4 ms or more, against
-2.7 ms for the packed solve, and the margin takes 114 solves there.  The
-hierarchical form does each node's work in one or two BLAS calls, 31
-nodes at order 3200: the factor takes 26-35 ms there where the packed
-``dpftrf`` took 150-200 ms, and the margin 47-59 ms where it took
-230-330 ms.
+a cell (the classical recursion takes 5-17 us): one margin solve at
+order 3200 would take 4 ms or more, against 2-3 ms for the packed solve,
+and the margin takes 114 solves there.  The hierarchical form does each
+node's work in one or two BLAS calls, 31 nodes at order 3200: the
+factor takes 26-56 ms there where the packed ``dpftrf`` took 150-200 ms,
+and the margin 47-78 ms where it took 230-350 ms.
 
 The classical route, -1/2 ln det(I - theta P), needs no matrix of full
 order.  P is the covariance of the sampled Gauss-Markov state: with
@@ -410,10 +411,9 @@ def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
     L nor P is assembled, and no matrix of full order is allocated:
     Q - theta P is held as a hierarchical matrix of dense leaves and
     low-rank off-diagonal blocks, and on the classical route
-    ln det(I - theta P) comes
-    from an n x n Riccati recursion over the N cells in O(N n^3) work,
-    with no matrix of full order at all.  At theta = 0 the value is 0 and
-    nothing is built.
+    ln det(I - theta P) comes from an n x n Riccati recursion over the N
+    cells in O(N n^3) work.  At theta = 0 the value is 0 and nothing is
+    built.
 
     Raises FeasibilityError when theta * lam_max(P K) reaches one.
     """
@@ -544,8 +544,8 @@ class _Hodlr:
         pseudo-inverse truncated at ``tol`` = ``_TRUNCATION`` times a norm
         bound of A taken during the walk (Nakatsukasa, arXiv:2009.11392,
         2020).  A sketch whose last singular value is above ``tol`` may
-        have missed part of B: the walk is redone with sketches twice as
-        wide.
+        have missed part of B, unless it is as wide as B's shorter side:
+        the walk is then redone with sketches twice as wide.
         """
         width = _SKETCH
         while True:

@@ -746,6 +746,35 @@ class TestHodlr:
         assert np.max(np.abs(narrow.columns(0, dim) - dense)) \
             <= 1e-14 * np.max(np.abs(dense))
 
+    def test_full_rank_blocks_end_the_widening(self, monkeypatch):
+        # a random positive definite matrix of order 300 has full-rank
+        # off-diagonal blocks of order 150: the sketches widen from 24 to
+        # 192, past the blocks' side, and stop there, exact
+        widths = []
+        sketch = horizon._sketch
+
+        def recorded(nodes, strips, width, diagonal):
+            widths.append(width)
+            return sketch(nodes, strips, width, diagonal)
+
+        monkeypatch.setattr(horizon, "_sketch", recorded)
+        rng = np.random.default_rng(300)
+        g = rng.normal(size=(300, 300))
+        dense = g @ g.T / 300 + np.eye(300)
+
+        def strips():
+            for j0 in range(0, 300, 128):
+                yield j0, dense[j0:, j0:j0 + 128]
+
+        sym = horizon._Hodlr.from_strips(300, strips)
+        assert widths == [24, 48, 96, 192]
+        assert [node.u.shape[1] for node in sym.nodes
+                if node.mid is not None] == [150]
+        assert np.max(np.abs(sym.columns(0, 300) - dense)) \
+            <= 1e-13 * np.max(np.abs(dense))
+        ln_det = sym.factor()
+        assert abs(ln_det - np.linalg.slogdet(dense)[1]) <= 1e-13 * abs(ln_det)
+
     @pytest.mark.parametrize("classical", [False, True],
                              ids=["quantum", "classical"])
     def test_lambda_max_matches_eigvalsh(self, twomode, theta0, classical):

@@ -60,10 +60,11 @@ def test_result_fields_hold_no_derived_values():
 
 
 def test_no_unused_imports():
-    # a name a module imports but never reads.  horizon keeps cholesky and
-    # hessenberg bound: benchmarks/spans.py traces them there, and they go
-    # when that binding does (ROADMAP item 7)
-    allowed = {("horizon", "cholesky"), ("horizon", "hessenberg")}
+    # a name a module imports but never reads.  horizon keeps hessenberg
+    # bound: benchmarks/spans.py traces it there, and it goes when that
+    # binding does (ROADMAP item 7); cholesky, traced there too, factors
+    # the hierarchical matrices' leaves
+    allowed = {("horizon", "hessenberg")}
     unused = []
     for path in sorted(Path(q.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
