@@ -109,8 +109,9 @@ fixed seed, 24 and 36 columns wide, and compresses it by the stabilized
 generalized Nystrom formula (Nakatsukasa 2020), truncated at 2^-53 times
 a bound on the norm of the matrix taken during the walk
 (``_TRUNCATION``); a sketch that shows no singular value below that
-truncation is redone twice as wide.  q_0 is added on the leaves after the
-walk.  The Cholesky factor F is recursive.  In the order left subtree,
+truncation is redone twice as wide, and a block whose shorter side is
+no longer than the sketch would be is copied whole and truncated by QR
+and SVD instead.  q_0 is added on the leaves after the walk.  The Cholesky factor F is recursive.  In the order left subtree,
 split, right subtree, a leaf is factored densely, and an infeasible theta
 is a leaf factor that fails; a split with left factor F11 and block u v'
 gives F the block u w', w = F11^-1 v, and subtracts u (w'w) u' from its
@@ -183,7 +184,7 @@ from scipy.linalg import (cholesky, eigh_tridiagonal, expm,  # noqa: F401
 # matrix products in the hot loops run on scipy's BLAS (see the module
 # docstring)
 from scipy.linalg.blas import ddot, dgemm, dgemv, dtrmm, dtrmv
-from scipy.linalg.lapack import dgesdd, dsyev, dtrtri
+from scipy.linalg.lapack import dgesdd, dgesvd, dsyev, dtrtri
 
 from ._funcs import check_theta
 from .errors import FeasibilityError, NumericalError, SizeError
@@ -503,13 +504,26 @@ def _tree(lo: int, hi: int, depth: int = 0,
     return nodes
 
 
+def _svd(a: np.ndarray):
+    """Thin SVD (u, s, vt) of a core by LAPACK's divide and conquer
+    ``dgesdd``, or by the slower QR iteration of ``dgesvd`` where that
+    fails: on a 576 x 384 sketch core ``dgesdd`` returned info 1 and NaN
+    singular values."""
+    u, s, vt, info = dgesdd(a, full_matrices=0)
+    if info:
+        u, s, vt, info = dgesvd(a, full_matrices=0)
+    if info:
+        raise NumericalError(f"SVD of a {a.shape} core did not converge")
+    return u, s, vt
+
+
 def _recompress(u: np.ndarray, v: np.ndarray, tol: float):
     """(u', v') with u' v' = u v' up to the singular values of u v' at or
     below ``tol``, which are dropped: QR of each factor and an SVD of the
     small product of their triangles."""
     qu, ru = qr(u, mode="economic", check_finite=False)
     qv, rv = qr(v, mode="economic", check_finite=False)
-    a, s, bt, _ = dgesdd(dgemm(1.0, ru, rv, trans_b=1))
+    a, s, bt = _svd(dgemm(1.0, ru, rv, trans_b=1))
     rank = int(np.count_nonzero(s > tol))
     return (dgemm(1.0, qu, a[:, :rank] * s[:rank]),
             dgemm(1.0, qv, bt[:rank], trans_b=1))
@@ -528,13 +542,15 @@ class _Hodlr:
     which is the order of a forward substitution with F.
     """
 
-    def __init__(self, nodes: list[_Node], tol: float):
+    def __init__(self, nodes: list[_Node], tol: float, width: int):
         self.nodes = nodes
         self.dim = nodes[-1].hi
         self.tol = tol
+        self.width = width
 
     @classmethod
-    def from_strips(cls, dim: int, strips, diagonal: float = 0.0) -> _Hodlr:
+    def from_strips(cls, dim: int, strips, diagonal: float = 0.0,
+                    width: int = _SKETCH) -> _Hodlr:
         """A = S + ``diagonal`` I from one walk of ``strips()``, which
         yields (j0, S[j0:, j0:j1]) left to right, entries above the
         diagonal unspecified.  Leaves are copied.  Each off-diagonal
@@ -543,17 +559,18 @@ class _Hodlr:
         Nystrom formula B = (B Omega) (Psi' B Omega)^+ (Psi' B), the
         pseudo-inverse truncated at ``tol`` = ``_TRUNCATION`` times a norm
         bound of A taken during the walk (Nakatsukasa, arXiv:2009.11392,
-        2020).  A sketch whose last singular value is above ``tol`` may
-        have missed part of B, unless it is as wide as B's shorter side:
-        the walk is then redone with sketches twice as wide.
+        2020).  The sketches start ``width`` columns wide.  A sketch whose
+        last singular value is above ``tol`` may have missed part of B:
+        the walk is then redone with sketches twice as wide, and a block
+        whose shorter side is no longer than the sketch would be is copied
+        whole instead.  The width that sufficed is kept as ``width``.
         """
-        width = _SKETCH
         while True:
             nodes = _tree(0, dim)
             tol, psi = _sketch(nodes, strips(), width, diagonal)
             if all(_compress(node, psi[node.mid:node.hi], tol)
                    for node in nodes if node.mid is not None):
-                return cls(nodes, tol)
+                return cls(nodes, tol, width)
             width *= 2
 
     def copy(self) -> _Hodlr:
@@ -566,7 +583,7 @@ class _Hodlr:
             else:
                 twin.u, twin.v = node.u.copy(order="F"), node.v.copy(order="F")
             nodes.append(twin)
-        return _Hodlr(nodes, self.tol)
+        return _Hodlr(nodes, self.tol, self.width)
 
     def columns(self, j0: int, j1: int) -> np.ndarray:
         """The column strip A[:, j0:j1], assembled."""
@@ -672,9 +689,10 @@ def _sketch(nodes: list[_Node], strips, width: int, diagonal: float):
     leaves' lower triangles, mirror them and add ``diagonal``, and give
     each split the range sketch B Omega (in u) and co-range sketch Psi' B
     (in v) of its off-diagonal block B, ``width`` and 1.5 ``width``
-    columns wide.  Return the truncation, ``_TRUNCATION`` times the norm
-    bound max_leaf ||A_ii||_inf + sum over depths of max ||B||_F, and
-    Psi."""
+    columns wide, or, where B's shorter side is no longer than ``width``,
+    a copy of B (in u, v None).  Return the truncation, ``_TRUNCATION``
+    times the norm bound max_leaf ||A_ii||_inf + sum over depths of
+    max ||B||_F, and Psi."""
     dim = nodes[-1].hi
     wide = width + width // 2
     rng = np.random.default_rng(_SKETCH_SEED)
@@ -686,6 +704,10 @@ def _sketch(nodes: list[_Node], strips, width: int, diagonal: float):
     for node in nodes:
         if node.mid is None:
             node.dense = np.empty((node.hi - node.lo,) * 2, order="F")
+        elif min(node.hi - node.mid, node.mid - node.lo) <= width:
+            node.u = np.empty((node.hi - node.mid, node.mid - node.lo),
+                              order="F")
+            node.v = None
         else:
             node.u = np.zeros((node.hi - node.mid, width), order="F")
             node.v = np.empty((wide, node.mid - node.lo), order="F")
@@ -703,12 +725,16 @@ def _sketch(nodes: list[_Node], strips, width: int, diagonal: float):
                     strip[c0 - j0:hi - j0, c0 - j0:c1 - j0]
                 continue
             mid = node.mid
-            block = np.array(strip[mid - j0:hi - j0, c0 - j0:c1 - j0],
-                             order="F")
+            block = strip[mid - j0:hi - j0, c0 - j0:c1 - j0]
+            if node.v is None:
+                node.u[:, c0 - lo:c1 - lo] = block
+                block = node.u[:, c0 - lo:c1 - lo]
+            else:
+                block = np.array(block, order="F")
+                dgemm(1.0, block, omega[c0:c1].T, beta=1.0, c=node.u,
+                      trans_b=1, overwrite_c=1)
+                node.v[:, c0 - lo:c1 - lo] = dgemm(1.0, psi[mid:hi].T, block)
             squares[i] += float(ddot(block.ravel("F"), block.ravel("F")))
-            dgemm(1.0, block, omega[c0:c1].T, beta=1.0, c=node.u,
-                  trans_b=1, overwrite_c=1)
-            node.v[:, c0 - lo:c1 - lo] = dgemm(1.0, psi[mid:hi].T, block)
     leaf_norm, block_norms = 0.0, {}
     for node, square in zip(nodes, squares):
         if node.mid is None:
@@ -726,12 +752,14 @@ def _sketch(nodes: list[_Node], strips, width: int, diagonal: float):
 def _compress(node: _Node, psi: np.ndarray, tol: float) -> bool:
     """Replace the sketches B Omega and Psi' B of a split's block B by
     factors u v' of B (``_Hodlr.from_strips``), given the rows ``psi`` of
-    Psi; False if the sketch was too narrow."""
+    Psi; False if the sketch was too narrow.  A copied B is truncated by
+    ``_recompress`` of B I'."""
+    if node.v is None:
+        node.u, node.v = _recompress(node.u, np.eye(node.u.shape[1]), tol)
+        return True
     sketch, co_sketch = node.u, node.v
-    a, s, bt, _ = dgesdd(dgemm(1.0, psi, sketch, trans_a=1))
-    # a sketch as wide as the block's least side spans it whatever its
-    # singular values
-    if s[-1] > tol and len(s) < min(node.hi - node.mid, node.mid - node.lo):
+    a, s, bt = _svd(dgemm(1.0, psi, sketch, trans_a=1))
+    if s[-1] > tol:
         return False
     rank = int(np.count_nonzero(s > tol))
     node.u = dgemm(1.0, sketch, bt[:rank] / s[:rank, None], trans_b=1)
@@ -1054,7 +1082,10 @@ def _coth_and_ln_det_sinhc(lam_blocks: np.ndarray, p_first: np.ndarray,
     sym = _Hodlr.from_strips(dim, lambda: _lower_strips(q_first, q_g, q_h),
                              _Q[0])
     if halvings:
-        y = _Hodlr.from_strips(dim, lambda: _lower_strips(first, g, h))
+        # Y, Q and the Q of each step have much the same ranks: each build
+        # starts from the sketch width that sufficed for the one before
+        y = _Hodlr.from_strips(dim, lambda: _lower_strips(first, g, h),
+                               width=sym.width)
         no_gen = np.empty((dim - n, 0))
         for step in range(halvings):
             # q(4y) = q + y/q and ln sinhc(2x) = 2 ln sinhc(x) + ln q(x^2)
@@ -1075,7 +1106,7 @@ def _coth_and_ln_det_sinhc(lam_blocks: np.ndarray, p_first: np.ndarray,
                         strip += p_strip
                     yield j0, strip
 
-            sym = _Hodlr.from_strips(dim, strips)
+            sym = _Hodlr.from_strips(dim, strips, width=sym.width)
     return sym, ln_det_sinhc
 
 

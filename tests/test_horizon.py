@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import expm, solve_triangular
-from scipy.linalg.lapack import dsyev
+from scipy.linalg.lapack import dgesdd, dsyev
 
 import qefrate as q
 from qefrate import horizon
@@ -185,7 +185,8 @@ class TestLnXi:
 
     @pytest.mark.parametrize("case", ["twomode", "random_odd_order",
                                       "twomode_near_threshold",
-                                      "random_odd_order_scaled"])
+                                      "random_odd_order_scaled",
+                                      "random_300_cells_scaled"])
     def test_matches_complex_hermitian_reference(self, twomode, theta0, case):
         if case.startswith("twomode"):
             big_l, big_p = q.discretize_kernels(twomode, 4.0, 80)
@@ -195,8 +196,11 @@ class TestLnXi:
         else:
             # random lag blocks of order 2, whatever the ids say:
             # ||theta^2 L'L||_inf = 50.6 with N = 8, five halving steps,
-            # and 1568 with N = 20 and L tripled, eight
-            n_grid = 20 if case.endswith("scaled") else 8
+            # 1568 with N = 20 and L tripled, eight, and 4420 with N = 300
+            # and L tripled, nine, on hierarchical matrices of four leaves
+            # whose off-diagonal blocks have full rank and are copied whole
+            n_grid = {"random_odd_order": 8, "random_odd_order_scaled": 20,
+                      "random_300_cells_scaled": 300}[case]
             rng = np.random.default_rng(7)
             lam_blocks = random_lag_blocks(rng, 2, n_grid)
             lam_blocks[0] = 0.5 * (lam_blocks[0] - lam_blocks[0].T)
@@ -213,7 +217,7 @@ class TestLnXi:
             big_p *= 0.8 / np.linalg.eigvalsh(big_p)[-1]
             theta = 1.0
             bound = np.abs(big_l.T @ big_l).sum(axis=1).max()
-            halvings = 8 if case.endswith("scaled") else 5
+            halvings = {8: 5, 20: 8, 300: 9}[n_grid]
             assert horizon._SERIES_BOUND * 4 ** (halvings - 1) < bound \
                 <= horizon._SERIES_BOUND * 4 ** halvings
             value, spec = horizon._ln_xi_consuming(lam_blocks, p_blocks, None,
@@ -724,8 +728,8 @@ class TestHodlr:
 
     def test_sketch_too_narrow_is_redone_wider(self, monkeypatch):
         # a sketch of 4 columns cannot hold blocks of rank 8 or more: the
-        # walk is redone at 8, then 16 columns, and the matrix comes out
-        # as with the default width
+        # walk is redone at 8, then 16 columns, the width that sufficed is
+        # kept, and the matrix comes out as with the default width
         widths = []
         sketch = horizon._sketch
 
@@ -734,15 +738,15 @@ class TestHodlr:
             return sketch(nodes, strips, width, diagonal)
 
         monkeypatch.setattr(horizon, "_sketch", recorded)
-        sym, dense, _ = hodlr_gram_plus_identity(250)
-        assert widths == [horizon._SKETCH]
+        sym, dense, gram = hodlr_gram_plus_identity(250)
+        assert widths == [horizon._SKETCH] and sym.width == horizon._SKETCH
         widths.clear()
-        monkeypatch.setattr(horizon, "_SKETCH", 4)
-        narrow, _, _ = hodlr_gram_plus_identity(250)
-        assert widths[0] == 4 and widths == [4 * 2 ** k
-                                             for k in range(len(widths))]
-        assert len(widths) > 1
         dim = len(dense)
+        narrow = horizon._Hodlr.from_strips(
+            dim, lambda: horizon._lower_strips(*gram), 1.0, width=4)
+        assert len(widths) > 1
+        assert widths == [4 * 2 ** k for k in range(len(widths))]
+        assert narrow.width == widths[-1]
         assert np.max(np.abs(narrow.columns(0, dim) - dense)) \
             <= 1e-14 * np.max(np.abs(dense))
 
@@ -774,6 +778,20 @@ class TestHodlr:
             <= 1e-13 * np.max(np.abs(dense))
         ln_det = sym.factor()
         assert abs(ln_det - np.linalg.slogdet(dense)[1]) <= 1e-13 * abs(ln_det)
+
+    def test_svd_falls_back_when_divide_and_conquer_fails(self,
+                                                          monkeypatch):
+        # dgesdd returned info 1 and NaN on a 576 x 384 sketch core of
+        # nine halving steps at order 800; dgesvd then gives the SVD
+        def failing(a, **kwargs):
+            u, s, vt, _ = dgesdd(a, **kwargs)
+            return u, np.full_like(s, np.nan), vt, 1
+
+        monkeypatch.setattr(horizon, "dgesdd", failing)
+        core = np.random.default_rng(36).normal(size=(36, 24))
+        u, s, vt = horizon._svd(core)
+        assert u.shape == (36, 24) and vt.shape == (24, 24)
+        assert np.max(np.abs((u * s) @ vt - core)) <= 1e-13
 
     @pytest.mark.parametrize("classical", [False, True],
                              ids=["quantum", "classical"])
