@@ -101,31 +101,31 @@ Darve, J. Sci. Comput. 57, 2013; Ambikasaran et al., IEEE TPAMI 38(2),
 2016, take log-dets and solves of covariance matrices in this form).
 Its indices are halved down to leaves of at most 200 (``_LEAF``), whose
 diagonal blocks are dense, and every off-diagonal block is held as u v'
-of low rank: 12 to 16 on the two-mode model and 4 to 14 on random
-models of orders 2 and 4, at orders 400 to 6400 (at most 4n in every
-case measured).  The walk
-sketches each off-diagonal block B as B Omega and Psi' B, Gaussian of a
-fixed seed, 24 and 36 columns wide, and compresses it by the stabilized
-generalized Nystrom formula (Nakatsukasa 2020), truncated at 2^-53 times
-a bound on the norm of the matrix taken during the walk
-(``_TRUNCATION``); a sketch that shows no singular value below that
-truncation is redone twice as wide, and a block whose shorter side is
-no longer than the sketch would be is copied whole and truncated by QR
-and SVD instead.  q_0 is added on the leaves after the walk.  The Cholesky factor F is recursive.  In the order left subtree,
-split, right subtree, a leaf is factored densely, and an infeasible theta
-is a leaf factor that fails; a split with left factor F11 and block u v'
-gives F the block u w', w = F11^-1 v, and subtracts u (w'w) u' from its
-right subtree, recompressing each off-diagonal block it touches.  A solve
-with F or F' walks the same nodes, forward or back: a product with a
-leaf's inverse factor, or two with a split's thin factors, at each.  No
-array of d x d or d(d+1)/2 words is formed on the quantum route.  The
-working set is the series' generators, one strip, the leaves (about
-200 d words) and the sketches: 0.28 of a matrix at order 3200 (23 MB,
-82 MB a matrix) and 0.55 at order 1600, where the packed lower triangle
-that this form replaced took 0.64 and 0.79.  The halving steps keep Y, Q
-and the factor of Q as hierarchical matrices and sketch the next Q from
-column strips of Q + Q^-1 Y: 1.2 matrices at order 1600, where the dense
-Y and two packed triangles took 2.2.
+of low rank: 12 to 16 on the two-mode model and 4 to 14 on random models
+of orders 2 and 4, at orders 400 to 6400 (at most 4n in every case
+measured).  The walk sketches each off-diagonal block B as B Omega and
+Psi' B, Gaussian of a fixed seed, 24 and 36 columns wide, and compresses
+it by the stabilized generalized Nystrom formula (Nakatsukasa 2020),
+truncated at 2^-53 times a bound on the norm of the matrix taken during
+the walk (``_TRUNCATION``); a sketch that shows no singular value below
+that truncation is redone twice as wide, and a block whose shorter side
+is no longer than the sketch would be is copied whole and truncated by
+QR and SVD instead.  q_0 is added on the leaves after the walk.  The
+Cholesky factor F is recursive.  In the order left subtree, split, right
+subtree, a leaf is factored densely, and an infeasible theta is a leaf
+factor that fails; a split with left factor F11 and block u v' gives F
+the block u w', w = F11^-1 v, and subtracts u (w'w) u' from its right
+subtree, recompressing each off-diagonal block it touches.  A solve with
+F or F' walks the same nodes, forward or back: a product with a leaf's
+inverse factor, or two with a split's thin factors, at each.  No array
+of d x d or d(d+1)/2 words is formed on the quantum route.  The working
+set is the series' generators, one strip, the leaves (about 200 d words)
+and the sketches: 0.28 of a matrix at order 3200 (23 MB, 82 MB a matrix)
+and 0.55 at order 1600, where the packed lower triangle that this form
+replaced took 0.64 and 0.79.  The halving steps keep Y, Q and the factor
+of Q as hierarchical matrices and sketch the next Q from column strips
+of Q + Q^-1 Y: 1.2 matrices at order 1600, where the dense Y and two
+packed triangles took 2.2.
 
 A sequential quasiseparable sweep would factor and solve in O(d r^2)
 too, but it visits the N cells one at a time in Python, at 5 us or more
