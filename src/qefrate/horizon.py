@@ -593,7 +593,8 @@ class _Hodlr:
             if mid is None:
                 c0, c1 = max(lo, j0), min(hi, j1)
                 if c0 < c1:
-                    out[lo:hi, c0 - j0:c1 - j0] = node.dense[:, c0 - lo:c1 - lo]
+                    out[lo:hi, c0 - j0:c1 - j0] = \
+                        node.dense[:, c0 - lo:c1 - lo]
                 continue
             for rows, cols, a, b in (((mid, hi), (lo, mid), node.u, node.v),
                                      ((lo, mid), (mid, hi), node.v, node.u)):
