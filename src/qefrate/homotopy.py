@@ -14,9 +14,9 @@ frequency integral of its trace:
 
 Marching U by fixed-step RK4 from zero, integrating Tr U over frequency
 on the Gauss-Kronrod rule of ``qefrate.quadrature`` and accumulating
-Upsilon' by the trapezoid rule in theta reproduces Upsilon(theta)
-independently of the direct log-determinant quadrature, which makes the
-two methods mutual checks.
+Upsilon' by the trapezoid rule in theta gives the scalar curve
+Upsilon(theta), the march's only output, independently of the direct
+log-determinant quadrature, which makes the two methods mutual checks.
 The closed form above is the logarithmic-derivative (Hopf-Cole) transform
 of the linear equation D'' = -D Psi^2 satisfied by the log-det matrix.
 
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._funcs import hermitize
 from .errors import FeasibilityError
 from .model import StateSpace
 from .quadrature import QuadratureConfig
@@ -49,38 +48,11 @@ GROWTH_GUARD = 10.0
 
 @dataclass(frozen=True)
 class HomotopyTrace:
-    """Riccati march output: rate derivative, cumulative rate and the
-    final Riccati state at each node."""
+    """Riccati march output: Upsilon' and Upsilon on the theta grid."""
 
     theta_grid: np.ndarray
     rate_derivative: np.ndarray
     rate: np.ndarray
-    per_freq_u: np.ndarray
-
-
-def u_direct(grid: SpectralGrid, theta: float) -> np.ndarray:
-    """Closed-form Hermitian Riccati solution at every node of a grid.
-
-    Evaluates -D^{-1} dD/dtheta = D^{-1} (Phi cos(theta Psi)
-    + Psi sin(theta Psi)) with D the log-det matrix; this is the
-    commutator-weighted resolvent form with the Psi factor absorbed, so it
-    stays regular when the commutator spectrum degenerates (U then reduces
-    to (I - theta Phi)^{-1} Phi).  sin(theta Psi) = theta Psi sinc(theta Psi).
-    Raises FeasibilityError, naming the first such frequency, where D is
-    numerically singular.
-    """
-    phi, psi = grid.phi, grid.psi
-    cos_tp, sinc_tp, _ = grid.trig(theta)
-    sin_m = theta * psi @ sinc_tp
-    d_mat = cos_tp - theta * phi @ sinc_tp
-    cond = np.linalg.cond(d_mat)
-    bad = np.flatnonzero(~np.isfinite(cond) | (cond > 1e14))
-    if bad.size:
-        lam = float(grid.lambdas[bad[0]])
-        raise FeasibilityError(f"log-det matrix singular at frequency {lam:g}",
-                               theta=theta, lam=lam)
-    u = np.linalg.solve(d_mat, phi @ cos_tp + psi @ sin_m)
-    return hermitize(u)
 
 
 class _RiccatiStack:
@@ -105,9 +77,6 @@ class _RiccatiStack:
         # Y, and a product) and 2 vectors
         self.work = np.empty((7, *self.x.shape))
         self.vec_work = np.empty((2, len(u)))
-
-    def u(self) -> np.ndarray:
-        return self.x + 1j * self.y
 
 
 def _riccati_rhs(x, y, sx, sy, k_x, k_y, prod) -> None:
@@ -165,32 +134,15 @@ def _rk4_stack(st: _RiccatiStack, h: float) -> int:
 
 def _guarded_step(st: _RiccatiStack, h: float, theta_next: float,
                   lambdas: np.ndarray) -> None:
-    """One re-Hermitized RK4 step of stacked Riccati states, in place.
-
-    Raises FeasibilityError, naming the first frequency, where a state
-    grows by more than ``GROWTH_GUARD`` times its previous norm floored at
-    its entry of ``st.floor``.
-    """
+    """One re-Hermitized RK4 step of stacked Riccati states, in place;
+    raises FeasibilityError, naming the first frequency, where a state
+    grows by more than ``GROWTH_GUARD`` times its previous norm floored
+    at its entry of ``st.floor``."""
     i = _rk4_stack(st, h)
     if i >= 0:
         raise FeasibilityError(
             f"Riccati state escaping at frequency {lambdas[i]:g}, "
             f"theta {theta_next:g}", theta=theta_next, lam=float(lambdas[i]))
-
-
-def u_ode_step(grid: SpectralGrid, u: np.ndarray, theta: float,
-               d_theta: float) -> np.ndarray:
-    """One RK4 step of dU/dtheta = Psi^2 + U^2, re-Hermitized, for the
-    stack ``u`` of states at the grid's nodes.
-
-    The equation is autonomous; ``theta`` only labels the step for the
-    finite-escape diagnostic.  The growth guard is floored at the natural
-    scale of each node so that marches started from small states are not
-    mistaken for escapes.
-    """
-    st = _RiccatiStack(u, grid.psi, _guard_floor(grid))
-    _guarded_step(st, d_theta, theta + d_theta, grid.lambdas)
-    return st.u()
 
 
 def _guard_floor(grid: SpectralGrid) -> np.ndarray:
@@ -204,7 +156,7 @@ def rate_by_homotopy(ss: StateSpace, theta_max: float, d_theta: float,
 
     The trace integral of U over the rule's nodes, tail panel included,
     supplies Upsilon' at each step and the trapezoid rule accumulates
-    Upsilon.  ``per_freq_u`` holds the final states at the nodes.
+    Upsilon; the states are dropped when the march ends.
 
     Raises FeasibilityError if any frequency shows finite-time escape
     before theta_max.
@@ -233,6 +185,5 @@ def _march(grid: SpectralGrid, theta_max: float, d_theta: float,
         _guarded_step(st, h, float(thetas[k + 1]), grid.lambdas)
         derivs[k + 1] = derivative()
     rate = np.concatenate([[0.0], np.cumsum(0.5 * h * (derivs[1:] + derivs[:-1]))])
-    return HomotopyTrace(theta_grid=thetas, rate_derivative=derivs, rate=rate,
-                         per_freq_u=st.u())
+    return HomotopyTrace(theta_grid=thetas, rate_derivative=derivs, rate=rate)
 

@@ -121,20 +121,15 @@ inverse factor, or two with a split's thin factors, at each.  No array
 of d x d or d(d+1)/2 words is formed on the quantum route.  The working
 set is the series' generators, one strip, the leaves (about 200 d words)
 and the sketches: 0.28 of a matrix at order 3200 (23 MB, 82 MB a matrix)
-and 0.55 at order 1600, where the packed lower triangle that this form
-replaced took 0.64 and 0.79.  The halving steps keep Y, Q and the factor
-of Q as hierarchical matrices and sketch the next Q from column strips
-of Q + Q^-1 Y: 1.2 matrices at order 1600, where the dense Y and two
-packed triangles took 2.2.
+and 0.55 at order 1600.  The halving steps keep Y, Q and the factor of Q
+as hierarchical matrices and sketch the next Q from column strips of
+Q + Q^-1 Y: 1.2 matrices at order 1600.
 
 A sequential quasiseparable sweep would factor and solve in O(d r^2)
 too, but it visits the N cells one at a time in Python, at 5 us or more
-a cell (the classical recursion takes 5-17 us): one margin solve at
-order 3200 would take 4 ms or more, against 2-3 ms for the packed solve,
-and the margin takes 114 solves there.  The hierarchical form does each
-node's work in one or two BLAS calls, 31 nodes at order 3200: the
-factor takes 26-56 ms there where the packed ``dpftrf`` took 150-200 ms,
-and the margin 47-78 ms where it took 230-350 ms.
+a cell (the classical recursion takes 5-17 us), and the margin takes 114
+solves at order 3200.  The hierarchical form does each node's work in
+one or two BLAS calls instead, 31 nodes at order 3200.
 
 The classical route, -1/2 ln det(I - theta P), needs no matrix of full
 order.  P is the covariance of the sampled Gauss-Markov state: with
@@ -164,10 +159,9 @@ numpy and scipy may each load their own BLAS, each with its own threads
 that spin for a while after a threaded call.  The displacement products,
 the sketches, the hierarchical factor and the margin's products and
 solves therefore run on scipy's BLAS.  With the displacement products
-on numpy's BLAS, quantum ``ln_xi`` on two cores took 0.37 s instead of
-0.18 s at order 1600 and 1.04 s instead of 0.83 s at order 3200, and with
-the margin's products on it the margin ran 2.5 times slower right after
-the factorization.
+on numpy's BLAS, quantum ``ln_xi`` on two cores took twice as long at
+order 1600, and with the margin's products on it the margin ran 2.5
+times slower right after the factorization.
 """
 
 from __future__ import annotations

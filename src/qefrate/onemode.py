@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._funcs import sqrtm_spd
 from .errors import DimensionError, ParameterError, SingularityError, StructureError
 from .model import (BJ2, OqhoParams, StateSpace, _as_matrix, build_j_matrix,
                     realize)
@@ -84,14 +83,6 @@ def extract_mu(m_mat: np.ndarray, j: np.ndarray) -> float:
     if mu <= 0:
         raise ParameterError(f"coupling scalar must be positive, got {mu:g}")
     return mu
-
-
-def onemode_drift(r: np.ndarray, mu: float) -> np.ndarray:
-    """Drift matrix R^{-1/2} (nu BJ2 - mu I) sqrt(R), eigenvalues -mu +/- i nu."""
-    r = np.asarray(r, dtype=float)
-    root = sqrtm_spd(r)
-    nu = float(np.sqrt(np.linalg.det(r)))
-    return np.linalg.solve(root, (nu * BJ2 - mu * np.eye(2)) @ root)
 
 
 def poles(mu: float, nu: float) -> np.ndarray:

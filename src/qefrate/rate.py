@@ -242,22 +242,28 @@ def upsilon_from_grid(grid: SpectralGrid, theta: float,
     check_theta(theta)
     r = _sqrt_tanc(grid, theta)
     quad = _upsilon_quad(grid, theta, cfg, r)
-    converged = _converged(quad)
-    try:
-        cl = _classical_from_grid(grid, theta, cfg)
-        converged = converged and _converged(cl)
-        v = cl.value
-    except FeasibilityError:
-        v = math.nan
+    v, v_converged = _classical_checked(grid, theta, cfg)
     return RateResult(theta=float(theta), upsilon=quad.value,
                       classical_v=v, margin=_margin(grid, theta, r),
                       tail_contrib=quad.tail,
-                      n_freq=len(grid.lambdas), converged=converged,
+                      n_freq=len(grid.lambdas),
+                      converged=_converged(quad) and v_converged,
                       quad_error=quad.error)
 
 
 def _converged(quad: HalfLine) -> bool:
     return quad.error <= QUAD_AGREEMENT * max(abs(quad.value), 1e-300)
+
+
+def _classical_checked(grid: SpectralGrid, theta: float,
+                       cfg: QuadratureConfig) -> tuple[float, bool]:
+    """V(theta), NaN where it is infeasible, and whether its estimate
+    meets ``QUAD_AGREEMENT``; an infeasible V has nothing to flag."""
+    try:
+        cl = _classical_from_grid(grid, theta, cfg)
+    except FeasibilityError:
+        return math.nan, True
+    return cl.value, _converged(cl)
 
 
 def upsilon(ss: StateSpace, theta: float, cfg: QuadratureConfig) -> RateResult:
@@ -505,15 +511,8 @@ def curve_converged(ss: StateSpace, theta_grid,
         thetas, quads = _feasible_curve(grid, theta_grid, cfg)
     except FeasibilityError:
         return True
-    for theta, quad in zip(thetas, quads):
-        if not _converged(quad):
-            return False
-        try:
-            if not _converged(_classical_from_grid(grid, theta, cfg)):
-                return False
-        except FeasibilityError:
-            continue
-    return True
+    return all(_converged(quad) and _classical_checked(grid, theta, cfg)[1]
+               for theta, quad in zip(thetas, quads))
 
 
 def _feasible_curve(grid: SpectralGrid, theta_grid, cfg: QuadratureConfig):

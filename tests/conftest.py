@@ -1,7 +1,7 @@
 """Shared fixtures: the two-mode example, cheap meshes, surrogate models,
 a deterministic pool of random stable models, a loader for the
-benchmark's model generator, and the independent references the tests
-compare the library against."""
+benchmark's model generator, the independent references the tests
+compare the library against, and a single step of the Riccati march."""
 
 from __future__ import annotations
 
@@ -15,11 +15,13 @@ import pytest
 from scipy.linalg import expm, solve_continuous_are
 
 import qefrate as q
-from qefrate._funcs import check_theta
-from qefrate.errors import (DegeneracyError, NumericalError, ParameterError,
-                            StabilityError)
+from qefrate._funcs import check_theta, hermitize
+from qefrate.errors import (DegeneracyError, FeasibilityError, NumericalError,
+                            ParameterError, StabilityError)
+from qefrate.homotopy import _guard_floor, _guarded_step, _RiccatiStack
 from qefrate.model import BJ2, build_j_matrix
 from qefrate.rate import _neg_log_det
+from qefrate.spectral import SpectralGrid
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -189,6 +191,44 @@ def d_second_derivative_check(grid: q.SpectralGrid, theta: float) -> float:
     second = (d_plus - 2.0 * d0 + d_minus) / D2_STEP ** 2
     psi_sq = grid.psi @ grid.psi
     return float(np.max(np.linalg.norm(second + d0 @ psi_sq, axis=(1, 2))))
+
+
+def u_direct(grid: SpectralGrid, theta: float) -> np.ndarray:
+    """Closed-form Hermitian Riccati solution at every node of a grid.
+
+    Evaluates -D^{-1} dD/dtheta = D^{-1} (Phi cos(theta Psi)
+    + Psi sin(theta Psi)) with D the log-det matrix; this is the
+    commutator-weighted resolvent form with the Psi factor absorbed, so it
+    stays regular when the commutator spectrum degenerates (U then reduces
+    to (I - theta Phi)^{-1} Phi).  sin(theta Psi) = theta Psi sinc(theta Psi).
+    Raises FeasibilityError, naming the first such frequency, where D is
+    numerically singular.
+    """
+    phi, psi = grid.phi, grid.psi
+    cos_tp, sinc_tp, _ = grid.trig(theta)
+    sin_m = theta * psi @ sinc_tp
+    d_mat = cos_tp - theta * phi @ sinc_tp
+    cond = np.linalg.cond(d_mat)
+    bad = np.flatnonzero(~np.isfinite(cond) | (cond > 1e14))
+    if bad.size:
+        lam = float(grid.lambdas[bad[0]])
+        raise FeasibilityError(f"log-det matrix singular at frequency {lam:g}",
+                               theta=theta, lam=lam)
+    u = np.linalg.solve(d_mat, phi @ cos_tp + psi @ sin_m)
+    return hermitize(u)
+
+
+def u_ode_step(grid: q.SpectralGrid, u: np.ndarray, theta: float,
+               d_theta: float) -> np.ndarray:
+    """One re-Hermitized RK4 step of dU/dtheta = Psi^2 + U^2 for the stack
+    ``u`` of states at the grid's nodes, by the march's own step.
+
+    The equation is autonomous; ``theta`` only labels the step for the
+    finite-escape diagnostic, which raises FeasibilityError.
+    """
+    st = _RiccatiStack(u, grid.psi, _guard_floor(grid))
+    _guarded_step(st, d_theta, theta + d_theta, grid.lambdas)
+    return st.x + 1j * st.y
 
 
 def single_mode(damping: float, freq: float = 1.0) -> q.StateSpace:

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import qefrate as q
-from qefrate.homotopy import u_direct, u_ode_step
 from qefrate.onemode import ab_functions, onemode_trig, poles, residue_at
 
 from conftest import (SURROGATE_A, SURROGATE_G, d_second_derivative_check,
-                      kernel_at, log_det_d, surrogate_v_closed)
+                      kernel_at, log_det_d, surrogate_v_closed, u_direct,
+                      u_ode_step)
 
 
 def report(num: int, ok: bool, detail: str, elapsed: float) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ import qefrate as q
 from qefrate import homotopy
 from qefrate._funcs import hermitize
 from qefrate.errors import FeasibilityError
-from qefrate.homotopy import _march, rate_by_homotopy, u_direct, u_ode_step
+from qefrate.homotopy import (_guard_floor, _guarded_step, _march,
+                              _RiccatiStack, rate_by_homotopy)
+from qefrate.spectral import grid_for
 
 from conftest import (SURROGATE_A, SURROGATE_G, d_second_derivative_check,
-                      surrogate_v_closed)
+                      surrogate_v_closed, u_direct, u_ode_step)
 
 
 def synthetic_sample(phi: np.ndarray, psi: np.ndarray,
@@ -197,6 +200,22 @@ class TestRateByHomotopy:
             < 1e-3 * q.lqg_rate(twomode)
         assert np.all(np.diff(tr.rate) >= -1e-15)
 
+    def test_trace_retains_no_node_stack(self, twomode, cfg_full, theta0):
+        # a finished march keeps its scalar curve only: what a live trace
+        # holds is far below one complex stack of states at the nodes
+        grid = grid_for(twomode, cfg_full)
+        assert grid.phi.shape == (360, 4, 4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tr = rate_by_homotopy(twomode, 0.5 * theta0, 0.05 * theta0,
+                                  cfg_full)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tr.rate) == 11
+        assert retained < 0.1 * 360 * 16 * 16
+
     def test_classical_surrogate_matches_closed_form(self, surrogate):
         cfg = q.QuadratureConfig.for_system(surrogate)
         grid = q.sample_grid(surrogate, cfg.lambdas())
@@ -232,7 +251,13 @@ class TestRateByHomotopy:
         np.testing.assert_allclose(tr.rate, rate, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(tr.rate_derivative, derivs, rtol=1e-13,
                                    atol=0.0)
-        err = np.linalg.norm(tr.per_freq_u - u, axis=(1, 2))
+        # the trace keeps no states: step a stack as the march does
+        n_steps = len(tr.theta_grid) - 1
+        h = 0.9 * theta0 / n_steps
+        st = _RiccatiStack(grid.phi, grid.psi, _guard_floor(grid))
+        for theta in tr.theta_grid[1:]:
+            _guarded_step(st, h, float(theta), grid.lambdas)
+        err = np.linalg.norm(st.x + 1j * st.y - u, axis=(1, 2))
         assert np.all(err <= 1e-13 * np.linalg.norm(u, axis=(1, 2)))
 
     def test_cross_method_agreement(self, surrogate):

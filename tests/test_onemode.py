@@ -7,15 +7,15 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy.linalg import sqrtm
 
 import qefrate as q
 from qefrate.cli import main
 from qefrate.errors import (DimensionError, ParameterError, SingularityError,
                             StructureError)
 from qefrate.model import BJ2, build_j_matrix
-from qefrate.onemode import (ab_functions, extract_mu, onemode_drift,
-                             onemode_trig, poles, random_params, residue_at,
-                             to_state_space)
+from qefrate.onemode import (ab_functions, extract_mu, onemode_trig, poles,
+                             random_params, residue_at, to_state_space)
 
 
 class TestExtractMu:
@@ -57,9 +57,16 @@ class TestExtractMu:
             extract_mu(np.ones((4, 3)), build_j_matrix(4))
 
 
+def realized_drift(r: np.ndarray, mu: float) -> np.ndarray:
+    """The drift ``to_state_space`` builds for energy ``r`` and coupling
+    scalar ``mu``, reached through the coupling sqrt(mu) I."""
+    params = q.OneModeParams.from_matrices(r, np.sqrt(mu) * np.eye(2))
+    return to_state_space(params).a
+
+
 class TestOnemodeDrift:
     def test_identity_energy(self):
-        a = onemode_drift(np.eye(2), 0.5)
+        a = realized_drift(np.eye(2), 0.5)
         assert np.allclose(a, BJ2 - 0.5 * np.eye(2), atol=1e-12)
         eig = np.sort_complex(np.linalg.eigvals(a))
         assert np.allclose(eig, [-0.5 - 1.0j, -0.5 + 1.0j], atol=1e-12)
@@ -71,16 +78,19 @@ class TestOnemodeDrift:
             r = g @ g.T + 0.4 * np.eye(2)
             mu = float(rng.uniform(0.2, 2.0))
             nu = float(np.sqrt(np.linalg.det(r)))
-            eig = np.sort_complex(np.linalg.eigvals(onemode_drift(r, mu)))
+            eig = np.sort_complex(np.linalg.eigvals(realized_drift(r, mu)))
             assert np.allclose(eig, [-mu - 1j * nu, -mu + 1j * nu], atol=1e-10)
 
     def test_consistent_with_realization(self, onemode_params, onemode_ss):
-        a = onemode_drift(onemode_params.r, onemode_params.mu)
+        # the closed form R^{-1/2} (nu BJ2 - mu I) sqrt(R)
+        r, mu, nu = onemode_params.r, onemode_params.mu, onemode_params.nu
+        root = sqrtm(r).real
+        a = np.linalg.solve(root, (nu * BJ2 - mu * np.eye(2)) @ root)
         assert np.allclose(a, onemode_ss.a, atol=1e-10)
 
     def test_rejects_indefinite_energy(self):
         with pytest.raises(ParameterError):
-            onemode_drift(np.diag([1.0, -1.0]), 0.5)
+            realized_drift(np.diag([1.0, -1.0]), 0.5)
 
 
 class TestAbFunctions:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
 from pathlib import Path
 
 import qefrate as q
@@ -27,15 +28,41 @@ PUBLIC = [
     "load_model", "write_csv", "write_summary", "two_mode_example",
 ]
 
-#: Names only the tests called: the references now live in the tests'
-#: conftest, the march on a given grid is private, and the one-mode
-#: helpers are reached through their module.
+#: Names only the tests called.  The references (``u_direct`` among them)
+#: and the one-step ``u_ode_step`` live in the tests' conftest, the march
+#: on a given grid is private and the one-mode drift is read off the
+#: realized model, so none is left in any module of the package; only
+#: the one-mode helpers below stay in their module, which reads them.
 RETIRED = [
     "KernelSample", "kernel_at", "log_det_d", "contour_e",
     "d_second_derivative_check", "u_direct", "u_ode_step",
     "rate_by_homotopy_from_grid", "extract_mu", "onemode_drift",
     "ab_functions", "onemode_trig",
 ]
+REACHED_THROUGH_MODULE = {("onemode", "extract_mu"),
+                          ("onemode", "ab_functions"),
+                          ("onemode", "onemode_trig")}
+
+#: The package's source files.
+SOURCES = sorted(Path(q.__file__).parent.glob("*.py"))
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module's ``__all__`` lists."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """The names a module reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
 
 
 def test_public_surface():
@@ -43,6 +70,11 @@ def test_public_surface():
     assert q.__all__ == PUBLIC
     assert [name for name in PUBLIC if not hasattr(q, name)] == []
     assert [name for name in RETIRED if hasattr(q, name)] == []
+    modules = {path.stem: importlib.import_module(f"qefrate.{path.stem}")
+               for path in SOURCES if path.stem != "__init__"}
+    assert [f"{stem}: {name}" for stem, module in modules.items()
+            for name in RETIRED if hasattr(module, name)
+            and (stem, name) not in REACHED_THROUGH_MODULE] == []
 
 
 def test_result_fields_hold_no_derived_values():
@@ -57,6 +89,9 @@ def test_result_fields_hold_no_derived_values():
         == ["estimates"]
     assert [f.name for f in dataclasses.fields(q.StateSpace)] \
         == ["a", "b", "weight", "theta_ccr"]
+    # the march's answer is its scalar curve, not the states at the nodes
+    assert [f.name for f in dataclasses.fields(q.HomotopyTrace)] \
+        == ["theta_grid", "rate_derivative", "rate"]
 
 
 def test_no_unused_imports():
@@ -66,16 +101,11 @@ def test_no_unused_imports():
     # the hierarchical matrices' leaves
     allowed = {("horizon", "hessenberg")}
     unused = []
-    for path in sorted(Path(q.__file__).parent.glob("*.py")):
+    for path in SOURCES:
         tree = ast.parse(path.read_text())
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        exported = set()
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__"
-                    for t in node.targets):
-                exported = set(ast.literal_eval(node.value))
+        exported = _exported(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 if getattr(node, "module", None) == "__future__":
@@ -92,7 +122,7 @@ def test_no_dead_private_names():
     # a module-level private function, class or constant that no module
     # of the package reads: what a refactor leaves behind
     defined, read = [], set()
-    for path in sorted(Path(q.__file__).parent.glob("*.py")):
+    for path in SOURCES:
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -105,11 +135,26 @@ def test_no_dead_private_names():
                 names = []
             defined += [(path.stem, name) for name in names
                         if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        read |= _read(tree)
     assert defined
     assert [f"{stem}: {name}" for stem, name in defined
             if name not in read] == []
+
+
+def test_no_test_only_public_names():
+    # a module-level public function or class that no module of the
+    # package reads and no __all__ exports: only the tests can call it,
+    # so it belongs in them.  A decorated one is registered by its
+    # decorator, as the click commands are
+    defined, read, exported = [], set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        defined += [(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and not node.decorator_list]
+        read |= _read(tree)
+        exported |= _exported(tree)
+    assert defined
+    assert [f"{stem}: {name}" for stem, name in defined
+            if name not in read and name not in exported] == []
