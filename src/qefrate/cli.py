@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Every command is registered through ``_command``, the one place that
-holds what the commands share: the ``--model``, ``--out``, ``--cutoff``,
-``--step`` and ``--threads`` options, the thread cap, and the exit-code
-map ``_EXITS``: 0 success, 2 model validation failure, 3 infeasible risk
-parameter, 4 numerical failure.  A command body receives a ``_Run``,
-whose ``setup`` loads the model, its quadrature rule and theta0, and
-whose ``summary`` writes every summary under the one header (command,
-version, model and the manifest of the options used).
+holds what the commands share: the ``--model``, ``--out``, ``--cutoff``
+and ``--step`` options and the exit-code map ``_EXITS``: 0 success,
+2 model validation failure, 3 infeasible risk parameter, 4 numerical
+failure.  A command body receives a ``_Run``, whose ``setup`` loads the
+model, its quadrature rule and theta0, and whose ``summary`` writes every
+summary under the one header (command, version, model and the manifest
+of the options used).
 """
 
 from __future__ import annotations
@@ -40,16 +40,6 @@ _EXITS = {ModelError: (2, "validation failure"),
           NumericalError: (4, "numerical failure")}
 
 
-def _limit_threads(n: int | None) -> None:
-    if n is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=n)
-    except ImportError:
-        click.echo("threadpoolctl not installed; --threads ignored", err=True)
-
-
 def _status(converged: bool) -> str:
     """Status of an answer that met the quadrature tolerance, or missed it."""
     return "ok" if converged else "quadrature-warning"
@@ -57,7 +47,7 @@ def _status(converged: bool) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class _Run:
-    """One invocation of a command: its name and its options but --threads."""
+    """One invocation of a command: its name and its options."""
 
     command: str
     params: dict
@@ -134,8 +124,6 @@ cutoff_option = click.option("--cutoff", type=float, default=None,
 step_option = click.option("--step", type=float, default=None,
                            help="Node spacing of uniform quadrature panels, "
                            "replacing the resonance-placed ones.")
-threads_option = click.option("--threads", type=int, default=None,
-                              help="Cap BLAS thread count.")
 
 
 @click.group()
@@ -148,17 +136,16 @@ def _command(name: str, *options, model: bool = True, rule: bool = False):
     """Register a command body under ``name``.
 
     Its options read --model (when ``model``), its own ``options``, --out,
-    --cutoff and --step (when ``rule``), --threads.  The body gets a
-    ``_Run`` and its own options by keyword, under the thread cap; a
-    package error it raises exits with the code ``_EXITS`` gives it.
+    --cutoff and --step (when ``rule``).  The body gets a ``_Run`` and
+    its own options by keyword; a package error it raises exits with the
+    code ``_EXITS`` gives it.
     """
     stack = [*([model_option] if model else []), *options, out_option,
-             *([cutoff_option, step_option] if rule else []), threads_option]
+             *([cutoff_option, step_option] if rule else [])]
 
     def register(body):
         @functools.wraps(body)
-        def callback(threads, **params):
-            _limit_threads(threads)
+        def callback(**params):
             own = {k: v for k, v in params.items()
                    if k not in ("model_path", "out", "cutoff", "step")}
             try:
@@ -214,7 +201,6 @@ def rate_cmd(run, theta):
         "theta0": theta0,
         "lqg_rate": rate_mod.lqg_rate(ss),
         "cutoff": cfg.cutoff,
-        "step": cfg.step,
         "status": _status(result.converged),
     })
     click.echo(f"upsilon({theta:g}) = {result.upsilon:.9g}")
@@ -281,7 +267,8 @@ def homotopy_cmd(run, theta_max, dtheta):
                        "1/N for a whole number N."),
           click.option("--max-dim", type=int,
                        default=horizon_mod.DEFAULT_MAX_DIM, show_default=True,
-                       help="Memory guard on the matrix order."))
+                       help="Largest discretization order; it bounds a "
+                       "run, whose time grows as the square of the order."))
 def horizon_cmd(run, theta, horizons, dt, max_dim):
     """Finite-horizon oracle sweep with 1/T extrapolation."""
     ts = _float_list(horizons, "--horizons")
@@ -415,7 +402,7 @@ def example(run, dtheta_frac):
         **_drift(ss),
         "lqg_rate": rate_mod.lqg_rate(ss),
         "cross_method_gap": gap,
-        "cutoff": cfg.cutoff, "step": cfg.step,
+        "cutoff": cfg.cutoff,
         "status": _status(all(r.converged for r in results)),
     })
     click.echo(f"theta0 = {theta0:.6g}, cross-method gap = {gap:.3g}")

@@ -58,4 +58,4 @@ class SingularityError(NumericalError):
 
 
 class SizeError(NumericalError):
-    """A discretization exceeds the configured memory guard."""
+    """A discretization exceeds the configured size guard on its order."""

@@ -166,6 +166,7 @@ times slower right after the factorization.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -187,8 +188,9 @@ from .model import StateSpace
 __all__ = ["HorizonEstimate", "ConvergenceStudy", "discretize_kernels",
            "ln_xi", "convergence_study"]
 
-#: Matrices of order above this guard are refused unless the caller
-#: raises the limit explicitly.
+#: Discretizations of order above this guard are refused unless the
+#: caller raises it: it bounds the size of a run, whose time grows with
+#: the square of the order, not memory (no route forms a full matrix).
 DEFAULT_MAX_DIM = 6000
 
 #: Fewest time cells ``ln_xi`` accepts.
@@ -417,7 +419,7 @@ def ln_xi(ss: StateSpace, theta: float, horizon: float, n_grid: int,
     if theta == 0.0:
         value = spec_value = 0.0
     else:
-        value, spec_value = _ln_xi_consuming(
+        value, spec_value = _ln_xi_from_blocks(
             *_kernel_blocks(ss, horizon, n_grid, classical), theta, classical)
     return HorizonEstimate(horizon=float(horizon), n_grid=int(n_grid),
                            ln_xi=value, spec_value=spec_value)
@@ -566,18 +568,6 @@ class _Hodlr:
                    for node in nodes if node.mid is not None):
                 return cls(nodes, tol, width)
             width *= 2
-
-    def copy(self) -> _Hodlr:
-        nodes = []
-        for node in self.nodes:
-            twin = _Node(node.lo, node.hi, node.depth)
-            twin.mid, twin.left, twin.right = node.mid, node.left, node.right
-            if node.mid is None:
-                twin.dense = node.dense.copy(order="F")
-            else:
-                twin.u, twin.v = node.u.copy(order="F"), node.v.copy(order="F")
-            nodes.append(twin)
-        return _Hodlr(nodes, self.tol, self.width)
 
     def columns(self, j0: int, j1: int) -> np.ndarray:
         """The column strip A[:, j0:j1], assembled."""
@@ -991,8 +981,8 @@ def _riccati_ln_det(d0: np.ndarray, realization, theta: float,
     return math.fsum(np.log1p(-eigs).ravel())
 
 
-def _ln_xi_consuming(lam_blocks: np.ndarray, p_blocks: np.ndarray,
-                     realization, theta: float, classical: bool):
+def _ln_xi_from_blocks(lam_blocks: np.ndarray, p_blocks: np.ndarray,
+                       realization, theta: float, classical: bool):
     """(ln_xi, spec_value) from the lag blocks of L and P, each read as a
     block-Toeplitz matrix of even order.  The blocks are left unchanged.
 
@@ -1084,7 +1074,8 @@ def _coth_and_ln_det_sinhc(lam_blocks: np.ndarray, p_first: np.ndarray,
         no_gen = np.empty((dim - n, 0))
         for step in range(halvings):
             # q(4y) = q + y/q and ln sinhc(2x) = 2 ln sinhc(x) + ln q(x^2)
-            factor = sym.copy()
+            # deepcopy keeps each array's (Fortran) order for the BLAS calls
+            factor = copy.deepcopy(sym)
             ln_det_sinhc = 2.0 * ln_det_sinhc + factor.factor()
 
             def strips(sym=sym, factor=factor, step=step):

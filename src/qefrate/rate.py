@@ -35,13 +35,13 @@ of Upsilon.
 
 Every entry point that takes a model samples its spectrum through
 ``qefrate.spectral.grid_for``, once per model and rule, and theta0 is
-computed once per model; the ``*_from_grid`` functions take a grid the
-caller sampled.  Per theta, ``upsilon_from_grid`` evaluates tanhc(theta w)
+computed once per model; ``upsilon_from_grid`` takes a grid the caller
+sampled.  Per theta, ``upsilon_from_grid`` evaluates tanhc(theta w)
 once for the log-determinant and the margin, the small-theta expansion
 reads the grid's cached eigenvalues of Phi and diagonal of Psi^2, and
-the bounds read Upsilon on their theta grid from a curve kept on the
-spectral grid, then refine the grid infimum by a bounded search started
-from the grid values around it.
+both bounds share one search: it reads Upsilon on their theta grid from
+a curve kept on the spectral grid, then refines the grid infimum of the
+bound's cost by a bounded search started from the grid values around it.
 """
 
 from __future__ import annotations
@@ -414,26 +414,44 @@ def small_theta_expansion(ss: StateSpace, theta: float,
     return v + (theta ** 2 / (4.0 * math.pi)) * corr
 
 
-def _refine_inf(objective, grid: np.ndarray, values: np.ndarray) -> float:
-    """Grid infimum refined by one bounded search around the best node.
+def _bound_search(ss: StateSpace, theta_grid, cfg: QuadratureConfig,
+                  cost) -> float:
+    """Infimum of ``cost(theta, Upsilon(theta))`` over the feasible part of
+    ``theta_grid``, refined by one bounded search around the best node.
 
+    Upsilon on the grid is read from the model's kept curve
+    (``_feasible_curve``), so only the search integrates anew once the
+    grid has been asked for; grid costs that are not finite are dropped.
     The search runs between the best node's neighbours (to its one
     neighbour at an end of the grid) and starts from the parabola through
     the best node and the two nodes nearest it, values the grid already
     holds.
     """
-    order = np.argsort(grid, kind="stable")
-    grid, values = grid[order], values[order]
+    grid = grid_for(ss, cfg)
+    thetas, quads = _feasible_curve(grid, theta_grid, cfg)
+    values = np.array([cost(th, quad.value)
+                       for th, quad in zip(thetas, quads)])
+    finite = np.isfinite(values)
+    if not finite.any():
+        raise FeasibilityError("no feasible risk parameter on the grid")
+    order = np.argsort(thetas[finite], kind="stable")
+    thetas, values = thetas[finite][order], values[finite][order]
+
+    def objective(th: float) -> float:
+        try:
+            return cost(th, _upsilon_quad(grid, th, cfg).value)
+        except FeasibilityError:
+            return math.inf
+
     k = int(np.argmin(values))
     best = float(values[k])
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
+    lo, hi = thetas[max(k - 1, 0)], thetas[min(k + 1, len(thetas) - 1)]
     if hi > lo:
-        first = min(max(k - 1, 0), max(len(grid) - 3, 0))
+        first = min(max(k - 1, 0), max(len(thetas) - 3, 0))
         near = slice(first, first + 3)
         _, f_min = minimize_bounded(objective, float(lo), float(hi),
                                     xatol=1e-10,
-                                    start=zip(grid[near], values[near]))
+                                    start=zip(thetas[near], values[near]))
         if np.isfinite(f_min):
             best = min(best, float(f_min))
     return best
@@ -445,24 +463,12 @@ def tail_bound(ss: StateSpace, alpha: float, theta_grid,
 
     Returns inf over the feasible part of ``theta_grid`` of
     Upsilon(theta) - alpha * theta, the large-deviations exponent for the
-    event that the time-averaged cost exceeds 2 * alpha.  Upsilon on the
-    grid is read from the model's kept curve (``_feasible_curve``), so
-    only the refinement around the best node integrates anew once the
-    grid has been asked for.
+    event that the time-averaged cost exceeds 2 * alpha.
     """
     if not 0.0 < alpha < math.inf:
         raise FeasibilityError("tail level alpha must be positive and finite")
-    grid = grid_for(ss, cfg)
-    thetas, quads = _feasible_curve(grid, theta_grid, cfg)
-    ups = np.array([quad.value for quad in quads])
-
-    def objective(th: float) -> float:
-        try:
-            return _upsilon_quad(grid, th, cfg).value - alpha * th
-        except FeasibilityError:
-            return math.inf
-
-    return _refine_inf(objective, thetas, ups - alpha * thetas)
+    return _bound_search(ss, theta_grid, cfg,
+                         lambda th, ups: ups - alpha * th)
 
 
 def worst_case_lqg_bound(ss: StateSpace, eps: float, theta_grid,
@@ -470,30 +476,14 @@ def worst_case_lqg_bound(ss: StateSpace, eps: float, theta_grid,
     """Worst-case mean-square cost rate under relative-entropy uncertainty.
 
     Returns 2 * inf over theta > 0 of (eps + Upsilon(theta)) / theta for
-    uncertainty budget eps >= 0, evaluated on the grid with one
-    refinement.  The grid values are the theta > 0 part of the model's
-    kept curve (``_feasible_curve``), shared with ``tail_bound``.
+    uncertainty budget eps >= 0; the cost is inf at theta = 0.
     """
     if not 0.0 <= eps < math.inf:
         raise FeasibilityError(
             "uncertainty budget eps must be finite and nonnegative")
-    grid = grid_for(ss, cfg)
-    thetas, quads = _feasible_curve(grid, theta_grid, cfg)
-    positive = thetas > 0
-    if not positive.any():
-        raise FeasibilityError("no feasible risk parameter on the grid")
-    thetas = thetas[positive]
-    ups = np.array([quad.value for quad in quads])[positive]
-
-    def objective(th: float) -> float:
-        if th <= 0:
-            return math.inf
-        try:
-            return (eps + _upsilon_quad(grid, th, cfg).value) / th
-        except FeasibilityError:
-            return math.inf
-
-    return 2.0 * _refine_inf(objective, thetas, (eps + ups) / thetas)
+    return 2.0 * _bound_search(
+        ss, theta_grid, cfg,
+        lambda th, ups: (eps + ups) / th if th > 0 else math.inf)
 
 
 def curve_converged(ss: StateSpace, theta_grid,

@@ -220,8 +220,8 @@ class TestLnXi:
             halvings = {8: 5, 20: 8, 300: 9}[n_grid]
             assert horizon._SERIES_BOUND * 4 ** (halvings - 1) < bound \
                 <= horizon._SERIES_BOUND * 4 ** halvings
-            value, spec = horizon._ln_xi_consuming(lam_blocks, p_blocks, None,
-                                                   theta, classical=False)
+            value, spec = horizon._ln_xi_from_blocks(
+                lam_blocks, p_blocks, None, theta, classical=False)
         expected, expected_spec = reference_ln_xi(big_l, big_p, theta)
         assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
         assert abs(spec - expected_spec) <= 1e-12
@@ -587,7 +587,7 @@ class TestStructured:
         def refuse(*args):
             raise AssertionError("evaluated at theta = 0")
         monkeypatch.setattr(horizon, "_kernel_blocks", refuse)
-        monkeypatch.setattr(horizon, "_ln_xi_consuming", refuse)
+        monkeypatch.setattr(horizon, "_ln_xi_from_blocks", refuse)
         est = q.ln_xi(twomode, 0.0, horizon=10.0, n_grid=400)
         assert (est.ln_xi, est.spec_value) == (0.0, 0.0)
         with pytest.raises(NumericalError, match="horizon must be positive"):

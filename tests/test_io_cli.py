@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
@@ -284,19 +285,26 @@ class TestCliExitCodes:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["status"] == "mismatch"
 
-    @pytest.mark.parametrize("args", [
-        ["validate"], ["rate", "--theta", "0.02", "--step", "0.25"],
-        ["onemode-check", "--samples", "20"]],
-        ids=["validate", "rate", "onemode-check"])
-    def test_threads_without_threadpoolctl(self, runner, tmp_path,
-                                           monkeypatch, args):
-        # a None entry in sys.modules makes the import fail, as when absent
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        result = runner.invoke(main, args + ["--threads", "1",
-                                             "--out", str(tmp_path)])
-        assert result.exit_code == 0
-        assert ("threadpoolctl not installed; --threads ignored"
-                in result.stderr)
+    @pytest.mark.parametrize("command", sorted(main.commands))
+    def test_threads_is_a_usage_error(self, runner, tmp_path, command):
+        # BLAS threads are set by OPENBLAS_NUM_THREADS / OMP_NUM_THREADS
+        result = runner.invoke(main, [command, "--threads", "1",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr
+        assert "--threads" in result.stderr
+
+    def test_every_option_is_read(self):
+        # an option that neither the command body nor _Run reads is inert
+        read_by_run = {"model_path", "out", "cutoff", "step"}
+        inert = {}
+        for name, command in main.commands.items():
+            body = inspect.signature(command.callback.__wrapped__).parameters
+            read = (set(body) - {"run"}) | read_by_run
+            unread = [p.name for p in command.params if p.name not in read]
+            if unread:
+                inert[name] = unread
+        assert inert == {}
 
     @pytest.mark.parametrize("args", [
         ["onemode-check", "--samples", "0"],
@@ -380,6 +388,10 @@ class TestCliArtifacts:
             assert summary["rule"] == f"gauss-kronrod-15/{layout}"
             assert 0.0 <= summary["quad_error"] <= 1e-6 * summary["upsilon"]
             assert summary["status"] == "ok"
+            # the resonance rule reads no step; a --step is in the manifest
+            assert "step" not in summary
+            assert summary["manifest"].get("step") == (0.1 if extra else None)
+        assert "step" not in qio._summary_schema()["properties"]
         for bad in ({"rule": 15}, {"quad_error": -1.0}, {"quad_error": "0"}):
             with pytest.raises(Exception):
                 validate_summary({"command": "rate", "version": "0.1.0", **bad})
