@@ -73,10 +73,6 @@ def check_theta(theta: float) -> None:
                                theta=theta)
 
 
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
-
-
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Average with the conjugate transpose (stacks allowed)."""
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
@@ -93,11 +89,11 @@ def sqrtm_spd(m: np.ndarray) -> np.ndarray:
     times the largest, since downstream formulas require a nonsingular
     root.
     """
-    w, v = np.linalg.eigh(symmetrize(m))
+    w, v = np.linalg.eigh(hermitize(m))
     if w[0] <= _PD_FLOOR * max(w[-1], 0.0):
         raise ParameterError(
             f"matrix is not positive definite: eigenvalue range [{w[0]:g}, {w[-1]:g}]")
-    return symmetrize((v * np.sqrt(w)) @ v.T)
+    return hermitize((v * np.sqrt(w)) @ v.T)
 
 
 def apply_herm(func_of_eig: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -114,7 +110,7 @@ _MAX_EVALS = 500
 
 
 def minimize_bounded(func: Callable[[float], float], lo: float, hi: float,
-                     xatol: float, start=None) -> tuple[float, float]:
+                     xatol: float, start) -> tuple[float, float]:
     """Minimize a scalar function on [lo, hi]; returns (x, func(x)).
 
     Brent's method (Algorithms for Minimization without Derivatives, 1973,
@@ -129,21 +125,14 @@ def minimize_bounded(func: Callable[[float], float], lo: float, hi: float,
     opens with the parabola through them, the bracket width standing in
     for the steps before, and returns the best pair when no evaluation
     beats it.  One pair gives no parabola, so the first step is golden.
-    Only a strict improvement then replaces the best point: a tie narrows
+    Only a strict improvement replaces the best point: a tie narrows
     the bracket like any worse point, so that at a minimum flat to
     rounding the search does not follow rounding noise.
-    Without ``start`` the search opens at the golden-section point of
-    [lo, hi], a tie replaces the best point, and its iterates are those
-    of ``scipy.optimize.fminbound``.
     """
     a, b = float(lo), float(hi)
-    cold = start is None
     if not (math.isfinite(a) and math.isfinite(b)) or a > b:
         raise ValueError("bounds must be finite with lo <= hi")
     evals = 0
-    if cold:
-        x = a + _GOLDEN * (b - a)
-        start, evals = [(x, func(x))], 1
     known = sorted(((float(p), float(f)) for p, f in start),
                    key=lambda pf: pf[1])
     known += known[-1:] * (3 - len(known))
@@ -181,7 +170,7 @@ def minimize_bounded(func: Callable[[float], float], lo: float, hi: float,
         u = x + math.copysign(max(abs(step), tol1), step)
         fu = func(u)
         evals += 1
-        if fu < fx or (cold and fu == fx):
+        if fu < fx:
             if u >= x:
                 a = x
             else:

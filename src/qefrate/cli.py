@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Every command is registered through ``_command``, the one place that
-holds what the commands share: the ``--model``, ``--out``, ``--cutoff``
-and ``--step`` options and the exit-code map ``_EXITS``: 0 success,
+holds what the commands share: the ``--model``, ``--out`` and
+``--cutoff`` options and the exit-code map ``_EXITS``: 0 success,
 2 model validation failure, 3 infeasible risk parameter, 4 numerical
 failure.  A command body receives a ``_Run``, whose ``setup`` loads the
 model, its quadrature rule and theta0, and whose ``summary`` writes every
@@ -30,7 +30,7 @@ from . import rate as rate_mod
 from .errors import FeasibilityError, ModelError, NumericalError
 from .io import load_model, write_csv, write_summary
 from .model import StateSpace
-from .quadrature import QuadratureConfig
+from .quadrature import RULE, QuadratureConfig
 from .spectral import grid_for
 from .twomode import two_mode_example
 
@@ -58,15 +58,13 @@ class _Run:
         return two_mode_example() if path is None else load_model(path)
 
     def setup(self) -> tuple[StateSpace, QuadratureConfig, float]:
-        """The model, its quadrature rule (resonance-placed panels, uniform
-        ones under ``--step``, the tail from ``--cutoff``) and theta0."""
+        """The model, its quadrature rule (resonance-placed panels, the
+        tail from ``--cutoff``) and theta0."""
         ss = self.model()
         cfg = QuadratureConfig.for_system(ss)
-        cutoff, step = self.params.get("cutoff"), self.params.get("step")
+        cutoff = self.params.get("cutoff")
         if cutoff is not None:
             cfg = dataclasses.replace(cfg, cutoff=cutoff)
-        if step is not None:
-            cfg = QuadratureConfig(cutoff=cfg.cutoff, step=step)
         return ss, cfg, rate_mod.theta_threshold(ss, cfg)
 
     def out_dir(self) -> Path:
@@ -121,9 +119,6 @@ out_option = click.option("--out", default=".", show_default=True,
 cutoff_option = click.option("--cutoff", type=float, default=None,
                              help="Frequency where the mapped tail panel "
                              "of the quadrature starts.")
-step_option = click.option("--step", type=float, default=None,
-                           help="Node spacing of uniform quadrature panels, "
-                           "replacing the resonance-placed ones.")
 
 
 @click.group()
@@ -135,19 +130,19 @@ def main():
 def _command(name: str, *options, model: bool = True, rule: bool = False):
     """Register a command body under ``name``.
 
-    Its options read --model (when ``model``), its own ``options``, --out,
-    --cutoff and --step (when ``rule``).  The body gets a ``_Run`` and
-    its own options by keyword; a package error it raises exits with the
-    code ``_EXITS`` gives it.
+    Its options read --model (when ``model``), its own ``options``, --out
+    and --cutoff (when ``rule``).  The body gets a ``_Run`` and its own
+    options by keyword; a package error it raises exits with the code
+    ``_EXITS`` gives it.
     """
     stack = [*([model_option] if model else []), *options, out_option,
-             *([cutoff_option, step_option] if rule else [])]
+             *([cutoff_option] if rule else [])]
 
     def register(body):
         @functools.wraps(body)
         def callback(**params):
             own = {k: v for k, v in params.items()
-                   if k not in ("model_path", "out", "cutoff", "step")}
+                   if k not in ("model_path", "out", "cutoff")}
             try:
                 return body(_Run(name, params), **own)
             except tuple(_EXITS) as exc:
@@ -196,7 +191,7 @@ def rate_cmd(run, theta):
         "margin": result.margin,
         "tail_contrib": result.tail_contrib,
         "n_freq": result.n_freq,
-        "rule": cfg.rule,
+        "rule": RULE,
         "quad_error": result.quad_error,
         "theta0": theta0,
         "lqg_rate": rate_mod.lqg_rate(ss),

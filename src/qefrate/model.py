@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from ._funcs import sqrtm_spd, symmetrize
+from ._funcs import hermitize, sqrtm_spd
 from .errors import (DegeneracyError, DimensionError, NumericalError,
                      ParameterError, StabilityError)
 
@@ -235,7 +235,7 @@ class StateSpace:
     def sigma(self) -> np.ndarray:
         """Invariant covariance, A Sigma + Sigma A' + B B' = 0, solved by
         Bartels-Stewart (read-only)."""
-        return _read_only(symmetrize(
+        return _read_only(hermitize(
             solve_continuous_lyapunov(self.a, -(self.b @ self.b.T))))
 
     @cached_property

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._funcs import check_theta, hermitize, lncosh, minimize_bounded, tanhc
-from .errors import FeasibilityError
+from .errors import FeasibilityError, ParameterError
 from .model import StateSpace
 from .quadrature import HalfLine, QuadratureConfig
 from .spectral import SpectralGrid, grid_for, transfer
@@ -237,9 +237,12 @@ def upsilon_from_grid(grid: SpectralGrid, theta: float,
     classical entropy value is reported alongside when theta is below the
     classical threshold at the nodes, and as NaN otherwise.  The result is
     flagged unconverged when the Gauss-Kronrod error estimate of either
-    integral exceeds ``QUAD_AGREEMENT`` times its value.
+    integral exceeds ``QUAD_AGREEMENT`` times its value.  A grid sampled
+    at other nodes raises ParameterError.
     """
     check_theta(theta)
+    if not np.array_equal(grid.lambdas, cfg.lambdas()):
+        raise ParameterError("the grid was not sampled at the rule's nodes")
     r = _sqrt_tanc(grid, theta)
     quad = _upsilon_quad(grid, theta, cfg, r)
     v, v_converged = _classical_checked(grid, theta, cfg)

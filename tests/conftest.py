@@ -1,11 +1,12 @@
-"""Shared fixtures: the two-mode example, cheap meshes, surrogate models,
-a deterministic pool of random stable models, a loader for the
-benchmark's model generator, the independent references the tests
+"""Shared fixtures: the two-mode example, cheap meshes on a uniform rule,
+surrogate models, a deterministic pool of random stable models, a loader
+for the benchmark's model generator, the independent references the tests
 compare the library against, and a single step of the Riccati march."""
 
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,7 @@ from qefrate.errors import (DegeneracyError, FeasibilityError, NumericalError,
                             ParameterError, StabilityError)
 from qefrate.homotopy import _guard_floor, _guarded_step, _RiccatiStack
 from qefrate.model import BJ2, build_j_matrix
+from qefrate.quadrature import PANEL_NODES
 from qefrate.rate import _neg_log_det
 from qefrate.spectral import SpectralGrid
 
@@ -50,9 +52,17 @@ def cfg_full(twomode) -> q.QuadratureConfig:
     return q.QuadratureConfig.for_system(twomode)
 
 
+def uniform_rule(cutoff: float, step: float) -> q.QuadratureConfig:
+    """The rule on equal panels at most 15 * step wide below the cutoff,
+    about cutoff / step nodes: blind to resonances, so cheap and coarse.
+    The last edge is at least cutoff / 2, so panels never double."""
+    n = int(math.ceil(cutoff / (PANEL_NODES * step)))
+    return q.QuadratureConfig(cutoff, np.linspace(0.0, cutoff, n + 1)[1:-1])
+
+
 @pytest.fixture(scope="session")
 def cfg_coarse() -> q.QuadratureConfig:
-    return q.QuadratureConfig(cutoff=100.0, step=0.05)
+    return uniform_rule(100.0, 0.05)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from qefrate.onemode import ab_functions, onemode_trig, poles, residue_at
 
 from conftest import (SURROGATE_A, SURROGATE_G, d_second_derivative_check,
                       kernel_at, log_det_d, surrogate_v_closed, u_direct,
-                      u_ode_step)
+                      u_ode_step, uniform_rule)
 
 
 def report(num: int, ok: bool, detail: str, elapsed: float) -> None:
@@ -189,7 +189,7 @@ def test_criterion_09_onemode_oracle(onemode_params, onemode_ss):
 
 def test_criterion_10_invariant_suites(random_models):
     start = time.monotonic()
-    probe_cfg = q.QuadratureConfig(cutoff=60.0, step=0.15)
+    probe_cfg = uniform_rule(60.0, 0.15)
     rng = np.random.default_rng(7777)
     failures = []
     field_sizes = {ss.m for ss in random_models}

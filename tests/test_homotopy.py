@@ -18,7 +18,7 @@ from qefrate.homotopy import (_guard_floor, _guarded_step, _march,
 from qefrate.spectral import grid_for
 
 from conftest import (SURROGATE_A, SURROGATE_G, d_second_derivative_check,
-                      surrogate_v_closed, u_direct, u_ode_step)
+                      surrogate_v_closed, u_direct, u_ode_step, uniform_rule)
 
 
 def synthetic_sample(phi: np.ndarray, psi: np.ndarray,
@@ -226,7 +226,7 @@ class TestRateByHomotopy:
         assert abs(tr.rate[-1] - exact) < 1e-6 * exact
 
     def test_step_halving_stability(self, surrogate):
-        cfg = q.QuadratureConfig(cutoff=100.0, step=0.05)
+        cfg = uniform_rule(100.0, 0.05)
         theta_end = 0.4 * SURROGATE_A ** 2 / SURROGATE_G ** 2
         a = rate_by_homotopy(surrogate, theta_end, theta_end / 50.0, cfg)
         b = rate_by_homotopy(surrogate, theta_end, theta_end / 100.0, cfg)
@@ -234,7 +234,7 @@ class TestRateByHomotopy:
 
     def test_escape_detected_beyond_feasible_range(self, twomode, theta0):
         # a 4020-node stack, whose escaping frequency lies deep inside it
-        cfg = q.QuadratureConfig(cutoff=10.0, step=0.0025)
+        cfg = uniform_rule(10.0, 0.0025)
         grid = q.sample_grid(twomode, cfg.lambdas())
         with pytest.raises(FeasibilityError) as err:
             _march(grid, 40.0 * theta0, 0.4 * theta0, cfg)
@@ -244,7 +244,7 @@ class TestRateByHomotopy:
         assert (err.value.theta, err.value.lam) == (ref.theta, ref.lam)
 
     def test_matches_complex_reference(self, twomode, theta0):
-        cfg = q.QuadratureConfig(cutoff=100.0, step=0.025)
+        cfg = uniform_rule(100.0, 0.025)
         grid = q.sample_grid(twomode, cfg.lambdas())
         tr = _march(grid, 0.9 * theta0, 0.01 * theta0, cfg)
         rate, derivs, u = reference_march(grid, 0.9 * theta0, 0.01 * theta0, cfg)
@@ -261,7 +261,7 @@ class TestRateByHomotopy:
         assert np.all(err <= 1e-13 * np.linalg.norm(u, axis=(1, 2)))
 
     def test_cross_method_agreement(self, surrogate):
-        cfg = q.QuadratureConfig(cutoff=100.0, step=0.02)
+        cfg = uniform_rule(100.0, 0.02)
         grid = q.sample_grid(surrogate, cfg.lambdas())
         theta_end = 0.6 * SURROGATE_A ** 2 / SURROGATE_G ** 2
         tr = _march(grid, theta_end, theta_end / 100.0, cfg)

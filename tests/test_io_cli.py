@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -178,7 +179,7 @@ class TestCliExitCodes:
                                      tmp_path):
         result = runner.invoke(main, ["rate", "--model", direct_model_file,
                                       "--theta", "2.0", "--out",
-                                      str(tmp_path), "--step", "0.2"])
+                                      str(tmp_path)])
         assert result.exit_code == 3
 
     @pytest.mark.parametrize("args", [["homotopy", "--theta-max", "nan"],
@@ -187,8 +188,7 @@ class TestCliExitCodes:
                                       ["sweep", "--theta-max", "nan"],
                                       ["sweep", "--theta-max", "-0.1"]])
     def test_non_finite_theta_exits_3(self, runner, tmp_path, args):
-        result = runner.invoke(main, args + ["--step", "0.25",
-                                             "--out", str(tmp_path)])
+        result = runner.invoke(main, args + ["--out", str(tmp_path)])
         assert result.exit_code == 3
         assert "must be finite" in result.output
 
@@ -294,9 +294,37 @@ class TestCliExitCodes:
         assert "No such option" in result.stderr
         assert "--threads" in result.stderr
 
+    @pytest.mark.parametrize("command", ["rate", "sweep", "homotopy",
+                                         "bounds", "example"])
+    def test_step_is_a_usage_error(self, runner, tmp_path, command):
+        # one panel layout: the resonance rule, its tail from --cutoff
+        theta = ["--theta", "0.045"] if command == "rate" else []
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, *theta, "--step", "0.1",
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr
+        assert "--step" in result.stderr
+        assert not out.exists()
+
+    def test_help_lists_no_step(self, runner):
+        for command in main.commands:
+            result = runner.invoke(main, [command, "--help"])
+            assert result.exit_code == 0
+            assert "--step" not in result.output
+
+    def test_small_cutoff_runs(self, runner, tmp_path):
+        # no step is checked against the cutoff: one panel and the tail
+        result = runner.invoke(main, ["rate", "--theta", "0.045", "--cutoff",
+                                      "0.03", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["n_freq"] == 30
+        assert summary["status"] == "quadrature-warning"
+
     def test_every_option_is_read(self):
         # an option that neither the command body nor _Run reads is inert
-        read_by_run = {"model_path", "out", "cutoff", "step"}
+        read_by_run = {"model_path", "out", "cutoff"}
         inert = {}
         for name, command in main.commands.items():
             body = inspect.signature(command.callback.__wrapped__).parameters
@@ -309,8 +337,8 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("args", [
         ["onemode-check", "--samples", "0"],
         ["onemode-check", "--samples", "-1"],
-        ["bounds", "--theta-points", "0", "--step", "0.25"],
-        ["sweep", "--points", "0", "--step", "0.25"]],
+        ["bounds", "--theta-points", "0"],
+        ["sweep", "--points", "0"]],
         ids=["samples-zero", "samples-negative", "theta-points-zero",
              "points-zero"])
     def test_count_options_reject_nonpositive(self, runner, tmp_path, args):
@@ -324,9 +352,6 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("args, message", [
         (["rate", "--theta", "0.045", "--cutoff", "nan"], "positive and finite"),
         (["rate", "--theta", "0.045", "--cutoff", "inf"], "positive and finite"),
-        (["rate", "--theta", "0.045", "--step", "nan"], "positive and finite"),
-        (["homotopy", "--step", "nan"], "positive and finite"),
-        (["sweep", "--step", "nan"], "positive and finite"),
         (["bounds", "--alpha", "abc"], "Invalid value for --alpha"),
         (["bounds", "--eps", "0.1,x"], "Invalid value for --eps"),
         (["horizon", "--theta", "0.02", "--horizons", "1,x"],
@@ -334,9 +359,9 @@ class TestCliExitCodes:
         (["bounds", "--alpha", "nan", "--eps", "nan"], "positive and finite"),
         (["bounds", "--alpha", "-1"], "positive and finite"),
         (["bounds", "--eps", "0.1,-0.1"], "finite and nonnegative")],
-        ids=["cutoff-nan", "cutoff-inf", "rate-step-nan", "homotopy-step-nan",
-             "sweep-step-nan", "alpha-text", "eps-text", "horizons-text",
-             "alpha-eps-nan", "alpha-negative", "eps-negative"])
+        ids=["cutoff-nan", "cutoff-inf", "alpha-text", "eps-text",
+             "horizons-text", "alpha-eps-nan", "alpha-negative",
+             "eps-negative"])
     def test_bad_option_values_exit_2(self, runner, tmp_path, args, message):
         out = tmp_path / "out"
         result = runner.invoke(main, args + ["--out", str(out)])
@@ -349,7 +374,7 @@ class TestCliArtifacts:
     def test_sweep_flags_infeasible_rows(self, runner, tmp_path):
         result = runner.invoke(main, [
             "sweep", "--theta-max", "0.2", "--points", "4",
-            "--step", "0.25", "--out", str(tmp_path)])
+            "--out", str(tmp_path)])
         assert result.exit_code == 0
         rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert rows[0] == "theta,upsilon,classical_v,margin,status"
@@ -357,9 +382,10 @@ class TestCliArtifacts:
         assert any(r.endswith("infeasible") for r in rows[1:])
 
     def test_sweep_flags_unconverged_rows(self, runner, tmp_path):
-        # on panels 7.5 wide the estimate misses the tolerance at 0.9 theta0
-        result = runner.invoke(main, ["sweep", "--points", "3", "--step", "0.5",
-                                      "--out", str(tmp_path)])
+        # with the tail panel from 2 the estimate misses the tolerance at
+        # 0.9 theta0 (7.8e-3 of Upsilon)
+        result = runner.invoke(main, ["sweep", "--points", "3", "--cutoff",
+                                      "2", "--out", str(tmp_path)])
         assert result.exit_code == 0
         rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         status = [r.split(",")[-1] for r in rows[1:]]
@@ -370,7 +396,7 @@ class TestCliArtifacts:
 
     def test_rate_artifacts_validate(self, runner, tmp_path):
         result = runner.invoke(main, ["rate", "--theta", "0.02",
-                                      "--step", "0.1", "--out", str(tmp_path)])
+                                      "--out", str(tmp_path)])
         assert result.exit_code == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         validate_summary(summary)
@@ -378,19 +404,15 @@ class TestCliArtifacts:
         assert profile.startswith("lambda,neg_log_det_D,classical_integrand")
 
     def test_rate_summary_reports_rule(self, runner, tmp_path):
-        for extra, layout in (([], "resonance"), (["--step", "0.1"], "uniform")):
-            out = tmp_path / layout
-            result = runner.invoke(main, ["rate", "--theta", "0.045", *extra,
-                                          "--out", str(out)])
-            assert result.exit_code == 0
-            summary = json.loads((out / "summary.json").read_text())
-            validate_summary(summary)
-            assert summary["rule"] == f"gauss-kronrod-15/{layout}"
-            assert 0.0 <= summary["quad_error"] <= 1e-6 * summary["upsilon"]
-            assert summary["status"] == "ok"
-            # the resonance rule reads no step; a --step is in the manifest
-            assert "step" not in summary
-            assert summary["manifest"].get("step") == (0.1 if extra else None)
+        result = runner.invoke(main, ["rate", "--theta", "0.045",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        validate_summary(summary)
+        assert summary["rule"] == "gauss-kronrod-15/resonance"
+        assert 0.0 <= summary["quad_error"] <= 1e-6 * summary["upsilon"]
+        assert summary["status"] == "ok"
+        assert "step" not in summary and "step" not in summary["manifest"]
         assert "step" not in qio._summary_schema()["properties"]
         for bad in ({"rule": 15}, {"quad_error": -1.0}, {"quad_error": "0"}):
             with pytest.raises(Exception):
@@ -414,15 +436,14 @@ class TestCliArtifacts:
         assert summary["max_dev"]["psi"] < 1e-10
 
     def test_homotopy_summary_validates(self, runner, tmp_path):
-        result = runner.invoke(main, ["homotopy", "--cutoff", "60", "--step",
-                                      "0.25", "--out", str(tmp_path)])
+        result = runner.invoke(main, ["homotopy", "--cutoff", "60",
+                                      "--out", str(tmp_path)])
         assert result.exit_code == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         validate_summary(summary)
 
     def test_example_outputs_deterministic(self, runner, tmp_path):
-        args = ["example", "--dtheta-frac", "0.1", "--cutoff", "60",
-                "--step", "0.1"]
+        args = ["example", "--dtheta-frac", "0.1", "--cutoff", "60"]
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"
         r1 = runner.invoke(main, args + ["--out", str(out1)])
@@ -432,23 +453,23 @@ class TestCliArtifacts:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         summary = json.loads((out1 / "summary.json").read_text())
         validate_summary(summary)
-        # the coarse overrides used here inflate the theta-accumulation
+        # the coarse theta step used here inflates the theta-accumulation
         # error; the default-resolution gap is asserted in the acceptance
         # suite at 1e-3
         assert summary["cross_method_gap"] < 2e-2
 
     def test_example_flags_unconverged_direct_values(self, runner, tmp_path):
-        # panels 7.5 wide miss the tolerance near 0.9 theta0, as in sweep
+        # the tail panel from 2 misses the tolerance near 0.9 theta0, as
+        # in sweep
         result = runner.invoke(main, ["example", "--dtheta-frac", "0.1",
-                                      "--step", "0.5", "--out", str(tmp_path)])
+                                      "--cutoff", "2", "--out", str(tmp_path)])
         assert result.exit_code == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["status"] == "quadrature-warning"
 
     def test_bounds_artifacts(self, runner, tmp_path):
         result = runner.invoke(main, [
-            "bounds", "--step", "0.25", "--theta-points", "8",
-            "--out", str(tmp_path)])
+            "bounds", "--theta-points", "8", "--out", str(tmp_path)])
         assert result.exit_code == 0
         tails = (tmp_path / "tail_bounds.csv").read_text().splitlines()
         assert tails[0] == "alpha,bound,status"
@@ -471,8 +492,9 @@ class TestCliArtifacts:
         assert len(calls) <= 30 + 65
 
     def test_bounds_flags_unconverged_grid(self, runner, tmp_path):
-        # panels 7.5 wide miss the tolerance on the theta grid, as in sweep
-        result = runner.invoke(main, ["bounds", "--step", "0.5",
+        # the tail panel from 2 misses the tolerance on the theta grid, as
+        # in sweep
+        result = runner.invoke(main, ["bounds", "--cutoff", "2",
                                       "--out", str(tmp_path)])
         assert result.exit_code == 0
         for name in ["tail_bounds.csv", "worst_case_bounds.csv"]:
@@ -490,3 +512,13 @@ def test_import_leaves_heavy_modules_unloaded():
                          text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_names_every_cli_option():
+    # the README documents each option the commands take, and no other
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme))
+    declared = {opt for command in main.commands.values()
+                for param in command.params for opt in param.opts
+                if opt.startswith("--")}
+    assert documented == declared

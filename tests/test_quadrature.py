@@ -16,7 +16,7 @@ import qefrate as q
 from qefrate import quadrature, rate
 from qefrate.errors import DegeneracyError, ParameterError
 
-from conftest import care_v, single_mode
+from conftest import care_v, single_mode, uniform_rule
 
 #: theta0 of the built-in two-mode example, 1/||F||_inf^2
 TWO_MODE_THETA0 = 0.09082804086534736
@@ -39,8 +39,8 @@ class TestRule:
             assert abs(float(np.dot(w, x ** k)) - exact) < 1e-14
 
     @pytest.mark.parametrize("cfg", [
-        q.QuadratureConfig(cutoff=10.0, step=0.1),
-        q.QuadratureConfig(cutoff=50.0, step=0.5,
+        uniform_rule(10.0, 0.1),
+        q.QuadratureConfig(cutoff=50.0,
                            edges=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0))],
         ids=["uniform", "edges"])
     def test_half_line_lorentzian(self, cfg):
@@ -60,15 +60,18 @@ class TestRule:
             assert lam[0] > 0.0 and np.all(np.diff(lam) > 0.0)
             assert lam[-quadrature.PANEL_NODES - 1] < cfg.cutoff \
                 < lam[-quadrature.PANEL_NODES]
-        assert cfg_full.rule == "gauss-kronrod-15/resonance"
-        assert cfg_coarse.rule == "gauss-kronrod-15/uniform"
+        assert quadrature.RULE == "gauss-kronrod-15/resonance"
 
     @pytest.mark.parametrize("cutoff, step", [(100.0, 0.05), (10.0, 0.0025),
                                               (60.0, 0.15)])
     def test_uniform_node_count_follows_step(self, cutoff, step):
-        n = len(q.QuadratureConfig(cutoff=cutoff, step=step).lambdas())
+        lam = uniform_rule(cutoff, step).lambdas()
         per_panel = quadrature.PANEL_NODES
-        assert cutoff / step <= n - per_panel < cutoff / step + per_panel
+        assert cutoff / step <= len(lam) - per_panel < cutoff / step + per_panel
+        # equal panels below the cutoff: none doubles up to it
+        width = cutoff / ((len(lam) - per_panel) // per_panel)
+        mids = lam[:-per_panel].reshape(-1, per_panel)[:, per_panel // 2]
+        np.testing.assert_allclose(np.diff(mids), width, rtol=1e-12)
 
     def test_for_system_keeps_cutoff_and_step(self, twomode, random_models):
         for ss in [twomode, *random_models]:
@@ -90,12 +93,31 @@ class TestRule:
         with pytest.raises(ParameterError):
             cfg_coarse.half_line(np.ones(cfg_coarse.n_intervals))
 
-    @pytest.mark.parametrize("cutoff,step", [
-        (math.nan, 0.1), (math.inf, 0.1), (0.0, 0.1), (10.0, math.nan),
-        (10.0, math.inf), (10.0, -0.1)])
-    def test_cutoff_and_step_must_be_positive_and_finite(self, cutoff, step):
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, 0.0])
+    def test_cutoff_must_be_positive_and_finite(self, cutoff):
         with pytest.raises(ParameterError, match="positive and finite"):
-            q.QuadratureConfig(cutoff=cutoff, step=step)
+            q.QuadratureConfig(cutoff=cutoff, edges=())
+
+    def test_fields_are_cutoff_and_edges_without_defaults(self):
+        fields = dataclasses.fields(q.QuadratureConfig)
+        assert [f.name for f in fields] == ["cutoff", "edges"]
+        assert all(f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING
+                   for f in fields)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((), {"cutoff": 100.0, "step": 0.05}), ((100.0, 0.05), {})],
+        ids=["step-keyword", "step-positional"])
+    def test_step_is_not_a_field(self, args, kwargs):
+        # step is no field: a call that passes one fails at construction
+        with pytest.raises(TypeError):
+            q.QuadratureConfig(*args, **kwargs)
+
+    def test_edges_stored_as_float_tuple(self):
+        cfg = q.QuadratureConfig(50.0, np.array([1, 2.5]))
+        assert cfg.edges == (1.0, 2.5)
+        assert all(type(e) is float for e in cfg.edges)
+        assert hash(cfg) == hash(q.QuadratureConfig(50.0, (1.0, 2.5)))
 
 
 class TestTwoModeRule:

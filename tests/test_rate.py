@@ -18,7 +18,7 @@ from qefrate.spectral import grid_for
 
 from conftest import (SURROGATE_A, SURROGATE_G, benchmark_module,
                       contour_e, log_det_d, make_random_model, single_mode,
-                      surrogate_v_closed)
+                      surrogate_v_closed, uniform_rule)
 
 
 def zero_psi(grid: q.SpectralGrid) -> q.SpectralGrid:
@@ -272,18 +272,27 @@ class TestUpsilon:
         assert abs(res.upsilon - res.classical_v) <= 1e-14 * res.classical_v
 
     def test_mesh_halving_stability(self, twomode, theta0):
-        base = q.QuadratureConfig(cutoff=100.0, step=0.01)
-        fine = q.QuadratureConfig(cutoff=100.0, step=0.005)
+        base = uniform_rule(100.0, 0.01)
+        fine = uniform_rule(100.0, 0.005)
         a = q.upsilon(twomode, 0.5 * theta0, base).upsilon
         b = q.upsilon(twomode, 0.5 * theta0, fine).upsilon
         assert abs(a - b) < 1e-5 * abs(b)
 
     def test_cutoff_doubling_stability(self, twomode, theta0):
-        base = q.QuadratureConfig(cutoff=100.0, step=0.01)
-        wide = q.QuadratureConfig(cutoff=200.0, step=0.01)
+        base = uniform_rule(100.0, 0.01)
+        wide = uniform_rule(200.0, 0.01)
         a = q.upsilon(twomode, 0.5 * theta0, base).upsilon
         b = q.upsilon(twomode, 0.5 * theta0, wide).upsilon
         assert abs(a - b) < 1e-5 * abs(b)
+
+    def test_grid_of_another_rule_raises(self, twomode, theta0):
+        # as many nodes, elsewhere: integrated anyway, Upsilon at 0.5 theta0
+        # came out twice its value
+        sampled_on, other = uniform_rule(100.0, 0.05), uniform_rule(200.0, 0.1)
+        assert other.n_intervals == sampled_on.n_intervals
+        grid = q.sample_grid(twomode, sampled_on.lambdas())
+        with pytest.raises(ParameterError, match="rule's nodes"):
+            q.upsilon_from_grid(grid, 0.5 * theta0, other)
 
     def test_infeasible_theta_raises_with_frequency(self, twomode, cfg_coarse,
                                                     theta0):
@@ -292,7 +301,7 @@ class TestUpsilon:
         assert err.value.lam is not None
 
     def test_unresolved_mesh_sets_warning_flag(self, twomode, theta0):
-        crude = q.QuadratureConfig(cutoff=100.0, step=12.5)
+        crude = uniform_rule(100.0, 12.5)
         res = q.upsilon(twomode, 0.5 * theta0, crude)
         assert res.converged is False
 
@@ -597,7 +606,7 @@ class TestKeptCurve:
         ss = q.two_mode_example()
         alpha = 1.5 * q.lqg_rate(ss)
         q.tail_bound(ss, alpha, grid, cfg_full)
-        coarse = q.QuadratureConfig(cutoff=100.0, step=0.25)
+        coarse = uniform_rule(100.0, 0.25)
         upsilon_calls.clear()
         q.tail_bound(ss, alpha, grid, coarse)
         assert set(grid) <= set(upsilon_calls)
@@ -653,7 +662,7 @@ class TestKeptCurve:
         ss = q.two_mode_example()
         cfg = q.QuadratureConfig.for_system(ss)
         if step is not None:
-            cfg = q.QuadratureConfig(cutoff=cfg.cutoff, step=step)
+            cfg = uniform_rule(cfg.cutoff, step)
         thetas = np.array(fracs) * theta0
         flags = []
         for th in thetas:
@@ -695,7 +704,7 @@ class TestContourE:
 
 @pytest.fixture(scope="module")
 def bound_cfg():
-    return q.QuadratureConfig(cutoff=100.0, step=0.2)
+    return uniform_rule(100.0, 0.2)
 
 
 @pytest.fixture(scope="module")
@@ -838,14 +847,21 @@ class TestBoundedMinimizer:
         (lambda x: x, 2.0, 5.0, 1e-6),
     ], ids=["quadratic", "cosine", "cusp", "wall", "monotone"])
     def test_iterates_match_scipy(self, func, lo, hi, xatol):
-        assert minimize_bounded(func, lo, hi, xatol) == \
-            scipy_bounded(func, lo, hi, xatol)
+        # one start pair at scipy's opening point, the golden-section
+        # point of the bracket
+        x = lo + 0.5 * (3.0 - math.sqrt(5.0)) * (hi - lo)
+        assert minimize_bounded(func, lo, hi, xatol, start=[(x, func(x))]) \
+            == scipy_bounded(func, lo, hi, xatol)
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
-            minimize_bounded(abs, 1.0, 0.0, 1e-8)
+            minimize_bounded(abs, 1.0, 0.0, 1e-8, start=[(0.5, 0.5)])
         with pytest.raises(ValueError):
-            minimize_bounded(abs, 0.0, math.nan, 1e-8)
+            minimize_bounded(abs, 0.0, math.nan, 1e-8, start=[(0.5, 0.5)])
+
+    def test_start_is_required(self):
+        with pytest.raises(TypeError):
+            minimize_bounded(abs, 0.0, 1.0, 1e-8)
 
     @pytest.mark.parametrize("func, lo, hi, xatol", [
         (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-10),
@@ -877,7 +893,7 @@ class TestBoundedMinimizer:
         # cold on the same bracket
         searches = []
 
-        def recording(func, lo, hi, xatol, start=None):
+        def recording(func, lo, hi, xatol, start):
             found = minimize_bounded(func, lo, hi, xatol, start=start)
             searches.append((func, lo, hi, xatol, found[1]))
             return found

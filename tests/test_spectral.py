@@ -15,6 +15,8 @@ from qefrate import spectral
 from qefrate.errors import SingularityError
 from qefrate.spectral import grid_for
 
+from conftest import uniform_rule
+
 
 def adjugate_inverse(m: np.ndarray) -> np.ndarray:
     """Cofactor-expansion inverse (test oracle, independent of LU)."""
@@ -217,7 +219,7 @@ class TestGridCache:
     def test_another_rule_samples_again(self, sampled):
         ss = q.two_mode_example()
         fine = q.QuadratureConfig.for_system(ss)
-        coarse = q.QuadratureConfig(cutoff=100.0, step=0.25)
+        coarse = uniform_rule(100.0, 0.25)
         assert grid_for(ss, fine) is grid_for(ss, fine)
         grid_coarse = grid_for(ss, coarse)
         assert len(grid_coarse.lambdas) == coarse.n_intervals + 1
@@ -227,7 +229,7 @@ class TestGridCache:
 
     def test_replace_starts_with_empty_cache(self, sampled):
         ss = q.two_mode_example()
-        cfg = q.QuadratureConfig(cutoff=100.0, step=0.25)
+        cfg = uniform_rule(100.0, 0.25)
         q.upsilon(ss, 0.02, cfg)
         q.theta_threshold(ss, cfg)
         twin = dataclasses.replace(ss)
